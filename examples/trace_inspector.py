@@ -16,11 +16,11 @@ from pathlib import Path
 from repro.common.units import HOUR
 from repro.trace import (
     drop_self_traffic,
-    merge_streams,
     read_trace,
     validate_stream,
     write_trace,
 )
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.tools import split_by_duration, summarize
 from repro.workload import STANDARD_PROFILES, generate_trace
 
@@ -51,7 +51,9 @@ def main() -> None:
     by_server: dict[int, list] = {}
     for record in records:
         by_server.setdefault(record.server_id, []).append(record)
-    merged = list(merge_streams(by_server.values()))
+    merged = ColumnarTrace.merge(
+        [ColumnarTrace.from_records(stream) for stream in by_server.values()]
+    ).materialize()
     print(f"Merged {len(by_server)} per-server streams back into "
           f"{len(merged)} ordered records "
           f"(order preserved: {[r.time for r in merged] == sorted(r.time for r in merged)})")

@@ -10,7 +10,7 @@ per-client paging models, pulsed on every open.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.common.errors import ConfigError, SimulationError
@@ -34,8 +34,6 @@ from repro.trace.records import (
     DirectoryReadRecord,
     OpenRecord,
     ReadRunRecord,
-    SharedReadRecord,
-    SharedWriteRecord,
     TraceRecord,
     TruncateRecord,
     WriteRunRecord,
@@ -193,24 +191,18 @@ class Cluster:
                 Server(config.server_memory, config.block_size, server_id=i)
                 for i in range(config.num_servers)
             ]
-        #: Per-group client lists (None for the classic ungrouped
-        #: cluster): grouped broadcasts -- cacheability changes, delete
-        #: fan-out, recovery sweeps -- are confined to the one group
-        #: they can affect, which is both the scalability win and what
-        #: keeps a partial shard from ever touching a foreign machine.
-        self._group_clients: dict[int, list[ClientKernel]] | None = (
-            {} if groups > 1 else None
-        )
+        #: Per-group client lists: broadcasts -- cacheability changes,
+        #: delete fan-out, recovery sweeps -- are confined to the one
+        #: group they can affect, which is both the scalability win and
+        #: what keeps a partial shard from ever touching a foreign
+        #: machine.  The classic cluster is the one-group case.
+        self._group_clients: dict[int, list[ClientKernel]] = {}
         self._client_group: dict[int, int] = {}
         for server in self.servers:
-            if groups == 1:
-                server.on_cacheability_change = self._cacheability_changed
-            else:
-                server.on_cacheability_change = (
-                    lambda file_id, cacheable,
-                    _group=server.server_id // spg:
-                        self._group_cacheability(_group, file_id, cacheable)
-                )
+            server.on_cacheability_change = (
+                lambda file_id, cacheable, _group=server.server_id // spg:
+                    self._group_cacheability(_group, file_id, cacheable)
+            )
 
         #: Replication (repro.fs.replication): constructed only when
         #: configured, so an unreplicated cluster runs no heartbeat
@@ -282,10 +274,38 @@ class Cluster:
         self.clients: Sequence[ClientKernel]
         self.paging: Sequence[PagingModel]
         binaries = PagingModel.build_binaries(self.rng.fork("binaries"))
-        if groups == 1:
-            clients: list[ClientKernel] = []
-            paging: list[PagingModel] = []
-            for client_id in range(config.client_count):
+        # Every client -- in the full replay and in a partial shard alike
+        # -- sees exactly its group's server slice (through a roster that
+        # keeps global ids), its group's placement view, and its group's
+        # replication facade; one group sees the plain server list, the
+        # cluster placement and the manager itself.  Client rngs keep
+        # their global names, and channel streams are forked only for
+        # slice servers (forks are pure, so the never-used foreign forks
+        # change nothing), which is what makes a shard's client
+        # byte-identical to the same client in the unpartitioned replay.
+        offsets = config.group_client_offsets
+        client_items: list[ClientKernel] = []
+        paging_items: list[PagingModel] = []
+        client_ids: list[int] = []
+        for group in owned:
+            slice_ids = list(range(group * spg, (group + 1) * spg))
+            slice_servers = [self.servers[sid] for sid in slice_ids]
+            if groups == 1:
+                server_roster = self.servers
+                group_placement = self.placement
+                group_replication = self.replication
+            else:
+                server_roster = MachineRoster(
+                    "server", config.num_servers, slice_servers, slice_ids
+                )
+                group_placement = self.placement.group_view(group, groups)
+                group_replication = (
+                    self.replication.group_view(group)
+                    if self.replication is not None
+                    else None
+                )
+            members: list[ClientKernel] = []
+            for client_id in range(offsets[group], offsets[group + 1]):
                 client_rng = self.rng.fork(f"client-{client_id}")
                 base_pages = int(
                     client_rng.uniform(6.0, 9.0) * MB / config.block_size
@@ -298,28 +318,28 @@ class Cluster:
                     ),
                     cache_floor_pages=config.min_cache_size // config.block_size,
                 )
-                # ``fork`` is a pure function of the parent key and name,
-                # so the channel stream exists (unused) even in fault-free
-                # runs without perturbing any other stream.  Shard 0 keeps
-                # the historical "channel" name; extra shards get new
-                # names, so a single-server build's streams are untouched.
-                channel_rngs = [client_rng.fork("channel")] + [
-                    client_rng.fork(f"channel-{i}")
-                    for i in range(1, config.num_servers)
+                # Server 0 keeps the historical "channel" fork name.
+                channel_rngs = [
+                    client_rng.fork("channel" if sid == 0 else f"channel-{sid}")
+                    for sid in slice_ids
                 ]
                 client = ClientKernel(
-                    client_id, config, self.engine, self.servers, vm,
+                    client_id, config, self.engine, server_roster, vm,
                     channel_rng=channel_rngs,
                     oracle=oracle,
-                    placement=self.placement,
+                    placement=group_placement,
                     ticker=self.shared_ticker(config.writeback_scan_interval),
-                    replication=self.replication,
+                    replication=group_replication,
                     integrity=self.integrity,
+                    # Pin paging inside the group's server slice (the
+                    # classic ``client_id % num_servers`` would leak
+                    # paging traffic onto other groups' servers).
+                    paging_shard=group * spg + client_id % spg,
                 )
-                for server in self.servers:
+                for server in slice_servers:
                     server.register_client(client)
-                clients.append(client)
-                paging.append(
+                members.append(client)
+                paging_items.append(
                     PagingModel(
                         client,
                         self.engine,
@@ -328,96 +348,19 @@ class Cluster:
                         intensity=config.paging_intensity,
                     )
                 )
-            self.clients = clients
-            self.paging = paging
+                self._client_group[client_id] = group
+            self._group_clients[group] = members
+            client_items.extend(members)
+            client_ids.extend(range(offsets[group], offsets[group + 1]))
+        if partial:
+            roster = MachineRoster(
+                "client", config.client_count, client_items, client_ids
+            )
+            self.clients = roster
+            self.paging = roster.like(paging_items, kind="paging model")
         else:
-            # Grouped construction: every client -- in the full replay
-            # and in a partial shard alike -- sees exactly its group's
-            # server slice (through a roster that keeps global ids), its
-            # group's placement view, and its group's replication
-            # facade.  Client rngs keep their global names, and channel
-            # streams are forked only for slice servers (forks are pure,
-            # so the never-used foreign forks change nothing), which is
-            # what makes a shard's client byte-identical to the same
-            # client in the unpartitioned replay.
-            offsets = config.group_client_offsets
-            client_items: list[ClientKernel] = []
-            paging_items: list[PagingModel] = []
-            client_ids: list[int] = []
-            for group in owned:
-                slice_ids = list(range(group * spg, (group + 1) * spg))
-                slice_servers = [self.servers[sid] for sid in slice_ids]
-                server_roster = MachineRoster(
-                    "server", config.num_servers, slice_servers, slice_ids
-                )
-                group_placement = self.placement.group_view(group, groups)
-                group_replication = (
-                    self.replication.group_view(group)
-                    if self.replication is not None
-                    else None
-                )
-                members: list[ClientKernel] = []
-                for client_id in range(offsets[group], offsets[group + 1]):
-                    client_rng = self.rng.fork(f"client-{client_id}")
-                    base_pages = int(
-                        client_rng.uniform(6.0, 9.0) * MB / config.block_size
-                    )
-                    vm = VirtualMemory(
-                        total_pages=config.client_page_count,
-                        preference_seconds=config.vm_preference,
-                        base_demand_pages=min(
-                            base_pages, config.client_page_count // 2
-                        ),
-                        cache_floor_pages=(
-                            config.min_cache_size // config.block_size
-                        ),
-                    )
-                    channel_rngs = [
-                        client_rng.fork(
-                            "channel" if sid == 0 else f"channel-{sid}"
-                        )
-                        for sid in slice_ids
-                    ]
-                    client = ClientKernel(
-                        client_id, config, self.engine, server_roster, vm,
-                        channel_rng=channel_rngs,
-                        oracle=oracle,
-                        placement=group_placement,
-                        ticker=self.shared_ticker(
-                            config.writeback_scan_interval
-                        ),
-                        replication=group_replication,
-                        integrity=self.integrity,
-                        # Pin paging inside the group's server slice (the
-                        # classic ``client_id % num_servers`` would leak
-                        # paging traffic onto other groups' servers).
-                        paging_shard=group * spg + client_id % spg,
-                    )
-                    for server in slice_servers:
-                        server.register_client(client)
-                    members.append(client)
-                    paging_items.append(
-                        PagingModel(
-                            client,
-                            self.engine,
-                            client_rng.fork("paging"),
-                            binaries,
-                            intensity=config.paging_intensity,
-                        )
-                    )
-                    self._client_group[client_id] = group
-                self._group_clients[group] = members
-                client_items.extend(members)
-                client_ids.extend(range(offsets[group], offsets[group + 1]))
-            if partial:
-                roster = MachineRoster(
-                    "client", config.client_count, client_items, client_ids
-                )
-                self.clients = roster
-                self.paging = roster.like(paging_items, kind="paging model")
-            else:
-                self.clients = client_items
-                self.paging = paging_items
+            self.clients = client_items
+            self.paging = paging_items
 
         self._snapshots: dict[int, list[CounterSnapshot]] = {
             c.client_id: [] for c in self.clients
@@ -447,10 +390,6 @@ class Cluster:
         """Shard 0 -- *the* server when ``num_servers == 1``."""
         return self.servers[0]
 
-    def _cacheability_changed(self, file_id: int, cacheable: bool) -> None:
-        for client in self.clients:
-            client.receive_cacheability(file_id, cacheable)
-
     def _group_cacheability(
         self, group: int, file_id: int, cacheable: bool
     ) -> None:
@@ -471,9 +410,6 @@ class Cluster:
                     counters=client.counters.copy(),
                 )
             )
-
-    def _client(self, client_id: int) -> ClientKernel:
-        return self.clients[client_id % len(self.clients)]
 
     def _scrub_tick(self) -> None:
         self.integrity.scrub_tick(self.engine.now)
@@ -502,31 +438,23 @@ class Cluster:
             # Encoding: -1 - server_id, so the single-server case keeps
             # its historical -1 target.
             self.obs.on_fault_recovered(now, "server_crash", -1 - server_id)
-        if self._group_clients is None:
-            for client in self.clients:
-                client.on_server_recovered(now, server_id)
-        else:
-            # Only the server's own group's clients can hold its files;
-            # a foreign client's sweep would be a no-op (and a partial
-            # shard has no foreign clients to run it on).
-            group = server_id // self._servers_per_group
-            for client in self._group_clients[group]:
-                client.on_server_recovered(now, server_id)
+        # Only the server's own group's clients can hold its files; a
+        # foreign client's sweep would be a no-op (and a partial shard
+        # has no foreign clients to run it on).
+        group = server_id // self._servers_per_group
+        for client in self._group_clients[group]:
+            client.on_server_recovered(now, server_id)
 
     def crash_client(self, client: ClientKernel) -> None:
         """A client dies: its cache (and any un-written dirty data) is
         lost and every server that could know it purges its
-        registrations (all of them classically; the client's group's
-        slice when grouped -- it never registered anywhere else)."""
+        registrations (its group's server slice -- it never registered
+        anywhere else)."""
         client.crash(self.engine.now)
-        if self._group_clients is None:
-            for server in self.servers:
-                server.client_crashed(client.client_id)
-        else:
-            spg = self._servers_per_group
-            first = self._client_group[client.client_id] * spg
-            for sid in range(first, first + spg):
-                self.servers[sid].client_crashed(client.client_id)
+        spg = self._servers_per_group
+        first = self._client_group[client.client_id] * spg
+        for sid in range(first, first + spg):
+            self.servers[sid].client_crashed(client.client_id)
 
     def reboot_client(self, client: ClientKernel) -> None:
         client.reboot(self.engine.now)
@@ -548,45 +476,24 @@ class Cluster:
     # --- record dispatch ---------------------------------------------------------
 
     def _build_dispatch_table(self):
-        """Exact-type -> bound handler, replacing an isinstance chain
-        that burned a measurable slice of every replay (the table costs
-        one dict lookup per record; subclassed records -- none exist in
-        the tree -- fall back to an isinstance walk in :meth:`dispatch`).
+        """Exact-type -> bound handler: one dict lookup per record.
+
+        Kinds with no handler (creates, repositions, and the per-request
+        shared reads/writes, whose bytes the coalesced run records
+        already carry) are counted by the replay and otherwise skipped.
+        Records addressed to a crashed client are dropped (the user's
+        processes died with the machine), as are closes whose opens
+        predate the client's last reboot.
         """
         return {
             OpenRecord: self._dispatch_open,
             ReadRunRecord: self._dispatch_read_run,
             WriteRunRecord: self._dispatch_write_run,
             CloseRecord: self._dispatch_close,
-            SharedReadRecord: self._dispatch_shared,
-            SharedWriteRecord: self._dispatch_shared,
             DeleteRecord: self._dispatch_delete,
             TruncateRecord: self._dispatch_delete,
             DirectoryReadRecord: self._dispatch_directory_read,
         }
-
-    def dispatch(self, record: TraceRecord) -> None:
-        """Apply one trace record to the cluster.
-
-        Records addressed to a crashed client are dropped (the user's
-        processes died with the machine), as are closes whose opens
-        predate the client's last reboot.
-        """
-        self._records += 1
-        handler = self._dispatch.get(type(record))
-        if handler is not None:
-            handler(record, self.engine.now)
-        else:
-            self._dispatch_fallback(record, self.engine.now)
-
-    def _dispatch_fallback(self, record: TraceRecord, now: float) -> None:
-        """isinstance walk for record subclasses the exact-type table
-        cannot see (none exist in-tree; kept so external subclasses of
-        the record types still replay)."""
-        for record_type, handler in self._dispatch.items():
-            if isinstance(record, record_type):
-                handler(record, now)
-                return
 
     def _dispatch_open(self, record: OpenRecord, now: float) -> None:
         client = self.clients[record.client_id % len(self.clients)]
@@ -646,30 +553,17 @@ class Cluster:
             )
         client.close_file(now, record.file_id, wrote, fsync=fsync)
 
-    def _dispatch_shared(self, record: TraceRecord, now: float) -> None:
-        # Per-request server log for write-shared files.  The
-        # coalesced runs already carry these bytes, so route only
-        # the ones the run records cannot see: nothing extra here --
-        # the open/close overlap already disabled caching and the
-        # run records will pass through.  (Kept as a dispatch case
-        # so subclasses can hook it.)
-        pass
-
     def _dispatch_delete(self, record: TraceRecord, now: float) -> None:
         client = self.clients[record.client_id % len(self.clients)]
         if not client.up:
             client.counters.ops_dropped_while_down += 1
             return
         client.delete_on_server(now, record.file_id)
-        if self._group_clients is None:
-            for each in self.clients:
-                each.delete_file(now, record.file_id)
-        else:
-            # Group-strided file ids: only the deleting client's own
-            # group can hold blocks of the file.
-            group = self._client_group[client.client_id]
-            for each in self._group_clients[group]:
-                each.delete_file(now, record.file_id)
+        # Group-strided file ids: only the deleting client's own group
+        # can hold blocks of the file.
+        group = self._client_group[client.client_id]
+        for each in self._group_clients[group]:
+            each.delete_file(now, record.file_id)
 
     def _dispatch_directory_read(
         self, record: DirectoryReadRecord, now: float
@@ -714,8 +608,7 @@ class Cluster:
                 )
         if schedule is not None and len(schedule):
             FaultInjector(self, schedule).arm()
-        # Hot loop: handler lookup replaces the isinstance chain, and
-        # run_until is skipped whenever the record lands before the next
+        # Hot loop: one handler lookup per record, and run_until is skipped whenever the record lands before the next
         # pending event (the cached next_wake is refreshed only when the
         # engine's schedule counter shows something new was scheduled --
         # or the engine itself ran, which can only make the cache stale
@@ -745,8 +638,6 @@ class Cluster:
             handler = get_handler(type(record))
             if handler is not None:
                 handler(record, time)
-            else:
-                self._dispatch_fallback(record, time)
             if engine._sequence != seen_sequence:
                 seen_sequence = engine._sequence
                 next_wake = engine.next_event_time()
@@ -883,7 +774,7 @@ def merge_cluster_results(
 
 
 def run_cluster_on_trace(
-    records: Sequence[TraceRecord],
+    records: Iterable[TraceRecord],
     duration: float,
     config: ClusterConfig | None = None,
     seed: int = 7,
@@ -892,7 +783,11 @@ def run_cluster_on_trace(
     obs=None,
     owned_groups: Sequence[int] | None = None,
 ) -> ClusterResult:
-    """Convenience wrapper: build a cluster and replay one trace."""
+    """Build a cluster and replay one trace: the one replay entry point.
+
+    ``owned_groups`` builds an owned-only shard of a grouped cluster
+    (see :class:`Cluster`); the default owns every group.
+    """
     cluster = Cluster(
         config or ClusterConfig(), seed=seed, fault_schedule=fault_schedule,
         oracle=oracle, obs=obs, owned_groups=owned_groups,

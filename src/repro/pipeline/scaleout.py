@@ -43,7 +43,11 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from repro.common.errors import ConfigError, SimulationError
-from repro.fs.cluster import Cluster, ClusterResult, merge_cluster_results
+from repro.fs.cluster import (
+    ClusterResult,
+    merge_cluster_results,
+    run_cluster_on_trace,
+)
 from repro.fs.config import ClusterConfig
 from repro.fs.faults import FaultConfig
 from repro.fs.paging import EXECUTABLE_FILE_ID_BASE
@@ -258,9 +262,7 @@ class ShardReplayTask:
     traffic loudly), so per-shard memory and construction time scale
     with the owned slice, not the whole cluster -- and the result
     already carries exactly the owned machines' counters, no slimming
-    pass needed.  The replay streams records chunk-at-a-time
-    (:meth:`ColumnarTrace.iter_records`), so peak memory is bounded by
-    the columns plus one chunk, never a whole day's record list.
+    pass needed.
     """
 
     plan_fields: dict[str, Any]
@@ -268,7 +270,6 @@ class ShardReplayTask:
     config: ClusterConfig
     duration: float
     seed: int
-    chunk_size: int = ColumnarTrace.DEFAULT_CHUNK
 
     def key_fields(self) -> dict[str, Any]:
         return {
@@ -281,17 +282,8 @@ class ShardReplayTask:
         }
 
     def run(self) -> ClusterResult:
-        merged = ColumnarTrace.merge(
-            [trace for _, trace in self.group_traces],
-            ranks=[group for group, _ in self.group_traces],
-        )
-        cluster = Cluster(
-            self.config,
-            seed=self.seed,
-            owned_groups=[group for group, _ in self.group_traces],
-        )
-        return cluster.replay(
-            merged.iter_records(self.chunk_size), self.duration
+        return _replay_groups(
+            self.group_traces, self.config, self.duration, self.seed
         )
 
     def codec_context(self) -> dict[str, Any] | None:
@@ -330,9 +322,31 @@ def build_group_traces(
     )
 
 
-def merged_trace(traces: Sequence[SyntheticTrace]) -> ColumnarTrace:
-    """All groups merged into the one big sorted trace (rank = group)."""
-    return ColumnarTrace.merge([trace.columnar for trace in traces])
+def _replay_groups(
+    group_traces: Sequence[tuple[int, ColumnarTrace]],
+    config: ClusterConfig,
+    duration: float,
+    seed: int,
+    *,
+    oracle=None,
+    obs=None,
+) -> ClusterResult:
+    """Replay the merged ``(group, trace)`` streams against a cluster
+    owning exactly those groups -- a shard, or with every group the
+    unpartitioned reference.  The merge ranks by group, so a shard's
+    dispatch order is the full order restricted to its groups, and the
+    replay streams records chunk-at-a-time
+    (:meth:`ColumnarTrace.iter_records`): peak memory is the columns
+    plus one chunk, never a whole day's record list."""
+    merged = ColumnarTrace.merge(
+        [trace for _, trace in group_traces],
+        ranks=[group for group, _ in group_traces],
+    )
+    return run_cluster_on_trace(
+        merged.iter_records(), duration, config, seed=seed,
+        oracle=oracle, obs=obs,
+        owned_groups=[group for group, _ in group_traces],
+    )
 
 
 def run_partitioned_replay(
@@ -387,11 +401,11 @@ def run_unpartitioned_replay(
     identity tests and the ``scale_out`` experiment run)."""
     if traces is None:
         traces = build_group_traces(plan)
-    merged = merged_trace(traces)
-    cluster = Cluster(
-        plan.cluster_config(), seed=plan.replay_seed, oracle=oracle, obs=obs
+    return _replay_groups(
+        [(group, trace.columnar) for group, trace in enumerate(traces)],
+        plan.cluster_config(), traces[0].duration, plan.replay_seed,
+        oracle=oracle, obs=obs,
     )
-    return cluster.replay(merged.iter_records(), traces[0].duration)
 
 
 # --------------------------------------------------------------------------

@@ -4,7 +4,8 @@ The paper's data came from kernel-call-level traces gathered on the four
 Sprite file servers: opens, closes, repositions, deletes, truncates, and
 -- for files undergoing write-sharing -- individual read/write requests.
 This package defines that record vocabulary, a streaming JSON-lines
-serialization, a multi-server merge, the filters the paper applied
+serialization, a columnar form whose merge orders per-server streams
+(:mod:`repro.trace.columnar`), the filters the paper applied
 (dropping tracer self-traffic and nightly backups), and a validator for
 the per-file event grammar.
 """
@@ -26,7 +27,6 @@ from repro.trace.records import (
 )
 from repro.trace.reader import TraceReader, read_trace
 from repro.trace.writer import TraceWriter, write_trace
-from repro.trace.merge import merge_streams
 from repro.trace.filters import drop_users, drop_self_traffic, time_window
 from repro.trace.validate import validate_stream
 from repro.trace.tools import TraceSummary, split_by_duration, summarize
@@ -49,7 +49,6 @@ __all__ = [
     "TraceWriter",
     "read_trace",
     "write_trace",
-    "merge_streams",
     "drop_users",
     "drop_self_traffic",
     "time_window",

@@ -22,17 +22,17 @@ produced -- columns round-trip ``float``/``int``/``bool`` losslessly
 stable with emission order as the tie-break, matching the classic
 ``list.sort(key=time)`` on an emission-ordered list.
 
-NumPy is used when available (it is in the supported toolchain); every
-operation has a pure-Python fallback so the module imports and works
-without it, just slower and fatter.
+Columns are numpy arrays (a declared dependency).
 """
 
 from __future__ import annotations
 
 from dataclasses import fields as dataclass_fields
-from typing import Any, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from repro.common.errors import TraceError
+import numpy as np
+
+from repro.common.errors import TraceError, TraceOrderError
 from repro.trace.records import (
     AccessMode,
     CloseRecord,
@@ -48,11 +48,6 @@ from repro.trace.records import (
     TruncateRecord,
     WriteRunRecord,
 )
-
-try:  # pragma: no cover - exercised implicitly everywhere
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image ships numpy
-    _np = None
 
 #: Pinned kind order: the codec-visible layout of a columnar trace.
 #: Append only -- positions are part of the payload format.
@@ -143,33 +138,6 @@ def _make_filler(kind_index: int):
 _FILLERS = tuple(_make_filler(i) for i in range(len(RECORD_CLASSES)))
 
 
-# --- small array-shim helpers (numpy when present, lists otherwise) -------
-
-
-def _as_column(values: list[Any], dtype: str):
-    if _np is None:
-        return values
-    return _np.asarray(values, dtype=dtype)
-
-
-def _column_list(column) -> list:
-    """A full Python-value copy of a column."""
-    if _np is None:
-        return list(column)
-    return column.tolist()
-
-
-def _gather_list(column, indexes) -> list:
-    """Python values of ``column`` at ``indexes`` (in index order)."""
-    if _np is None:
-        return [column[i] for i in indexes]
-    return column[indexes].tolist()
-
-
-def _column_len(column) -> int:
-    return len(column)
-
-
 class _Table:
     """Sealed per-kind columns (parallel arrays, one per field)."""
 
@@ -234,50 +202,33 @@ class ColumnarTraceBuilder:
             for (name, dtype), raw in zip(specs, transposed):
                 if dtype == "u1":
                     raw = [_MODE_CODES[value] for value in raw]
-                columns.append(_as_column(list(raw), dtype))
+                columns.append(np.asarray(raw, dtype=dtype))
             count = len(rows)
             tables.append(_Table(index, columns, count))
             times_parts.append(columns[0])  # field 0 is always `time`
-            seqs_parts.append(_as_column(self._seqs[index], "i8"))
-            if _np is not None:
-                kind_parts.append(_np.full(count, index, dtype="u1"))
-                row_parts.append(_np.arange(count, dtype="i8"))
-            else:
-                kind_parts.append([index] * count)
-                row_parts.append(list(range(count)))
+            seqs_parts.append(np.asarray(self._seqs[index], dtype="i8"))
+            kind_parts.append(np.full(count, index, dtype="u1"))
+            row_parts.append(np.arange(count, dtype="i8"))
 
         if not times_parts:
-            return ColumnarTrace(tables, _as_column([], "u1"), _as_column([], "i8"), _as_column([], "f8"))
+            return ColumnarTrace(
+                tables,
+                np.empty(0, dtype="u1"),
+                np.empty(0, dtype="i8"),
+                np.empty(0, dtype="f8"),
+            )
 
-        if _np is not None:
-            times = _np.concatenate(times_parts)
-            seqs = _np.concatenate(seqs_parts)
-            kinds = _np.concatenate(kind_parts)
-            rows = _np.concatenate(row_parts)
-            if duration is not None:
-                mask = (times >= 0.0) & (times < duration)
-                times, seqs, kinds, rows = (
-                    times[mask], seqs[mask], kinds[mask], rows[mask],
-                )
-            order = _np.lexsort((seqs, times))
-            return ColumnarTrace(tables, kinds[order], rows[order], times[order])
-
-        times_l = [t for part in times_parts for t in part]
-        seqs_l = [s for part in seqs_parts for s in part]
-        kinds_l = [k for part in kind_parts for k in part]
-        rows_l = [r for part in row_parts for r in part]
-        selected = range(len(times_l))
+        times = np.concatenate(times_parts)
+        seqs = np.concatenate(seqs_parts)
+        kinds = np.concatenate(kind_parts)
+        rows = np.concatenate(row_parts)
         if duration is not None:
-            selected = [
-                i for i in selected if 0.0 <= times_l[i] < duration
-            ]
-        order = sorted(selected, key=lambda i: (times_l[i], seqs_l[i]))
-        return ColumnarTrace(
-            tables,
-            [kinds_l[i] for i in order],
-            [rows_l[i] for i in order],
-            [times_l[i] for i in order],
-        )
+            mask = (times >= 0.0) & (times < duration)
+            times, seqs, kinds, rows = (
+                times[mask], seqs[mask], kinds[mask], rows[mask],
+            )
+        order = np.lexsort((seqs, times))
+        return ColumnarTrace(tables, kinds[order], rows[order], times[order])
 
 
 class ColumnarTrace:
@@ -300,7 +251,7 @@ class ColumnarTrace:
         self.times = times        # f8 per sorted position (sorted ascending)
 
     def __len__(self) -> int:
-        return _column_len(self.kind_idx)
+        return len(self.kind_idx)
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return self.iter_records()
@@ -311,22 +262,12 @@ class ColumnarTrace:
         kind_slice = self.kind_idx[lo:hi]
         row_slice = self.row_idx[lo:hi]
         out: list[TraceRecord] = [None] * (hi - lo)  # type: ignore[list-item]
-        if _np is not None:
-            for index in _np.unique(kind_slice).tolist():
-                positions = _np.nonzero(kind_slice == index)[0]
-                rows = row_slice[positions]
-                table = self.tables[index]
-                cols = [column[rows].tolist() for column in table.columns]
-                _FILLERS[index](out, positions.tolist(), cols)
-        else:
-            by_kind: dict[int, list[int]] = {}
-            for j, index in enumerate(kind_slice):
-                by_kind.setdefault(index, []).append(j)
-            for index, positions in by_kind.items():
-                rows = [row_slice[j] for j in positions]
-                table = self.tables[index]
-                cols = [_gather_list(column, rows) for column in table.columns]
-                _FILLERS[index](out, positions, cols)
+        for index in np.unique(kind_slice).tolist():
+            positions = np.nonzero(kind_slice == index)[0]
+            rows = row_slice[positions]
+            table = self.tables[index]
+            cols = [column[rows].tolist() for column in table.columns]
+            _FILLERS[index](out, positions.tolist(), cols)
         return out
 
     def iter_chunks(
@@ -364,11 +305,8 @@ class ColumnarTrace:
                 continue
             specs = _SPECS[table.kind_index]
             for (name, _), column in zip(specs, table.columns):
-                if name == "file_id" and _column_len(column):
-                    if _np is not None:
-                        largest = max(largest, int(column.max()))
-                    else:
-                        largest = max(largest, max(column))
+                if name == "file_id" and len(column):
+                    largest = max(largest, int(column.max()))
         return largest
 
     def remap_group(
@@ -394,24 +332,13 @@ class ColumnarTrace:
             columns = []
             for (name, _), column in zip(specs, table.columns):
                 if name in ("open_id", "user_id"):
-                    if _np is not None:
-                        column = column * groups + group
-                    else:
-                        column = [v * groups + group for v in column]
+                    column = column * groups + group
                 elif name == "file_id":
-                    if _np is not None:
-                        column = _np.where(
-                            column >= 0, column * groups + group, column
-                        )
-                    else:
-                        column = [
-                            v * groups + group if v >= 0 else v for v in column
-                        ]
+                    column = np.where(
+                        column >= 0, column * groups + group, column
+                    )
                 elif name == "client_id":
-                    if _np is not None:
-                        column = column + client_base
-                    else:
-                        column = [v + client_base for v in column]
+                    column = column + client_base
                 columns.append(column)
             tables.append(_Table(table.kind_index, columns, table.count))
         return ColumnarTrace(tables, self.kind_idx, self.row_idx, self.times)
@@ -458,60 +385,26 @@ class ColumnarTrace:
             if len(parts) == 1:
                 merged_tables.append(parts[0])
             else:
-                columns = []
-                for c in range(len(parts[0].columns)):
-                    if _np is not None:
-                        columns.append(
-                            _np.concatenate([p.columns[c] for p in parts])
-                        )
-                    else:
-                        joined: list = []
-                        for p in parts:
-                            joined.extend(p.columns[c])
-                        columns.append(joined)
+                columns = [
+                    np.concatenate([p.columns[c] for p in parts])
+                    for c in range(len(parts[0].columns))
+                ]
                 merged_tables.append(_Table(index, columns, running))
 
-        if _np is not None:
-            times = _np.concatenate([t.times for t in traces])
-            rank_arr = _np.concatenate(
-                [
-                    _np.full(len(t), rank, dtype="i8")
-                    for t, rank in zip(traces, ranks)
-                ]
-            )
-            pos_arr = _np.concatenate(
-                [_np.arange(len(t), dtype="i8") for t in traces]
-            )
-            kind_all = _np.concatenate([t.kind_idx for t in traces])
-            row_parts = []
-            for t_index, trace in enumerate(traces):
-                shift = _np.asarray(offsets[t_index], dtype="i8")
-                row_parts.append(trace.row_idx + shift[trace.kind_idx])
-            row_all = _np.concatenate(row_parts)
-            order = _np.lexsort((pos_arr, rank_arr, times))
-            return ColumnarTrace(
-                merged_tables, kind_all[order], row_all[order], times[order]
-            )
-
-        entries = []
-        for t_index, (trace, rank) in enumerate(zip(traces, ranks)):
-            for pos in range(len(trace)):
-                kind = trace.kind_idx[pos]
-                entries.append(
-                    (
-                        trace.times[pos],
-                        rank,
-                        pos,
-                        kind,
-                        trace.row_idx[pos] + offsets[t_index][kind],
-                    )
-                )
-        entries.sort(key=lambda e: (e[0], e[1], e[2]))
+        times = np.concatenate([t.times for t in traces])
+        rank_arr = np.concatenate(
+            [np.full(len(t), rank, dtype="i8") for t, rank in zip(traces, ranks)]
+        )
+        pos_arr = np.concatenate([np.arange(len(t), dtype="i8") for t in traces])
+        kind_all = np.concatenate([t.kind_idx for t in traces])
+        row_parts = []
+        for t_index, trace in enumerate(traces):
+            shift = np.asarray(offsets[t_index], dtype="i8")
+            row_parts.append(trace.row_idx + shift[trace.kind_idx])
+        row_all = np.concatenate(row_parts)
+        order = np.lexsort((pos_arr, rank_arr, times))
         return ColumnarTrace(
-            merged_tables,
-            [e[3] for e in entries],
-            [e[4] for e in entries],
-            [e[0] for e in entries],
+            merged_tables, kind_all[order], row_all[order], times[order]
         )
 
     # --- wire format -------------------------------------------------------
@@ -524,33 +417,17 @@ class ColumnarTrace:
                 kinds.append(None)
                 continue
             specs = _SPECS[table.kind_index]
-            columns = []
-            for (name, dtype), column in zip(specs, table.columns):
-                if _np is not None:
-                    columns.append((dtype, _np.ascontiguousarray(column).tobytes()))
-                else:
-                    columns.append((dtype, list(column)))
+            columns = [
+                (dtype, np.ascontiguousarray(column).tobytes())
+                for (_, dtype), column in zip(specs, table.columns)
+            ]
             kinds.append((table.count, columns))
-        if _np is not None:
-            order = (
-                _np.ascontiguousarray(self.kind_idx).tobytes(),
-                _np.ascontiguousarray(self.row_idx).tobytes(),
-                _np.ascontiguousarray(self.times).tobytes(),
-            )
-        else:
-            order = (list(self.kind_idx), list(self.row_idx), list(self.times))
+        order = (
+            np.ascontiguousarray(self.kind_idx).tobytes(),
+            np.ascontiguousarray(self.row_idx).tobytes(),
+            np.ascontiguousarray(self.times).tobytes(),
+        )
         return {"version": 1, "kinds": kinds, "order": order}
-
-    @staticmethod
-    def _column_from_payload(dtype: str, data):
-        if isinstance(data, bytes):
-            if _np is None:  # pragma: no cover - numpy removed between runs
-                raise TraceError(
-                    "columnar payload was written with numpy; numpy is "
-                    "required to read it"
-                )
-            return _np.frombuffer(data, dtype=dtype)
-        return _as_column(list(data), dtype)
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ColumnarTrace":
@@ -565,23 +442,35 @@ class ColumnarTrace:
                 continue
             count, columns_payload = entry
             columns = [
-                cls._column_from_payload(dtype, data)
+                np.frombuffer(data, dtype=dtype)
                 for dtype, data in columns_payload
             ]
             tables.append(_Table(index, columns, count))
         kind_data, row_data, time_data = payload["order"]
         return ColumnarTrace(
             tables,
-            cls._column_from_payload("u1", kind_data),
-            cls._column_from_payload("i8", row_data),
-            cls._column_from_payload("f8", time_data),
+            np.frombuffer(kind_data, dtype="u1"),
+            np.frombuffer(row_data, dtype="i8"),
+            np.frombuffer(time_data, dtype="f8"),
         )
 
     @classmethod
-    def from_records(cls, records: Sequence[TraceRecord]) -> "ColumnarTrace":
-        """Columnar view of an existing (time-sorted) record list."""
+    def from_records(cls, records: Iterable[TraceRecord]) -> "ColumnarTrace":
+        """Columnar view of a time-sorted record stream.
+
+        Raises :class:`TraceOrderError` on a record earlier than its
+        predecessor, so a merge of ``from_records`` views never silently
+        reorders an unsorted input.
+        """
         builder = ColumnarTraceBuilder()
+        last_time = float("-inf")
         for record in records:
+            if record.time < last_time:
+                raise TraceOrderError(
+                    f"record stream went backwards: {record.time} after "
+                    f"{last_time}"
+                )
+            last_time = record.time
             row = tuple(
                 getattr(record, name)
                 for name, _ in _SPECS[_KIND_INDEX[type(record)]]

@@ -50,22 +50,29 @@ class TestClientServerAgreement:
         assert total.file_open_ops == opens
 
     def test_cache_pages_never_exceed_vm_grant(self, small_trace):
-        """During a replay the block count stays within the VM grant."""
-        config = ClusterConfig(client_count=4)
+        """During a replay the block count stays within the VM grant.
+
+        The replay pulls records from a generator that checks every
+        client after each record it yields -- i.e. after the real hot
+        loop (cached ``next_wake`` skip included) dispatched it."""
         from repro.fs.cluster import Cluster
 
-        cluster = Cluster(config, seed=11)
+        cluster = Cluster(ClusterConfig(client_count=4), seed=11)
+        records = small_trace.records[:20_000]
         checked = 0
-        for record in small_trace.records[:20_000]:
-            if record.time > cluster.engine.now:
-                cluster.engine.run_until(record.time)
-            cluster.dispatch(record)
-            if checked % 500 == 0:
+
+        def checking(records):
+            nonlocal checked
+            for record in records:
+                yield record
                 for client in cluster.clients:
                     assert len(client.cache) + client._spare_pages == (
                         client.vm.cache
                     )
-            checked += 1
+                checked += 1
+
+        result = cluster.replay(checking(records), records[-1].time)
+        assert checked == result.records_replayed == len(records)
 
 
 class TestAnalysisSimulatorAgreement:

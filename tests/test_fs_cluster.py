@@ -89,6 +89,35 @@ class TestReplay:
         with pytest.raises(SimulationError):
             cluster.replay(records, small_trace.duration)
 
+    def test_handlerless_records_are_counted_and_skipped(
+        self, small_trace, cluster_result
+    ):
+        """Metamorphic: creates, repositions and per-request shared
+        reads/writes have no replay handler, so removing them leaves
+        every client and server counter identical and lowers only
+        ``records_replayed`` -- by exactly the records removed."""
+        skipped = {"create", "reposition", "shared_read", "shared_write"}
+        kept = [r for r in small_trace.records if r.kind not in skipped]
+        removed = len(small_trace.records) - len(kept)
+        assert removed > 0
+        result = run_cluster_on_trace(
+            kept, small_trace.duration, ClusterConfig(client_count=4), seed=9
+        )
+        assert result.records_replayed == (
+            cluster_result.records_replayed - removed
+        )
+        assert {
+            cid: counters.digest()
+            for cid, counters in result.final_counters.items()
+        } == {
+            cid: counters.digest()
+            for cid, counters in cluster_result.final_counters.items()
+        }
+        assert [row.digest() for row in result.per_server_counters] == [
+            row.digest() for row in cluster_result.per_server_counters
+        ]
+        assert result.server_counters == cluster_result.server_counters
+
     def test_paging_traffic_generated(self, cluster_result):
         total = aggregate(cluster_result)
         assert total.raw_paging_bytes > 0

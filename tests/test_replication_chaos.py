@@ -242,3 +242,53 @@ def test_generated_fault_schedule_stays_oracle_clean(seed, small_trace):
     assert result.server_counters.crashes > 0
     assert oracle.checks_run > 0
     assert oracle.violations == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="retired substitutes keep their copy; a later re-replication "
+    "re-adopts the orphan at its stale version",
+)
+def test_table_a_r3_replicas_converge_at_study_seed_16384(experiment_context):
+    """Table A's r=3 cell at study seed 16384 (replay seed 1 plus the
+    study offset) must end with every file's live replicas agreeing.
+
+    Known bug, pinned until fixed.  The oracle reports files 386 and
+    388 diverged at t=85680 (server 0: v0, server 1: v1):
+
+    1. Server 1 stands in for crashed server 3 and is seeded with v1.
+       When server 3 recovers, ``drop_substitutes_for`` retires server
+       1 from the replica map, but server 1 keeps its durable v1 copy.
+    2. The delete at t~59992 reaches only the map's replicas (2, 3, 0),
+       so server 1's orphaned copy survives at v1.
+    3. A later ``_rereplicate`` discovers candidates by scanning every
+       live server's ``_files``, finds the orphan on server 1, and
+       adopts it again as a substitute; ``apply_replica_version(..., 0)``
+       max-merges, so server 1 keeps the stale v1 while the real
+       replicas hold v0.
+    """
+    from dataclasses import replace
+
+    from repro.experiments.registry import (
+        REPLICATION_STUDY_KNOBS,
+        REPLICATION_STUDY_SERVERS,
+    )
+
+    ctx = experiment_context
+    trace = ctx.traces()[ctx.cluster_trace_indexes[0]]
+    config = replace(
+        ctx.base_cluster_config(),
+        num_servers=REPLICATION_STUDY_SERVERS,
+        replication_factor=3,
+        paging_intensity=0.0,
+        faults=REPLICATION_STUDY_KNOBS,
+    )
+    oracle = ProtocolOracle(seed=16384, raise_on_violation=False)
+    run_cluster_on_trace(
+        trace.records, trace.duration, config, seed=16384, oracle=oracle
+    )
+    divergences = [
+        str(v) for v in oracle.violations
+        if v.invariant == "replica-divergence"
+    ]
+    assert divergences == []

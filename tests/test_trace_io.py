@@ -13,12 +13,12 @@ from repro.trace import (
     TraceWriter,
     drop_self_traffic,
     drop_users,
-    merge_streams,
     read_trace,
     time_window,
     validate_stream,
     write_trace,
 )
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.filters import BACKUP_USER_ID, TRACER_USER_ID, compose, keep_kinds
 from repro.trace.records import DeleteRecord
 
@@ -122,11 +122,19 @@ class TestRecordStream:
             assert stream.path == str(path)
 
 
+def merge_columnar(streams):
+    """Merge per-server record streams the way the replay merges groups:
+    columnar views ranked by stream index."""
+    return ColumnarTrace.merge(
+        [ColumnarTrace.from_records(stream) for stream in streams]
+    ).materialize()
+
+
 class TestMerge:
     def test_merges_in_time_order(self):
         a = make_episode(open_id=1, t0=0.0)
         b = make_episode(open_id=2, t0=0.25)
-        merged = list(merge_streams([a, b]))
+        merged = merge_columnar([a, b])
         times = [r.time for r in merged]
         assert times == sorted(times)
         assert len(merged) == 6
@@ -134,7 +142,7 @@ class TestMerge:
     def test_stable_on_ties(self):
         a = [OpenRecord(time=1.0, server_id=0, open_id=1, file_id=1)]
         b = [OpenRecord(time=1.0, server_id=1, open_id=2, file_id=2)]
-        merged = list(merge_streams([a, b]))
+        merged = merge_columnar([a, b])
         assert merged[0].server_id == 0  # first stream wins ties
 
     def test_detects_unsorted_stream(self):
@@ -143,10 +151,10 @@ class TestMerge:
             OpenRecord(time=1.0, server_id=0, open_id=2, file_id=1),
         ]
         with pytest.raises(TraceOrderError):
-            list(merge_streams([bad]))
+            merge_columnar([bad])
 
     def test_empty_streams(self):
-        assert list(merge_streams([[], []])) == []
+        assert merge_columnar([[], []]) == []
 
     @given(
         st.lists(
@@ -164,10 +172,16 @@ class TestMerge:
             ]
             for i, times in enumerate(streams)
         ]
-        merged = list(merge_streams(record_streams))
+        merged = merge_columnar(record_streams)
         assert len(merged) == sum(len(s) for s in streams)
-        times = [r.time for r in merged]
-        assert times == sorted(times)
+        # (time, stream, position): the order the heap merge it
+        # replaced produced.
+        keys = [(r.time, r.server_id, r.open_id) for r in merged]
+        assert keys == sorted(keys)
+        assert merged == sorted(
+            (r for stream in record_streams for r in stream),
+            key=lambda r: (r.time, r.server_id, r.open_id),
+        )
 
 
 class TestFilters:
