@@ -58,8 +58,7 @@ class ClusterResult:
     per_server_counters: tuple[ServerCounters, ...] = ()
     #: Global server ids of the ``per_server_counters`` rows.  An
     #: owned-only shard replay carries rows for its owned servers only,
-    #: so the merge needs the ids; the empty default means positional
-    #: (row i is server i), which every full replay satisfies.
+    #: so the merge needs the ids; every producer sets them.
     server_ids: tuple[int, ...] = ()
     #: Wall-clock seconds spent constructing the cluster (machines,
     #: placement, RNG forks) -- the cost owned-only construction exists
@@ -722,12 +721,10 @@ def merge_cluster_results(
         )
     # Per-shard row maps keyed by global server id: an owned-only shard
     # carries rows for its owned servers only (``server_ids`` names
-    # them); a full replay's empty default means positional.
+    # them).
     row_maps: list[dict[int, ServerCounters]] = []
     for result in results:
-        ids = result.server_ids or tuple(
-            range(len(result.per_server_counters))
-        )
+        ids = result.server_ids
         if len(ids) != len(result.per_server_counters):
             raise ConfigError(
                 f"result carries {len(result.per_server_counters)} server "

@@ -7,14 +7,16 @@ cluster configuration), the schema version, and the library version.
 Change any input and the key changes; nothing is ever invalidated in
 place.
 
-Entries are serialized by :mod:`repro.pipeline.codec` (row-packed for
-trace-shaped artifacts, plain pickle otherwise) and prefixed with a
-magic string and a payload checksum.  Writes go to a temporary file in the destination directory
-followed by an atomic :func:`os.replace`, so a crashed or concurrent
-writer can never leave a half-written entry under a valid name.  Reads
-treat *any* problem -- missing file, bad magic, checksum mismatch,
-unpicklable payload -- as a cache miss, never an error; corrupt entries
-are deleted so the next store replaces them.
+Entries are serialized by :mod:`repro.pipeline.codec` (traces in
+columnar form, access lists as indexes into their trace's records,
+replays as packed counter rows, plain pickle otherwise) and prefixed
+with a magic string and a payload checksum.  Writes go to a temporary
+file in the destination directory followed by an atomic
+:func:`os.replace`, so a crashed or concurrent writer can never leave a
+half-written entry under a valid name.  Reads treat *any* problem --
+missing file, bad magic, checksum mismatch, unpicklable payload -- as a
+cache miss, never an error; corrupt entries are deleted so the next
+store replaces them.
 
 The cache root is ``$REPRO_CACHE_DIR`` when set, else ``~/.cache/repro``.
 """
@@ -37,7 +39,7 @@ from repro.pipeline.codec import decode_artifact, encode_artifact
 
 #: Bump when the serialized artifact layout changes (new fields on trace
 #: records, counters, etc.) so stale entries miss instead of loading.
-SCHEMA_VERSION = 5  # 5: integrity counters appended to counter rows
+SCHEMA_VERSION = 6  # 6: traces stored only in columnar form
 
 _MAGIC = b"repro-artifact\n"
 

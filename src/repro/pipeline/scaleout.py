@@ -241,7 +241,6 @@ class GroupTraceTask:
             client_count=self.client_count,
             materialize=False,
         )
-        assert trace.columnar is not None
         remapped = trace.columnar.remap_group(
             self.group, self.groups, client_base=self.client_base
         )

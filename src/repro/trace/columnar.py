@@ -27,6 +27,8 @@ Columns are numpy arrays (a declared dependency).
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import fields as dataclass_fields
 from typing import Iterable, Iterator, Sequence
 
@@ -104,14 +106,33 @@ _new = object.__new__
 _set = object.__setattr__
 
 
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause cyclic GC while allocating large acyclic object graphs.
+
+    A whole-trace materialization allocates hundreds of thousands of
+    records, none of them cyclic; left running, the collector would
+    traverse the growing live set again and again for nothing.  The
+    caller's GC state is restored on exit, including on error.
+    """
+    was_enabled = gc.isenabled()
+    if was_enabled:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def _make_filler(kind_index: int):
     """exec-codegen a per-kind object builder.
 
     ``fill(out, positions, cols)`` materializes ``len(positions)``
     records from parallel Python-list columns and stores them at the
-    given positions of ``out`` -- the same ``object.__new__`` +
-    ``object.__setattr__`` trick the artifact codec uses (no
-    ``__init__``, no default processing, one C call per field).
+    given positions of ``out`` via ``object.__new__`` +
+    ``object.__setattr__`` (no ``__init__``, no default processing,
+    one C call per field).
     """
     cls = RECORD_CLASSES[kind_index]
     specs = _SPECS[kind_index]
@@ -288,10 +309,12 @@ class ColumnarTrace:
             yield from chunk
 
     def materialize(self) -> list[TraceRecord]:
-        """The whole trace as a record list (the classic representation)."""
+        """The whole trace as a record list (the classic representation),
+        built with the cyclic GC paused."""
         if len(self) == 0:
             return []
-        return self._materialize_slice(0, len(self))
+        with gc_paused():
+            return self._materialize_slice(0, len(self))
 
     # --- shard math --------------------------------------------------------
 

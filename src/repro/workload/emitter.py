@@ -10,7 +10,6 @@ away from the previous position, close totals that match the runs).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from dataclasses import fields as dataclass_fields
 
 from repro.common.errors import TraceError
 from repro.common.ids import ClientId, IdAllocator, UserId
@@ -202,13 +201,6 @@ class RecordEmitter:
 
     def _emit_row(self, cls: type[TraceRecord], row: tuple) -> None:
         self.sink.append(cls, row)
-
-    def _emit(self, record: TraceRecord) -> None:
-        """Compatibility entry for callers holding a built record."""
-        self.sink.append(
-            type(record),
-            tuple(getattr(record, f.name) for f in dataclass_fields(record)),
-        )
 
     def _episode_closed(self, episode: OpenEpisode) -> None:
         self._open_episodes.pop(episode.open_id, None)

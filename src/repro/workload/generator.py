@@ -48,12 +48,13 @@ _DIURNAL_PEAK = 1.4
 class SyntheticTrace:
     """One generated 24-hour trace plus its provenance.
 
-    ``records`` is the classic materialized list every analysis
-    consumes.  ``columnar`` is the same stream in columnar form
-    (:class:`~repro.trace.columnar.ColumnarTrace`); when the trace was
-    generated with ``materialize=False`` only ``columnar`` is
-    populated and consumers stream records chunk-at-a-time via
-    :meth:`iter_records` without ever holding the full list.
+    ``columnar`` is the stream in columnar form
+    (:class:`~repro.trace.columnar.ColumnarTrace`), always present.
+    ``records`` is the same stream as the classic materialized list
+    every analysis consumes; when the trace was generated with
+    ``materialize=False`` it stays empty and consumers stream records
+    chunk-at-a-time via :meth:`iter_records` without ever holding the
+    full list.
     """
 
     profile: TraceProfile
@@ -62,9 +63,8 @@ class SyntheticTrace:
     records: list[TraceRecord]
     users: list[UserProfile]
     validation: ValidationReport
-    #: Excluded from equality: the columnar form is a redundant view of
-    #: the same stream (cache round-trips may drop or rebuild it).
-    columnar: ColumnarTrace | None = field(default=None, compare=False)
+    #: Excluded from equality: a redundant view of the same stream.
+    columnar: ColumnarTrace = field(compare=False)
 
     @property
     def name(self) -> str:
@@ -77,20 +77,14 @@ class SyntheticTrace:
     @property
     def record_count(self) -> int:
         """Number of records without forcing materialization."""
-        if self.records:
-            return len(self.records)
-        if self.columnar is not None:
-            return len(self.columnar)
-        return 0
+        return len(self.columnar)
 
     def iter_records(self) -> Iterator[TraceRecord]:
         """The record stream, preferring the bounded-memory columnar
         path when the materialized list is absent."""
         if self.records:
             return iter(self.records)
-        if self.columnar is not None:
-            return self.columnar.iter_records()
-        return iter(())
+        return self.columnar.iter_records()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -6,11 +6,14 @@ records (values *and* types) the old emit-sort-filter pipeline built,
 and streaming consumption must never hold a whole trace in memory.
 """
 
+import gc
 import tracemalloc
+from contextlib import contextmanager
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
-from repro.common.errors import ConfigError
 from repro.trace.columnar import (
     RECORD_CLASSES,
     ColumnarTrace,
@@ -22,7 +25,6 @@ from repro.trace.records import (
     DirectoryReadRecord,
     OpenRecord,
     ReadRunRecord,
-    WriteRunRecord,
 )
 from repro.workload import generate_trace
 from repro.workload.profiles import STANDARD_PROFILES
@@ -168,6 +170,59 @@ class TestMerge:
     def test_merge_rank_mismatch(self, small_trace):
         with pytest.raises(ValueError):
             ColumnarTrace.merge([small_trace.columnar], ranks=[0, 1])
+
+
+def _set_gc(enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@contextmanager
+def _gc_state(enabled):
+    """Run the block with the cyclic GC on or off, then restore it."""
+    was_enabled = gc.isenabled()
+    _set_gc(enabled)
+    try:
+        yield
+    finally:
+        _set_gc(was_enabled)
+
+
+class TestGcPause:
+    """``materialize`` builds records with the cyclic GC paused and
+    hands the caller back the GC state it found."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_restores_caller_state(self, small_trace, monkeypatch, enabled):
+        seen = []
+        original = ColumnarTrace._materialize_slice
+
+        def spy(self, lo, hi):
+            seen.append(gc.isenabled())
+            return original(self, lo, hi)
+
+        monkeypatch.setattr(ColumnarTrace, "_materialize_slice", spy)
+        with _gc_state(enabled):
+            assert small_trace.columnar.materialize() == small_trace.records
+            assert gc.isenabled() is enabled
+        assert seen == [False]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_restores_caller_state_when_a_filler_raises(
+        self, small_trace, enabled
+    ):
+        columnar = ColumnarTrace.from_records(small_trace.records[:500])
+        table = columnar.tables[RECORD_CLASSES.index(OpenRecord)]
+        assert table is not None
+        mode = [f.name for f in fields(OpenRecord)].index("mode")
+        # No AccessMode has code 255: the open-record filler raises.
+        table.columns[mode] = np.full(table.count, 255, dtype="u1")
+        with _gc_state(enabled):
+            with pytest.raises(IndexError):
+                columnar.materialize()
+            assert gc.isenabled() is enabled
 
 
 class TestStreamingMemory:

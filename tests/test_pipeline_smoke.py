@@ -7,7 +7,7 @@ budget; the full-scale determinism crosscheck lives in
 
 from __future__ import annotations
 
-
+import dataclasses
 from dataclasses import dataclass
 
 import pytest
@@ -24,6 +24,10 @@ from repro.pipeline import (
     resolve_workers,
     trace_tasks,
 )
+from repro.pipeline.codec import decode_artifact, encode_artifact
+from repro.trace.records import AccessMode
+from repro.workload import generate_trace
+from repro.workload.profiles import STANDARD_PROFILES
 
 SCALE = 0.02
 
@@ -103,6 +107,61 @@ def test_unwritable_cache_is_not_fatal(tmp_path):
     ctx = ExperimentContext(scale=SCALE, seed=7, cache=root)
     assert len(ctx.traces()) == 8
     assert ctx._artifact_cache.stats.stores == 0
+
+
+#: Exact Python type of a record field, by its annotation.
+_FIELD_TYPES = {"float": float, "int": int, "bool": bool, "AccessMode": AccessMode}
+
+
+def _small_trace(materialize):
+    return generate_trace(
+        STANDARD_PROFILES[0],
+        seed=7,
+        scale=SCALE,
+        client_count=4,
+        materialize=materialize,
+    )
+
+
+@pytest.mark.parametrize("materialize", [True, False])
+def test_trace_codec_round_trip(materialize):
+    """Traces store as columns (tag ``C``); a materialized trace comes
+    back with the same records, field types exact, and an unmaterialized
+    one stays unmaterialized."""
+    trace = _small_trace(materialize)
+    payload = encode_artifact(trace)
+    assert payload[:1] == b"C"
+    decoded = decode_artifact(payload)
+    assert decoded.records == trace.records
+    assert bool(decoded.records) is materialize
+    assert decoded.record_count == trace.record_count > 0
+    assert decoded == trace
+    for record in decoded.records or decoded.columnar.materialize():
+        for item in dataclasses.fields(record):
+            expected = _FIELD_TYPES[item.type]
+            value = getattr(record, item.name)
+            assert type(value) is expected, (record, item.name)
+
+
+def test_store_refuses_trace_whose_records_disagree_with_columns(tmp_path):
+    trace = _small_trace(True)
+    skewed = dataclasses.replace(trace, records=trace.records[:-1])
+    cache = ArtifactCache(tmp_path)
+    assert cache.store("ab" * 32, skewed) is False
+    assert cache.stats.stores == 0
+    assert not any(path.is_file() for path in tmp_path.rglob("*"))
+
+
+def test_accesses_without_trace_context_round_trip_through_pickle():
+    from repro.analysis.episodes import assemble_accesses
+
+    trace = _small_trace(True)
+    accesses = list(assemble_accesses(trace.records))
+    assert accesses
+    for context in (None, {"records": []}):
+        payload = encode_artifact(accesses, context)
+        assert payload[:1] == b"P"
+        assert decode_artifact(payload) == accesses
 
 
 def test_keys_stable_and_parameter_sensitive(tmp_path):
