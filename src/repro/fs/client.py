@@ -106,6 +106,9 @@ class ClientKernel:
     list of shards, in which case ``placement`` routes each file's
     traffic to its server and ``channel_rng`` may be a matching sequence
     of streams.  ``oracle`` attaches the protocol-invariant oracle.
+    ``replication`` (the cluster's ReplicationManager) and
+    ``replica_map`` (the client's group's ReplicaMap) turn on
+    replicated routing.
 
     :attr:`server` and :attr:`transport` remain as shard-0 aliases so
     single-server call sites read exactly as before.
@@ -123,6 +126,7 @@ class ClientKernel:
         placement: Placement | None = None,
         ticker: SharedTicker | None = None,
         replication=None,
+        replica_map=None,
         integrity=None,
         paging_shard: int | None = None,
     ) -> None:
@@ -206,8 +210,10 @@ class ClientKernel:
         #: Replication (repro.fs.replication).  ``_route`` is the
         #: serving-shard picker every per-file operation uses: without a
         #: manager it *is* ``_shard_of`` (zero new cost, byte-identical
-        #: routing); with one it prefers the first live replica.
+        #: routing); with one it prefers the first live replica of the
+        #: file in ``replica_map``, this client's group's map.
         self._replication = replication
+        self._replica_map = replica_map
         self._replicated = replication is not None
         #: Integrity layer (repro.fs.integrity); None (the default)
         #: keeps every read/write path exactly as before.
@@ -234,9 +240,6 @@ class ClientKernel:
         # Shadowed by ``_shard_zero`` on single-server clusters.
         return self.placement.shard_of(file_id)
 
-    def _server_for(self, file_id: int) -> Server:
-        return self.servers[self.placement.shard_of(file_id)]
-
     def _transport_for(self, file_id: int) -> RpcTransport:
         return self.transports[self.placement.shard_of(file_id)]
 
@@ -247,8 +250,7 @@ class ClientKernel:
         logically at its recovery -- so its pending pushes land first).
         ``_route`` binds to this only when a replication manager exists.
         """
-        manager = self._replication
-        replicas = manager.replica_map.replicas(file_id)
+        replicas = self._replica_map.replicas(file_id)
         servers = self.servers
         if servers[replicas[0]].up:
             self._routed_failover = False
@@ -260,7 +262,7 @@ class ClientKernel:
                 return sid
         self._routed_failover = False
         target = min(replicas, key=lambda s: servers[s].down_until)
-        manager.flush_pending(target)
+        self._replication.flush_pending(target)
         return target
 
     def _propagate_open(
@@ -273,7 +275,7 @@ class ClientKernel:
         registrations are rebuilt by the reopen sweep at recovery)."""
         manager = self._replication
         skip = manager.skip_propagation_to
-        for sid in manager.replica_map.replicas(file_id):
+        for sid in self._replica_map.replicas(file_id):
             if sid == served or sid in skip:
                 continue
             if self.servers[sid].up:
@@ -288,9 +290,8 @@ class ClientKernel:
         self, now: float, file_id: int, served: int, wrote: bool
     ) -> None:
         """Mirror a served close to the other live replicas."""
-        manager = self._replication
-        skip = manager.skip_propagation_to
-        for sid in manager.replica_map.replicas(file_id):
+        skip = self._replication.skip_propagation_to
+        for sid in self._replica_map.replicas(file_id):
             if sid == served or sid in skip or not self.servers[sid].up:
                 continue
             self.transports[sid].call(
@@ -472,7 +473,7 @@ class ClientKernel:
         """Does ``server_id`` currently hold a replica of ``file_id``?
         (The file's one shard when unreplicated.)"""
         if self._replicated:
-            return server_id in self._replication.replica_map.replicas(file_id)
+            return server_id in self._replica_map.replicas(file_id)
         return self._shard_of(file_id) == server_id
 
     def _sweep_shard(self, file_id: int, server_id: int | None) -> int | None:
@@ -822,14 +823,14 @@ class ClientKernel:
             # delete queued in its pending log.
             manager = self._replication
             skip = manager.skip_propagation_to
-            for sid in manager.replica_map.replicas(file_id):
+            for sid in self._replica_map.replicas(file_id):
                 if sid == shard or sid in skip:
                     continue
                 if self.servers[sid].up:
                     self.transports[sid].call(now, "delete_file", file_id)
                 else:
                     manager.queue_pending(sid, file_id, None)
-            manager.on_delete(file_id)
+            self._replica_map.forget(file_id)
 
     def delete_file(self, now: float, file_id: int) -> None:
         """Handle a delete (or truncate-to-zero) of a file."""
@@ -981,11 +982,10 @@ class ClientKernel:
             # The writeback fans out to every live replica so each holds
             # current bytes; with all replicas down it lands on the one
             # that recovers soonest (executing logically at recovery).
-            manager = self._replication
-            skip = manager.skip_propagation_to
+            skip = self._replication.skip_propagation_to
             targets = [
                 sid
-                for sid in manager.replica_map.replicas(block.file_id)
+                for sid in self._replica_map.replicas(block.file_id)
                 if self.servers[sid].up and sid not in skip
             ]
             if not targets:

@@ -132,9 +132,9 @@ class Cluster:
         #: ``config.placement_seed``, independent of the replay seed.
         self.placement = Placement(config.num_servers, config.placement_seed)
         #: Partitioned replay (``config.client_groups > 1``): every
-        #: client routes through its group's :class:`GroupPlacement`
-        #: view, so no server ever serves two groups, and the per-close
-        #: fsync decision becomes a pure hash of the open id -- the only
+        #: client routes through its group's placement view, so no
+        #: server ever serves two groups, and the per-close fsync
+        #: decision becomes a pure hash of the open id -- the only
         #: cluster-level RNG draw the replay loop made, and the one
         #: thing that would have sequenced groups against each other.
         #: ``groups == 1`` keeps the historical bernoulli draw, byte-
@@ -219,14 +219,11 @@ class Cluster:
                 config.heartbeat_miss_threshold,
                 ticker=self.shared_ticker(config.heartbeat_interval),
                 groups=groups,
-                owned_groups=owned if groups > 1 else None,
+                owned_groups=owned,
             )
             if oracle is not None:
-                if groups == 1:
-                    oracle.replica_map = self.replication.replica_map
-                else:
-                    oracle.group_replica_maps = self.replication.group_maps()
-                    oracle.servers_per_group = spg
+                oracle.group_maps = self.replication.group_maps
+                oracle.servers_per_group = spg
 
         #: Integrity layer (repro.fs.integrity): per-block checksums,
         #: verified reads with repair-from-replica, and the background
@@ -242,21 +239,15 @@ class Cluster:
         ):
             from repro.fs.integrity import IntegrityManager
 
-            if self.replication is not None and groups > 1:
-                self.integrity = IntegrityManager(
-                    self.servers,
-                    group_maps=self.replication.group_maps(),
-                    servers_per_group=spg,
-                )
-            else:
-                self.integrity = IntegrityManager(
-                    self.servers,
-                    replica_map=(
-                        self.replication.replica_map
-                        if self.replication is not None
-                        else None
-                    ),
-                )
+            self.integrity = IntegrityManager(
+                self.servers,
+                group_maps=(
+                    self.replication.group_maps
+                    if self.replication is not None
+                    else None
+                ),
+                servers_per_group=spg,
+            )
             for server in self.servers:
                 server.integrity = self.integrity
             if self.replication is not None:
@@ -274,14 +265,15 @@ class Cluster:
         self.paging: Sequence[PagingModel]
         binaries = PagingModel.build_binaries(self.rng.fork("binaries"))
         # Every client -- in the full replay and in a partial shard alike
-        # -- sees exactly its group's server slice (through a roster that
-        # keeps global ids), its group's placement view, and its group's
-        # replication facade; one group sees the plain server list, the
-        # cluster placement and the manager itself.  Client rngs keep
-        # their global names, and channel streams are forked only for
-        # slice servers (forks are pure, so the never-used foreign forks
-        # change nothing), which is what makes a shard's client
-        # byte-identical to the same client in the unpartitioned replay.
+        # -- sees exactly its group's server slice, its group's placement
+        # view, and its group's replica map.  A slice narrower than the
+        # cluster is a roster that keeps global ids; a slice covering
+        # every server (one group) is the plain server list.  Client
+        # rngs keep their global names, and channel streams are forked
+        # only for slice servers (forks are pure, so the never-used
+        # foreign forks change nothing), which is what makes a shard's
+        # client byte-identical to the same client in the unpartitioned
+        # replay.
         offsets = config.group_client_offsets
         client_items: list[ClientKernel] = []
         paging_items: list[PagingModel] = []
@@ -289,20 +281,18 @@ class Cluster:
         for group in owned:
             slice_ids = list(range(group * spg, (group + 1) * spg))
             slice_servers = [self.servers[sid] for sid in slice_ids]
-            if groups == 1:
-                server_roster = self.servers
-                group_placement = self.placement
-                group_replication = self.replication
-            else:
-                server_roster = MachineRoster(
+            server_roster = (
+                self.servers if spg == config.num_servers
+                else MachineRoster(
                     "server", config.num_servers, slice_servers, slice_ids
                 )
-                group_placement = self.placement.group_view(group, groups)
-                group_replication = (
-                    self.replication.group_view(group)
-                    if self.replication is not None
-                    else None
-                )
+            )
+            group_placement = self.placement.group_view(group, groups)
+            replica_map = (
+                self.replication.group_maps[group]
+                if self.replication is not None
+                else None
+            )
             members: list[ClientKernel] = []
             for client_id in range(offsets[group], offsets[group + 1]):
                 client_rng = self.rng.fork(f"client-{client_id}")
@@ -328,7 +318,8 @@ class Cluster:
                     oracle=oracle,
                     placement=group_placement,
                     ticker=self.shared_ticker(config.writeback_scan_interval),
-                    replication=group_replication,
+                    replication=self.replication,
+                    replica_map=replica_map,
                     integrity=self.integrity,
                     # Pin paging inside the group's server slice (the
                     # classic ``client_id % num_servers`` would leak
@@ -583,28 +574,19 @@ class Cluster:
         if schedule is None and (
             self.config.faults.any_faults or self.config.faults.any_disk_faults
         ):
-            if self.config.client_groups > 1:
-                # Per-group timelines: group g's events are a pure
-                # function of (config, duration, seed, g), so a shard
-                # generating only its owned groups gets exactly the
-                # events the unpartitioned schedule holds for them.
-                schedule = FaultSchedule.generate_grouped(
-                    self.config.faults,
-                    duration,
-                    self.rng.fork("faults"),
-                    groups=self.config.client_groups,
-                    group_sizes=self.config.group_sizes,
-                    servers_per_group=self._servers_per_group,
-                    owned_groups=self._owned_groups,
-                )
-            else:
-                schedule = FaultSchedule.generate(
-                    self.config.faults,
-                    self.config.client_count,
-                    duration,
-                    self.rng.fork("faults"),
-                    num_servers=self.config.num_servers,
-                )
+            # Per-group timelines: group g's events are a pure function
+            # of (config, duration, seed, g), so a shard generating only
+            # its owned groups gets exactly the events the unpartitioned
+            # schedule holds for them.
+            schedule = FaultSchedule.generate(
+                self.config.faults,
+                self.config.client_count,
+                duration,
+                self.rng.fork("faults"),
+                num_servers=self.config.num_servers,
+                group_sizes=self.config.group_sizes,
+                owned_groups=self._owned_groups,
+            )
         if schedule is not None and len(schedule):
             FaultInjector(self, schedule).arm()
         # Hot loop: one handler lookup per record, and run_until is skipped whenever the record lands before the next

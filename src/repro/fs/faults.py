@@ -292,18 +292,37 @@ class FaultSchedule:
         duration: float,
         rng: RngStream,
         num_servers: int = 1,
+        group_sizes: tuple[int, ...] | None = None,
+        owned_groups: tuple[int, ...] | None = None,
     ) -> "FaultSchedule":
         """Draw a schedule over ``[0, duration)``.
 
-        Each failure process (every server, each client's crashes, each
-        client's partitions) draws from its own forked stream, and the
-        next fault is drawn from the end of the previous outage, so
-        faults of one kind never overlap on one target.  Server 0 keeps
-        the historical ``"server"`` stream and ``SERVER_TARGET`` target,
-        so single-server schedules are unchanged; each extra shard is an
-        independent crash process at the full ``server_crash_rate``.
+        Each failure process (every server's crashes and disk faults,
+        each client's crashes, each client's partitions) draws from its
+        own forked stream, and the next fault is drawn from the end of
+        the previous outage, so faults of one kind never overlap on one
+        target.  Each server is an independent crash process at the
+        full ``server_crash_rate``.
+
+        ``group_sizes`` splits the clients into groups, each owning an
+        equal contiguous slice of the servers (default: one group of
+        ``client_count``).  With several groups every stream hangs off
+        its group's fork (``rng.fork(f"group-{g}")``), and ``fork`` is a
+        pure function of the parent key and name -- so group ``g``'s
+        timeline is a pure function of ``(config, duration, seed, g)``,
+        and a shard passing only its ``owned_groups`` gets exactly the
+        events the full schedule holds for them (the canonical sort in
+        :meth:`__post_init__` makes the concatenation order irrelevant).
+        One group draws straight off ``rng``, and its server 0 keeps the
+        historical ``"server"`` stream and ``SERVER_TARGET`` target, so
+        single-server schedules are unchanged.
         """
+        if group_sizes is None:
+            group_sizes = (client_count,)
+        groups = len(group_sizes)
+        servers_per_group = num_servers // groups
         events: list[FaultEvent] = []
+        disk_events: list[DiskFaultEvent] = []
 
         def draw(
             stream: RngStream,
@@ -323,39 +342,6 @@ class FaultSchedule:
                 down = max(1.0, stream.exponential(mean_downtime))
                 events.append(FaultEvent(t, kind, target, down))
                 t += down
-
-        draw(
-            rng.fork("server"),
-            config.server_crash_rate,
-            config.server_downtime,
-            FaultKind.SERVER_CRASH,
-            SERVER_TARGET,
-        )
-        for server_id in range(1, num_servers):
-            draw(
-                rng.fork(f"server-{server_id}"),
-                config.server_crash_rate,
-                config.server_downtime,
-                FaultKind.SERVER_CRASH,
-                server_id,
-            )
-        for client_id in range(client_count):
-            draw(
-                rng.fork(f"client-crash-{client_id}"),
-                config.client_crash_rate,
-                config.client_downtime,
-                FaultKind.CLIENT_CRASH,
-                client_id,
-            )
-            draw(
-                rng.fork(f"partition-{client_id}"),
-                config.partition_rate,
-                config.partition_duration,
-                FaultKind.PARTITION,
-                client_id,
-            )
-
-        disk_events: list[DiskFaultEvent] = []
 
         def draw_disk(
             stream: RngStream,
@@ -377,115 +363,26 @@ class FaultSchedule:
                     DiskFaultEvent(t, kind, server_id, stream.random())
                 )
 
-        for server_id in range(num_servers):
-            draw_disk(
-                rng.fork(f"disk-bitrot-{server_id}"),
-                config.disk_corruption_rate,
-                DiskFaultKind.BIT_ROT,
-                server_id,
-            )
-            draw_disk(
-                rng.fork(f"disk-torn-{server_id}"),
-                config.disk_torn_write_rate,
-                DiskFaultKind.TORN_WRITE,
-                server_id,
-            )
-            draw_disk(
-                rng.fork(f"disk-lost-{server_id}"),
-                config.disk_lost_write_rate,
-                DiskFaultKind.LOST_WRITE,
-                server_id,
-            )
-        return cls(events, disk_events)
-
-    @classmethod
-    def generate_grouped(
-        cls,
-        config: FaultConfig,
-        duration: float,
-        rng: RngStream,
-        *,
-        groups: int,
-        group_sizes: tuple[int, ...],
-        servers_per_group: int,
-        owned_groups: tuple[int, ...] | None = None,
-    ) -> "FaultSchedule":
-        """Draw a per-group schedule for a grouped cluster.
-
-        Every machine stream hangs off its group's fork
-        (``rng.fork(f"group-{g}")``), and ``fork`` is a pure function of
-        the parent key and name -- so group ``g``'s timeline is a pure
-        function of ``(config, duration, seed, g)``, independent of how
-        many other groups exist or which shard generates it.  A shard
-        passing only its ``owned_groups`` therefore produces exactly
-        the events the unpartitioned replay's full schedule holds for
-        those groups, and :meth:`__post_init__`'s canonical sort makes
-        the concatenation order irrelevant.
-
-        Server crashes always carry an explicit server id (never the
-        historical ``SERVER_TARGET`` alias), and disk streams use the
-        same per-kind names as :meth:`generate` but under the group
-        fork, so grouped and ungrouped schedules never share a stream.
-        """
-        if len(group_sizes) != groups:
-            raise ConfigError(
-                f"got {len(group_sizes)} group sizes for {groups} groups"
-            )
-        events: list[FaultEvent] = []
-        disk_events: list[DiskFaultEvent] = []
-
-        def draw(
-            stream: RngStream,
-            rate_per_hour: float,
-            mean_downtime: float,
-            kind: FaultKind,
-            target: int,
-        ) -> None:
-            if rate_per_hour <= 0:
-                return
-            mean_gap = 3600.0 / rate_per_hour
-            t = 0.0
-            while True:
-                t += stream.exponential(mean_gap)
-                if t >= duration:
-                    return
-                down = max(1.0, stream.exponential(mean_downtime))
-                events.append(FaultEvent(t, kind, target, down))
-                t += down
-
-        def draw_disk(
-            stream: RngStream,
-            rate_per_hour: float,
-            kind: DiskFaultKind,
-            server_id: int,
-        ) -> None:
-            if rate_per_hour <= 0:
-                return
-            mean_gap = 3600.0 / rate_per_hour
-            t = 0.0
-            while True:
-                t += stream.exponential(mean_gap)
-                if t >= duration:
-                    return
-                disk_events.append(
-                    DiskFaultEvent(t, kind, server_id, stream.random())
-                )
-
         offsets = [0]
         for size in group_sizes:
             offsets.append(offsets[-1] + size)
         for group in owned_groups if owned_groups is not None else range(groups):
             if not 0 <= group < groups:
                 raise ConfigError(f"group {group} out of range for {groups}")
-            grng = rng.fork(f"group-{group}")
+            grng = rng if groups == 1 else rng.fork(f"group-{group}")
             first_server = group * servers_per_group
             for server_id in range(first_server, first_server + servers_per_group):
+                if groups == 1 and server_id == 0:
+                    crash_stream, target = grng.fork("server"), SERVER_TARGET
+                else:
+                    crash_stream = grng.fork(f"server-{server_id}")
+                    target = server_id
                 draw(
-                    grng.fork(f"server-{server_id}"),
+                    crash_stream,
                     config.server_crash_rate,
                     config.server_downtime,
                     FaultKind.SERVER_CRASH,
-                    server_id,
+                    target,
                 )
                 draw_disk(
                     grng.fork(f"disk-bitrot-{server_id}"),
@@ -541,7 +438,7 @@ class FaultInjector:
 
     def arm(self) -> None:
         engine = self._cluster.engine
-        obs = getattr(self._cluster, "obs", None)
+        obs = self._cluster.obs
         for event in self.schedule.events:
             engine.schedule_at(event.time, _Apply(self, event))
             if obs is not None:
@@ -552,7 +449,7 @@ class FaultInjector:
     def apply(self, event: FaultEvent) -> None:
         cluster = self._cluster
         self.injected += 1
-        obs = getattr(cluster, "obs", None)
+        obs = cluster.obs
         if obs is not None:
             obs.on_fault_fired(cluster.engine.now, event)
         if event.kind is FaultKind.SERVER_CRASH:
@@ -583,13 +480,13 @@ class FaultInjector:
         no store to corrupt.
         """
         cluster = self._cluster
-        integrity = getattr(cluster, "integrity", None)
+        integrity = cluster.integrity
         if integrity is None:
             return
         self.injected += 1
         now = cluster.engine.now
         server_id = event.server_id % len(cluster.servers)
-        obs = getattr(cluster, "obs", None)
+        obs = cluster.obs
         if obs is not None:
             obs.on_disk_fault(now, server_id, event.kind.value)
         if event.kind is DiskFaultKind.BIT_ROT:

@@ -111,21 +111,20 @@ class IntegrityManager:
     SCRUB_CHUNK = 128
 
     def __init__(
-        self, servers: "list[Server]", replica_map: Any | None = None,
-        *, group_maps: "dict[int, Any] | None" = None,
+        self, servers: "list[Server]",
+        group_maps: "dict[int, Any] | None" = None,
         servers_per_group: int = 0,
     ) -> None:
         self.servers = servers
-        #: The cluster's :class:`~repro.fs.replication.ReplicaMap` when
-        #: replication is on; names the repair candidates.  None = r=1:
-        #: every unrepairable corruption becomes a declared loss.
-        self.replica_map = replica_map
-        #: Grouped cluster: one ReplicaMap per (owned) group instead,
-        #: resolved through the server id a lookup concerns -- shared
-        #: file ids map to a different slice per group.
+        #: The replication manager's per-group replica maps (group ->
+        #: :class:`~repro.fs.replication.ReplicaMap`) when replication is
+        #: on; they name the repair candidates, resolved through the
+        #: server id a lookup concerns (shared file ids map to a
+        #: different slice per group).  None = r=1: every unrepairable
+        #: corruption becomes a declared loss.
         self._group_maps = group_maps
         self._servers_per_group = servers_per_group
-        self._replicated = replica_map is not None or group_maps is not None
+        self._replicated = group_maps is not None
         #: Optional observability hook (repro.obs); every use is guarded.
         self.obs = None
         n = len(servers)
@@ -159,13 +158,8 @@ class IntegrityManager:
             server.cache.enable_integrity()
 
     def _peer_replicas(self, server_id: int, file_id: int) -> tuple[int, ...]:
-        """The replica set ``server_id`` belongs to for ``file_id``,
-        resolved through the server's group when grouped (shared file
-        ids place into a different slice per group)."""
-        if self._group_maps is not None:
-            group = server_id // self._servers_per_group
-            return self._group_maps[group].replicas(file_id)
-        return self.replica_map.replicas(file_id)
+        """The replica set ``server_id`` belongs to for ``file_id``."""
+        return self._group_maps[server_id // self._servers_per_group].replicas(file_id)
 
     # --- the write path ---------------------------------------------------------
 

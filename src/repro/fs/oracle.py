@@ -88,16 +88,12 @@ class ProtocolOracle:
         self._executed: set[tuple[int, int, int]] = set()
         #: file_id -> highest version stamp ever observed.
         self._versions: dict[int, int] = {}
-        #: The cluster's :class:`~repro.fs.replication.ReplicaMap`, set
-        #: by the cluster when replication is configured; enables the
-        #: replica-divergence final check and switches the writeback
-        #: ledger to the fan-out counter.
-        self.replica_map: Any | None = None
-        #: Grouped replicated cluster: one ReplicaMap per (owned) group
-        #: instead, plus the slice width -- shared file ids place into a
-        #: different server slice per group, so the divergence sweep
-        #: must run per group.  Both set by the cluster.
-        self.group_replica_maps: "dict[int, Any] | None" = None
+        #: The replication manager's per-group replica maps (group ->
+        #: :class:`~repro.fs.replication.ReplicaMap`) and the slice
+        #: width, set by the cluster when replication is configured;
+        #: they enable the per-group replica-divergence final check and
+        #: switch the writeback ledger to the fan-out counter.
+        self.group_maps: "dict[int, Any] | None" = None
         self.servers_per_group: int = 0
         #: The cluster's :class:`~repro.fs.integrity.IntegrityManager`,
         #: set by the cluster when the integrity layer is built; enables
@@ -199,7 +195,7 @@ class ProtocolOracle:
                     now, "final", -1, "cross-shard-writeback-ledger"
                 )
             received = sum(s.counters.block_writes for s in servers)
-            if self.replica_map is not None or self.group_replica_maps:
+            if self.group_maps is not None:
                 # Replicated writebacks fan out: every clean crosses the
                 # wire once per live replica, and the clients count each
                 # transfer in replica_writeback_blocks.
@@ -220,15 +216,11 @@ class ProtocolOracle:
                     f"clients cleaned {cleaned} dirty blocks but servers "
                     f"received {received} ({per_server})",
                 )
-        if self.replica_map is not None and servers is not None:
-            self._check_replica_divergence(
-                now, servers, self.replica_map, None
-            )
-        elif self.group_replica_maps and servers is not None:
+        if self.group_maps is not None and servers is not None:
             spg = self.servers_per_group
-            for group in sorted(self.group_replica_maps):
+            for group in sorted(self.group_maps):
                 self._check_replica_divergence(
-                    now, servers, self.group_replica_maps[group],
+                    now, servers, self.group_maps[group],
                     range(group * spg, (group + 1) * spg),
                 )
         if self.integrity is not None:
@@ -272,7 +264,7 @@ class ProtocolOracle:
 
     def _check_replica_divergence(
         self, now: float, servers: list[Any], replica_map: Any,
-        server_ids: "range | None",
+        server_ids: range,
     ) -> None:
         """Every file's *live* replicas must agree on its version stamp.
 
@@ -284,20 +276,16 @@ class ProtocolOracle:
         excluded: their patch is still queued.  A server that never saw
         the file reads as version 0, which only agrees with version 0.
 
-        ``server_ids`` limits the sweep to one group's server slice (a
-        grouped cluster runs this once per owned group with the group's
-        own map); None sweeps the whole cluster.
+        ``server_ids`` is one group's server slice: the sweep runs once
+        per owned group with the group's own map (once over every
+        server for the classic one-group cluster).
         """
         self.checks_run += 1
         if self.obs is not None:
             self.obs.on_oracle_check(now, "final", -1, "replica-divergence")
         known: set[int] = set()
-        if server_ids is None:
-            for server in servers:
-                known.update(server._files.keys())
-        else:
-            for sid in server_ids:
-                known.update(servers[sid]._files.keys())
+        for sid in server_ids:
+            known.update(servers[sid]._files.keys())
         for file_id in sorted(known):
             live = [
                 s for s in replica_map.replicas(file_id)

@@ -34,7 +34,7 @@ builds that predate this module.
 
 The divergence *check* lives in :mod:`repro.fs.oracle` (a final sweep
 comparing version stamps across each file's live replicas); this module
-only hands it the replica map.
+only hands it the per-group replica maps.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.common.errors import ConfigError, SimulationError
 from repro.common.render import format_number, render_table
 from repro.common.units import KB
 from repro.fs.sharding import Placement
@@ -104,39 +103,6 @@ class ReplicaMap:
         self._extra.pop(file_id, None)
 
 
-class GroupReplication:
-    """One client group's window onto the cluster ReplicationManager.
-
-    A grouped cluster keeps a single manager (one heartbeat tick, one
-    pending log, one dead-set) but one :class:`ReplicaMap` per group,
-    because shared file ids -- the negative sentinels and the read-only
-    binaries -- resolve to a *different* server slice per group.  The
-    client kernel talks to this facade exactly as it would to the
-    manager: same pending log and test hooks, the group's own map.
-    """
-
-    __slots__ = ("manager", "replica_map")
-
-    def __init__(self, manager: "ReplicationManager", replica_map: ReplicaMap):
-        self.manager = manager
-        self.replica_map = replica_map
-
-    @property
-    def skip_propagation_to(self) -> set[int]:
-        return self.manager.skip_propagation_to
-
-    def flush_pending(self, server_id: int) -> None:
-        self.manager.flush_pending(server_id)
-
-    def queue_pending(
-        self, server_id: int, file_id: int, version: int | None
-    ) -> None:
-        self.manager.queue_pending(server_id, file_id, version)
-
-    def on_delete(self, file_id: int) -> None:
-        self.replica_map.forget(file_id)
-
-
 class ReplicationManager:
     """Heartbeat failure detector + pending log + re-replication.
 
@@ -145,12 +111,14 @@ class ReplicationManager:
     heartbeat tick) or by explicit cluster calls, so replays stay
     byte-identical across worker counts.
 
-    With ``groups > 1`` the manager carries one :class:`ReplicaMap` per
-    (owned) group instead of the single ``replica_map`` -- each over
-    the group's :meth:`~repro.fs.sharding.Placement.group_view` -- and
-    every lookup resolves the map through the server id it concerns
-    (``sid // servers_per_group`` names the group).  Clients go through
-    :meth:`group_view`.
+    The manager carries one :class:`ReplicaMap` per owned client group,
+    each over the group's :meth:`~repro.fs.sharding.Placement.group_view`
+    (the classic cluster is the one-group case, ``{0: map}`` over every
+    server), because shared file ids -- the negative sentinels and the
+    read-only binaries -- resolve to a different server slice per group.
+    Every lookup resolves the map through the server id it concerns
+    (``sid // servers_per_group`` names the group); each client is
+    handed its own group's map.
     """
 
     def __init__(
@@ -166,21 +134,16 @@ class ReplicationManager:
     ) -> None:
         self.engine = engine
         self.servers = servers
-        self.groups = groups
-        if groups == 1:
-            self.replica_map = ReplicaMap(placement, replication_factor)
-            self._group_maps: dict[int, ReplicaMap] | None = None
-            self._servers_per_group = placement.num_servers
-        else:
-            self.replica_map = None
-            owned = tuple(range(groups)) if owned_groups is None else owned_groups
-            self._group_maps = {
-                group: ReplicaMap(
-                    placement.group_view(group, groups), replication_factor
-                )
-                for group in owned
-            }
-            self._servers_per_group = placement.num_servers // groups
+        owned = tuple(range(groups)) if owned_groups is None else owned_groups
+        #: Owned group -> its :class:`ReplicaMap`; the integrity layer
+        #: and the oracle resolve replica sets through these too.
+        self.group_maps = {
+            group: ReplicaMap(
+                placement.group_view(group, groups), replication_factor
+            )
+            for group in owned
+        }
+        self._servers_per_group = placement.num_servers // groups
         self.miss_threshold = miss_threshold
         self._missed = [0] * len(servers)
         #: Servers currently declared dead by the detector (a superset
@@ -207,32 +170,8 @@ class ReplicationManager:
         self.integrity = None
         self._subscription = ticker.subscribe(self._heartbeat_tick)
 
-    # --- grouped plumbing --------------------------------------------------------
-
-    def group_view(self, group: int) -> GroupReplication:
-        """The facade a grouped client routes through."""
-        if self._group_maps is None:
-            raise ConfigError(
-                "group_view on an ungrouped ReplicationManager"
-            )
-        return GroupReplication(self, self._group_maps[group])
-
-    def group_maps(self) -> "dict[int, ReplicaMap] | None":
-        """Per-group maps (None when ungrouped); the integrity layer
-        and oracle resolve shared file ids through these."""
-        return self._group_maps
-
     def _map_for_server(self, server_id: int) -> ReplicaMap:
-        if self._group_maps is None:
-            return self.replica_map
-        group = server_id // self._servers_per_group
-        rmap = self._group_maps.get(group)
-        if rmap is None:
-            raise SimulationError(
-                f"server {server_id} (group {group}) is not owned by this "
-                f"shard (owned groups: {sorted(self._group_maps)})"
-            )
-        return rmap
+        return self.group_maps[server_id // self._servers_per_group]
 
     # --- the failure detector ----------------------------------------------------
 
@@ -308,14 +247,6 @@ class ReplicationManager:
         self._missed[server_id] = 0
         self._dead.discard(server_id)
 
-    def on_delete(self, file_id: int) -> None:
-        if self.replica_map is None:
-            raise SimulationError(
-                "grouped cluster: deletes must go through a group_view "
-                "facade, not the cluster ReplicationManager"
-            )
-        self.replica_map.forget(file_id)
-
     # --- re-replication ----------------------------------------------------------
 
     def _rereplicate(self, now: float, dead_id: int) -> None:
@@ -336,19 +267,13 @@ class ReplicationManager:
         rmap = self._map_for_server(dead_id)
         placement = rmap.placement
         candidates: set[int] = set()
-        if self._group_maps is None:
-            pool = list(servers)
-        else:
-            # Only the dead server's own group slice can hold (or
-            # receive) copies of its files.
-            first = (dead_id // self._servers_per_group) * self._servers_per_group
-            pool = [
-                servers[s]
-                for s in range(first, first + self._servers_per_group)
-            ]
-        for server in pool:
-            if server.up:
-                candidates.update(server._files.keys())
+        # Only the dead server's own group slice can hold (or receive)
+        # copies of its files.
+        spg = self._servers_per_group
+        first = (dead_id // spg) * spg
+        for sid in range(first, first + spg):
+            if servers[sid].up:
+                candidates.update(servers[sid]._files.keys())
         for file_id in sorted(candidates):
             replicas = rmap.replicas(file_id)
             if dead_id not in replicas:

@@ -94,111 +94,27 @@ def _mix64(x: int) -> int:
 
 
 class Placement:
-    """The deterministic file -> server map for one cluster.
+    """The deterministic file -> server map over one server slice.
 
+    ``Placement(n, seed)`` covers the whole cluster; :meth:`group_view`
+    returns the same hash confined to one client group's slice.
     ``shard_of`` is the whole interface.  Negative file ids (the
     simulator's "no particular file" sentinel, used by directory
-    passthrough) land on server 0.
+    passthrough) land on the slice's first server -- server 0 for the
+    whole cluster.  ``num_servers`` is always the global server count.
     """
 
-    __slots__ = ("num_servers", "seed", "_salt")
+    __slots__ = ("num_servers", "seed", "_start", "_size", "_salt")
 
     def __init__(self, num_servers: int, seed: int = 0) -> None:
         if num_servers < 1:
             raise ConfigError(f"need at least one server, got {num_servers}")
         self.num_servers = num_servers
         self.seed = seed
+        self._start = 0
+        self._size = num_servers
         # One up-front mix of the seed; per-file work is a single mix.
         self._salt = _mix64(seed * 0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03)
-
-    def shard_of(self, file_id: int) -> int:
-        if self.num_servers == 1 or file_id < 0:
-            return 0
-        return _mix64(file_id ^ self._salt) % self.num_servers
-
-    __call__ = shard_of
-
-    @property
-    def chain_width(self) -> int:
-        """How long a full preference chain is (``replicas_of``'s upper
-        bound on ``r``): every server for the global placement, the
-        slice size for a group view."""
-        return self.num_servers
-
-    def replicas_of(self, file_id: int, r: int) -> tuple[int, ...]:
-        """The ``r`` distinct servers holding ``file_id``.
-
-        The first element is always ``shard_of(file_id)`` -- the
-        primary -- so ``replicas_of(fid, 1) == (shard_of(fid),)`` and
-        replication factor 1 changes nothing.  The remaining replicas
-        are drawn without replacement by re-chaining the splitmix64
-        hash, so the full chain ``replicas_of(fid, num_servers)`` is a
-        stable per-file preference order over every server; the
-        re-replication manager walks it to pick substitute hosts.
-        """
-        if r < 1 or r > self.num_servers:
-            raise ConfigError(
-                f"replica count {r} must be in [1, {self.num_servers}]"
-            )
-        primary = self.shard_of(file_id)
-        if r == 1:
-            return (primary,)
-        if file_id < 0:
-            # The "no particular file" sentinel: first r servers.
-            return tuple(range(r))
-        remaining = [s for s in range(self.num_servers) if s != primary]
-        chosen = [primary]
-        h = _mix64(file_id ^ self._salt)
-        for _ in range(r - 1):
-            h = _mix64(h + 0x9E3779B97F4A7C15)
-            chosen.append(remaining.pop(h % len(remaining)))
-        return tuple(chosen)
-
-    def group_view(self, group: int, groups: int) -> "GroupPlacement":
-        """A placement view confined to one client group's server slice.
-
-        Partitioned replay divides ``num_servers`` into ``groups``
-        contiguous equal slices; a group's clients route *every* file
-        -- group files, shared binaries, directory sentinels -- into
-        their own slice, so no server ever sees traffic from two
-        groups.  That per-group confinement is what makes shard replays
-        byte-identical to the unpartitioned replay: a server's state
-        evolves from exactly one group's operations either way.
-        """
-        if groups < 1 or self.num_servers % groups != 0:
-            raise ConfigError(
-                f"{groups} groups must evenly divide "
-                f"{self.num_servers} servers"
-            )
-        if not 0 <= group < groups:
-            raise ConfigError(f"group {group} out of range for {groups}")
-        return GroupPlacement(self, group, groups)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Placement(num_servers={self.num_servers}, seed={self.seed})"
-
-
-class GroupPlacement:
-    """One group's window onto a :class:`Placement`.
-
-    ``shard_of`` hashes within the group's slice (``slice_start ..
-    slice_start + slice_size - 1``); negative file ids land on the
-    slice's first server (the group-local analogue of the classic
-    "sentinels go to server 0").  ``replicas_of`` confines the
-    replication chain to the same slice: a group's copies live only on
-    the group's servers, so replication never couples groups.
-    """
-
-    __slots__ = ("base", "group", "groups", "num_servers", "_start", "_size", "_salt")
-
-    def __init__(self, base: Placement, group: int, groups: int) -> None:
-        self.base = base
-        self.group = group
-        self.groups = groups
-        self.num_servers = base.num_servers
-        self._size = base.num_servers // groups
-        self._start = group * self._size
-        self._salt = base._salt
 
     def shard_of(self, file_id: int) -> int:
         if self._size == 1 or file_id < 0:
@@ -209,33 +125,35 @@ class GroupPlacement:
 
     @property
     def chain_width(self) -> int:
+        """How long a full preference chain is (``replicas_of``'s upper
+        bound on ``r``): the slice size."""
         return self._size
 
     def replicas_of(self, file_id: int, r: int) -> tuple[int, ...]:
         """The ``r`` distinct slice servers holding ``file_id``.
 
-        Mirrors :meth:`Placement.replicas_of` exactly, but the
-        candidate pool is the group's slice: the primary is
-        ``shard_of(file_id)`` and the rest of the chain is drawn
-        without replacement from the slice's other members by the same
-        re-chained splitmix64 hash.  Negative (sentinel) file ids take
-        the slice's first ``r`` servers, the group-local analogue of
-        the global map's ``range(r)``.
+        The first element is always ``shard_of(file_id)`` -- the
+        primary -- so ``replicas_of(fid, 1) == (shard_of(fid),)`` and
+        replication factor 1 changes nothing.  The remaining replicas
+        are drawn without replacement from the slice's other servers by
+        re-chaining the splitmix64 hash, so the full chain
+        ``replicas_of(fid, chain_width)`` is a stable per-file
+        preference order over the slice; the re-replication manager
+        walks it to pick substitute hosts.  Negative (sentinel) file ids
+        take the slice's first ``r`` servers.
         """
-        if r < 1 or r > self._size:
+        start, size = self._start, self._size
+        if r < 1 or r > size:
             raise ConfigError(
-                f"replica count {r} must be in [1, {self._size}] "
-                f"(group {self.group}'s server slice)"
+                f"replica count {r} must be in [1, {size}] "
+                f"(server slice {start}..{start + size - 1})"
             )
         primary = self.shard_of(file_id)
         if r == 1:
             return (primary,)
         if file_id < 0:
-            return tuple(range(self._start, self._start + r))
-        remaining = [
-            s for s in range(self._start, self._start + self._size)
-            if s != primary
-        ]
+            return tuple(range(start, start + r))
+        remaining = [s for s in range(start, start + size) if s != primary]
         chosen = [primary]
         h = _mix64(file_id ^ self._salt)
         for _ in range(r - 1):
@@ -243,8 +161,32 @@ class GroupPlacement:
             chosen.append(remaining.pop(h % len(remaining)))
         return tuple(chosen)
 
+    def group_view(self, group: int, groups: int) -> "Placement":
+        """The placement confined to one client group's server slice.
+
+        Partitioned replay divides ``num_servers`` into ``groups``
+        contiguous equal slices; a group's clients route *every* file
+        -- group files, shared binaries, directory sentinels -- into
+        their own slice, so no server ever sees traffic from two
+        groups.  That per-group confinement is what makes shard replays
+        byte-identical to the unpartitioned replay: a server's state
+        evolves from exactly one group's operations either way.  The
+        view keeps the salt, so ``group_view(0, 1)`` is this placement.
+        """
+        if groups < 1 or self.num_servers % groups != 0:
+            raise ConfigError(
+                f"{groups} groups must evenly divide "
+                f"{self.num_servers} servers"
+            )
+        if not 0 <= group < groups:
+            raise ConfigError(f"group {group} out of range for {groups}")
+        view = Placement(self.num_servers, self.seed)
+        view._size = self.num_servers // groups
+        view._start = group * view._size
+        return view
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"GroupPlacement(group={self.group}/{self.groups}, "
+            f"Placement(num_servers={self.num_servers}, seed={self.seed}, "
             f"servers=[{self._start}..{self._start + self._size - 1}])"
         )

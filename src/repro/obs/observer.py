@@ -74,14 +74,12 @@ class Observation:
         self._attached = True
         self._engine = cluster.engine
         cluster.engine.attach_observer(self)
-        servers = list(getattr(cluster, "servers", None) or [cluster.server])
+        servers = list(cluster.servers)
         # Name servers by the *cluster's* server count, not by how many
         # this instance holds: an owned-only shard with one server of a
         # multi-server cluster must still sample "server-<id>", so its
         # series merge against the unpartitioned reference by name.
-        config = getattr(cluster, "config", None)
-        total_servers = getattr(config, "num_servers", len(servers))
-        if total_servers == 1:
+        if cluster.config.num_servers == 1:
             self.tracer.name_machine(SERVER_PID, "server")
             server_names = ["server"]
         else:
@@ -97,28 +95,17 @@ class Observation:
                 client_pid(client.client_id), f"client-{client.client_id}"
             )
             client.obs = self
-            # getattr's default would evaluate client.transport eagerly,
-            # which indexes transports[0] -- not owned by every shard.
-            transports = getattr(client, "transports", None)
-            if transports is None:
-                transports = [client.transport]
-            for transport in transports:
+            for transport in client.transports:
                 transport.obs = self
         if cluster.oracle is not None:
             cluster.oracle.obs = self
-        replication = getattr(cluster, "replication", None)
-        if replication is not None:
-            replication.obs = self
-        integrity = getattr(cluster, "integrity", None)
-        if integrity is not None:
-            integrity.obs = self
-        shared_ticker = getattr(cluster, "shared_ticker", None)
+        if cluster.replication is not None:
+            cluster.replication.obs = self
+        if cluster.integrity is not None:
+            cluster.integrity.obs = self
         self.sampler.attach(
             cluster.engine, cluster.clients, servers,
-            ticker=(
-                shared_ticker(self.config.sample_interval)
-                if shared_ticker is not None else None
-            ),
+            ticker=cluster.shared_ticker(self.config.sample_interval),
             server_names=server_names,
         )
 

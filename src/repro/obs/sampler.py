@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.common.errors import SimulationError
 from repro.fs.counters import ClientCounters, ServerCounters
-from repro.sim.timers import RecurringTimer, SharedTicker
+from repro.sim.timers import SharedTicker
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.fs.client import ClientKernel
@@ -187,9 +187,9 @@ class CounterTimeseries:
 class CounterSampler:
     """The simulated "user-level process" reading the counters.
 
-    :meth:`attach` takes a zero-time baseline sample and starts a
-    recurring engine timer; :meth:`finalize` takes the closing sample
-    (skipped if the timer already sampled at exactly that instant).
+    :meth:`attach` takes a zero-time baseline sample and subscribes to
+    the cluster's shared tick; :meth:`finalize` takes the closing sample
+    (skipped if the tick already sampled at exactly that instant).
     ``on_sample`` is called after each sample with the current time --
     the observation hub uses it to mirror key gauges into the event
     trace as counter events.
@@ -213,46 +213,36 @@ class CounterSampler:
         #: server keeps the historical ``"server"``; shards are
         #: ``"server-<id>"``.
         self._server_names: list[str] = []
-        #: Either a private RecurringTimer or a shared-tick subscription
-        #: (both expose ``stop()``).
+        #: The shared-tick subscription (exposes ``stop()``).
         self._timer = None
 
     def attach(
         self,
         engine: "Engine",
         clients: Sequence["ClientKernel"],
-        server: "Server | Sequence[Server]",
-        ticker: SharedTicker | None = None,
-        server_names: Sequence[str] | None = None,
+        servers: Sequence["Server"],
+        ticker: SharedTicker,
+        server_names: Sequence[str],
     ) -> None:
-        """Start sampling.  ``ticker`` shares a cluster's coalesced tick
-        (one heap event per interval cluster-wide); without one the
-        sampler runs its own private timer.
+        """Start sampling on ``ticker``, a cluster's coalesced tick (one
+        heap event per interval cluster-wide).
 
-        ``server_names`` overrides the per-server machine names.  The
-        default infers them from the list handed in -- one server means
-        the historical ``"server"`` -- which is right for direct
-        callers but wrong for an owned-only shard holding one server
-        *of a larger cluster*; such callers (the observer) pass the
-        cluster-aware names explicitly.
+        ``server_names`` are the per-server machine names, parallel to
+        ``servers``; the caller derives them from the *cluster's* server
+        count, since an owned-only shard may hold one server of a larger
+        cluster.
         """
         if self._engine is not None:
             raise SimulationError("sampler already attached")
+        if len(server_names) != len(servers):
+            raise SimulationError(
+                f"got {len(server_names)} server names for "
+                f"{len(servers)} servers"
+            )
         self._engine = engine
         self._clients = list(clients)
-        servers = [server] if not isinstance(server, (list, tuple)) else list(server)
-        self._servers = servers
-        if server_names is not None:
-            if len(server_names) != len(servers):
-                raise SimulationError(
-                    f"got {len(server_names)} server names for "
-                    f"{len(servers)} servers"
-                )
-            self._server_names = list(server_names)
-        elif len(servers) == 1:
-            self._server_names = ["server"]
-        else:
-            self._server_names = [f"server-{s.server_id}" for s in servers]
+        self._servers = list(servers)
+        self._server_names = list(server_names)
         for client in self._clients:
             self.timeseries.machines[f"client-{client.client_id}"] = (
                 MachineSeries(
@@ -265,13 +255,7 @@ class CounterSampler:
                 machine=name, fields=SERVER_FIELDS, times=[], rows=[],
             )
         self.sample()  # the baseline: integration starts from here
-        if ticker is not None:
-            self._timer = ticker.subscribe(self.sample)
-        else:
-            self._timer = RecurringTimer(
-                engine, self.timeseries.sample_interval, self.sample
-            )
-            self._timer.start()
+        self._timer = ticker.subscribe(self.sample)
 
     def sample(self) -> None:
         """Read every machine's counters at the current simulated time."""

@@ -9,6 +9,8 @@ degraded modes -- one at a time.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.common.errors import ConfigError
@@ -160,6 +162,59 @@ class TestFaultSchedule:
             process = (event.kind, event.target)
             assert event.time >= by_process.get(process, 0.0)
             by_process[process] = event.end_time
+
+    #: Every rate on: server, client and partition outages plus all
+    #: three disk-fault kinds.
+    ALL_RATES = FaultConfig(
+        server_crash_rate=1.0, client_crash_rate=0.5, partition_rate=2.0,
+        disk_corruption_rate=0.5, disk_torn_write_rate=0.5,
+        disk_lost_write_rate=0.5,
+    )
+    GROUP_SIZES = (3, 2, 2, 1)
+
+    def _all_rates(self, **kwargs) -> FaultSchedule:
+        return FaultSchedule.generate(
+            self.ALL_RATES, 8, 86400.0, RngStream.root(1991).fork("faults"),
+            num_servers=4, **kwargs,
+        )
+
+    @staticmethod
+    def _digest(schedule: FaultSchedule) -> str:
+        return hashlib.sha256(
+            repr(schedule.events + schedule.disk_events).encode()
+        ).hexdigest()
+
+    def test_one_group_schedule_is_pinned(self):
+        """The exact events of a one-group, four-server schedule:
+        server 0 on the historical ``"server"`` stream and target."""
+        schedule = self._all_rates()
+        assert (len(schedule.events), len(schedule.disk_events)) == (588, 140)
+        assert any(e.target == SERVER_TARGET for e in schedule.events)
+        assert self._digest(schedule) == (
+            "1f1b1a693356579dd1fa8ea8e20d311e771b5543c6454f223d1cd4a77c162b9e"
+        )
+
+    def test_grouped_schedule_is_pinned(self):
+        """The exact events of a four-group schedule: every stream under
+        its group's fork, every server crash on an explicit id."""
+        schedule = self._all_rates(group_sizes=self.GROUP_SIZES)
+        assert (len(schedule.events), len(schedule.disk_events)) == (591, 136)
+        assert all(e.target >= 0 for e in schedule.events)
+        assert self._digest(schedule) == (
+            "8f4854c939320a08567583f9f667f6012fc658292a044e9fdb79c4ec9d20f706"
+        )
+
+    def test_owned_group_schedules_compose_to_the_full_schedule(self):
+        full = self._all_rates(group_sizes=self.GROUP_SIZES)
+        parts = [
+            self._all_rates(group_sizes=self.GROUP_SIZES, owned_groups=(g,))
+            for g in range(len(self.GROUP_SIZES))
+        ]
+        assert all(len(part) for part in parts)
+        assert FaultSchedule(
+            [e for part in parts for e in part.events],
+            [e for part in parts for e in part.disk_events],
+        ) == full
 
     def test_explicit_schedule_sorts_events(self):
         late = FaultEvent(50.0, FaultKind.PARTITION, 0, 5.0)

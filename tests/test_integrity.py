@@ -58,12 +58,14 @@ def _integrity_cluster(num_servers: int, replication_factor: int = 1):
     servers = [
         Server(1 * MB, BLOCK, server_id=i) for i in range(num_servers)
     ]
-    replica_map = (
-        ReplicaMap(Placement(num_servers), replication_factor)
+    group_maps = (
+        {0: ReplicaMap(Placement(num_servers), replication_factor)}
         if replication_factor > 1
         else None
     )
-    manager = IntegrityManager(servers, replica_map=replica_map)
+    manager = IntegrityManager(
+        servers, group_maps=group_maps, servers_per_group=num_servers
+    )
     for server in servers:
         server.integrity = manager
     return servers, manager
@@ -346,8 +348,8 @@ def test_delete_under_a_crashed_primary_does_not_resurrect_the_file():
     )
     client = cluster.clients[0]
     file_id = 11
-    primary = cluster.replication.replica_map.base_replicas(file_id)[0]
-    other = cluster.replication.replica_map.base_replicas(file_id)[1]
+    primary = cluster.replication.group_maps[0].base_replicas(file_id)[0]
+    other = cluster.replication.group_maps[0].base_replicas(file_id)[1]
 
     for _ in range(3):  # several write cycles: the version climbs past 1
         client.open_file(0.0, file_id, True)

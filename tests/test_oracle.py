@@ -244,9 +244,10 @@ class TestReplicaDivergence:
                 return (0, 1)
 
         oracle = ProtocolOracle(seed=13)
-        oracle.replica_map = _StubMap()
+        oracle.group_maps = {0: _StubMap()}
+        oracle.servers_per_group = 2
         servers = [_StubServer(0, {7: 3}), _StubServer(1, {7: 2})]
         with pytest.raises(InvariantViolation, match="replica-divergence"):
             oracle._check_replica_divergence(
-                5.0, servers, oracle.replica_map, None
+                5.0, servers, oracle.group_maps[0], range(2)
             )

@@ -147,6 +147,50 @@ class TestReplicaPlacement:
                 placement.replicas_of(7, r)
 
 
+@st.composite
+def _slice_cases(draw):
+    """A cluster size, a divisor group count, one group, a seed, a file
+    id (sentinels included) and a replica count that fits the slice."""
+    num_servers = draw(st.integers(min_value=1, max_value=12))
+    groups = draw(st.sampled_from(
+        [d for d in range(1, num_servers + 1) if num_servers % d == 0]
+    ))
+    group = draw(st.integers(min_value=0, max_value=groups - 1))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    file_id = draw(st.integers(min_value=-8, max_value=2**62))
+    r = draw(st.integers(min_value=1, max_value=num_servers // groups))
+    return num_servers, groups, group, seed, file_id, r
+
+
+class TestGroupView:
+    """A group view is the slice-sized placement shifted onto the
+    group's slice, and the one-group view is the placement itself."""
+
+    @given(case=_slice_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_view_is_slice_placement_shifted(self, case):
+        num_servers, groups, group, seed, file_id, r = case
+        size = num_servers // groups
+        first = group * size
+        view = Placement(num_servers, seed=seed).group_view(group, groups)
+        local = Placement(size, seed=seed)
+        assert view.chain_width == size
+        assert view.shard_of(file_id) == first + local.shard_of(file_id)
+        assert view.replicas_of(file_id, r) == tuple(
+            first + server for server in local.replicas_of(file_id, r)
+        )
+
+    @given(case=_slice_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_one_group_view_is_the_placement(self, case):
+        num_servers, _, _, seed, file_id, r = case
+        placement = Placement(num_servers, seed=seed)
+        view = placement.group_view(0, 1)
+        assert view.chain_width == placement.chain_width == num_servers
+        assert view.shard_of(file_id) == placement.shard_of(file_id)
+        assert view.replicas_of(file_id, r) == placement.replicas_of(file_id, r)
+
+
 def _crash(time: float, duration: float, target: int = -1) -> FaultEvent:
     return FaultEvent(
         time=time, kind=FaultKind.SERVER_CRASH, target=target,
