@@ -8,14 +8,12 @@ Two committed reports come out of this module (regenerate with
   committed copy doubles as the CI smoke gate: a run whose wall clock
   regresses more than 25% over the committed figure fails.
 * ``BENCH_scale.json`` -- the scale-out curve (clients x wall clock x
-  peak RSS) at population scales 0.05 / 0.5 / 2 / 10 / 100, measured on
+  peak RSS) at population scales 0.05 / 0.5 / 2 / 10, measured on
   the partitioned pipeline (columnar generation, streaming consumption,
   owned-only sharded replay + deterministic merge; DESIGN.md §15-16).
   The scale=2 point doubles as CI's scale-smoke gate
-  (``test_bench_partitioned_scale2_smoke``), the scale=10 row asserts
-  the sub-2-GB peak-RSS target outright, and the scale=100 row (4000
-  clients, 2000 owned-only groups) its own explicit peak-RSS bar.  Each
-  row also carries the merged per-shard construction time and shared-
+  (``test_bench_partitioned_scale2_smoke``) and the scale=10 row asserts
+  the sub-2-GB peak-RSS target outright.  Each row also carries the merged per-shard construction time and shared-
   tick event count, the owned-only overheads worth watching at scale.
 
 Both record :func:`conftest.calibration_seconds` as context: on a much
@@ -33,14 +31,11 @@ import time
 import pytest
 
 from repro.fs import ClusterConfig, run_cluster_on_trace
-from repro.pipeline.scaleout import (
-    ScaleOutPlan,
-    build_group_traces,
-    run_partitioned_replay,
-)
+from repro.pipeline.scaleout import build_group_traces, run_partitioned_replay
 from repro.workload import STANDARD_PROFILES, generate_trace
 
 from conftest import calibration_seconds, load_bench_json, write_bench_json
+from scale_curve import SCALES, scale_out_plan, shard_count
 
 #: Pre-optimization baseline: commit f33387b (before the hot-path
 #: rewrite), same trace0 replay at scale=1.  Median of four runs
@@ -141,36 +136,15 @@ def test_bench_replay_scale1(regen_bench):
     )
 
 
-#: The scale-out population rule mirrors the registry: the plan sizes
-#: the population at the *total* scale (``max(4, round(40 * scale))``)
-#: and splits it across ``round(scale / 0.05)`` groups, so ``scale=10``
-#: means 200 groups and 400 clients, ``scale=100`` 2000 groups and 4000
-#: clients.  Shards cap at 4: on the bench host shards beyond the core
-#: count only repeat the fixed day-simulation cost.
-def _scale_out_plan(scale: float) -> ScaleOutPlan:
-    return ScaleOutPlan(
-        profile=STANDARD_PROFILES[0],
-        seed=1991,
-        scale=scale,
-        groups=max(1, round(scale / 0.05)),
-    )
-
-
 #: Hard ceiling from the scale-out acceptance bar: the scale=10
 #: partitioned replay must complete under 2 GB peak RSS.
 MAX_SCALE10_RSS_MB = 2048
 
-#: The scale=100 bar (4000 clients, 2000 groups, 4 owned-only shards of
-#: 500 groups each): every shard constructs only its own slice, so peak
-#: RSS is dominated by the columnar traces, not the machines.  Measured
-#: ~7.0 GB on the bench host; the bar leaves ~30% headroom.
-MAX_SCALE100_RSS_MB = 9216
-
 
 def _partitioned_replay_once(scale: float) -> dict:
     """Columnar generation + partitioned streaming replay at ``scale``."""
-    plan = _scale_out_plan(scale)
-    shards = min(plan.groups, 4)
+    plan = scale_out_plan(scale)
+    shards = shard_count(plan)
     gc.collect()
     start = time.perf_counter()
     traces = build_group_traces(plan)
@@ -201,13 +175,13 @@ def _partitioned_replay_once(scale: float) -> dict:
 
 @pytest.mark.slow
 def test_bench_replay_scale_curve(regen_bench):
-    """The scale-out curve: clients x wall x peak RSS through scale=100,
+    """The scale-out curve: clients x wall x peak RSS through scale=10,
     on the partitioned pipeline (columnar + streaming + owned-only
     sharded)."""
     rows = []
     # Increasing order on purpose: ru_maxrss is a process-lifetime peak,
     # so each row's figure is dominated by its own (largest-yet) run.
-    for scale in (0.05, 0.5, 2.0, 10.0, 100.0):
+    for scale in SCALES:
         row = _partitioned_replay_once(scale)
         rows.append(row)
         print(
@@ -228,19 +202,15 @@ def test_bench_replay_scale_curve(regen_bench):
         "rows": rows,
     }
 
-    # Work and cost grow with scale, and the tentpole targets hold: the
+    # Work and cost grow with scale, and the tentpole target holds: the
     # scale=10 population (400 clients) stays under the 2 GB peak-RSS
-    # bar, and the scale=100 population (4000 clients, 2000 owned-only
-    # groups) under its own explicit bar.
+    # bar.
     for smaller, larger in zip(rows, rows[1:]):
         assert smaller["records"] < larger["records"]
         assert smaller["wall_seconds"] < larger["wall_seconds"]
     scale10 = next(r for r in rows if r["scale"] == 10.0)
     assert scale10["clients"] >= 400
     assert scale10["peak_rss_mb"] < MAX_SCALE10_RSS_MB
-    scale100 = rows[-1]
-    assert scale100["clients"] >= 4000
-    assert scale100["peak_rss_mb"] < MAX_SCALE100_RSS_MB
 
     if regen_bench:
         write_bench_json("BENCH_scale.json", report)

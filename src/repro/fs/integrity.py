@@ -29,7 +29,9 @@ different bytes -- and the standard defences:
 * a **background scrubber** on the shared ticker that walks each up
   server's durable blocks in chunks, verifying checksums and -- at
   r >= 2 -- cross-checking generation stamps against live peers, which
-  is what catches lost writes;
+  is what catches lost writes.  Its cost follows the faults, not the
+  blocks: every fault and write site marks the keys it could have made
+  detectable, and a span counts its clean blocks without visiting them;
 * the **Table C study**: corruption exposed / detected / repaired as a
   function of scrub interval and replication factor.
 
@@ -40,7 +42,9 @@ byte-identical to builds that predate this module.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from itertools import filterfalse
 from typing import TYPE_CHECKING, Any
 
 from repro.common.render import format_number, render_table
@@ -123,7 +127,7 @@ class IntegrityManager:
         #: different slice per group).  None = r=1: every unrepairable
         #: corruption becomes a declared loss.
         self._group_maps = group_maps
-        self._servers_per_group = servers_per_group
+        self._servers_per_group = servers_per_group or len(servers)
         self._replicated = group_maps is not None
         #: Optional observability hook (repro.obs); every use is guarded.
         self.obs = None
@@ -151,7 +155,16 @@ class IntegrityManager:
         #: Armed torn/lost faults, consumed by the next write.
         self._armed_torn = [0] * n
         self._armed_lost = [0] * n
-        #: Scrub walk state: a sorted key snapshot plus a cursor.
+        #: Per server: the sorted ``store | expected`` key list, kept
+        #: incrementally (a key enters on its first write, repair or
+        #: copy, and leaves with its file).
+        self._keys: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        #: Per server: the keys whose next scrub visit could detect
+        #: something.  Every fault and write site marks what it may have
+        #: made detectable; a key leaves only once a visit finds it
+        #: settled (:meth:`_settled`).
+        self._suspects: list[set[tuple[int, int]]] = [set() for _ in range(n)]
+        #: Scrub walk state: a copy of the key list plus a cursor.
         self._scrub_keys: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         self._scrub_pos = [0] * n
         for server in servers:
@@ -160,6 +173,33 @@ class IntegrityManager:
     def _peer_replicas(self, server_id: int, file_id: int) -> tuple[int, ...]:
         """The replica set ``server_id`` belongs to for ``file_id``."""
         return self._group_maps[server_id // self._servers_per_group].replicas(file_id)
+
+    def _slice(self, server_id: int) -> range:
+        """Every server of ``server_id``'s group slice (its replica
+        chains never leave it)."""
+        first = server_id - server_id % self._servers_per_group
+        return range(first, first + self._servers_per_group)
+
+    def _acknowledge(
+        self, server_id: int, key: tuple[int, int], payload: int, gen: int
+    ) -> None:
+        """``server_id`` now owes ``key`` at (payload, gen): its ledger,
+        file index and sorted key list take the key in."""
+        expected = self._expected[server_id]
+        if key not in expected:
+            insort(self._keys[server_id], key)
+        expected[key] = (payload, gen)
+        self._by_file[server_id].setdefault(key[0], set()).add(key[1])
+        self._declared_lost[server_id].discard(key)
+
+    def _mark_older(self, server_id: int, key: tuple[int, int], gen: int) -> None:
+        """A copy of generation ``gen`` landed on ``server_id``: every
+        older copy in its slice may now fail the cross-check."""
+        stores, suspects = self._stores, self._suspects
+        for peer in self._slice(server_id):
+            entry = stores[peer].get(key)
+            if entry is not None and entry[2] < gen:
+                suspects[peer].add(key)
 
     # --- the write path ---------------------------------------------------------
 
@@ -181,21 +221,25 @@ class IntegrityManager:
             gen = self._gen[key] = 1
         payload = block_payload(file_id, index, gen)
         checksum = block_checksum(payload)
-        self._expected[sid][key] = (payload, gen)
-        self._by_file[sid].setdefault(file_id, set()).add(index)
-        self._declared_lost[sid].discard(key)
+        self._acknowledge(sid, key, payload, gen)
         if self._armed_lost[sid] > 0:
             # Lost write: acknowledged, never persisted.  The store
             # keeps whatever it held; only the ledger moves -- the one
             # fault a checksum can never see.
             self._armed_lost[sid] -= 1
+            self._suspects[sid].add(key)
         elif self._armed_torn[sid] > 0:
             # Torn write: garbled payload persisted under the intended
             # checksum, so the next verify catches it.
             self._armed_torn[sid] -= 1
             self._stores[sid][key] = (_garble(payload), checksum, gen)
+            self._suspects[sid].add(key)
         else:
+            # A clean write of the newest generation settles its own
+            # copy and leaves every older one in the slice stale.
             self._stores[sid][key] = (payload, checksum, gen)
+            self._suspects[sid].discard(key)
+            self._mark_older(sid, key, gen)
         # The server's in-memory cache copy is the client's bytes and is
         # good regardless of what the disk did with them.
         payloads = server.cache.payloads
@@ -268,9 +312,9 @@ class IntegrityManager:
                 self.obs.on_block_declared_lost(now, server_id, key[0], key[1])
             return False
         self._stores[server_id][key] = best
-        self._expected[server_id][key] = (best[0], best[2])
-        self._by_file[server_id].setdefault(key[0], set()).add(key[1])
-        self._declared_lost[server_id].discard(key)
+        self._acknowledge(server_id, key, best[0], best[2])
+        self._suspects[server_id].add(key)
+        self._mark_older(server_id, key, best[2])
         server.counters.blocks_repaired += 1
         payloads = server.cache.payloads
         if payloads is not None and key in server.cache._blocks:
@@ -286,7 +330,8 @@ class IntegrityManager:
     def inject_bit_rot(self, now: float, server_id: int, selector: float) -> bool:
         """Garble one durable block in place, chosen by the event's
         pre-drawn selector over the sorted store (deterministic, and no
-        randomness is consumed at fire time).  The stored checksum is
+        randomness is consumed at fire time; the sorted store is the
+        key list filtered to stored keys).  The stored checksum is
         untouched, so the rot is *detectable* -- by whoever looks next.
 
         The event counter books unconditionally -- it records the seeded
@@ -298,10 +343,11 @@ class IntegrityManager:
         store = self._stores[sid]
         if not store:
             return False  # nothing durable yet: the rot hits empty platter
-        keys = sorted(store)
+        keys = list(filter(store.__contains__, self._keys[sid]))
         key = keys[int(selector * len(keys)) % len(keys)]
         payload, checksum, gen = store[key]
         store[key] = (_garble(payload), checksum, gen)
+        self._suspects[sid].add(key)
         return True
 
     def arm_torn(self, server_id: int) -> None:
@@ -326,11 +372,17 @@ class IntegrityManager:
         store = self._stores[server_id]
         expected = self._expected[server_id]
         lost = self._declared_lost[server_id]
+        suspects = self._suspects[server_id]
         for index in indexes:
             key = (file_id, index)
             store.pop(key, None)
             expected.pop(key, None)
             lost.discard(key)
+            suspects.discard(key)
+        # A file's keys are contiguous in the sorted list.
+        keys = self._keys[server_id]
+        lo = bisect_left(keys, (file_id,))
+        del keys[lo:bisect_left(keys, (file_id + 1,), lo)]
 
     def copy_file(self, now: float, src_id: int, target_id: int, file_id: int) -> int:
         """Re-replication: copy the source's verified durable blocks of
@@ -344,7 +396,6 @@ class IntegrityManager:
         src_store = self._stores[src_id]
         target = self.servers[target_id]
         t_store = self._stores[target_id]
-        t_expected = self._expected[target_id]
         copied = 0
         for index in sorted(indexes):
             key = (file_id, index)
@@ -359,9 +410,9 @@ class IntegrityManager:
             ):
                 continue
             t_store[key] = entry
-            t_expected[key] = (entry[0], entry[2])
-            self._by_file[target_id].setdefault(file_id, set()).add(index)
-            self._declared_lost[target_id].discard(key)
+            self._acknowledge(target_id, key, entry[0], entry[2])
+            self._suspects[target_id].add(key)
+            self._mark_older(target_id, key, entry[2])
             payloads = target.cache.payloads
             if payloads is not None and key in target.cache._blocks:
                 payloads[key] = (entry[0], entry[1])
@@ -418,18 +469,51 @@ class IntegrityManager:
                     return True
         return False
 
+    def _settled(self, server_id: int, key: tuple[int, int]) -> bool:
+        """After a visit: can no later visit detect anything at ``key``
+        until a fault or write event marks it again?
+
+        A visit leaves the key gone, or its copy verified and matching
+        its ledger; what remains is that no server in the slice -- up
+        or down, verifying or not -- stores a newer generation.  Peers
+        going down and up, and re-replication changing a file's chain,
+        then cannot make the block detectable without a marking event.
+        """
+        entry = self._stores[server_id].get(key)
+        if entry is None:
+            return True
+        stores = self._stores
+        for peer in self._slice(server_id):
+            peer_entry = stores[peer].get(key)
+            if peer_entry is not None and peer_entry[2] > entry[2]:
+                return False
+        return True
+
     def _scrub_span(
         self, now: float, server: "Server", keys: list[tuple[int, int]]
     ) -> None:
-        checked = detected = 0
+        """Scrub one span of the key list.  Every key still stored, or
+        acknowledged and not declared lost, counts as checked; only the
+        suspects among them can detect anything, so only they are
+        visited, in key order.  A repair writes only its own key, so
+        counting up front equals counting at each key's turn."""
         sid = server.server_id
-        for key in keys:
-            result = self._scrub_one(now, sid, key)
-            if result is None:
-                continue
-            checked += 1
-            if result:
-                detected += 1
+        missing = list(filterfalse(self._stores[sid].__contains__, keys))
+        checked = len(keys) - len(missing)
+        if missing:
+            expected = self._expected[sid]
+            lost = self._declared_lost[sid]
+            checked += sum(
+                1 for key in missing if key in expected and key not in lost
+            )
+        detected = 0
+        suspects = self._suspects[sid]
+        if suspects:
+            for key in list(filter(suspects.__contains__, keys)):
+                if self._scrub_one(now, sid, key):
+                    detected += 1
+                if self._settled(sid, key):
+                    suspects.discard(key)
         if checked:
             server.counters.scrub_blocks_checked += checked
         if detected:
@@ -439,9 +523,9 @@ class IntegrityManager:
 
     def scrub_tick(self, now: float) -> None:
         """One background pass: up to :attr:`SCRUB_CHUNK` blocks per up
-        server, walked round-robin by a per-server cursor over a sorted
-        key snapshot (re-taken, including any expected-but-missing keys,
-        each time the cursor wraps)."""
+        server, walked round-robin by a per-server cursor over a copy of
+        the sorted key list (re-taken, including any expected-but-missing
+        keys, each time the cursor wraps)."""
         for server in self.servers:
             if not server.up:
                 continue
@@ -449,9 +533,7 @@ class IntegrityManager:
             keys = self._scrub_keys[sid]
             pos = self._scrub_pos[sid]
             if pos >= len(keys):
-                keys = self._scrub_keys[sid] = sorted(
-                    set(self._stores[sid]) | set(self._expected[sid])
-                )
+                keys = self._scrub_keys[sid] = self._keys[sid].copy()
                 pos = 0
             end = min(len(keys), pos + self.SCRUB_CHUNK)
             self._scrub_pos[sid] = end
@@ -462,13 +544,8 @@ class IntegrityManager:
         every corruption a replica can repair is repaired -- or booked
         as a declared loss -- before the oracle's sweep runs."""
         for server in self.servers:
-            if not server.up:
-                continue
-            sid = server.server_id
-            self._scrub_span(
-                now, server,
-                sorted(set(self._stores[sid]) | set(self._expected[sid])),
-            )
+            if server.up:
+                self._scrub_span(now, server, self._keys[server.server_id])
 
     # --- the oracle sweep -------------------------------------------------------
 

@@ -457,6 +457,274 @@ def test_property_codec_carries_integrity_counters(
 
 
 # --------------------------------------------------------------------------
+# differential: the suspect-set scrubber vs. the full scan it replaced
+# --------------------------------------------------------------------------
+
+
+class FullScanIntegrity(IntegrityManager):
+    """The reference scrubber: visits every key of every span and
+    re-sorts the store/ledger union at each cursor wrap."""
+
+    def _scrub_span(
+        self, now: float, server: "Server", keys: list[tuple[int, int]]
+    ) -> None:
+        checked = detected = 0
+        sid = server.server_id
+        for key in keys:
+            result = self._scrub_one(now, sid, key)
+            if result is None:
+                continue
+            checked += 1
+            if result:
+                detected += 1
+        if checked:
+            server.counters.scrub_blocks_checked += checked
+        if detected:
+            server.counters.scrub_corruptions_found += detected
+            if self.obs is not None:
+                self.obs.on_scrub(now, sid, checked, detected)
+
+    def scrub_tick(self, now: float) -> None:
+        for server in self.servers:
+            if not server.up:
+                continue
+            sid = server.server_id
+            keys = self._scrub_keys[sid]
+            pos = self._scrub_pos[sid]
+            if pos >= len(keys):
+                keys = self._scrub_keys[sid] = sorted(
+                    set(self._stores[sid]) | set(self._expected[sid])
+                )
+                pos = 0
+            end = min(len(keys), pos + self.SCRUB_CHUNK)
+            self._scrub_pos[sid] = end
+            self._scrub_span(now, server, keys[pos:end])
+
+    def final_scrub(self, now: float) -> None:
+        for server in self.servers:
+            if not server.up:
+                continue
+            sid = server.server_id
+            self._scrub_span(
+                now, server,
+                sorted(set(self._stores[sid]) | set(self._expected[sid])),
+            )
+
+
+class _IntegrityCalls:
+    """A stub ``obs``: records every integrity hook call in order."""
+
+    def __init__(self) -> None:
+        self.calls: list[tuple] = []
+
+    def on_scrub(self, *args) -> None:
+        self.calls.append(("scrub",) + args)
+
+    def on_integrity_repair(self, *args) -> None:
+        self.calls.append(("repair",) + args)
+
+    def on_block_declared_lost(self, *args) -> None:
+        self.calls.append(("lost",) + args)
+
+    def on_checksum_failure(self, *args) -> None:
+        self.calls.append(("checksum",) + args)
+
+
+_COUNTER_FIELDS = (
+    "scrub_blocks_checked",
+    "scrub_corruptions_found",
+    "blocks_repaired",
+    "blocks_declared_lost",
+    "checksum_failures",
+)
+
+
+class _ScrubPair:
+    """The reference and the suspect-set manager, each over its own
+    servers, sharing one set of replica maps and driven in lockstep."""
+
+    def __init__(self, spg: int, groups: int, r: int, chunk: int) -> None:
+        n = spg * groups
+        self.spg = spg
+        placement = Placement(n)
+        self.views = [placement.group_view(g, groups) for g in range(groups)]
+        self.maps = (
+            {g: ReplicaMap(view, r) for g, view in enumerate(self.views)}
+            if r > 1
+            else None
+        )
+        self.managers = []
+        for cls in (FullScanIntegrity, IntegrityManager):
+            servers = [Server(1 * MB, BLOCK, server_id=i) for i in range(n)]
+            manager = cls(servers, group_maps=self.maps, servers_per_group=spg)
+            manager.SCRUB_CHUNK = chunk
+            manager.obs = _IntegrityCalls()
+            for server in servers:
+                server.integrity = manager
+            self.managers.append(manager)
+        self.now = 0.0
+
+    def chain(self, group: int, file_id: int) -> tuple[int, ...]:
+        if self.maps is None:
+            return (self.views[group].shard_of(file_id),)
+        return self.maps[group].replicas(file_id)
+
+    def apply(self, op: tuple) -> None:
+        self.now += 1.0
+        now = self.now
+        kind, args = op[0], op[1:]
+        results = []
+        for manager in self.managers:
+            servers = manager.servers
+            n = len(servers)
+            if kind == "write":
+                group, file_id, index = args
+                group %= len(self.views)
+                manager.begin_write(file_id, index)
+                for sid in self.chain(group, file_id):
+                    if servers[sid].up:
+                        manager.server_write(servers[sid], now, file_id, index)
+            elif kind == "torn":
+                manager.arm_torn(args[0] % n)
+            elif kind == "lost":
+                manager.arm_lost(args[0] % n)
+            elif kind == "rot":
+                results.append(manager.inject_bit_rot(now, args[0], args[1]))
+            elif kind == "toggle":
+                servers[args[0] % n].up = not servers[args[0] % n].up
+            elif kind == "copy":
+                src, target, file_id = args
+                src %= n
+                first = src - src % self.spg
+                target = first + target % self.spg
+                results.append(manager.copy_file(now, src, target, file_id))
+            elif kind == "invalidate":
+                manager.invalidate_file(args[0] % n, args[1])
+            elif kind == "read":
+                sid, file_id, index, from_cache = args
+                results.append(
+                    manager.verify_read(
+                        servers[sid % n], now, file_id, index, from_cache
+                    )
+                )
+            elif kind == "tick":
+                manager.scrub_tick(now)
+            elif kind == "retire":
+                pass  # a chain change only: applied to the shared maps
+            else:
+                assert kind == "final"
+                manager.final_scrub(now)
+        if kind == "copy" and self.maps is not None:
+            # Re-replication follows a copy with a chain change.
+            src, target, file_id = args
+            n = len(self.managers[0].servers)
+            group = (src % n) // self.spg
+            target = group * self.spg + target % self.spg
+            if target not in self.maps[group].replicas(file_id):
+                self.maps[group].add_substitute(file_id, target, src % n)
+        if kind == "retire" and self.maps is not None:
+            sid = args[0] % len(self.managers[0].servers)
+            self.maps[sid // self.spg].drop_substitutes_for(sid)
+        if results:
+            assert results[0] == results[1], op
+
+    def assert_agree(self, op: tuple) -> None:
+        ref, new = self.managers
+        for a, b in zip(ref.servers, new.servers):
+            assert [getattr(a.counters, f) for f in _COUNTER_FIELDS] == [
+                getattr(b.counters, f) for f in _COUNTER_FIELDS
+            ], op
+        assert ref._stores == new._stores, op
+        assert ref._expected == new._expected, op
+        assert ref._declared_lost == new._declared_lost, op
+        assert ref.obs.calls == new.obs.calls, op
+        for sid, keys in enumerate(new._keys):
+            assert keys == sorted(
+                set(new._stores[sid]) | set(new._expected[sid])
+            ), op
+
+
+#: Few files, blocks and servers, so ops collide on the same keys.
+_FILES = st.sampled_from([0, 0, 1, 1, 2, -1])
+_INDEXES = st.integers(min_value=0, max_value=1)
+_SIDS = st.integers(min_value=0, max_value=5)
+_WRITE = st.tuples(st.just("write"), st.integers(0, 1), _FILES, _INDEXES)
+_TICK = st.tuples(st.just("tick"))
+_TOGGLE = st.tuples(st.just("toggle"), _SIDS)
+
+_SCRUB_OPS = st.one_of(
+    _WRITE, _WRITE, _WRITE, _TICK, _TICK, _TOGGLE, _TOGGLE,
+    st.tuples(st.just("torn"), _SIDS),
+    st.tuples(st.just("lost"), _SIDS),
+    st.tuples(
+        st.just("rot"), _SIDS,
+        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    ),
+    st.tuples(st.just("copy"), _SIDS, _SIDS, _FILES),
+    st.tuples(st.just("retire"), _SIDS),
+    st.tuples(st.just("invalidate"), _SIDS, _FILES),
+    st.tuples(st.just("read"), _SIDS, _FILES, _INDEXES, st.booleans()),
+    st.tuples(st.just("final")),
+)
+
+
+def _run_scrub_pair(spg, groups, r, chunk, ops):
+    pair = _ScrubPair(spg, groups, min(r, spg), chunk)
+    for op in ops:
+        pair.apply(op)
+        pair.assert_agree(op)
+    return pair
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@given(
+    layout=st.sampled_from(
+        [(spg, 1) for spg in range(2, 7)] + [(spg, 2) for spg in range(1, 4)]
+    ),
+    r=st.integers(min_value=1, max_value=3),
+    chunk=st.integers(min_value=1, max_value=5),
+    ops=st.lists(_SCRUB_OPS, min_size=20, max_size=80),
+)
+def test_property_suspect_scrub_matches_the_full_scan(layout, r, chunk, ops):
+    """Counters, stores, ledgers, declared losses and the obs call
+    sequence agree with the full-scan scrubber after every op."""
+    spg, groups = layout
+    _run_scrub_pair(spg, groups, r, chunk, ops)
+
+
+def test_scrub_regression_stale_copy_is_caught_when_its_peer_returns():
+    """A push missed while down leaves an older copy; the newer write
+    marks it, and it stays suspect while the newer copy's server is
+    down -- the visit in between must not settle it."""
+    pair = _ScrubPair(spg=2, groups=1, r=2, chunk=4)
+    a, b = pair.chain(0, 0)
+    for op in [
+        ("write", 0, 0, 0), ("toggle", a), ("write", 0, 0, 0),
+        ("toggle", a), ("toggle", b), ("tick",), ("toggle", b), ("tick",),
+    ]:
+        pair.apply(op)
+        pair.assert_agree(op)
+    assert pair.managers[1].servers[a].counters.blocks_repaired == 1
+
+
+def test_scrub_regression_copy_onto_a_substitute_is_suspect():
+    """Re-replication copies an older generation onto a substitute
+    while the newest copy's server is down; once it returns, the
+    substitute's cross-check must run."""
+    pair = _ScrubPair(spg=3, groups=1, r=2, chunk=4)
+    a, b = pair.chain(0, 0)
+    (c,) = set(range(3)) - {a, b}
+    for op in [
+        ("write", 0, 0, 0), ("toggle", a), ("write", 0, 0, 0),
+        ("toggle", a), ("toggle", b), ("copy", a, c, 0), ("toggle", b),
+        ("tick",),
+    ]:
+        pair.apply(op)
+        pair.assert_agree(op)
+    assert pair.managers[1].servers[c].counters.blocks_repaired == 1
+
+
+# --------------------------------------------------------------------------
 # chaos: full replays under seeded disk faults
 # --------------------------------------------------------------------------
 
