@@ -116,8 +116,8 @@ class IntegrityManager:
 
     def __init__(
         self, servers: "list[Server]",
-        group_maps: "dict[int, Any] | None" = None,
-        servers_per_group: int = 0,
+        group_maps: "dict[int, Any] | None",
+        servers_per_group: int,
     ) -> None:
         self.servers = servers
         #: The replication manager's per-group replica maps (group ->
@@ -127,7 +127,7 @@ class IntegrityManager:
         #: different slice per group).  None = r=1: every unrepairable
         #: corruption becomes a declared loss.
         self._group_maps = group_maps
-        self._servers_per_group = servers_per_group or len(servers)
+        self._servers_per_group = servers_per_group
         self._replicated = group_maps is not None
         #: Optional observability hook (repro.obs); every use is guarded.
         self.obs = None
