@@ -184,7 +184,9 @@ class IntegrityManager:
         self, server_id: int, key: tuple[int, int], payload: int, gen: int
     ) -> None:
         """``server_id`` now owes ``key`` at (payload, gen): its ledger,
-        file index and sorted key list take the key in."""
+        file index and sorted key list take the key in.  A store never
+        holds a key its ledger lacks, so the ledger alone says whether
+        the key is listed yet."""
         expected = self._expected[server_id]
         if key not in expected:
             insort(self._keys[server_id], key)

@@ -570,63 +570,63 @@ class _ScrubPair:
         return self.maps[group].replicas(file_id)
 
     def apply(self, op: tuple) -> None:
+        """Apply one op to both managers, then any chain change to the
+        shared maps; the calls that return a value must agree."""
         self.now += 1.0
-        now = self.now
-        kind, args = op[0], op[1:]
-        results = []
-        for manager in self.managers:
-            servers = manager.servers
-            n = len(servers)
-            if kind == "write":
-                group, file_id, index = args
-                group %= len(self.views)
-                manager.begin_write(file_id, index)
-                for sid in self.chain(group, file_id):
-                    if servers[sid].up:
-                        manager.server_write(servers[sid], now, file_id, index)
-            elif kind == "torn":
-                manager.arm_torn(args[0] % n)
-            elif kind == "lost":
-                manager.arm_lost(args[0] % n)
-            elif kind == "rot":
-                results.append(manager.inject_bit_rot(now, args[0], args[1]))
-            elif kind == "toggle":
-                servers[args[0] % n].up = not servers[args[0] % n].up
-            elif kind == "copy":
-                src, target, file_id = args
-                src %= n
-                first = src - src % self.spg
-                target = first + target % self.spg
-                results.append(manager.copy_file(now, src, target, file_id))
-            elif kind == "invalidate":
-                manager.invalidate_file(args[0] % n, args[1])
-            elif kind == "read":
-                sid, file_id, index, from_cache = args
-                results.append(
-                    manager.verify_read(
-                        servers[sid % n], now, file_id, index, from_cache
-                    )
-                )
-            elif kind == "tick":
-                manager.scrub_tick(now)
-            elif kind == "retire":
-                pass  # a chain change only: applied to the shared maps
-            else:
-                assert kind == "final"
-                manager.final_scrub(now)
-        if kind == "copy" and self.maps is not None:
-            # Re-replication follows a copy with a chain change.
+        n, spg = self.spg * len(self.views), self.spg
+        kind, *args = op
+        if kind == "copy":
+            # Re-replication copies within the source's group slice.
             src, target, file_id = args
-            n = len(self.managers[0].servers)
-            group = (src % n) // self.spg
-            target = group * self.spg + target % self.spg
-            if target not in self.maps[group].replicas(file_id):
-                self.maps[group].add_substitute(file_id, target, src % n)
-        if kind == "retire" and self.maps is not None:
-            sid = args[0] % len(self.managers[0].servers)
-            self.maps[sid // self.spg].drop_substitutes_for(sid)
-        if results:
-            assert results[0] == results[1], op
+            src %= n
+            args = [src, src - src % spg + target % spg, file_id]
+        results = [self._apply(m, kind, args) for m in self.managers]
+        assert results[0] == results[1], op
+        if self.maps is None:
+            return
+        if kind == "copy":
+            src, target, file_id = args
+            rmap = self.maps[src // spg]
+            if target not in rmap.replicas(file_id):
+                rmap.add_substitute(file_id, target, src)
+        elif kind == "retire":
+            sid = args[0] % n
+            self.maps[sid // spg].drop_substitutes_for(sid)
+
+    def _apply(self, manager, kind: str, args: list):
+        now, servers = self.now, manager.servers
+        n = len(servers)
+        if kind == "write":
+            group, file_id, index = args
+            manager.begin_write(file_id, index)
+            for sid in self.chain(group % len(self.views), file_id):
+                if servers[sid].up:
+                    manager.server_write(servers[sid], now, file_id, index)
+        elif kind == "torn":
+            manager.arm_torn(args[0])
+        elif kind == "lost":
+            manager.arm_lost(args[0])
+        elif kind == "rot":
+            return manager.inject_bit_rot(now, *args)
+        elif kind == "toggle":
+            server = servers[args[0] % n]
+            server.up = not server.up
+        elif kind == "copy":
+            return manager.copy_file(now, *args)
+        elif kind == "invalidate":
+            manager.invalidate_file(args[0] % n, args[1])
+        elif kind == "read":
+            sid, file_id, index, from_cache = args
+            return manager.verify_read(
+                servers[sid % n], now, file_id, index, from_cache
+            )
+        elif kind == "tick":
+            manager.scrub_tick(now)
+        elif kind == "final":
+            manager.final_scrub(now)
+        else:
+            assert kind == "retire"  # a chain change only
+        return None
 
     def assert_agree(self, op: tuple) -> None:
         ref, new = self.managers
