@@ -1,17 +1,19 @@
-"""The scale-out curve's plan rule, shared by the bench and its fingerprint test.
+"""The replay benches' population rules, shared by the benches and their
+fingerprint test.
 
-``benchmarks/test_bench_replay.py`` measures the curve and gates on the
-committed ``BENCH_scale.json``; ``tests/test_bench_baselines.py``
-recomputes each committed row's plan fingerprint from this same rule,
-so a change that invalidates the baseline fails tier-1 in seconds
-instead of the slow scale-smoke leg.  Plain module (no pytest, no
-conftest): both suites import it.
+``benchmarks/test_bench_replay.py`` measures the scale=1 replay and the
+scale-out curve and gates on the committed ``BENCH_replay.json`` and
+``BENCH_scale.json``; ``tests/test_bench_baselines.py`` recomputes each
+committed row's fingerprint from these same rules, so a change that
+invalidates a baseline fails tier-1 in seconds instead of the slow
+bench legs.  Plain module (no pytest, no conftest): both suites import
+it.
 """
 
 from __future__ import annotations
 
 from repro.pipeline.scaleout import ScaleOutPlan
-from repro.workload import STANDARD_PROFILES
+from repro.workload import STANDARD_PROFILES, SyntheticTrace, generate_trace
 
 #: The population scales the curve measures, in increasing order.
 SCALES = (0.05, 0.5, 2.0, 10.0)
@@ -19,6 +21,19 @@ SCALES = (0.05, 0.5, 2.0, 10.0)
 #: Shards cap at 4: on the bench host shards beyond the core count only
 #: repeat the fixed day-simulation cost.
 MAX_SHARDS = 4
+
+
+def clients_for(scale: float) -> int:
+    """Mirror ``ExperimentContext.client_count``."""
+    return max(4, round(40 * scale))
+
+
+def replay_trace(scale: float) -> SyntheticTrace:
+    """The single-worker replay bench's input: trace0 at ``scale``."""
+    return generate_trace(
+        STANDARD_PROFILES[0], seed=1991, scale=scale,
+        client_count=clients_for(scale),
+    )
 
 
 def scale_out_plan(scale: float) -> ScaleOutPlan:

@@ -32,10 +32,11 @@ import pytest
 
 from repro.fs import ClusterConfig, run_cluster_on_trace
 from repro.pipeline.scaleout import build_group_traces, run_partitioned_replay
-from repro.workload import STANDARD_PROFILES, generate_trace
 
 from conftest import calibration_seconds, load_bench_json, write_bench_json
-from scale_curve import SCALES, scale_out_plan, shard_count
+from scale_curve import (
+    SCALES, clients_for, replay_trace, scale_out_plan, shard_count,
+)
 
 #: Pre-optimization baseline: commit f33387b (before the hot-path
 #: rewrite), same trace0 replay at scale=1.  Median of four runs
@@ -57,17 +58,10 @@ MAX_REGRESSION = 1.25
 MIN_SPEEDUP = 5.0
 
 
-def _clients_for(scale: float) -> int:
-    """Mirror ``ExperimentContext.client_count``."""
-    return max(4, round(40 * scale))
-
-
 def _replay_once(scale: float) -> dict:
     """Generate trace0 at ``scale`` and time one single-worker replay."""
-    clients = _clients_for(scale)
-    trace = generate_trace(
-        STANDARD_PROFILES[0], seed=1991, scale=scale, client_count=clients
-    )
+    clients = clients_for(scale)
+    trace = replay_trace(scale)
     config = ClusterConfig(client_count=clients)
     gc.collect()
     start = time.perf_counter()

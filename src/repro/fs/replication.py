@@ -55,16 +55,18 @@ class ReplicaMap:
     """The current file -> replica-set map.
 
     The *base* replicas are the pure placement function and are cached
-    per file; *substitute* replicas added by re-replication are layered
-    on top and dropped when the server they stood in for recovers.
+    per file, as is the full placement *chain* re-replication walks;
+    *substitute* replicas added by re-replication are layered on top
+    and dropped when the server they stood in for recovers.
     """
 
-    __slots__ = ("placement", "replication_factor", "_base", "_extra")
+    __slots__ = ("placement", "replication_factor", "_base", "_chain", "_extra")
 
     def __init__(self, placement: Placement, replication_factor: int) -> None:
         self.placement = placement
         self.replication_factor = replication_factor
         self._base: dict[int, tuple[int, ...]] = {}
+        self._chain: dict[int, tuple[int, ...]] = {}
         #: file_id -> {substitute server -> dead server it stands in for}
         self._extra: dict[int, dict[int, int]] = {}
 
@@ -75,6 +77,18 @@ class ReplicaMap:
                 file_id, self.replication_factor
             )
         return replicas
+
+    def chain(self, file_id: int) -> tuple[int, ...]:
+        """The file's full placement chain, a stable preference order
+        over the slice.  A pure function of placement and file id, so
+        the cache is never invalidated (not even by :meth:`forget`)."""
+        chain = self._chain.get(file_id)
+        if chain is None:
+            placement = self.placement
+            chain = self._chain[file_id] = placement.replicas_of(
+                file_id, placement.chain_width
+            )
+        return chain
 
     def replicas(self, file_id: int) -> tuple[int, ...]:
         """Base replicas plus any live substitutes, primary first."""
@@ -255,9 +269,10 @@ class ReplicationManager:
 
         The hosted set is discovered from the live replicas' durable
         state (the dead server cannot be asked).  Each file's substitute
-        is the first live server in its full placement chain that is not
-        already a replica; it receives the freshest live version stamp
-        and a copy of the freshest replica's resident cache blocks.
+        is the first live server in its full placement chain (cached on
+        the map) that is not already a replica; it receives the freshest
+        live version stamp and a copy of that replica's resident cache
+        blocks, the lowest server id winning a version tie.
         Registrations are not copied -- they converge through the normal
         open/close fan-out.  Files created after this declaration stay
         at ``r - 1`` copies until the dead server returns (the detector
@@ -265,7 +280,7 @@ class ReplicationManager:
         """
         servers = self.servers
         rmap = self._map_for_server(dead_id)
-        placement = rmap.placement
+        integrity, obs = self.integrity, self.obs
         candidates: set[int] = set()
         # Only the dead server's own group slice can hold (or receive)
         # copies of its files.
@@ -278,34 +293,39 @@ class ReplicationManager:
             replicas = rmap.replicas(file_id)
             if dead_id not in replicas:
                 continue
-            live = [s for s in replicas if servers[s].up]
-            if not live:
+            # The source is the freshest live replica, lowest id on ties.
+            src = None
+            version = -1
+            for sid in replicas:
+                server = servers[sid]
+                if server.up:
+                    v = server.peek_version(file_id)
+                    if v > version or (v == version and sid < src):
+                        src, version = sid, v
+            if src is None:
                 continue
             target_id = None
-            for cand in placement.replicas_of(file_id, placement.chain_width):
+            for cand in rmap.chain(file_id):
                 if cand not in replicas and servers[cand].up:
                     target_id = cand
                     break
             if target_id is None:
                 continue  # no live server left to copy onto
-            src = max(
-                live, key=lambda s: (servers[s].peek_version(file_id), -s)
-            )
-            version = servers[src].peek_version(file_id)
             target = servers[target_id]
             target.apply_replica_version(file_id, version)
-            blocks = sorted(servers[src].cache._by_file.get(file_id, ()))
-            for index in blocks:
-                target.cache.install(file_id, index, now)
+            resident = servers[src].cache._by_file.get(file_id)
+            blocks = sorted(resident) if resident else ()
+            if blocks:
+                install = target.cache.install
+                for index in blocks:
+                    install(file_id, index, now)
             target.counters.rereplicated_files += 1
             target.counters.rereplication_blocks += len(blocks)
             rmap.add_substitute(file_id, target_id, dead_id)
-            if self.integrity is not None:
-                self.integrity.copy_file(now, src, target_id, file_id)
-            if self.obs is not None:
-                self.obs.on_rereplication(
-                    now, dead_id, target_id, file_id, len(blocks)
-                )
+            if integrity is not None:
+                integrity.copy_file(now, src, target_id, file_id)
+            if obs is not None:
+                obs.on_rereplication(now, dead_id, target_id, file_id, len(blocks))
 
 
 # --- Table A: availability and data loss vs. replication factor ---------------

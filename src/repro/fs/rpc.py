@@ -282,8 +282,12 @@ class DedupCache:
     def record(self, client_id: int, seq: int, reply: Any) -> None:
         """Remember an executed request's reply, evicting beyond the
         retention bound."""
-        self._high[client_id] = max(self._high.get(client_id, -1), seq)
-        retained = self._replies.setdefault(client_id, OrderedDict())
+        high = self._high
+        if seq > high.get(client_id, -1):
+            high[client_id] = seq
+        retained = self._replies.get(client_id)
+        if retained is None:
+            retained = self._replies[client_id] = OrderedDict()
         retained[seq] = reply
         while len(retained) > self.retention:
             retained.popitem(last=False)

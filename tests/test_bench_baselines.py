@@ -1,13 +1,14 @@
 """Committed bench baselines still describe what current code runs.
 
-``benchmarks/BENCH_scale.json`` is compared against fresh measurements
-only by the slow scale-smoke leg, which tier-1 never runs.  These tests
-recompute each committed row's plan fingerprint -- clients, groups and
-shards from the curve's own plan rule, and the record count where
-generation is cheap -- without replaying anything, so a change that
-invalidates the baseline fails here in seconds.  Regenerate the
-baseline with ``pytest benchmarks/test_bench_replay.py -k scale_curve
---regen-bench`` on a clean tree.
+``benchmarks/BENCH_scale.json`` and ``BENCH_replay.json`` are compared
+against fresh measurements only by the bench legs, which tier-1 never
+runs.  These tests recompute each committed row's fingerprint --
+clients, groups and shards from the curve's own plan rule, and the
+record count where generation is cheap -- without replaying anything,
+so a change that invalidates a baseline fails here in seconds.
+Regenerate the baselines with ``pytest benchmarks/test_bench_replay.py
+--regen-bench`` on a clean tree (``-k scale_curve`` for the curve
+alone).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ def _load_scale_curve():
 
 scale_curve = _load_scale_curve()
 ROWS = json.loads((BENCHMARKS / "BENCH_scale.json").read_text())["rows"]
+REPLAY = json.loads((BENCHMARKS / "BENCH_replay.json").read_text())
 
 _STALE = (
     "benchmarks/BENCH_scale.json no longer matches current code; "
@@ -61,3 +63,18 @@ def test_scale_baseline_plan_fingerprint(row):
     if row["scale"] <= CHEAP_SCALE:
         records = sum(trace.record_count for trace in build_group_traces(plan))
         assert row["records"] == records, _STALE
+
+
+def test_replay_baseline_fingerprint():
+    """The scale=1 replay row's clients and records (generation takes
+    a few seconds at this scale)."""
+    scale = REPLAY["scale"]
+    trace = scale_curve.replay_trace(scale)
+    assert (REPLAY["clients"], REPLAY["records"]) == (
+        scale_curve.clients_for(scale),
+        len(trace.records),
+    ), (
+        "benchmarks/BENCH_replay.json no longer matches current code; "
+        "regenerate it with `pytest benchmarks/test_bench_replay.py "
+        "-m 'not slow' --regen-bench` on a clean tree"
+    )

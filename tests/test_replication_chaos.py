@@ -14,7 +14,10 @@ end:
 * **worker independence** -- replicated replays fan out across worker
   processes without changing a single counter;
 * **generated schedules stay clean** -- a randomized crash/partition
-  timeline at r=2 books zero oracle violations in collection mode.
+  timeline at r=2 books zero oracle violations in collection mode;
+* **re-replication matches its reference** -- the cached-chain,
+  one-pass manager agrees with the chain-recomputing one it replaced
+  on generated crash/write/heartbeat sequences.
 
 Paging is disabled throughout: backing-store pages are pinned to one
 server by design, so a paging stall cannot fail over and would mask
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.common.units import BLOCK_SIZE
 from repro.fs import (
     ClusterConfig,
     FaultConfig,
@@ -34,6 +38,9 @@ from repro.fs import (
     ProtocolOracle,
     run_cluster_on_trace,
 )
+from repro.fs.replication import ReplicationManager
+from repro.fs.server import Server
+from repro.fs.sharding import Placement
 from repro.pipeline.runner import run_stage
 from repro.pipeline.tasks import ReplayTask
 
@@ -292,3 +299,250 @@ def test_table_a_r3_replicas_converge_at_study_seed_16384(experiment_context):
         if v.invariant == "replica-divergence"
     ]
     assert divergences == []
+
+
+# --------------------------------------------------------------------------
+# differential: the cached-chain re-replication vs. the chain recompute
+# --------------------------------------------------------------------------
+
+hypothesis = pytest.importorskip("hypothesis")
+given = hypothesis.given
+st = hypothesis.strategies
+
+
+class ChainRecomputingManager(ReplicationManager):
+    """The reference re-replication: recomputes each candidate's full
+    placement chain and picks the source with a keyed ``max``."""
+
+    def _rereplicate(self, now: float, dead_id: int) -> None:
+        servers = self.servers
+        rmap = self._map_for_server(dead_id)
+        placement = rmap.placement
+        candidates: set[int] = set()
+        spg = self._servers_per_group
+        first = (dead_id // spg) * spg
+        for sid in range(first, first + spg):
+            if servers[sid].up:
+                candidates.update(servers[sid]._files.keys())
+        for file_id in sorted(candidates):
+            replicas = rmap.replicas(file_id)
+            if dead_id not in replicas:
+                continue
+            live = [s for s in replicas if servers[s].up]
+            if not live:
+                continue
+            target_id = None
+            for cand in placement.replicas_of(file_id, placement.chain_width):
+                if cand not in replicas and servers[cand].up:
+                    target_id = cand
+                    break
+            if target_id is None:
+                continue  # no live server left to copy onto
+            src = max(
+                live, key=lambda s: (servers[s].peek_version(file_id), -s)
+            )
+            version = servers[src].peek_version(file_id)
+            target = servers[target_id]
+            target.apply_replica_version(file_id, version)
+            blocks = sorted(servers[src].cache._by_file.get(file_id, ()))
+            for index in blocks:
+                target.cache.install(file_id, index, now)
+            target.counters.rereplicated_files += 1
+            target.counters.rereplication_blocks += len(blocks)
+            rmap.add_substitute(file_id, target_id, dead_id)
+            if self.integrity is not None:
+                self.integrity.copy_file(now, src, target_id, file_id)
+            if self.obs is not None:
+                self.obs.on_rereplication(
+                    now, dead_id, target_id, file_id, len(blocks)
+                )
+
+
+class _ReplicationCalls:
+    """A stub ``obs``: records every replication hook call in order."""
+
+    def __init__(self) -> None:
+        self.calls: list[tuple] = []
+
+    def on_failure_detected(self, *args) -> None:
+        self.calls.append(("detected",) + args)
+
+    def on_rereplication(self, *args) -> None:
+        self.calls.append(("rereplication",) + args)
+
+
+class _Clock:
+    now = 0.0
+
+
+class _NoTicker:
+    """Heartbeat ticks are driven by hand, not by the engine."""
+
+    def subscribe(self, callback):
+        return None
+
+
+#: Cache capacity in blocks: small, so installs also evict.
+_CACHE_BLOCKS = 6
+
+_REPLICATION_COUNTERS = (
+    "rereplicated_files",
+    "rereplication_blocks",
+    "replica_version_pushes",
+    "failure_detections",
+)
+
+
+class _RereplicationPair:
+    """The reference and the cached-chain manager, each over its own
+    servers and replica maps, driven in lockstep."""
+
+    def __init__(self, spg: int, groups: int, r: int, threshold: int) -> None:
+        n = spg * groups
+        self.spg, self.groups = spg, groups
+        self.clock = _Clock()
+        self.managers = []
+        for cls in (ChainRecomputingManager, ReplicationManager):
+            servers = [
+                Server(_CACHE_BLOCKS * BLOCK_SIZE, BLOCK_SIZE, server_id=i)
+                for i in range(n)
+            ]
+            manager = cls(
+                self.clock, servers, Placement(n), r, threshold,
+                _NoTicker(), groups=groups,
+            )
+            manager.obs = _ReplicationCalls()
+            self.managers.append(manager)
+
+    def apply(self, op: tuple) -> None:
+        self.clock.now += 1.0
+        for manager in self.managers:
+            self._apply(manager, op)
+
+    def _apply(self, manager, op: tuple) -> None:
+        now, servers = self.clock.now, manager.servers
+        n = len(servers)
+        kind, *args = op
+        if kind == "write":
+            # A write bumps the version on every live replica and leaves
+            # the written blocks resident there.
+            group, file_id, first, count = args
+            rmap = manager.group_maps[group % self.groups]
+            live = [s for s in rmap.replicas(file_id) if servers[s].up]
+            version = 1 + max(
+                (servers[s].peek_version(file_id) for s in live), default=0
+            )
+            for sid in live:
+                servers[sid].apply_replica_version(file_id, version)
+                for index in range(first, first + count):
+                    servers[sid].cache.install(file_id, index, now)
+        elif kind == "stamp":
+            # One server alone takes a write: a stale peer, an equal
+            # version with other blocks, or a retired substitute's
+            # orphaned copy.
+            sid, file_id, version, index = args
+            server = servers[sid % n]
+            if server.up:
+                server.apply_replica_version(file_id, version)
+                server.cache.install(file_id, index, now)
+        elif kind == "crash":
+            servers[args[0] % n].crash(now, now)
+        elif kind == "recover":
+            sid = args[0] % n
+            if servers[sid].recover(now):
+                manager.on_server_recovered(now, sid)
+        elif kind == "tick":
+            manager._heartbeat_tick()
+        else:
+            assert kind == "forget"
+            group, file_id = args
+            manager.group_maps[group % self.groups].forget(file_id)
+
+    def assert_agree(self, op: tuple) -> None:
+        ref, new = self.managers
+        for a, b in zip(ref.servers, new.servers):
+            assert {f: s.version for f, s in a._files.items()} == {
+                f: s.version for f, s in b._files.items()
+            }, op
+            assert list(a.cache._blocks.items()) == list(
+                b.cache._blocks.items()
+            ), op
+            assert [getattr(a.counters, f) for f in _REPLICATION_COUNTERS] == [
+                getattr(b.counters, f) for f in _REPLICATION_COUNTERS
+            ], op
+        for group, rmap in ref.group_maps.items():
+            assert rmap._extra == new.group_maps[group]._extra, op
+        assert ref._dead == new._dead, op
+        assert ref.obs.calls == new.obs.calls, op
+
+
+#: Few files and servers, so ops collide on the same files.
+_RR_FILES = st.sampled_from([0, 1, 2, 3, 4, -1])
+_RR_SIDS = st.integers(min_value=0, max_value=11)
+_RR_TICK = st.tuples(st.just("tick"))
+
+_REREPLICATION_OPS = st.one_of(
+    st.tuples(
+        st.just("write"), st.integers(0, 1), _RR_FILES,
+        st.integers(0, 3), st.integers(0, 3),
+    ),
+    st.tuples(
+        st.just("stamp"), _RR_SIDS, _RR_FILES,
+        st.integers(0, 4), st.integers(0, 3),
+    ),
+    st.tuples(st.just("crash"), _RR_SIDS),
+    st.tuples(st.just("recover"), _RR_SIDS),
+    _RR_TICK, _RR_TICK, _RR_TICK,
+    st.tuples(st.just("forget"), st.integers(0, 1), _RR_FILES),
+)
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@given(
+    layout=st.sampled_from(
+        [(spg, groups) for spg in range(3, 7) for groups in (1, 2)]
+    ),
+    r=st.sampled_from([2, 3]),
+    threshold=st.integers(min_value=1, max_value=2),
+    ops=st.lists(_REREPLICATION_OPS, min_size=10, max_size=60),
+)
+def test_property_cached_chain_rereplication_matches_the_recompute(
+    layout, r, threshold, ops
+):
+    """Version stamps, cache blocks, counters, substitute maps and the
+    obs call sequence agree with the chain-recomputing reference after
+    every op."""
+    spg, groups = layout
+    pair = _RereplicationPair(spg, groups, r, threshold)
+    for op in ops:
+        pair.apply(op)
+        pair.assert_agree(op)
+
+
+def test_rereplication_tie_copies_from_the_lower_server_id():
+    """Two live replicas at the same version: the copy comes from the
+    lower server id even when the higher id comes first in
+    ``replicas()``."""
+    pair = _RereplicationPair(spg=5, groups=1, r=3, threshold=1)
+    rmap = pair.managers[1].group_maps[0]
+    file_id = next(
+        f for f in range(1000) if rmap.replicas(f)[0] > rmap.replicas(f)[1]
+    )
+    high, low, dead = rmap.replicas(file_id)
+    ops = [
+        ("stamp", high, file_id, 3, 0),
+        ("stamp", low, file_id, 3, 1),
+        ("stamp", low, file_id, 3, 2),
+        ("crash", dead),
+        ("tick",),
+    ]
+    for op in ops:
+        pair.apply(op)
+        pair.assert_agree(op)
+    for manager in pair.managers:
+        (call,) = [c for c in manager.obs.calls if c[0] == "rereplication"]
+        _, _, dead_id, target_id, copied_file, blocks = call
+        assert (dead_id, copied_file, blocks) == (dead, file_id, 2)
+        target = manager.servers[target_id]
+        assert target.peek_version(file_id) == 3
+        assert sorted(target.cache._by_file[file_id]) == [1, 2]
