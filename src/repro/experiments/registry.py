@@ -16,13 +16,14 @@ from hashlib import sha256
 from typing import Callable
 
 from repro.analysis import (
-    FileSizeResult,
-    LifetimeResult,
-    OpenTimeResult,
-    RunLengthResult,
+    Access,
     assemble_accesses,
     compute_access_patterns,
     compute_activity,
+    compute_file_sizes,
+    compute_lifetimes,
+    compute_open_times,
+    compute_run_lengths,
     compute_table1,
 )
 from repro.analysis.access_patterns import (
@@ -77,7 +78,6 @@ from repro.fs.cluster import ClusterResult, run_cluster_on_trace
 from repro.pipeline import (
     ArtifactCache,
     PipelineReport,
-    build_accesses,
     build_cluster_results,
     build_traces,
     resolve_cache,
@@ -111,9 +111,11 @@ class ExperimentContext:
     count for the Section 5 experiments) so the full suite runs in
     seconds at 0.05 and in minutes at 0.25+.
 
-    ``workers`` fans trace generation, access assembly, and cluster
-    replays out across that many worker processes (0 = one per core,
-    1 = serial).  Output is identical regardless of worker count.
+    ``workers`` fans trace generation and cluster replays out across
+    that many worker processes (0 = one per core, 1 = serial).  Output
+    is identical regardless of worker count.  Access assembly always
+    runs in process: shipping records to a worker and accesses back
+    costs more than assembling them.
 
     ``cache`` controls the content-addressed artifact cache: ``True``
     uses ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro``), ``False``
@@ -153,7 +155,7 @@ class ExperimentContext:
     )
     _traces: list[SyntheticTrace] | None = field(default=None, repr=False)
     _cluster_results: list[ClusterResult] | None = field(default=None, repr=False)
-    _accesses: list | None = field(default=None, repr=False)
+    _trace_accesses: list[list[Access]] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.scale <= 0:
@@ -225,17 +227,17 @@ class ExperimentContext:
             )
         return self._traces
 
-    def accesses(self):
-        """All completed accesses, pooled across the eight traces."""
-        if self._accesses is None:
-            self._accesses = build_accesses(
-                self.traces(),
-                self._trace_tasks(),
-                workers=self.workers,
-                cache=self._artifact_cache,
-                report=self.pipeline_report,
-            )
-        return self._accesses
+    def trace_accesses(self) -> list[list[Access]]:
+        """Each trace's completed accesses, assembled once per context."""
+        if self._trace_accesses is None:
+            self._trace_accesses = [
+                list(assemble_accesses(t.records)) for t in self.traces()
+            ]
+        return self._trace_accesses
+
+    def accesses(self) -> list[Access]:
+        """All completed accesses, pooled across the traces in order."""
+        return [a for accesses in self.trace_accesses() for a in accesses]
 
     def cluster_results(self) -> list[ClusterResult]:
         if self._cluster_results is None:
@@ -308,8 +310,7 @@ def _table2(ctx: ExperimentContext) -> ExperimentResult:
 
 def _table3(ctx: ExperimentContext) -> ExperimentResult:
     per_trace = [
-        compute_access_patterns(assemble_accesses(t.records))
-        for t in ctx.traces()
+        compute_access_patterns(accesses) for accesses in ctx.trace_accesses()
     ]
     pooled = merge_pattern_results(per_trace)
     return ExperimentResult(
@@ -330,9 +331,7 @@ def _table3(ctx: ExperimentContext) -> ExperimentResult:
 
 
 def _figure1(ctx: ExperimentContext) -> ExperimentResult:
-    result = RunLengthResult()
-    for access in ctx.accesses():
-        result.add(access)
+    result = compute_run_lengths(ctx.accesses())
     return ExperimentResult(
         experiment_id="figure1",
         title="Figure 1: sequential run lengths",
@@ -347,9 +346,7 @@ def _figure1(ctx: ExperimentContext) -> ExperimentResult:
 
 
 def _figure2(ctx: ExperimentContext) -> ExperimentResult:
-    result = FileSizeResult()
-    for access in ctx.accesses():
-        result.add(access)
+    result = compute_file_sizes(ctx.accesses())
     return ExperimentResult(
         experiment_id="figure2",
         title="Figure 2: file sizes",
@@ -364,9 +361,7 @@ def _figure2(ctx: ExperimentContext) -> ExperimentResult:
 
 
 def _figure3(ctx: ExperimentContext) -> ExperimentResult:
-    result = OpenTimeResult()
-    for access in ctx.accesses():
-        result.add(access)
+    result = compute_open_times(ctx.accesses())
     return ExperimentResult(
         experiment_id="figure3",
         title="Figure 3: file open times",
@@ -380,17 +375,9 @@ def _figure3(ctx: ExperimentContext) -> ExperimentResult:
 
 
 def _figure4(ctx: ExperimentContext) -> ExperimentResult:
-    result = LifetimeResult()
-    for trace in ctx.traces():
-        partial = LifetimeResult()
-        from repro.analysis.lifetime import compute_lifetimes
-
-        partial = compute_lifetimes(trace.records)
-        result.by_files._samples.extend(partial.by_files._samples)
-        result.by_bytes._samples.extend(partial.by_bytes._samples)
-        result.unknown_lifetime_deletes += partial.unknown_lifetime_deletes
-    result.by_files._values = None
-    result.by_bytes._values = None
+    result = compute_lifetimes(
+        record for trace in ctx.traces() for record in trace.records
+    )
     return ExperimentResult(
         experiment_id="figure4",
         title="Figure 4: file lifetimes",

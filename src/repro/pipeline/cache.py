@@ -8,10 +8,9 @@ Change any input and the key changes; nothing is ever invalidated in
 place.
 
 Entries are serialized by :mod:`repro.pipeline.codec` (traces in
-columnar form, access lists as indexes into their trace's records,
-replays as packed counter rows, plain pickle otherwise) and prefixed
-with a magic string and a payload checksum.  Writes go to a temporary
-file in the destination directory followed by an atomic
+columnar form, replays as packed counter rows, plain pickle otherwise)
+and prefixed with a magic string and a payload checksum.  Writes go to
+a temporary file in the destination directory followed by an atomic
 :func:`os.replace`, so a crashed or concurrent writer can never leave a
 half-written entry under a valid name.  Reads treat *any* problem --
 missing file, bad magic, checksum mismatch, unpicklable payload -- as a
@@ -115,15 +114,11 @@ class ArtifactCache:
 
     # --- I/O -----------------------------------------------------------------
 
-    def load(self, key: str, context: dict[str, Any] | None = None) -> Any | None:
+    def load(self, key: str) -> Any | None:
         """Return the cached artifact, or None on a miss.
 
         Corrupt entries (truncated, bad checksum, unpicklable) count as
         misses and are unlinked so they cannot shadow a future store.
-        ``context`` is the codec decode context (see
-        :func:`repro.pipeline.codec.decode_artifact`); an entry whose
-        payload needs a context the caller didn't supply reads as
-        corrupt.
         """
         path = self.path_for(key)
         try:
@@ -137,7 +132,7 @@ class ArtifactCache:
             digest, _, payload = blob[len(_MAGIC):].partition(b"\n")
             if hashlib.sha256(payload).hexdigest().encode("ascii") != digest:
                 raise ValueError("checksum mismatch")
-            artifact = decode_artifact(payload, context)
+            artifact = decode_artifact(payload)
         except Exception:
             self.stats.corrupt += 1
             self.stats.misses += 1
@@ -149,14 +144,12 @@ class ArtifactCache:
         self.stats.hits += 1
         return artifact
 
-    def store(
-        self, key: str, artifact: Any, context: dict[str, Any] | None = None
-    ) -> bool:
+    def store(self, key: str, artifact: Any) -> bool:
         """Write an artifact under ``key``; False (not an error) on failure."""
         path = self.path_for(key)
         tmp_name: str | None = None
         try:
-            payload = encode_artifact(artifact, context)
+            payload = encode_artifact(artifact)
             blob = (
                 _MAGIC
                 + hashlib.sha256(payload).hexdigest().encode("ascii")

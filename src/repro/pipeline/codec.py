@@ -21,11 +21,6 @@ Payloads are tagged by their first byte:
 * ``C`` -- a :class:`~repro.workload.SyntheticTrace`: the columnar
   payload marshal-packed, profile/users/validation pickled, plus
   whether ``records`` was materialized.
-* ``I`` -- a per-trace ``list[Access]`` in *index form*: open/close
-  records stored as indexes into the owning trace's record list, which
-  the caller supplies as decode context (the records are then shared
-  with the already-decoded trace instead of rebuilt).  An access list
-  without that context, or whose records do not resolve, is pickled.
 * ``R`` -- a :class:`~repro.fs.cluster.ClusterResult` (marshalled
   counter snapshots, pickled config).
 * ``O`` -- a :class:`~repro.obs.sampler.CounterTimeseries` (per-machine
@@ -37,18 +32,15 @@ from __future__ import annotations
 
 import marshal
 import pickle
-from typing import Any, Sequence
+from typing import Any
 
-from repro.analysis.episodes import Access, LogicalRun
 from repro.fs.cluster import ClusterResult
 from repro.fs.counters import ClientCounters, CounterSnapshot, ServerCounters
 from repro.obs.sampler import CounterTimeseries
 from repro.trace.columnar import ColumnarTrace, gc_paused
-from repro.trace.records import TraceRecord
 from repro.workload.generator import SyntheticTrace
 
 _TAG_PICKLE = b"P"
-_TAG_ACCESSES_INDEXED = b"I"
 _TAG_REPLAY = b"R"
 _TAG_OBS = b"O"
 _TAG_COLUMNAR_TRACE = b"C"
@@ -97,60 +89,6 @@ def _decode_columnar_trace(body: bytes) -> SyntheticTrace:
         validation=state["validation"],
         columnar=columnar,
     )
-
-
-# --------------------------------------------------------------------------
-# accesses
-# --------------------------------------------------------------------------
-
-
-def _encode_accesses_indexed(
-    accesses: Sequence[Access], records: Sequence[TraceRecord]
-) -> bytes | None:
-    """Pack accesses as indexes into ``records``, or None if they don't
-    all resolve (then the list is pickled instead).
-
-    Records are matched by equality, not identity: when the stage ran in
-    a worker process the Access objects came back through pickle and no
-    longer alias the parent's trace records.
-    """
-    index_of: dict[TraceRecord, int] = {
-        record: index for index, record in enumerate(records)
-    }
-    entries = []
-    for access in accesses:
-        open_index = index_of.get(access.open_record)
-        close_index = index_of.get(access.close_record)
-        if open_index is None or close_index is None:
-            return None
-        entries.append(
-            (
-                open_index,
-                close_index,
-                [
-                    (run.is_write, run.offset, run.length, run.end_time)
-                    for run in access.runs
-                ],
-                access.reposition_count,
-            )
-        )
-    return _TAG_ACCESSES_INDEXED + marshal.dumps(entries, _MARSHAL_VERSION)
-
-
-def _decode_accesses_indexed(
-    body: bytes, records: Sequence[TraceRecord]
-) -> list[Access]:
-    entries = marshal.loads(body)
-    with gc_paused():
-        return [
-            Access(
-                records[open_index],
-                records[close_index],
-                [LogicalRun(*row) for row in run_rows],
-                repositions,
-            )
-            for open_index, close_index, run_rows, repositions in entries
-        ]
 
 
 # --------------------------------------------------------------------------
@@ -249,11 +187,9 @@ def _decode_timeseries(body: bytes) -> CounterTimeseries:
 # --------------------------------------------------------------------------
 
 
-def encode_artifact(artifact: Any, context: dict[str, Any] | None = None) -> bytes:
+def encode_artifact(artifact: Any) -> bytes:
     """Serialize an artifact to a tagged payload.
 
-    ``context`` may carry the owning trace's record list (``"records"``),
-    letting access lists pack as record *indexes* rather than copies.
     Raises ValueError for a trace whose ``records`` disagree in length
     with its columnar form (the cache turns that into a failed store).
     """
@@ -263,37 +199,18 @@ def encode_artifact(artifact: Any, context: dict[str, Any] | None = None) -> byt
         return _encode_replay(artifact)
     if isinstance(artifact, CounterTimeseries):
         return _encode_timeseries(artifact)
-    if (
-        isinstance(artifact, list)
-        and artifact
-        and all(isinstance(item, Access) for item in artifact)
-        and context is not None
-        and context.get("records") is not None
-    ):
-        payload = _encode_accesses_indexed(artifact, context["records"])
-        if payload is not None:
-            return payload
     return _TAG_PICKLE + pickle.dumps(
         artifact, protocol=pickle.HIGHEST_PROTOCOL
     )
 
 
-def decode_artifact(payload: bytes, context: dict[str, Any] | None = None) -> Any:
-    """Inverse of :func:`encode_artifact`.
-
-    Index-form access payloads need the same ``context`` they were
-    encoded with; without it they fail to decode (a cache miss, never an
-    error, at the cache layer).
-    """
+def decode_artifact(payload: bytes) -> Any:
+    """Inverse of :func:`encode_artifact`."""
     tag, body = payload[:1], payload[1:]
     if tag == _TAG_COLUMNAR_TRACE:
         return _decode_columnar_trace(body)
     if tag == _TAG_REPLAY:
         return _decode_replay(body)
-    if tag == _TAG_ACCESSES_INDEXED:
-        if context is None or context.get("records") is None:
-            raise ValueError("index-form access payload needs trace records")
-        return _decode_accesses_indexed(body, context["records"])
     if tag == _TAG_OBS:
         return _decode_timeseries(body)
     if tag == _TAG_PICKLE:

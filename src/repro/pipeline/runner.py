@@ -19,7 +19,7 @@ from typing import Any, Sequence
 from repro.fs.cluster import ClusterResult
 from repro.fs.config import ClusterConfig
 from repro.pipeline.cache import ArtifactCache
-from repro.pipeline.tasks import AccessTask, ReplayTask, TraceTask, run_task
+from repro.pipeline.tasks import ReplayTask, TraceTask, run_task
 from repro.workload.generator import SyntheticTrace
 from repro.workload.profiles import STANDARD_PROFILES, TraceProfile
 
@@ -106,7 +106,7 @@ def run_stage(
     for index, task in enumerate(tasks):
         if cache is not None:
             keys[index] = cache.key_for(task.key_fields())
-            artifact = cache.load(keys[index], task.codec_context())
+            artifact = cache.load(keys[index])
             if artifact is not None:
                 results[index] = artifact
                 hits += 1
@@ -130,7 +130,7 @@ def run_stage(
                     results[index] = futures[index].result()
         if cache is not None:
             for index in misses:
-                cache.store(keys[index], results[index], tasks[index].codec_context())
+                cache.store(keys[index], results[index])
 
     if report is not None:
         report.record(
@@ -148,7 +148,7 @@ def run_stage(
 
 
 # --------------------------------------------------------------------------
-# the three stages
+# the two stages
 # --------------------------------------------------------------------------
 
 
@@ -184,28 +184,6 @@ def build_traces(
     """Generate (or load) the eight synthetic day traces."""
     tasks = trace_tasks(scale, seed, client_count, profiles)
     return run_stage("traces", tasks, workers=workers, cache=cache, report=report)
-
-
-def build_accesses(
-    traces: Sequence[SyntheticTrace],
-    tasks: Sequence[TraceTask],
-    *,
-    workers: int | None = 1,
-    cache: ArtifactCache | None = None,
-    report: PipelineReport | None = None,
-) -> list:
-    """Assemble per-trace access lists in workers, pooled in trace order."""
-    access_tasks = [
-        AccessTask(trace_fields=task.key_fields(), records=trace.records)
-        for task, trace in zip(tasks, traces)
-    ]
-    per_trace = run_stage(
-        "accesses", access_tasks, workers=workers, cache=cache, report=report
-    )
-    pooled: list = []
-    for accesses in per_trace:
-        pooled.extend(accesses)
-    return pooled
 
 
 def build_cluster_results(

@@ -248,9 +248,6 @@ class GroupTraceTask:
         trace.columnar = remapped
         return trace
 
-    def codec_context(self) -> dict[str, Any] | None:
-        return None
-
 
 @dataclass
 class ShardReplayTask:
@@ -284,9 +281,6 @@ class ShardReplayTask:
         return _replay_groups(
             self.group_traces, self.config, self.duration, self.seed
         )
-
-    def codec_context(self) -> dict[str, Any] | None:
-        return None
 
 
 # --------------------------------------------------------------------------

@@ -48,35 +48,6 @@ class TraceTask:
             client_count=self.client_count,
         )
 
-    def codec_context(self) -> dict[str, Any] | None:
-        return None
-
-
-@dataclass
-class AccessTask:
-    """Assemble one trace's completed accesses (open..close episodes).
-
-    ``trace_fields`` is the owning :class:`TraceTask`'s key fields; the
-    records ride along for execution but stay out of the cache key (the
-    trace is a pure function of its fields).
-    """
-
-    trace_fields: dict[str, Any]
-    records: Sequence[TraceRecord]
-
-    def key_fields(self) -> dict[str, Any]:
-        return {"kind": "accesses", "trace": self.trace_fields}
-
-    def run(self) -> list:
-        from repro.analysis.episodes import assemble_accesses
-
-        return list(assemble_accesses(self.records))
-
-    def codec_context(self) -> dict[str, Any] | None:
-        # Lets the codec store accesses as indexes into the trace's
-        # records, shared on decode with the already-loaded trace.
-        return {"records": self.records}
-
 
 @dataclass
 class ReplayTask:
@@ -101,9 +72,6 @@ class ReplayTask:
         return run_cluster_on_trace(
             self.records, self.duration, self.config, seed=self.seed
         )
-
-    def codec_context(self) -> dict[str, Any] | None:
-        return None
 
 
 def run_task(task) -> Any:

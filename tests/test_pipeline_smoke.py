@@ -66,8 +66,8 @@ def test_cold_then_warm_round_trip(tmp_path):
 
 
 def test_warm_accesses_alias_trace_records(tmp_path):
-    """Cached accesses share record objects with the cached traces, the
-    same aliasing the serial assembler produces."""
+    """Accesses are assembled from the warm trace's records, so they
+    share record objects with the cached traces."""
     ExperimentContext(scale=SCALE, seed=7, cache=tmp_path).accesses()
     warm = ExperimentContext(scale=SCALE, seed=7, cache=tmp_path)
     traces = warm.traces()
@@ -153,15 +153,15 @@ def test_store_refuses_trace_whose_records_disagree_with_columns(tmp_path):
 
 
 def test_accesses_without_trace_context_round_trip_through_pickle():
+    """An access list has no codec tag of its own: it pickles."""
     from repro.analysis.episodes import assemble_accesses
 
     trace = _small_trace(True)
     accesses = list(assemble_accesses(trace.records))
     assert accesses
-    for context in (None, {"records": []}):
-        payload = encode_artifact(accesses, context)
-        assert payload[:1] == b"P"
-        assert decode_artifact(payload) == accesses
+    payload = encode_artifact(accesses)
+    assert payload[:1] == b"P"
+    assert decode_artifact(payload) == accesses
 
 
 def test_keys_stable_and_parameter_sensitive(tmp_path):
@@ -215,6 +215,38 @@ def test_pooled_accesses_match_per_trace_order(tmp_path):
         assert a.close_record == b.close_record
         assert a.runs == b.runs
         assert a.reposition_count == b.reposition_count
+    concatenated = [a for per_trace in ctx.trace_accesses() for a in per_trace]
+    assert len(pooled) == len(concatenated)
+    assert all(a is b for a, b in zip(pooled, concatenated))
+
+
+def test_accesses_assembled_once_per_trace(monkeypatch):
+    """Table 3 and Figures 1-3 share one assembly per trace."""
+    import sys
+
+    from repro.analysis import episodes
+    from repro.experiments import run_experiment
+
+    original = episodes.assemble_accesses
+    calls = []
+
+    def counting(records):
+        calls.append(1)
+        return original(records)
+
+    # Rebind every module-level name of the assembler, not just the
+    # registry's, so an import inside any caller is counted too.
+    for module in list(sys.modules.values()):
+        if (
+            getattr(module, "__name__", "").startswith("repro")
+            and getattr(module, "assemble_accesses", None) is original
+        ):
+            monkeypatch.setattr(module, "assemble_accesses", counting)
+
+    ctx = ExperimentContext(scale=SCALE, seed=7, cache=False)
+    for experiment_id in ("table3", "figure1", "figure2", "figure3"):
+        run_experiment(experiment_id, ctx)
+    assert len(calls) == len(ctx.traces())
 
 
 def test_build_traces_matches_generate_standard_traces(tmp_path):
@@ -235,9 +267,6 @@ class _SquareTask:
 
     def run(self):
         return {"square": self.value * self.value}
-
-    def codec_context(self):
-        return None
 
 
 class TestStageTimingWorkers:
