@@ -24,7 +24,7 @@ def _aggregate(result) -> ClientCounters:
 
 def _replay(ctx, config: ClusterConfig):
     trace = ctx.traces()[0]
-    return run_cluster_on_trace(trace.records, trace.duration, config, seed=13)
+    return run_cluster_on_trace(trace.columnar, trace.duration, config, seed=13)
 
 
 def test_bench_ablation_writeback_delay(benchmark, ctx):

@@ -65,7 +65,7 @@ def _replay_once(scale: float) -> dict:
     config = ClusterConfig(client_count=clients)
     gc.collect()
     start = time.perf_counter()
-    result = run_cluster_on_trace(trace.records, trace.duration, config)
+    result = run_cluster_on_trace(trace.columnar, trace.duration, config)
     wall = time.perf_counter() - start
     assert len(result.final_counters) == clients
     return {

@@ -31,7 +31,7 @@ def main() -> None:
             client_count=client_count, max_cache_fraction=fraction
         )
         result = run_cluster_on_trace(
-            trace.records, trace.duration, config, seed=5
+            trace.columnar, trace.duration, config, seed=5
         )
         days = machine_days([result])
         effectiveness = compute_effectiveness(days)

@@ -55,7 +55,7 @@ def scripted_crash() -> None:
     )
     config = ClusterConfig(client_count=4)
     cluster = Cluster(config, seed=1991, fault_schedule=schedule)
-    result = cluster.replay(trace.records, trace.duration)
+    result = cluster.replay(trace.columnar, trace.duration)
 
     study = compute_recovery_study([("one crash", result)])
     cell = study.cells[0]

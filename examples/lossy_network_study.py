@@ -52,7 +52,7 @@ def scripted_lossy_replay() -> None:
     )
     oracle = ProtocolOracle(seed=1991, raise_on_violation=False)
     result = run_cluster_on_trace(
-        trace.records, trace.duration, config, seed=1991, oracle=oracle
+        trace.columnar, trace.duration, config, seed=1991, oracle=oracle
     )
 
     sent = sum(c.rpc_messages_sent for c in result.final_counters.values())

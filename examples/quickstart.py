@@ -61,7 +61,7 @@ def main() -> None:
     # 3. Replay through the cluster simulator.
     print("Replaying through the Sprite cluster simulator ...")
     config = ClusterConfig(client_count=4)
-    result = run_cluster_on_trace(trace.records, trace.duration, config, seed=7)
+    result = run_cluster_on_trace(trace.columnar, trace.duration, config, seed=7)
     effectiveness = compute_effectiveness(machine_days([result]))
     print(f"  read miss ratio : {100 * effectiveness.read_miss.mean:.1f}%  "
           f"(paper: 41.4%)")

@@ -633,7 +633,7 @@ def _faults(ctx: ExperimentContext) -> ExperimentResult:
         tasks.append(
             ReplayTask(
                 trace_fields=trace_fields,
-                records=trace.records,
+                columnar=trace.columnar,
                 duration=trace.duration,
                 config=config,
                 seed=ctx.seed + 4099,
@@ -708,7 +708,7 @@ def _rpc_loss(ctx: ExperimentContext) -> ExperimentResult:
         )
         oracle = ProtocolOracle(seed=study_seed, raise_on_violation=False)
         result = run_cluster_on_trace(
-            cluster_trace.records,
+            cluster_trace.columnar,
             cluster_trace.duration,
             config,
             seed=study_seed,
@@ -814,7 +814,7 @@ def _replication(ctx: ExperimentContext) -> ExperimentResult:
         )
         oracle = ProtocolOracle(seed=study_seed, raise_on_violation=False)
         result = run_cluster_on_trace(
-            trace.records,
+            trace.columnar,
             trace.duration,
             config,
             seed=study_seed,
@@ -907,7 +907,7 @@ def _integrity(ctx: ExperimentContext) -> ExperimentResult:
         )
         oracle = ProtocolOracle(seed=study_seed, raise_on_violation=False)
         result = run_cluster_on_trace(
-            trace.records,
+            trace.columnar,
             trace.duration,
             config,
             seed=study_seed,
@@ -1190,7 +1190,7 @@ def run_observed_replay(
         sample_interval=sample_interval, max_trace_events=max_trace_events,
     ))
     result = run_cluster_on_trace(
-        trace.records, trace.duration, config,
+        trace.columnar, trace.duration, config,
         seed=context.seed + 101 * offset,
         obs=observation,
     )

@@ -1,10 +1,11 @@
 """The cluster: clients + server + engine, driven by a trace replay.
 
-The replay walks a time-ordered record stream, advancing the event
+The replay walks a time-ordered columnar trace, advancing the event
 engine (which fires the 5-second writeback daemons, VM working-set
-decays, and counter snapshots) between records, and dispatches each
-record to the client named in it.  Paging traffic is synthesized by the
-per-client paging models, pulsed on every open.
+decays, and counter snapshots) between records, and hands each
+record's fields -- no record object is built -- to the client named in
+it.  Paging traffic is synthesized by the per-client paging models,
+pulsed on every open.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.fs.sharding import MachineRoster, Placement, _mix64
 from repro.fs.vm import VirtualMemory
 from repro.sim.engine import Engine
 from repro.sim.timers import SharedTicker
+from repro.trace.columnar import MODE_CODES, RECORD_CLASSES, ColumnarTrace
 from repro.trace.records import (
     AccessMode,
     CloseRecord,
@@ -38,6 +40,8 @@ from repro.trace.records import (
     TruncateRecord,
     WriteRunRecord,
 )
+
+_READ_CODE = MODE_CODES[AccessMode.READ]
 
 
 @dataclass
@@ -79,9 +83,6 @@ class ClusterResult:
 
 @dataclass(slots=True)
 class _OpenState:
-    client_id: int
-    file_id: int
-    migrated: bool
     wrote: bool = False
     #: Client crash epoch at open time; a close whose open predates the
     #: client's last reboot is dropped (that open died with the machine).
@@ -360,7 +361,18 @@ class Cluster:
         ).subscribe(self._take_snapshots)
         self._opens: dict[int, _OpenState] = {}
         self._records = 0
-        self._dispatch = self._build_dispatch_table()
+        #: Replay handler per kind code (``RECORD_CLASSES`` order);
+        #: None for the kinds the replay only counts.
+        by_class = {
+            OpenRecord: self._on_open,
+            ReadRunRecord: self._on_read_run,
+            WriteRunRecord: self._on_write_run,
+            CloseRecord: self._on_close,
+            DeleteRecord: self._on_delete,
+            TruncateRecord: self._on_delete,
+            DirectoryReadRecord: self._on_directory_read,
+        }
+        self._handlers = tuple(by_class.get(cls) for cls in RECORD_CLASSES)
         if obs is not None:
             obs.attach(self)
         self.construction_seconds = time.perf_counter() - construction_start
@@ -463,69 +475,51 @@ class Cluster:
                 self.engine.now, "partition", client.client_id
             )
 
-    # --- record dispatch ---------------------------------------------------------
+    # --- record handlers -----------------------------------------------------------
 
-    def _build_dispatch_table(self):
-        """Exact-type -> bound handler: one dict lookup per record.
+    # Every handler takes the gathered fields of one record, in
+    # ``COLUMN_FIELDS`` order after the time, and reads only what its
+    # kind carries.  Records addressed to a crashed client are dropped
+    # (the user's processes died with the machine), as are closes whose
+    # opens predate the client's last reboot.
 
-        Kinds with no handler (creates, repositions, and the per-request
-        shared reads/writes, whose bytes the coalesced run records
-        already carry) are counted by the replay and otherwise skipped.
-        Records addressed to a crashed client are dropped (the user's
-        processes died with the machine), as are closes whose opens
-        predate the client's last reboot.
-        """
-        return {
-            OpenRecord: self._dispatch_open,
-            ReadRunRecord: self._dispatch_read_run,
-            WriteRunRecord: self._dispatch_write_run,
-            CloseRecord: self._dispatch_close,
-            DeleteRecord: self._dispatch_delete,
-            TruncateRecord: self._dispatch_delete,
-            DirectoryReadRecord: self._dispatch_directory_read,
-        }
-
-    def _dispatch_open(self, record: OpenRecord, now: float) -> None:
-        client = self.clients[record.client_id % len(self.clients)]
+    def _on_open(
+        self, now, client_id, file_id, open_id, offset, length, migrated, mode
+    ) -> None:
+        client = self.clients[client_id % len(self.clients)]
         if not client.up:
             client.counters.ops_dropped_while_down += 1
             return
-        will_write = record.mode is not AccessMode.READ
-        client.open_file(now, record.file_id, will_write)
-        self._opens[record.open_id] = _OpenState(
-            client_id=record.client_id,
-            file_id=record.file_id,
-            migrated=record.migrated,
-            epoch=client.epoch,
-        )
-        self.paging[client.client_id].on_activity(now, record.migrated)
+        client.open_file(now, file_id, mode != _READ_CODE)
+        self._opens[open_id] = _OpenState(epoch=client.epoch)
+        self.paging[client.client_id].on_activity(now, migrated)
 
-    def _dispatch_read_run(self, record: ReadRunRecord, now: float) -> None:
-        client = self.clients[record.client_id % len(self.clients)]
+    def _on_read_run(
+        self, now, client_id, file_id, open_id, offset, length, migrated, mode
+    ) -> None:
+        client = self.clients[client_id % len(self.clients)]
         if not client.up:
             client.counters.ops_dropped_while_down += 1
             return
-        client.read(
-            now, record.file_id, record.offset, record.length,
-            migrated=record.migrated,
-        )
+        client.read(now, file_id, offset, length, migrated=migrated)
 
-    def _dispatch_write_run(self, record: WriteRunRecord, now: float) -> None:
-        client = self.clients[record.client_id % len(self.clients)]
+    def _on_write_run(
+        self, now, client_id, file_id, open_id, offset, length, migrated, mode
+    ) -> None:
+        client = self.clients[client_id % len(self.clients)]
         if not client.up:
             client.counters.ops_dropped_while_down += 1
             return
-        client.write(
-            now, record.file_id, record.offset, record.length,
-            migrated=record.migrated,
-        )
-        state = self._opens.get(record.open_id)
+        client.write(now, file_id, offset, length, migrated=migrated)
+        state = self._opens.get(open_id)
         if state is not None:
             state.wrote = True
 
-    def _dispatch_close(self, record: CloseRecord, now: float) -> None:
-        client = self.clients[record.client_id % len(self.clients)]
-        state = self._opens.pop(record.open_id, None)
+    def _on_close(
+        self, now, client_id, file_id, open_id, offset, length, migrated, mode
+    ) -> None:
+        client = self.clients[client_id % len(self.clients)]
+        state = self._opens.pop(open_id, None)
         if not client.up or (state is not None and state.epoch != client.epoch):
             # Machine is down, or it rebooted since the open: the
             # open-file handle died with it.
@@ -538,38 +532,46 @@ class Cluster:
         else:
             # Grouped clusters: a pure per-open hash, so the decision is
             # independent of which other groups' closes the replay saw.
-            fsync = wrote and (
-                _mix64(record.open_id ^ self._fsync_salt) < threshold
-            )
-        client.close_file(now, record.file_id, wrote, fsync=fsync)
+            fsync = wrote and _mix64(open_id ^ self._fsync_salt) < threshold
+        client.close_file(now, file_id, wrote, fsync=fsync)
 
-    def _dispatch_delete(self, record: TraceRecord, now: float) -> None:
-        client = self.clients[record.client_id % len(self.clients)]
+    def _on_delete(
+        self, now, client_id, file_id, open_id, offset, length, migrated, mode
+    ) -> None:
+        """Deletes and truncates-to-zero alike."""
+        client = self.clients[client_id % len(self.clients)]
         if not client.up:
             client.counters.ops_dropped_while_down += 1
             return
-        client.delete_on_server(now, record.file_id)
+        client.delete_on_server(now, file_id)
         # Group-strided file ids: only the deleting client's own group
         # can hold blocks of the file.
         group = self._client_group[client.client_id]
         for each in self._group_clients[group]:
-            each.delete_file(now, record.file_id)
+            each.delete_file(now, file_id)
 
-    def _dispatch_directory_read(
-        self, record: DirectoryReadRecord, now: float
+    def _on_directory_read(
+        self, now, client_id, file_id, open_id, offset, length, migrated, mode
     ) -> None:
-        client = self.clients[record.client_id % len(self.clients)]
+        client = self.clients[client_id % len(self.clients)]
         if not client.up:
             client.counters.ops_dropped_while_down += 1
             return
-        client.directory_read(now, record.length, file_id=record.file_id)
+        client.directory_read(now, length, file_id=file_id)
 
     # --- main entry ------------------------------------------------------------
 
     def replay(
-        self, records: Iterable[TraceRecord], duration: float
+        self, records: ColumnarTrace | Iterable[TraceRecord], duration: float
     ) -> ClusterResult:
-        """Replay a full trace and return the measurement data."""
+        """Replay a full trace and return the measurement data.
+
+        ``records`` is a :class:`ColumnarTrace`; any other record
+        iterable is converted once, in its own order, so a stream that
+        goes backwards still fails here with :class:`SimulationError`.
+        """
+        if not isinstance(records, ColumnarTrace):
+            records = ColumnarTrace.from_stream(records)
         schedule = self._fault_schedule
         if schedule is None and (
             self.config.faults.any_faults or self.config.faults.any_disk_faults
@@ -589,39 +591,49 @@ class Cluster:
             )
         if schedule is not None and len(schedule):
             FaultInjector(self, schedule).arm()
-        # Hot loop: one handler lookup per record, and run_until is skipped whenever the record lands before the next
-        # pending event (the cached next_wake is refreshed only when the
-        # engine's schedule counter shows something new was scheduled --
-        # or the engine itself ran, which can only make the cache stale
-        # in the harmless too-early direction).
+        # Hot loop over gathered columns: the kind code indexes the
+        # handler tuple (None: counted and skipped -- creates,
+        # repositions, and the per-request shared reads/writes, whose
+        # bytes the coalesced run records already carry), and run_until
+        # is skipped whenever the record lands before the next pending
+        # event (the cached next_wake is refreshed only when the
+        # engine's schedule counter shows something new was scheduled
+        # -- or the engine itself ran, which can only make the cache
+        # stale in the harmless too-early direction).
         engine = self.engine
-        get_handler = self._dispatch.get
+        handlers = self._handlers
         last_time = 0.0
         next_wake = engine.next_event_time()
         seen_sequence = engine._sequence
-        for record in records:
-            time = record.time
-            if time < last_time:
-                raise SimulationError(
-                    f"trace records out of order at {time}"
-                )
-            last_time = time
-            if time > engine._now:
-                if next_wake is not None and next_wake <= time:
-                    engine.run_until(time)
-                    next_wake = engine.next_event_time()
+        for kinds, times, *fields in records.iter_columns():
+            self._records += len(kinds)
+            for (
+                kind, time, client_id, file_id, open_id, offset, length,
+                migrated, mode,
+            ) in zip(kinds, times, *fields):
+                if time < last_time:
+                    raise SimulationError(
+                        f"trace records out of order at {time}"
+                    )
+                last_time = time
+                if time > engine._now:
+                    if next_wake is not None and next_wake <= time:
+                        engine.run_until(time)
+                        next_wake = engine.next_event_time()
+                        seen_sequence = engine._sequence
+                    else:
+                        # No event due before this record: advancing the
+                        # clock directly is exactly advance_to(time).
+                        engine._now = time
+                handler = handlers[kind]
+                if handler is not None:
+                    handler(
+                        time, client_id, file_id, open_id, offset, length,
+                        migrated, mode,
+                    )
+                if engine._sequence != seen_sequence:
                     seen_sequence = engine._sequence
-                else:
-                    # No event due before this record: advancing the
-                    # clock directly is exactly advance_to(time).
-                    engine._now = time
-            self._records += 1
-            handler = get_handler(type(record))
-            if handler is not None:
-                handler(record, time)
-            if engine._sequence != seen_sequence:
-                seen_sequence = engine._sequence
-                next_wake = engine.next_event_time()
+                    next_wake = engine.next_event_time()
         if duration > self.engine.now:
             self.engine.run_until(duration)
         for server in self.servers:
@@ -753,7 +765,7 @@ def merge_cluster_results(
 
 
 def run_cluster_on_trace(
-    records: Iterable[TraceRecord],
+    records: ColumnarTrace | Iterable[TraceRecord],
     duration: float,
     config: ClusterConfig | None = None,
     seed: int = 7,

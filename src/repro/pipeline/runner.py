@@ -205,7 +205,7 @@ def build_cluster_results(
     replay_tasks = [
         ReplayTask(
             trace_fields=tasks[index].key_fields(),
-            records=traces[index].records,
+            columnar=traces[index].columnar,
             duration=traces[index].duration,
             config=config,
             seed=seed + 101 * offset,

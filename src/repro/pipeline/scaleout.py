@@ -328,15 +328,15 @@ def _replay_groups(
     owning exactly those groups -- a shard, or with every group the
     unpartitioned reference.  The merge ranks by group, so a shard's
     dispatch order is the full order restricted to its groups, and the
-    replay streams records chunk-at-a-time
-    (:meth:`ColumnarTrace.iter_records`): peak memory is the columns
-    plus one chunk, never a whole day's record list."""
+    replay reads the merged columns directly
+    (:meth:`ColumnarTrace.iter_columns`): peak memory is the columns
+    plus one gathered chunk, and no record object is ever built."""
     merged = ColumnarTrace.merge(
         [trace for _, trace in group_traces],
         ranks=[group for group, _ in group_traces],
     )
     return run_cluster_on_trace(
-        merged.iter_records(), duration, config, seed=seed,
+        merged, duration, config, seed=seed,
         oracle=oracle, obs=obs,
         owned_groups=[group for group, _ in group_traces],
     )

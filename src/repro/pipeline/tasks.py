@@ -11,11 +11,11 @@ to serial output by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
 from repro.fs.cluster import ClusterResult, run_cluster_on_trace
 from repro.fs.config import ClusterConfig
-from repro.trace.records import TraceRecord
+from repro.trace.columnar import ColumnarTrace
 from repro.workload.generator import SyntheticTrace, generate_trace
 from repro.workload.profiles import TraceProfile
 
@@ -54,7 +54,7 @@ class ReplayTask:
     """Replay one trace through a simulated cluster."""
 
     trace_fields: dict[str, Any]
-    records: Sequence[TraceRecord]
+    columnar: ColumnarTrace
     duration: float
     config: ClusterConfig
     seed: int
@@ -70,7 +70,7 @@ class ReplayTask:
 
     def run(self) -> ClusterResult:
         return run_cluster_on_trace(
-            self.records, self.duration, self.config, seed=self.seed
+            self.columnar, self.duration, self.config, seed=self.seed
         )
 
 

@@ -9,8 +9,10 @@ per record kind, plus a global time-sorted order index -- so that:
 * generation appends plain value rows (no dataclass construction),
 * sorting is an ``argsort`` over one float array instead of an object
   sort,
-* replay materializes :class:`~repro.trace.records.TraceRecord`
-  objects chunk-at-a-time (transient, bounded memory) or never, and
+* replay never materializes a
+  :class:`~repro.trace.records.TraceRecord`: it reads aligned field
+  lists gathered chunk-at-a-time (:meth:`ColumnarTrace.iter_columns`),
+  while the analyses and validation materialize records on demand, and
 * shard math (remapping a group's ids into a disjoint global id space,
   merging group streams into one time-ordered stream) is vectorized
   array arithmetic.
@@ -72,7 +74,8 @@ _KIND_INDEX: dict[type[TraceRecord], int] = {
 }
 
 _MODES: tuple[AccessMode, ...] = tuple(AccessMode)
-_MODE_CODES: dict[AccessMode, int] = {mode: i for i, mode in enumerate(_MODES)}
+#: Column code of each access mode (its position in ``AccessMode``).
+MODE_CODES: dict[AccessMode, int] = {mode: i for i, mode in enumerate(_MODES)}
 
 #: dtype code per annotated field type ('f8' float64, 'i8' int64,
 #: 'b1' bool, 'u1' enum code).
@@ -100,6 +103,29 @@ def _field_specs(cls: type[TraceRecord]) -> tuple[tuple[str, str], ...]:
 
 _SPECS: tuple[tuple[tuple[str, str], ...], ...] = tuple(
     _field_specs(cls) for cls in RECORD_CLASSES
+)
+
+#: The fields :meth:`ColumnarTrace.iter_columns` gathers, in yield
+#: order after the kind code and the time, with their gather dtypes.
+COLUMN_FIELDS: tuple[tuple[str, str], ...] = (
+    ("client_id", "i8"),
+    ("file_id", "i8"),
+    ("open_id", "i8"),
+    ("offset", "i8"),
+    ("length", "i8"),
+    ("migrated", "b1"),
+    ("mode", "u1"),
+)
+
+#: Per kind: ``(slot in COLUMN_FIELDS, column index in the kind's
+#: table)`` for each gathered field the kind has.
+_COLUMN_SOURCES: tuple[tuple[tuple[int, int], ...], ...] = tuple(
+    tuple(
+        (slot, names.index(field))
+        for slot, (field, _) in enumerate(COLUMN_FIELDS)
+        if field in names
+    )
+    for names in ([name for name, _ in specs] for specs in _SPECS)
 )
 
 _new = object.__new__
@@ -203,10 +229,12 @@ class ColumnarTraceBuilder:
                 out[seq] = cls(*row)
         return out
 
-    def seal(self, duration: float | None = None) -> "ColumnarTrace":
+    def seal(
+        self, duration: float | None = None, *, sort: bool = True
+    ) -> "ColumnarTrace":
         """Freeze rows into columns, drop records outside
         ``[0, duration)`` when given, and time-sort (stable, emission
-        order as tie-break)."""
+        order as tie-break).  ``sort=False`` keeps emission order."""
         tables: list[_Table | None] = []
         times_parts: list = []
         seqs_parts: list = []
@@ -222,7 +250,7 @@ class ColumnarTraceBuilder:
             columns = []
             for (name, dtype), raw in zip(specs, transposed):
                 if dtype == "u1":
-                    raw = [_MODE_CODES[value] for value in raw]
+                    raw = [MODE_CODES[value] for value in raw]
                 columns.append(np.asarray(raw, dtype=dtype))
             count = len(rows)
             tables.append(_Table(index, columns, count))
@@ -248,7 +276,7 @@ class ColumnarTraceBuilder:
             times, seqs, kinds, rows = (
                 times[mask], seqs[mask], kinds[mask], rows[mask],
             )
-        order = np.lexsort((seqs, times))
+        order = np.lexsort((seqs, times)) if sort else np.argsort(seqs)
         return ColumnarTrace(tables, kinds[order], rows[order], times[order])
 
 
@@ -262,6 +290,10 @@ class ColumnarTrace:
     #: Default materialization chunk (records); ~64k records of mixed
     #: kinds is a few MB of transient objects.
     DEFAULT_CHUNK = 65536
+    #: Column gather chunk (records) for :meth:`iter_columns`: nine
+    #: Python lists of a few thousand values each.  Larger chunks buy
+    #: no speed and raise the replay's peak RSS.
+    COLUMN_CHUNK = 2048
 
     __slots__ = ("tables", "kind_idx", "row_idx", "times")
 
@@ -307,6 +339,39 @@ class ColumnarTrace:
         """The record stream, materialized chunk-at-a-time."""
         for chunk in self.iter_chunks(chunk_size):
             yield from chunk
+
+    def iter_columns(
+        self, chunk_size: int = COLUMN_CHUNK
+    ) -> Iterator[tuple[list, ...]]:
+        """The stream as aligned field lists, chunk by chunk, in time order.
+
+        For positions ``[lo, hi)`` each chunk is a tuple of lists: the
+        kind code (the ``RECORD_CLASSES`` index), the time, then one
+        list per :data:`COLUMN_FIELDS` entry (``mode`` as its
+        :data:`MODE_CODES` code).  A field the record's kind lacks
+        reads 0.  No record object is built.
+        """
+        if chunk_size <= 0:
+            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
+        total = len(self)
+        for lo in range(0, total, chunk_size):
+            hi = min(lo + chunk_size, total)
+            kind_slice = self.kind_idx[lo:hi]
+            row_slice = self.row_idx[lo:hi]
+            gathered = [
+                np.zeros(hi - lo, dtype=dtype) for _, dtype in COLUMN_FIELDS
+            ]
+            for index in np.unique(kind_slice).tolist():
+                positions = np.nonzero(kind_slice == index)[0]
+                rows = row_slice[positions]
+                columns = self.tables[index].columns
+                for slot, source in _COLUMN_SOURCES[index]:
+                    gathered[slot][positions] = columns[source][rows]
+            yield (
+                kind_slice.tolist(),
+                self.times[lo:hi].tolist(),
+                *(values.tolist() for values in gathered),
+            )
 
     def materialize(self) -> list[TraceRecord]:
         """The whole trace as a record list (the classic representation),
@@ -485,18 +550,26 @@ class ColumnarTrace:
         predecessor, so a merge of ``from_records`` views never silently
         reorders an unsorted input.
         """
+        trace = cls.from_stream(records)
+        backwards = np.nonzero(trace.times[1:] < trace.times[:-1])[0]
+        if len(backwards):
+            at = int(backwards[0])
+            raise TraceOrderError(
+                f"record stream went backwards: {float(trace.times[at + 1])} "
+                f"after {float(trace.times[at])}"
+            )
+        return trace
+
+    @classmethod
+    def from_stream(cls, records: Iterable[TraceRecord]) -> "ColumnarTrace":
+        """Columnar view of any record stream, positions in input order:
+        no filtering, no sort and no order check (a consumer that needs
+        sorted input checks it as it reads)."""
         builder = ColumnarTraceBuilder()
-        last_time = float("-inf")
         for record in records:
-            if record.time < last_time:
-                raise TraceOrderError(
-                    f"record stream went backwards: {record.time} after "
-                    f"{last_time}"
-                )
-            last_time = record.time
             row = tuple(
                 getattr(record, name)
                 for name, _ in _SPECS[_KIND_INDEX[type(record)]]
             )
             builder.append(type(record), row)
-        return builder.seal()
+        return builder.seal(sort=False)

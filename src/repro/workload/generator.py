@@ -49,12 +49,12 @@ class SyntheticTrace:
     """One generated 24-hour trace plus its provenance.
 
     ``columnar`` is the stream in columnar form
-    (:class:`~repro.trace.columnar.ColumnarTrace`), always present.
-    ``records`` is the same stream as the classic materialized list
-    every analysis consumes; when the trace was generated with
-    ``materialize=False`` it stays empty and consumers stream records
-    chunk-at-a-time via :meth:`iter_records` without ever holding the
-    full list.
+    (:class:`~repro.trace.columnar.ColumnarTrace`), always present; it
+    is what every cluster replay reads.  ``records`` is the same stream
+    as the classic materialized list every analysis consumes; when the
+    trace was generated with ``materialize=False`` it stays empty and
+    record consumers stream chunk-at-a-time via :meth:`iter_records`
+    without ever holding the full list.
     """
 
     profile: TraceProfile
@@ -298,14 +298,18 @@ class TraceGenerator:
         # time (stable, emission order breaking ties) -- the vectorized
         # equivalent of the classic filter + list.sort.
         columnar = self.emitter.sink.seal(duration=self.profile.duration)
+        # Validate the list when there is one (built once, GC paused);
+        # otherwise stream transient chunks.
+        records = columnar.materialize() if materialize else []
         report = validate_stream(
-            columnar.iter_records(), allow_open_at_end=True
+            records if materialize else columnar.iter_records(),
+            allow_open_at_end=True,
         )
         return SyntheticTrace(
             profile=self.profile,
             seed=self.seed,
             scale=1.0,
-            records=columnar.materialize() if materialize else [],
+            records=records,
             users=self.users,
             validation=report,
             columnar=columnar,

@@ -14,7 +14,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from repro.common.errors import TraceOrderError
 from repro.trace.columnar import (
+    COLUMN_FIELDS,
+    MODE_CODES,
     RECORD_CLASSES,
     ColumnarTrace,
     ColumnarTraceBuilder,
@@ -76,6 +79,75 @@ class TestRoundTrip:
     def test_bad_chunk_size_rejected(self, small_trace):
         with pytest.raises(ValueError):
             next(small_trace.columnar.iter_chunks(0))
+
+
+def _expected_columns(record) -> tuple:
+    """One record's row as ``iter_columns`` yields it: kind code, time,
+    then each gathered field, 0 where the kind lacks it."""
+    values = []
+    for name, dtype in COLUMN_FIELDS:
+        value = getattr(record, name, None)
+        if value is None:
+            value = False if dtype == "b1" else 0
+        elif name == "mode":
+            value = MODE_CODES[value]
+        values.append(value)
+    return (RECORD_CLASSES.index(type(record)), record.time, *values)
+
+
+class TestIterColumns:
+    @pytest.mark.parametrize("chunk_size", [1, 777, None])
+    def test_matches_materialize_field_by_field(self, small_trace, chunk_size):
+        columnar = small_trace.columnar
+        if chunk_size == 1:
+            # Chunk size 1 over the whole day is slow; a prefix of a
+            # few thousand records covers every kind.
+            columnar = ColumnarTrace.from_records(small_trace.records[:3000])
+        records = columnar.materialize()
+        size = chunk_size or len(columnar)
+        rows = []
+        for chunk in columnar.iter_columns(size):
+            assert len(chunk) == 2 + len(COLUMN_FIELDS)
+            assert len({len(column) for column in chunk}) == 1
+            assert len(chunk[0]) <= size
+            rows.extend(zip(*chunk))
+        assert len(rows) == len(records)
+        for row, record in zip(rows, records):
+            assert row == _expected_columns(record)
+            assert [type(value) for value in row] == [
+                type(value) for value in _expected_columns(record)
+            ]
+        assert {row[0] for row in rows} >= {
+            RECORD_CLASSES.index(cls) for cls in (
+                OpenRecord, CloseRecord, ReadRunRecord, DirectoryReadRecord,
+            )
+        }
+
+    def test_absent_fields_read_zero(self):
+        record = DirectoryReadRecord(3.0, 0, file_id=-4, client_id=2, length=512)
+        (row,) = zip(*next(ColumnarTrace.from_records([record]).iter_columns()))
+        assert row == (
+            RECORD_CLASSES.index(DirectoryReadRecord), 3.0,
+            2, -4, 0, 0, 512, False, 0,
+        )
+
+    def test_empty_trace_yields_nothing(self):
+        assert list(ColumnarTraceBuilder().seal().iter_columns()) == []
+
+    def test_bad_chunk_size_rejected(self, small_trace):
+        with pytest.raises(ValueError):
+            next(small_trace.columnar.iter_columns(0))
+
+
+class TestFromStream:
+    def test_keeps_input_order(self, small_trace):
+        records = list(reversed(small_trace.records[:200]))
+        assert ColumnarTrace.from_stream(records).materialize() == records
+
+    def test_from_records_rejects_a_backwards_stream(self, small_trace):
+        records = list(reversed(small_trace.records[:200]))
+        with pytest.raises(TraceOrderError):
+            ColumnarTrace.from_records(records)
 
 
 class TestBuilderSeal:

@@ -138,7 +138,7 @@ def test_worker_count_does_not_change_results(small_trace):
     tasks = [
         ReplayTask(
             trace_fields={"kind": "chaos", "seed": seed},
-            records=small_trace.records,
+            columnar=small_trace.columnar,
             duration=small_trace.duration,
             config=CHAOS_CONFIG,
             seed=seed,

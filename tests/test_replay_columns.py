@@ -1,0 +1,536 @@
+"""Differential tests for the columnar replay loop (``Cluster.replay``).
+
+``RecordLoopCluster`` keeps the record-object replay loop and its
+type-keyed ``_dispatch_*`` handlers verbatim, as the reference: one
+frozen record per row, ``type(record)`` picks the handler.  The
+production loop reads gathered columns and dispatches on the kind code.
+Over small, valid but adversarial record streams -- records exactly on
+tick timestamps, equal timestamps, deletes and truncates under open,
+handlerless kinds, a close whose open predates a client reboot -- both
+must leave every counter, snapshot, tick and engine event identical,
+in a plain, a lossy-with-oracle, a replicated-with-faults and a grouped
+cluster.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import pytest
+
+from repro.common.errors import SimulationError
+from repro.fs.cluster import Cluster, ClusterResult
+from repro.fs.config import ClusterConfig
+from repro.fs.counters import ServerCounters
+from repro.fs.faults import (
+    FaultConfig,
+    FaultEvent,
+    FaultInjector,
+    FaultKind,
+    FaultSchedule,
+)
+from repro.fs.oracle import ProtocolOracle
+from repro.fs.sharding import _mix64
+from repro.trace.columnar import ColumnarTrace
+from repro.trace.records import (
+    AccessMode,
+    CloseRecord,
+    CreateRecord,
+    DeleteRecord,
+    DirectoryReadRecord,
+    OpenRecord,
+    ReadRunRecord,
+    RepositionRecord,
+    SharedReadRecord,
+    SharedWriteRecord,
+    TraceRecord,
+    TruncateRecord,
+    WriteRunRecord,
+)
+from repro.trace.validate import validate_stream
+
+hypothesis = pytest.importorskip("hypothesis")
+given = hypothesis.given
+st = hypothesis.strategies
+
+
+# --------------------------------------------------------------------------
+# the reference: the record-object loop, verbatim
+# --------------------------------------------------------------------------
+
+
+@dataclass(slots=True)
+class _RecordOpenState:
+    client_id: int
+    file_id: int
+    migrated: bool
+    wrote: bool = False
+    epoch: int = 0
+
+
+class RecordLoopCluster(Cluster):
+    """``Cluster`` replaying one record object at a time through a
+    type-keyed dispatch table (the loop the columnar one replaced)."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._dispatch = self._build_dispatch_table()
+
+    def _build_dispatch_table(self):
+        return {
+            OpenRecord: self._dispatch_open,
+            ReadRunRecord: self._dispatch_read_run,
+            WriteRunRecord: self._dispatch_write_run,
+            CloseRecord: self._dispatch_close,
+            DeleteRecord: self._dispatch_delete,
+            TruncateRecord: self._dispatch_delete,
+            DirectoryReadRecord: self._dispatch_directory_read,
+        }
+
+    def _dispatch_open(self, record: OpenRecord, now: float) -> None:
+        client = self.clients[record.client_id % len(self.clients)]
+        if not client.up:
+            client.counters.ops_dropped_while_down += 1
+            return
+        will_write = record.mode is not AccessMode.READ
+        client.open_file(now, record.file_id, will_write)
+        self._opens[record.open_id] = _RecordOpenState(
+            client_id=record.client_id,
+            file_id=record.file_id,
+            migrated=record.migrated,
+            epoch=client.epoch,
+        )
+        self.paging[client.client_id].on_activity(now, record.migrated)
+
+    def _dispatch_read_run(self, record: ReadRunRecord, now: float) -> None:
+        client = self.clients[record.client_id % len(self.clients)]
+        if not client.up:
+            client.counters.ops_dropped_while_down += 1
+            return
+        client.read(
+            now, record.file_id, record.offset, record.length,
+            migrated=record.migrated,
+        )
+
+    def _dispatch_write_run(self, record: WriteRunRecord, now: float) -> None:
+        client = self.clients[record.client_id % len(self.clients)]
+        if not client.up:
+            client.counters.ops_dropped_while_down += 1
+            return
+        client.write(
+            now, record.file_id, record.offset, record.length,
+            migrated=record.migrated,
+        )
+        state = self._opens.get(record.open_id)
+        if state is not None:
+            state.wrote = True
+
+    def _dispatch_close(self, record: CloseRecord, now: float) -> None:
+        client = self.clients[record.client_id % len(self.clients)]
+        state = self._opens.pop(record.open_id, None)
+        if not client.up or (state is not None and state.epoch != client.epoch):
+            client.counters.ops_dropped_while_down += 1
+            return
+        wrote = state.wrote if state is not None else False
+        threshold = self._fsync_threshold
+        if threshold is None:
+            fsync = wrote and self.rng.bernoulli(self.config.fsync_probability)
+        else:
+            fsync = wrote and (
+                _mix64(record.open_id ^ self._fsync_salt) < threshold
+            )
+        client.close_file(now, record.file_id, wrote, fsync=fsync)
+
+    def _dispatch_delete(self, record: TraceRecord, now: float) -> None:
+        client = self.clients[record.client_id % len(self.clients)]
+        if not client.up:
+            client.counters.ops_dropped_while_down += 1
+            return
+        client.delete_on_server(now, record.file_id)
+        group = self._client_group[client.client_id]
+        for each in self._group_clients[group]:
+            each.delete_file(now, record.file_id)
+
+    def _dispatch_directory_read(
+        self, record: DirectoryReadRecord, now: float
+    ) -> None:
+        client = self.clients[record.client_id % len(self.clients)]
+        if not client.up:
+            client.counters.ops_dropped_while_down += 1
+            return
+        client.directory_read(now, record.length, file_id=record.file_id)
+
+    def replay(self, records, duration: float) -> ClusterResult:
+        schedule = self._fault_schedule
+        if schedule is None and (
+            self.config.faults.any_faults or self.config.faults.any_disk_faults
+        ):
+            schedule = FaultSchedule.generate(
+                self.config.faults,
+                self.config.client_count,
+                duration,
+                self.rng.fork("faults"),
+                num_servers=self.config.num_servers,
+                group_sizes=self.config.group_sizes,
+                owned_groups=self._owned_groups,
+            )
+        if schedule is not None and len(schedule):
+            FaultInjector(self, schedule).arm()
+        engine = self.engine
+        get_handler = self._dispatch.get
+        last_time = 0.0
+        next_wake = engine.next_event_time()
+        seen_sequence = engine._sequence
+        for record in records:
+            time = record.time
+            if time < last_time:
+                raise SimulationError(
+                    f"trace records out of order at {time}"
+                )
+            last_time = time
+            if time > engine._now:
+                if next_wake is not None and next_wake <= time:
+                    engine.run_until(time)
+                    next_wake = engine.next_event_time()
+                    seen_sequence = engine._sequence
+                else:
+                    engine._now = time
+            self._records += 1
+            handler = get_handler(type(record))
+            if handler is not None:
+                handler(record, time)
+            if engine._sequence != seen_sequence:
+                seen_sequence = engine._sequence
+                next_wake = engine.next_event_time()
+        if duration > self.engine.now:
+            self.engine.run_until(duration)
+        for server in self.servers:
+            server.finalize_downtime(self.engine.now)
+        if self.integrity is not None and self.config.scrub_interval > 0:
+            self.integrity.final_scrub(self.engine.now)
+        self._take_snapshots()
+        if self.oracle is not None:
+            self.oracle.final_check(self.engine.now, self.clients, self.servers)
+        if self.obs is not None:
+            self.obs.finalize(self.engine.now)
+        per_server = tuple(s.counters.copy() for s in self.servers)
+        if len(per_server) == 1:
+            aggregate = per_server[0].copy()
+        else:
+            aggregate = ServerCounters.aggregate(per_server)
+        return ClusterResult(
+            config=self.config,
+            duration=duration,
+            snapshots=self._snapshots,
+            final_counters={
+                c.client_id: c.counters.copy() for c in self.clients
+            },
+            server_counters=aggregate,
+            records_replayed=self._records,
+            per_server_counters=per_server,
+            server_ids=tuple(s.server_id for s in self.servers),
+            construction_seconds=self.construction_seconds,
+            tick_events=sum(t.fire_count for t in self._tickers.values()),
+        )
+
+
+# --------------------------------------------------------------------------
+# configs and the comparison
+# --------------------------------------------------------------------------
+
+CLIENTS = 4
+SEED = 11
+
+LOSSY = FaultConfig(
+    message_loss_rate=0.2,
+    message_duplicate_rate=0.1,
+    message_reorder_rate=0.1,
+    message_delay_rate=0.2,
+)
+
+
+CONFIGS: dict[str, ClusterConfig] = {
+    "plain": ClusterConfig(client_count=CLIENTS),
+    "lossy+oracle": ClusterConfig(client_count=CLIENTS, faults=LOSSY),
+    "replicated+faults": ClusterConfig(
+        client_count=CLIENTS, num_servers=3, replication_factor=2
+    ),
+    "grouped": ClusterConfig(
+        client_count=CLIENTS, num_servers=2, client_groups=2
+    ),
+}
+
+
+def _fingerprint(cluster: Cluster, result: ClusterResult, oracle) -> dict:
+    return {
+        "clients": {
+            cid: counters.digest()
+            for cid, counters in sorted(result.final_counters.items())
+        },
+        "servers": [row.digest() for row in result.per_server_counters],
+        "aggregate": result.server_counters.digest(),
+        "snapshots": [
+            (snap.time, snap.client_id, snap.counters.digest())
+            for snap in result.all_snapshots()
+        ],
+        "records_replayed": result.records_replayed,
+        "tick_events": result.tick_events,
+        "events_run": cluster.engine.events_run,
+        "violations": (
+            None if oracle is None else [str(v) for v in oracle.violations]
+        ),
+    }
+
+
+def _run(cls, name, records, duration, schedule=None) -> dict:
+    config = CONFIGS[name]
+    oracle = (
+        ProtocolOracle(seed=SEED, raise_on_violation=False)
+        if name in ("lossy+oracle", "replicated+faults")
+        else None
+    )
+    cluster = cls(
+        config, seed=SEED, oracle=oracle,
+        fault_schedule=schedule if name == "replicated+faults" else None,
+    )
+    result = cluster.replay(records, duration)
+    return _fingerprint(cluster, result, oracle)
+
+
+def assert_loops_agree(records, duration, schedule=None) -> dict:
+    """Replay ``records`` through both loops in every config; returns
+    the production fingerprints by config name."""
+    validate_stream(records, allow_open_at_end=True)
+    out = {}
+    for name in CONFIGS:
+        reference = _run(RecordLoopCluster, name, records, duration, schedule)
+        columns = _run(
+            Cluster, name, ColumnarTrace.from_records(records), duration,
+            schedule,
+        )
+        assert columns == reference, name
+        out[name] = columns
+    return out
+
+
+# --------------------------------------------------------------------------
+# the stream strategy
+# --------------------------------------------------------------------------
+
+FILES = (0, 1, 2, 3, 5, 8)
+
+
+def _next_time(draw, now: float) -> float:
+    step = draw(st.sampled_from(("same", "tick5", "tick300", "small", "large")))
+    if step == "same":
+        return now
+    if step == "tick5":
+        return (math.floor(now / 5.0) + 1) * 5.0
+    if step == "tick300":
+        return (math.floor(now / 300.0) + 1) * 300.0
+    if step == "small":
+        return now + draw(st.sampled_from((0.25, 1.5, 3.0)))
+    return now + draw(st.sampled_from((7.0, 31.0, 95.5)))
+
+
+@st.composite
+def record_streams(draw):
+    """A short, valid, time-ordered stream over 4 clients and 6 files,
+    plus a replay duration and a fault schedule (a client crash, often
+    just after one of the stream's opens, and a server crash on one of
+    its timestamps)."""
+    now = 0.0
+    episodes: dict[int, tuple[int, int]] = {}  # open_id -> (client, file)
+    next_open = 1
+    records: list[TraceRecord] = []
+    for _ in range(draw(st.integers(1, 40))):
+        now = _next_time(draw, now)
+        actions = [
+            "open", "delete", "truncate", "create", "shared_read",
+            "shared_write", "dir_read",
+        ]
+        if episodes:
+            actions += ["read", "write", "reposition", "close", "close"]
+        action = draw(st.sampled_from(actions))
+        client = draw(st.integers(0, CLIENTS - 1))
+        file_id = draw(st.sampled_from(FILES))
+        migrated = draw(st.booleans())
+        if action == "open":
+            mode = draw(st.sampled_from(tuple(AccessMode)))
+            records.append(OpenRecord(
+                now, 0, open_id=next_open, file_id=file_id, user_id=client,
+                client_id=client, mode=mode, migrated=migrated,
+            ))
+            episodes[next_open] = (client, file_id)
+            next_open += 1
+        elif action in ("read", "write", "reposition", "close"):
+            open_id = draw(st.sampled_from(sorted(episodes)))
+            client, file_id = episodes[open_id]
+            offset = draw(st.sampled_from((0, 4096, 10000)))
+            length = draw(st.sampled_from((0, 1, 4096, 70000)))
+            if action == "read":
+                records.append(ReadRunRecord(
+                    now, 0, open_id=open_id, file_id=file_id,
+                    client_id=client, offset=offset, length=length,
+                    migrated=migrated,
+                ))
+            elif action == "write":
+                records.append(WriteRunRecord(
+                    now, 0, open_id=open_id, file_id=file_id,
+                    client_id=client, offset=offset, length=length,
+                    migrated=migrated,
+                ))
+            elif action == "reposition":
+                records.append(RepositionRecord(
+                    now, 0, open_id=open_id, file_id=file_id,
+                    client_id=client, offset_before=offset,
+                    offset_after=length,
+                ))
+            else:
+                del episodes[open_id]
+                records.append(CloseRecord(
+                    now, 0, open_id=open_id, file_id=file_id,
+                    client_id=client,
+                ))
+        elif action in ("delete", "truncate"):
+            cls = DeleteRecord if action == "delete" else TruncateRecord
+            records.append(cls(now, 0, file_id=file_id, client_id=client))
+        elif action == "create":
+            records.append(CreateRecord(now, 0, file_id=file_id, client_id=client))
+        elif action == "dir_read":
+            records.append(DirectoryReadRecord(
+                now, 0, file_id=-1 - file_id, client_id=client,
+                length=draw(st.sampled_from((0, 512, 8192))),
+            ))
+        else:
+            cls = SharedReadRecord if action == "shared_read" else SharedWriteRecord
+            records.append(cls(
+                now, 0, file_id=file_id, client_id=client, offset=0,
+                length=4096, migrated=migrated,
+            ))
+    last = records[-1].time
+    duration = draw(st.sampled_from((
+        last, (math.floor(last / 300.0) + 2) * 300.0,
+    )))
+    times = sorted({r.time for r in records})
+    opens = [r for r in records if isinstance(r, OpenRecord)]
+    if opens and draw(st.booleans()):
+        # Crash an opener just after its open, so a later close of
+        # that episode predates nothing but the reboot.
+        victim = draw(st.sampled_from(opens))
+        crash_at, target = victim.time + 0.5, victim.client_id
+    else:
+        crash_at = draw(st.sampled_from(times)) + draw(st.sampled_from((0.0, 0.5)))
+        target = draw(st.integers(0, CLIENTS - 1))
+    client_crash = FaultEvent(
+        crash_at, FaultKind.CLIENT_CRASH, target,
+        draw(st.sampled_from((1.0, 5.0, 60.0))),
+    )
+    server_crash = FaultEvent(
+        draw(st.sampled_from(times)),
+        FaultKind.SERVER_CRASH,
+        draw(st.integers(0, 2)),
+        draw(st.sampled_from((2.0, 30.0))),
+    )
+    return records, max(duration, 1.0), FaultSchedule([client_crash, server_crash])
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@given(record_streams())
+def test_property_column_loop_matches_the_record_loop(stream):
+    records, duration, schedule = stream
+    assert_loops_agree(records, duration, schedule)
+
+
+# --------------------------------------------------------------------------
+# named cases
+# --------------------------------------------------------------------------
+
+
+def _episode(open_id, client, file_id, t_open, t_write, t_close):
+    return [
+        OpenRecord(t_open, 0, open_id=open_id, file_id=file_id,
+                   client_id=client, mode=AccessMode.WRITE),
+        WriteRunRecord(t_write, 0, open_id=open_id, file_id=file_id,
+                       client_id=client, offset=0, length=9000),
+        CloseRecord(t_close, 0, open_id=open_id, file_id=file_id,
+                    client_id=client),
+    ]
+
+
+def test_close_whose_open_predates_a_client_reboot_is_dropped():
+    """Client 1 opens at t=10, crashes at t=12 for 5 s, writes and
+    closes after the reboot: the close is dropped by the epoch check in
+    both loops, and the write (made after the reboot) still counts."""
+    records = _episode(1, 1, 3, 10.0, 20.0, 25.0)
+    schedule = FaultSchedule([
+        FaultEvent(12.0, FaultKind.CLIENT_CRASH, 1, 5.0),
+        FaultEvent(40.0, FaultKind.SERVER_CRASH, 0, 2.0),
+    ])
+    config = CONFIGS["replicated+faults"]
+    cluster = Cluster(config, seed=SEED, fault_schedule=schedule)
+    result = cluster.replay(records, 600.0)
+    assert result.final_counters[1].ops_dropped_while_down == 1
+    assert_loops_agree(records, 600.0, schedule)
+
+
+def test_records_on_tick_timestamps_and_equal_times():
+    """Records exactly on the 5 s writeback and 300 s snapshot ticks,
+    several at one timestamp, and a replay that ends on the last one."""
+    records = [
+        *_episode(1, 0, 1, 0.0, 5.0, 5.0),
+        *_episode(2, 2, 1, 5.0, 300.0, 300.0),
+        TruncateRecord(300.0, 0, file_id=1, client_id=2),
+        CreateRecord(300.0, 0, file_id=2, client_id=3),
+        DeleteRecord(600.0, 0, file_id=1, client_id=0),
+    ]
+    records.sort(key=lambda r: r.time)
+    fingerprints = assert_loops_agree(records, 600.0)
+    assert fingerprints["plain"]["records_replayed"] == len(records)
+
+
+def test_delete_under_open_and_handlerless_kinds():
+    records = [
+        OpenRecord(1.0, 0, open_id=1, file_id=4, client_id=0,
+                   mode=AccessMode.READ_WRITE),
+        WriteRunRecord(2.0, 0, open_id=1, file_id=4, client_id=0,
+                       offset=0, length=20000),
+        DeleteRecord(2.0, 0, file_id=4, client_id=1),
+        SharedReadRecord(3.0, 0, file_id=4, client_id=1, length=4096),
+        SharedWriteRecord(3.0, 0, file_id=4, client_id=1, length=4096),
+        RepositionRecord(4.0, 0, open_id=1, file_id=4, client_id=0),
+        ReadRunRecord(4.0, 0, open_id=1, file_id=4, client_id=0,
+                      offset=0, length=20000),
+        CloseRecord(9.0, 0, open_id=1, file_id=4, client_id=0),
+    ]
+    fingerprints = assert_loops_agree(records, 310.0)
+    assert fingerprints["plain"]["records_replayed"] == len(records)
+
+
+# --------------------------------------------------------------------------
+# the entry conversion
+# --------------------------------------------------------------------------
+
+
+class TestEntryConversion:
+    RECORDS = _episode(1, 0, 2, 1.0, 2.0, 3.0) + _episode(2, 1, 2, 3.0, 6.0, 9.0)
+
+    def _replay(self, records) -> dict:
+        cluster = Cluster(CONFIGS["plain"], seed=SEED)
+        return _fingerprint(cluster, cluster.replay(records, 600.0), None)
+
+    def test_list_and_generator_match_the_columnar_trace(self):
+        expected = self._replay(ColumnarTrace.from_records(self.RECORDS))
+        assert self._replay(list(self.RECORDS)) == expected
+        assert self._replay(r for r in self.RECORDS) == expected
+        assert expected["records_replayed"] == len(self.RECORDS)
+
+    def test_empty_iterable(self):
+        assert self._replay(iter(()))["records_replayed"] == 0
+        assert self._replay([]) == self._replay(iter(()))
+
+    def test_reversed_list_raises_simulation_error(self):
+        cluster = Cluster(CONFIGS["plain"], seed=SEED)
+        with pytest.raises(SimulationError):
+            cluster.replay(list(reversed(self.RECORDS)), 600.0)

@@ -125,7 +125,7 @@ def test_worker_count_does_not_change_replicated_results(small_trace):
     tasks = [
         ReplayTask(
             trace_fields={"kind": "replication-chaos", "seed": seed},
-            records=small_trace.records,
+            columnar=small_trace.columnar,
             duration=small_trace.duration,
             config=REPLICATED_CONFIG,
             seed=seed,
