@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.common.errors import ConfigError, SimulationError
+from repro.common.errors import ConfigError, SimulationError, TraceOrderError
 from repro.common.rng import RngStream
 from repro.common.units import MB
 from repro.fs.client import ClientKernel
@@ -567,11 +567,16 @@ class Cluster:
         """Replay a full trace and return the measurement data.
 
         ``records`` is a :class:`ColumnarTrace`; any other record
-        iterable is converted once, in its own order, so a stream that
-        goes backwards still fails here with :class:`SimulationError`.
+        iterable is converted once at the entry, and a stream that goes
+        backwards fails with :class:`SimulationError`.
         """
         if not isinstance(records, ColumnarTrace):
-            records = ColumnarTrace.from_stream(records)
+            try:
+                records = ColumnarTrace.from_records(records)
+            except TraceOrderError as exc:
+                raise SimulationError(
+                    f"trace records out of order: {exc}"
+                ) from exc
         schedule = self._fault_schedule
         if schedule is None and (
             self.config.faults.any_faults or self.config.faults.any_disk_faults

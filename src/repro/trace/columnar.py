@@ -229,12 +229,10 @@ class ColumnarTraceBuilder:
                 out[seq] = cls(*row)
         return out
 
-    def seal(
-        self, duration: float | None = None, *, sort: bool = True
-    ) -> "ColumnarTrace":
+    def seal(self, duration: float | None = None) -> "ColumnarTrace":
         """Freeze rows into columns, drop records outside
         ``[0, duration)`` when given, and time-sort (stable, emission
-        order as tie-break).  ``sort=False`` keeps emission order."""
+        order as tie-break)."""
         tables: list[_Table | None] = []
         times_parts: list = []
         seqs_parts: list = []
@@ -276,7 +274,7 @@ class ColumnarTraceBuilder:
             times, seqs, kinds, rows = (
                 times[mask], seqs[mask], kinds[mask], rows[mask],
             )
-        order = np.lexsort((seqs, times)) if sort else np.argsort(seqs)
+        order = np.lexsort((seqs, times))
         return ColumnarTrace(tables, kinds[order], rows[order], times[order])
 
 
@@ -550,26 +548,18 @@ class ColumnarTrace:
         predecessor, so a merge of ``from_records`` views never silently
         reorders an unsorted input.
         """
-        trace = cls.from_stream(records)
-        backwards = np.nonzero(trace.times[1:] < trace.times[:-1])[0]
-        if len(backwards):
-            at = int(backwards[0])
-            raise TraceOrderError(
-                f"record stream went backwards: {float(trace.times[at + 1])} "
-                f"after {float(trace.times[at])}"
-            )
-        return trace
-
-    @classmethod
-    def from_stream(cls, records: Iterable[TraceRecord]) -> "ColumnarTrace":
-        """Columnar view of any record stream, positions in input order:
-        no filtering, no sort and no order check (a consumer that needs
-        sorted input checks it as it reads)."""
         builder = ColumnarTraceBuilder()
+        last_time = float("-inf")
         for record in records:
+            if record.time < last_time:
+                raise TraceOrderError(
+                    f"record stream went backwards: {record.time} after "
+                    f"{last_time}"
+                )
+            last_time = record.time
             row = tuple(
                 getattr(record, name)
                 for name, _ in _SPECS[_KIND_INDEX[type(record)]]
             )
             builder.append(type(record), row)
-        return builder.seal(sort=False)
+        return builder.seal()

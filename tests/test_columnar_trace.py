@@ -139,11 +139,7 @@ class TestIterColumns:
             next(small_trace.columnar.iter_columns(0))
 
 
-class TestFromStream:
-    def test_keeps_input_order(self, small_trace):
-        records = list(reversed(small_trace.records[:200]))
-        assert ColumnarTrace.from_stream(records).materialize() == records
-
+class TestFromRecords:
     def test_from_records_rejects_a_backwards_stream(self, small_trace):
         records = list(reversed(small_trace.records[:200]))
         with pytest.raises(TraceOrderError):

@@ -4,6 +4,7 @@ agree about the same quantities."""
 from repro.consistency import compute_actions
 from repro.fs import ClusterConfig, run_cluster_on_trace
 from repro.fs.counters import ClientCounters
+from repro.trace.columnar import RECORD_CLASSES, ColumnarTrace
 from repro.trace.records import OpenRecord
 from repro.workload import STANDARD_PROFILES, generate_trace
 
@@ -52,27 +53,42 @@ class TestClientServerAgreement:
     def test_cache_pages_never_exceed_vm_grant(self, small_trace):
         """During a replay the block count stays within the VM grant.
 
-        The replay pulls records from a generator that checks every
-        client after each record it yields -- i.e. after the real hot
-        loop (cached ``next_wake`` skip included) dispatched it."""
+        Every handler is wrapped to check every client right after it
+        runs -- i.e. after the real hot loop (cached ``next_wake`` skip
+        included) dispatched the record.  Handlerless kinds stay
+        unwrapped, as the loop skips them."""
         from repro.fs.cluster import Cluster
 
         cluster = Cluster(ClusterConfig(client_count=4), seed=11)
         records = small_trace.records[:20_000]
         checked = 0
 
-        def checking(records):
-            nonlocal checked
-            for record in records:
-                yield record
+        def checking(handler):
+            def check(*args):
+                nonlocal checked
+                handler(*args)
                 for client in cluster.clients:
                     assert len(client.cache) + client._spare_pages == (
                         client.vm.cache
                     )
                 checked += 1
 
-        result = cluster.replay(checking(records), records[-1].time)
-        assert checked == result.records_replayed == len(records)
+            return check
+
+        cluster._handlers = tuple(
+            None if handler is None else checking(handler)
+            for handler in cluster._handlers
+        )
+        handled = sum(
+            1 for record in records
+            if cluster._handlers[RECORD_CLASSES.index(type(record))]
+            is not None
+        )
+        result = cluster.replay(
+            ColumnarTrace.from_records(records), records[-1].time
+        )
+        assert 0 < checked == handled
+        assert result.records_replayed == len(records)
 
 
 class TestAnalysisSimulatorAgreement:
