@@ -25,10 +25,6 @@ class CacheSizeResult:
     change_15min_max: float = 0.0
     change_60min_max: float = 0.0
 
-    @property
-    def average_size_kb(self) -> float:
-        return self.size.mean / KB
-
     def render(self) -> str:
         rows = [
             [

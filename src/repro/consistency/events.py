@@ -60,10 +60,6 @@ class SharedFileActivity:
     requests: list[SharedRequest] = field(default_factory=list)
     intervals: list[OpenInterval] = field(default_factory=list)
 
-    @property
-    def requested_bytes(self) -> int:
-        return sum(r.length for r in self.requests)
-
     def sharing_windows(self, until_all_close: bool) -> list[tuple[float, float]]:
         """Time windows during which the file is uncacheable.
 

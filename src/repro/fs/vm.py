@@ -81,15 +81,6 @@ class VirtualMemory:
         """Pages the VM system holds (active + not-yet-stealable aging)."""
         return self.active + self.aging
 
-    def _stealable_aged(self, now: float) -> int:
-        """Aged pages the cache is allowed to claim."""
-        cutoff = now - self.preference
-        return sum(b.pages for b in self._aging if b.released_at <= cutoff)
-
-    def available_for_cache(self, now: float) -> int:
-        """Pages the cache could claim right now."""
-        return self.free + self._stealable_aged(now)
-
     # --- cache side -----------------------------------------------------------
 
     def claim_for_cache(self, now: float, pages: int = 1) -> int:

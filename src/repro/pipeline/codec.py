@@ -9,8 +9,8 @@ cap the warm-cache speedup well below what the hardware allows.
 This codec stores a trace as its columnar form instead: the
 :class:`~repro.trace.columnar.ColumnarTrace` payload (one flat array
 per field per record kind, plus the time order), serialized with
-:mod:`marshal` (C-speed for primitives).  A trace that carried a
-materialized record list gets it back from
+:mod:`marshal` (C-speed for primitives).  A decoded trace's ``records``
+view stays unbuilt until it is read; reading it runs
 :meth:`~repro.trace.columnar.ColumnarTrace.materialize` -- the builder
 generation itself uses, so the records are exactly the generated ones.
 Object-heavy loads run with the cyclic GC paused; the rebuilt graphs
@@ -19,8 +19,7 @@ are trees.
 Payloads are tagged by their first byte:
 
 * ``C`` -- a :class:`~repro.workload.SyntheticTrace`: the columnar
-  payload marshal-packed, profile/users/validation pickled, plus
-  whether ``records`` was materialized.
+  payload marshal-packed, profile/users/validation pickled.
 * ``R`` -- a :class:`~repro.fs.cluster.ClusterResult` (marshalled
   counter snapshots, pickled config).
 * ``O`` -- a :class:`~repro.obs.sampler.CounterTimeseries` (per-machine
@@ -55,17 +54,11 @@ _MARSHAL_VERSION = 2
 
 
 def _encode_columnar_trace(trace: SyntheticTrace) -> bytes:
-    if trace.records and len(trace.records) != len(trace.columnar):
-        raise ValueError(
-            f"trace {trace.name} carries {len(trace.records)} records but "
-            f"{len(trace.columnar)} columnar rows"
-        )
     body = pickle.dumps(
         {
             "columnar": marshal.dumps(
                 trace.columnar.to_payload(), _MARSHAL_VERSION
             ),
-            "materialized": bool(trace.records),
             "profile": trace.profile,
             "seed": trace.seed,
             "scale": trace.scale,
@@ -84,7 +77,6 @@ def _decode_columnar_trace(body: bytes) -> SyntheticTrace:
         profile=state["profile"],
         seed=state["seed"],
         scale=state["scale"],
-        records=columnar.materialize() if state["materialized"] else [],
         users=state["users"],
         validation=state["validation"],
         columnar=columnar,
@@ -188,11 +180,7 @@ def _decode_timeseries(body: bytes) -> CounterTimeseries:
 
 
 def encode_artifact(artifact: Any) -> bytes:
-    """Serialize an artifact to a tagged payload.
-
-    Raises ValueError for a trace whose ``records`` disagree in length
-    with its columnar form (the cache turns that into a failed store).
-    """
+    """Serialize an artifact to a tagged payload."""
     if isinstance(artifact, SyntheticTrace):
         return _encode_columnar_trace(artifact)
     if isinstance(artifact, ClusterResult):

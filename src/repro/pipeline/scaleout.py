@@ -39,7 +39,7 @@ group's records, which every shard computes identically.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Sequence
 
 from repro.common.errors import ConfigError, SimulationError
@@ -206,8 +206,9 @@ def check_id_space(columnar: ColumnarTrace, group: int) -> None:
 
 @dataclass
 class GroupTraceTask:
-    """Generate one group's trace (columnar, never materialized) and
-    relabel it into the merged cluster's id space."""
+    """Generate one group's trace and relabel it into the merged
+    cluster's id space (the remapped copy's ``records`` view starts
+    unbuilt, so it can never hold the group-local ids)."""
 
     profile: TraceProfile
     seed: int
@@ -239,14 +240,12 @@ class GroupTraceTask:
             seed=self.seed,
             scale=self.scale,
             client_count=self.client_count,
-            materialize=False,
         )
         remapped = trace.columnar.remap_group(
             self.group, self.groups, client_base=self.client_base
         )
         check_id_space(remapped, self.group)
-        trace.columnar = remapped
-        return trace
+        return replace(trace, columnar=remapped)
 
 
 @dataclass

@@ -12,7 +12,8 @@ per record kind, plus a global time-sorted order index -- so that:
 * replay never materializes a
   :class:`~repro.trace.records.TraceRecord`: it reads aligned field
   lists gathered chunk-at-a-time (:meth:`ColumnarTrace.iter_columns`),
-  while the analyses and validation materialize records on demand, and
+  while validation and the analyses read one whole-trace record list
+  (:meth:`ColumnarTrace.materialize`, a trace's ``records`` view), and
 * shard math (remapping a group's ids into a disjoint global id space,
   merging group streams into one time-ordered stream) is vectorized
   array arithmetic.
@@ -281,8 +282,8 @@ class ColumnarTraceBuilder:
 class ColumnarTrace:
     """A sealed, time-sorted trace in columnar form.
 
-    Iteration materializes records chunk-at-a-time; the live set is one
-    chunk, never the whole day.
+    Two traces are equal when their column arrays are: the same tables,
+    the same order, the same times.
     """
 
     #: Default materialization chunk (records); ~64k records of mixed
@@ -304,8 +305,25 @@ class ColumnarTrace:
     def __len__(self) -> int:
         return len(self.kind_idx)
 
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return self.iter_records()
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ColumnarTrace):
+            return NotImplemented
+        if len(self.tables) != len(other.tables):
+            return False
+        for mine, theirs in zip(self.tables, other.tables):
+            if mine is None or theirs is None:
+                if mine is not theirs:
+                    return False
+            elif not all(
+                np.array_equal(a, b)
+                for a, b in zip(mine.columns, theirs.columns)
+            ):
+                return False
+        return (
+            np.array_equal(self.kind_idx, other.kind_idx)
+            and np.array_equal(self.row_idx, other.row_idx)
+            and np.array_equal(self.times, other.times)
+        )
 
     # --- materialization ---------------------------------------------------
 
@@ -330,13 +348,6 @@ class ColumnarTrace:
         total = len(self)
         for lo in range(0, total, chunk_size):
             yield self._materialize_slice(lo, min(lo + chunk_size, total))
-
-    def iter_records(
-        self, chunk_size: int = DEFAULT_CHUNK
-    ) -> Iterator[TraceRecord]:
-        """The record stream, materialized chunk-at-a-time."""
-        for chunk in self.iter_chunks(chunk_size):
-            yield from chunk
 
     def iter_columns(
         self, chunk_size: int = COLUMN_CHUNK

@@ -239,13 +239,6 @@ def read_random(
     return now
 
 
-def _fresh_file(
-    ctx: AppContext, time: float, client: ClientId, size_class: SizeClass
-) -> FileState:
-    """Create a brand-new file of the given class (size applied on write)."""
-    return ctx.emitter.create_file(time, ctx.user_id, client)
-
-
 # ---------------------------------------------------------------------------
 # the applications
 # ---------------------------------------------------------------------------

@@ -130,11 +130,6 @@ def io_duration(nbytes: int, rate: float, latency: float) -> float:
     return latency + nbytes / rate
 
 
-def think_time(rng: RngStream, mean_seconds: float) -> float:
-    """Inter-action pause inside a user session (exponential)."""
-    return rng.exponential(mean_seconds)
-
-
 def diurnal_weight(time_of_day_seconds: float) -> float:
     """Relative activity level over a 24-hour day.
 

@@ -26,7 +26,6 @@ from repro.trace.records import (
     SharedReadRecord,
     SharedWriteRecord,
     TraceRecord,
-    TruncateRecord,
     WriteRunRecord,
 )
 from repro.workload.filespace import FileSpace, FileState
@@ -299,27 +298,6 @@ class RecordEmitter:
                 state.newest_byte_time,
             ),
         )
-
-    def truncate_file(
-        self, time: float, file: FileState, user_id: UserId, client_id: ClientId
-    ) -> None:
-        """Truncate a file to zero length (counted as a delete for
-        lifetime purposes, per Section 4.3)."""
-        state = self.filespace.get(file.file_id)
-        self._emit_row(
-            TruncateRecord,
-            (
-                time,
-                int(state.server_id),
-                int(state.file_id),
-                int(user_id),
-                int(client_id),
-                state.size,
-                state.oldest_byte_time,
-                state.newest_byte_time,
-            ),
-        )
-        state.truncate(time)
 
     def read_directory(
         self, time: float, user_id: UserId, client_id: ClientId, length: int

@@ -121,7 +121,3 @@ class FileSpace:
     @property
     def live_count(self) -> int:
         return len(self._files)
-
-    def live_files(self) -> list[FileState]:
-        """Snapshot of all live files (creation order)."""
-        return list(self._files.values())

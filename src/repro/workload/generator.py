@@ -12,8 +12,8 @@ stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
+from functools import cached_property
 
 from repro.common.ids import ClientId
 from repro.common.rng import RngStream
@@ -44,27 +44,36 @@ from repro.workload.users import UserGroup, UserProfile, build_user_population
 _DIURNAL_PEAK = 1.4
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticTrace:
     """One generated 24-hour trace plus its provenance.
 
-    ``columnar`` is the stream in columnar form
-    (:class:`~repro.trace.columnar.ColumnarTrace`), always present; it
-    is what every cluster replay reads.  ``records`` is the same stream
-    as the classic materialized list every analysis consumes; when the
-    trace was generated with ``materialize=False`` it stays empty and
-    record consumers stream chunk-at-a-time via :meth:`iter_records`
-    without ever holding the full list.
+    The stream is stored once, as ``columnar``
+    (:class:`~repro.trace.columnar.ColumnarTrace`): every cluster
+    replay reads it, and equality compares its column arrays.
+    ``records`` is a read-only view of the same stream as the classic
+    record list the analyses consume, built by
+    :meth:`~repro.trace.columnar.ColumnarTrace.materialize` at most once
+    per trace object.  The view is derived state: it is left out of
+    equality and of pickling, so a decoded or unpickled trace rebuilds
+    it only when it is read.
     """
 
     profile: TraceProfile
     seed: int
     scale: float
-    records: list[TraceRecord]
     users: list[UserProfile]
     validation: ValidationReport
-    #: Excluded from equality: a redundant view of the same stream.
-    columnar: ColumnarTrace = field(compare=False)
+    columnar: ColumnarTrace
+
+    @cached_property
+    def records(self) -> list[TraceRecord]:
+        return self.columnar.materialize()
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("records", None)
+        return state
 
     @property
     def name(self) -> str:
@@ -76,15 +85,8 @@ class SyntheticTrace:
 
     @property
     def record_count(self) -> int:
-        """Number of records without forcing materialization."""
+        """Number of records, read off the columns (builds no view)."""
         return len(self.columnar)
-
-    def iter_records(self) -> Iterator[TraceRecord]:
-        """The record stream, preferring the bounded-memory columnar
-        path when the materialized list is absent."""
-        if self.records:
-            return iter(self.records)
-        return self.columnar.iter_records()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -270,13 +272,12 @@ class TraceGenerator:
 
     # --- main entry -----------------------------------------------------------
 
-    def generate(self, materialize: bool = True) -> SyntheticTrace:
+    def generate(self, scale: float = 1.0) -> SyntheticTrace:
         """Play out the full day and return the sorted, validated trace.
 
-        With ``materialize=False`` the result carries only the columnar
-        form (``records`` stays empty): validation streams transient
-        chunks and no whole-day record list is ever built -- the mode
-        scale-out generation runs in.
+        ``scale`` is provenance only (the population is already scaled
+        into the profile).  The record list built for validation is
+        kept as the trace's ``records`` view.
         """
         for user in self.users:
             user_rng = self.rng.fork(f"sessions-{user.user_id}")
@@ -298,22 +299,19 @@ class TraceGenerator:
         # time (stable, emission order breaking ties) -- the vectorized
         # equivalent of the classic filter + list.sort.
         columnar = self.emitter.sink.seal(duration=self.profile.duration)
-        # Validate the list when there is one (built once, GC paused);
-        # otherwise stream transient chunks.
-        records = columnar.materialize() if materialize else []
-        report = validate_stream(
-            records if materialize else columnar.iter_records(),
-            allow_open_at_end=True,
-        )
-        return SyntheticTrace(
+        # Validate the list built once with the GC paused, then keep it
+        # as the view rather than building it again on first read.
+        records = columnar.materialize()
+        trace = SyntheticTrace(
             profile=self.profile,
             seed=self.seed,
-            scale=1.0,
-            records=records,
+            scale=scale,
             users=self.users,
-            validation=report,
+            validation=validate_stream(records, allow_open_at_end=True),
             columnar=columnar,
         )
+        vars(trace)["records"] = records
+        return trace
 
 
 def _log_mean_minutes(mean: float) -> float:
@@ -328,15 +326,12 @@ def generate_trace(
     seed: int = 1991,
     scale: float = 1.0,
     client_count: int = DEFAULT_CLIENT_COUNT,
-    materialize: bool = True,
 ) -> SyntheticTrace:
     """Generate one trace, optionally population-scaled."""
     effective = scaled_profile(profile, scale)
-    trace = TraceGenerator(
+    return TraceGenerator(
         effective, seed=seed, client_count=client_count
-    ).generate(materialize=materialize)
-    trace.scale = scale
-    return trace
+    ).generate(scale=scale)
 
 
 def generate_standard_traces(

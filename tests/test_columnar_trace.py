@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 
 from repro.common.errors import TraceOrderError
+from repro.pipeline.codec import decode_artifact, encode_artifact
+from repro.pipeline.scaleout import GroupTraceTask
 from repro.trace.columnar import (
     COLUMN_FIELDS,
     MODE_CODES,
@@ -71,10 +73,13 @@ class TestRoundTrip:
             streamed.extend(chunk)
         assert streamed == small_trace.records
 
-    def test_iter_records_matches_materialize(self, small_trace):
-        assert list(small_trace.columnar.iter_records(1024)) == (
-            small_trace.records
-        )
+    def test_iter_chunks_are_full_until_the_last(self, small_trace):
+        sizes = [
+            len(chunk) for chunk in small_trace.columnar.iter_chunks(1024)
+        ]
+        assert sum(sizes) == len(small_trace.records)
+        assert set(sizes[:-1]) == {1024}
+        assert 0 < sizes[-1] <= 1024
 
     def test_bad_chunk_size_rejected(self, small_trace):
         with pytest.raises(ValueError):
@@ -294,7 +299,7 @@ class TestGcPause:
 
 
 class TestStreamingMemory:
-    def test_iter_records_peak_is_bounded(self, small_trace):
+    def test_iter_chunks_peak_is_bounded(self, small_trace):
         """Streaming a trace must allocate far less than materializing
         it: the chunked iterator's peak is one chunk, not a day."""
         columnar = small_trace.columnar
@@ -310,8 +315,8 @@ class TestStreamingMemory:
         chunk = 1024
         tracemalloc.start()
         seen = 0
-        for record in columnar.iter_records(chunk):
-            seen += 1
+        for records in columnar.iter_chunks(chunk):
+            seen += len(records)
         _, stream_peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
 
@@ -321,18 +326,44 @@ class TestStreamingMemory:
         # under half of the materialized allocation.
         assert stream_peak < full_peak / 2
 
-    def test_record_count_without_materialization(self):
-        trace = generate_trace(
-            STANDARD_PROFILES[0],
-            seed=3,
-            scale=0.02,
-            client_count=4,
-            materialize=False,
+    def test_record_count_without_materialization(self, monkeypatch):
+        """A decoded or a remapped trace counts its records off the
+        columns and builds no record until ``records`` is read; the view
+        is then its own columns' materialization, built once."""
+        built = []
+        original = ColumnarTrace.materialize
+
+        def spy(self):
+            built.append(self)
+            return original(self)
+
+        monkeypatch.setattr(ColumnarTrace, "materialize", spy)
+        generated = generate_trace(
+            STANDARD_PROFILES[0], seed=3, scale=0.02, client_count=4
         )
-        assert trace.records == []
-        assert trace.columnar is not None
-        assert trace.record_count == len(trace.columnar) > 0
-        assert sum(1 for _ in trace.iter_records()) == trace.record_count
+        decoded = decode_artifact(encode_artifact(generated))
+        remapped = GroupTraceTask(
+            STANDARD_PROFILES[0], seed=3, scale=0.02, client_count=4,
+            group=1, groups=4, client_base=8,
+        ).run()
+        # Generation built one list per trace, for validation, as the
+        # view of the generated (group-local) trace -- nothing else.
+        assert len(built) == 2
+        assert all(columns is not remapped.columnar for columns in built)
+        built.clear()
+        for trace in (decoded, remapped):
+            assert trace.record_count == len(trace.columnar) > 0
+            assert built == []
+            records = trace.records
+            assert len(built) == 1 and built[0] is trace.columnar
+            assert trace.records is records
+            assert records == original(trace.columnar)
+            assert len(records) == trace.record_count
+            built.clear()
+        assert max(r.file_id for r in remapped.records) == (
+            remapped.columnar.max_file_id()
+        )
+        assert remapped.columnar.max_file_id() > generated.columnar.max_file_id()
 
 
 def test_record_classes_cover_every_registered_kind():

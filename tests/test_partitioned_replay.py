@@ -248,7 +248,7 @@ class TestOracleAndObs:
                 config, seed=plan.replay_seed, oracle=oracle, obs=obs,
                 owned_groups=groups,
             )
-            results.append(cluster.replay(merged.iter_records(), duration))
+            results.append(cluster.replay(merged.materialize(), duration))
             oracles.append(oracle)
             observations.append(obs)
 

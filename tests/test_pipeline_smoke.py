@@ -8,6 +8,7 @@ budget; the full-scale determinism crosscheck lives in
 from __future__ import annotations
 
 import dataclasses
+import pickle
 from dataclasses import dataclass
 
 import pytest
@@ -113,50 +114,61 @@ def test_unwritable_cache_is_not_fatal(tmp_path):
 _FIELD_TYPES = {"float": float, "int": int, "bool": bool, "AccessMode": AccessMode}
 
 
-def _small_trace(materialize):
+def _small_trace():
     return generate_trace(
-        STANDARD_PROFILES[0],
-        seed=7,
-        scale=SCALE,
-        client_count=4,
-        materialize=materialize,
+        STANDARD_PROFILES[0], seed=7, scale=SCALE, client_count=4
     )
 
 
-@pytest.mark.parametrize("materialize", [True, False])
-def test_trace_codec_round_trip(materialize):
-    """Traces store as columns (tag ``C``); a materialized trace comes
-    back with the same records, field types exact, and an unmaterialized
-    one stays unmaterialized."""
-    trace = _small_trace(materialize)
+def _remapped(trace):
+    return dataclasses.replace(
+        trace, columnar=trace.columnar.remap_group(1, 4, client_base=8)
+    )
+
+
+def test_trace_codec_round_trip():
+    """Traces store as columns (tag ``C``).  Equality compares the
+    column arrays: a trace equals its round trip and a regenerated twin,
+    but not its remapped copy, whose records carry other ids.  The
+    decoded view is the generated record list, field types exact."""
+    trace = _small_trace()
     payload = encode_artifact(trace)
     assert payload[:1] == b"C"
     decoded = decode_artifact(payload)
-    assert decoded.records == trace.records
-    assert bool(decoded.records) is materialize
-    assert decoded.record_count == trace.record_count > 0
     assert decoded == trace
-    for record in decoded.records or decoded.columnar.materialize():
+    assert _small_trace() == trace
+    remapped = _remapped(trace)
+    assert remapped != trace
+    assert remapped.columnar.max_file_id() > trace.columnar.max_file_id()
+    assert decoded.record_count == trace.record_count > 0
+    assert decoded.records == trace.records
+    for record in decoded.records:
         for item in dataclasses.fields(record):
             expected = _FIELD_TYPES[item.type]
             value = getattr(record, item.name)
             assert type(value) is expected, (record, item.name)
 
 
-def test_store_refuses_trace_whose_records_disagree_with_columns(tmp_path):
-    trace = _small_trace(True)
-    skewed = dataclasses.replace(trace, records=trace.records[:-1])
-    cache = ArtifactCache(tmp_path)
-    assert cache.store("ab" * 32, skewed) is False
-    assert cache.stats.stores == 0
-    assert not any(path.is_file() for path in tmp_path.rglob("*"))
+def test_records_view_is_not_pickled():
+    """The view is derived state: reading it does not grow a pickled
+    trace, and a generated trace (whose view generation built) pickles
+    to the same bytes as a decoded one (whose view is unbuilt)."""
+    trace = _small_trace()
+    for candidate in (decode_artifact(encode_artifact(trace)), _remapped(trace)):
+        before = pickle.dumps(candidate)
+        assert candidate.records
+        assert pickle.dumps(candidate) == before
+        assert pickle.loads(before) == candidate
+    assert pickle.dumps(trace) == pickle.dumps(
+        decode_artifact(encode_artifact(trace))
+    )
 
 
 def test_accesses_without_trace_context_round_trip_through_pickle():
     """An access list has no codec tag of its own: it pickles."""
     from repro.analysis.episodes import assemble_accesses
 
-    trace = _small_trace(True)
+    trace = _small_trace()
     accesses = list(assemble_accesses(trace.records))
     assert accesses
     payload = encode_artifact(accesses)

@@ -9,7 +9,8 @@ tick timestamps, equal timestamps, deletes and truncates under open,
 handlerless kinds, a close whose open predates a client reboot -- both
 must leave every counter, snapshot, tick and engine event identical,
 in a plain, a lossy-with-oracle, a replicated-with-faults and a grouped
-cluster.
+cluster.  Over the same streams, attaching a protocol oracle or an
+observation to a plain cluster must not steer the replay.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from repro.fs.faults import (
 )
 from repro.fs.oracle import ProtocolOracle
 from repro.fs.sharding import _mix64
+from repro.obs.observer import Observation
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.records import (
     AccessMode,
@@ -49,6 +51,8 @@ from repro.trace.records import (
     WriteRunRecord,
 )
 from repro.trace.validate import validate_stream
+
+from test_rpc_chaos import SERVER_MESSAGE_ACCOUNTING
 
 hypothesis = pytest.importorskip("hypothesis")
 given = hypothesis.given
@@ -441,6 +445,68 @@ def record_streams(draw):
 def test_property_column_loop_matches_the_record_loop(stream):
     records, duration, schedule = stream
     assert_loops_agree(records, duration, schedule)
+
+
+# --------------------------------------------------------------------------
+# attachments read the replay, they never steer it
+# --------------------------------------------------------------------------
+
+
+def _replay_plain(records, duration, oracle=None, obs=None) -> ClusterResult:
+    cluster = Cluster(CONFIGS["plain"], seed=SEED, oracle=oracle, obs=obs)
+    return cluster.replay(ColumnarTrace.from_records(records), duration)
+
+
+def _client_digests(result: ClusterResult) -> tuple:
+    return (
+        [
+            (cid, counters.digest())
+            for cid, counters in sorted(result.final_counters.items())
+        ],
+        [
+            (snap.time, snap.client_id, snap.counters.digest())
+            for snap in result.all_snapshots()
+        ],
+    )
+
+
+def _server_values(result: ClusterResult, exempt=frozenset()) -> list:
+    return [
+        [
+            (name, repr(getattr(row, name)))
+            for name in row.FIELDS
+            if name not in exempt
+        ]
+        for row in (result.server_counters, *result.per_server_counters)
+    ]
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@given(record_streams())
+def test_property_oracle_on_matches_oracle_off(stream):
+    """An attached oracle sends every call through the RPC message path,
+    so only the server's message accounting may move (its duplicate
+    cache evicts); every client counter and snapshot stays exact, and
+    the oracle finds nothing."""
+    records, duration, _ = stream
+    bare = _replay_plain(records, duration)
+    oracle = ProtocolOracle(seed=SEED, raise_on_violation=False)
+    checked = _replay_plain(records, duration, oracle=oracle)
+    assert [str(v) for v in oracle.violations] == []
+    assert _client_digests(checked) == _client_digests(bare)
+    assert _server_values(checked, SERVER_MESSAGE_ACCOUNTING) == (
+        _server_values(bare, SERVER_MESSAGE_ACCOUNTING)
+    )
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@given(record_streams())
+def test_property_obs_on_matches_obs_off(stream):
+    records, duration, _ = stream
+    bare = _replay_plain(records, duration)
+    observed = _replay_plain(records, duration, obs=Observation())
+    assert _client_digests(observed) == _client_digests(bare)
+    assert _server_values(observed) == _server_values(bare)
 
 
 # --------------------------------------------------------------------------
