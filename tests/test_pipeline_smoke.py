@@ -126,15 +126,21 @@ def _remapped(trace):
     )
 
 
-def test_trace_codec_round_trip():
-    """Traces store as columns (tag ``C``).  Equality compares the
-    column arrays: a trace equals its round trip and a regenerated twin,
-    but not its remapped copy, whose records carry other ids.  The
-    decoded view is the generated record list, field types exact."""
+@pytest.mark.parametrize("view_built", [True, False])
+def test_trace_codec_round_trip(view_built):
+    """Traces store as columns (tag ``C``), whether or not the encoded
+    trace has built its records view; the decoded trace has not.
+    Equality compares the column arrays: a trace equals its round trip
+    and a regenerated twin, but not its remapped copy, whose records
+    carry other ids.  The decoded view is the generated record list,
+    field types exact."""
     trace = _small_trace()
-    payload = encode_artifact(trace)
+    source = trace if view_built else decode_artifact(encode_artifact(trace))
+    assert ("records" in vars(source)) is view_built
+    payload = encode_artifact(source)
     assert payload[:1] == b"C"
     decoded = decode_artifact(payload)
+    assert "records" not in vars(decoded)
     assert decoded == trace
     assert _small_trace() == trace
     remapped = _remapped(trace)
