@@ -34,7 +34,7 @@ from repro.analysis.bsd_comparison import (
     render_then_vs_now,
     throughput_vs_compute_gap,
 )
-from repro.analysis.export import read_cdf_csv, write_cdf_csv
+from repro.analysis.export import write_cdf_csv
 
 __all__ = [
     "Access",
@@ -59,6 +59,5 @@ __all__ = [
     "build_comparisons",
     "render_then_vs_now",
     "throughput_vs_compute_gap",
-    "read_cdf_csv",
     "write_cdf_csv",
 ]

@@ -42,17 +42,3 @@ def write_cdf_csv(
     if rows == 0:
         raise AnalysisError("every curve in the family was empty")
     return rows
-
-
-def read_cdf_csv(path: str | os.PathLike[str]) -> dict[str, list[tuple[float, float]]]:
-    """Read back a file written by :func:`write_cdf_csv` (round-trip
-    helper, mostly for tests and notebooks)."""
-    curves: dict[str, list[tuple[float, float]]] = {}
-    with open(os.fspath(path), "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["curve", "value", "fraction"]:
-            raise AnalysisError(f"{path} is not a CDF export (header {header})")
-        for name, value, fraction in reader:
-            curves.setdefault(name, []).append((float(value), float(fraction)))
-    return curves

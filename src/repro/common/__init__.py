@@ -10,8 +10,6 @@ This package holds the pieces every other subsystem leans on:
 * :mod:`repro.common.rng` -- deterministic, forkable random streams.
 * :mod:`repro.common.stats` -- running statistics and histograms.
 * :mod:`repro.common.cdf` -- weighted empirical CDFs (the paper's figures).
-* :mod:`repro.common.intervals` -- fixed-width interval accumulators
-  (the paper's 10-second / 10-minute / 15-minute / 60-minute buckets).
 * :mod:`repro.common.render` -- plain-text rendering of tables and
   CDF figures.
 """

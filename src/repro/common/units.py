@@ -53,10 +53,6 @@ DEFAULT_CLIENT_MEMORY = 24 * MB
 #: The main file server had 128 Mbytes of memory.
 DEFAULT_SERVER_MEMORY = 128 * MB
 
-#: ~30 day-to-day users plus ~40 occasional users.
-DEFAULT_REGULAR_USERS = 30
-DEFAULT_OCCASIONAL_USERS = 40
-
 # --- latency model parameters from Section 5.3 ----------------------------
 
 #: Fetching a 4-Kbyte page from a server's cache over Ethernet: 6-7 ms.
@@ -69,39 +65,6 @@ DISK_ACCESS_SECONDS = 25e-3
 ETHERNET_BANDWIDTH = 10 * 1000 * 1000 / 8
 
 
-def bytes_to_kbytes(n: float) -> float:
-    """Convert a byte count to Kbytes (the unit most tables report)."""
-    return n / KB
-
-
 def bytes_to_mbytes(n: float) -> float:
     """Convert a byte count to Mbytes (the unit Table 1 reports)."""
     return n / MB
-
-
-def blocks_for(nbytes: int, block_size: int = BLOCK_SIZE) -> int:
-    """Number of cache blocks needed to hold ``nbytes`` of file data."""
-    if nbytes < 0:
-        raise ValueError(f"negative byte count: {nbytes}")
-    return (nbytes + block_size - 1) // block_size
-
-
-def block_of(offset: int, block_size: int = BLOCK_SIZE) -> int:
-    """Block index containing byte ``offset``."""
-    if offset < 0:
-        raise ValueError(f"negative offset: {offset}")
-    return offset // block_size
-
-
-def block_range(offset: int, length: int, block_size: int = BLOCK_SIZE) -> range:
-    """Blocks touched by a transfer of ``length`` bytes at ``offset``.
-
-    A zero-length transfer touches no blocks.
-    """
-    if length < 0:
-        raise ValueError(f"negative length: {length}")
-    if length == 0:
-        return range(0)
-    first = block_of(offset, block_size)
-    last = block_of(offset + length - 1, block_size)
-    return range(first, last + 1)

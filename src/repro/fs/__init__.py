@@ -31,7 +31,7 @@ from repro.fs.integrity import (
     compute_integrity_study,
 )
 from repro.fs.counters import ClientCounters, CounterSnapshot, ServerCounters
-from repro.fs.cache import BlockCache, EvictionReason, CleanReason
+from repro.fs.cache import BlockCache, CleanReason
 from repro.fs.vm import VirtualMemory
 from repro.fs.server import Server
 from repro.fs.sharding import Placement
@@ -70,7 +70,6 @@ __all__ = [
     "ServerCounters",
     "CounterSnapshot",
     "BlockCache",
-    "EvictionReason",
     "CleanReason",
     "VirtualMemory",
     "Server",

@@ -18,14 +18,6 @@ from repro.common.errors import CacheError
 BlockKey = tuple[int, int]  # (file_id, block_index)
 
 
-class EvictionReason(enum.Enum):
-    """Why a block left the cache (Table 8)."""
-
-    FOR_FILE_BLOCK = "another_file_block"
-    FOR_VM = "virtual_memory"
-    INVALIDATED = "invalidated"  # delete/truncate/consistency flush
-
-
 class CleanReason(enum.Enum):
     """Why a dirty block was written to the server (Table 9)."""
 

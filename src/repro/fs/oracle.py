@@ -304,15 +304,6 @@ class ProtocolOracle:
                     f"({detail})",
                 )
 
-    def version_map(self) -> dict[int, int]:
-        """The highest version stamp observed per file id (a copy).
-
-        The public face of the internal version ledger: shard merges
-        (:func:`repro.pipeline.scaleout.merge_oracle_versions`) read
-        this instead of reaching into ``_versions``.
-        """
-        return dict(self._versions)
-
     def assert_clean(self) -> None:
         """Raise on the first recorded violation (collection mode)."""
         if self.violations:

@@ -293,12 +293,6 @@ class DedupCache:
             retained.popitem(last=False)
             self.evictions += 1
 
-    def forget_client(self, client_id: int) -> None:
-        """A server crash loses the (volatile) reply cache for everyone;
-        a client reboot restarts its sequence space."""
-        self._replies.pop(client_id, None)
-        self._high.pop(client_id, None)
-
 
 class ServerEndpoint:
     """The server side of the transport: dispatch + duplicate
@@ -347,7 +341,7 @@ class ServerEndpoint:
         cls, server: "Server", oracle: "ProtocolOracle | None" = None
     ) -> "ServerEndpoint":
         """Get the server's endpoint, creating it on first use."""
-        endpoint = getattr(server, "rpc_endpoint", None)
+        endpoint = server.rpc_endpoint
         if endpoint is None:
             endpoint = cls(server, oracle)
             server.rpc_endpoint = endpoint

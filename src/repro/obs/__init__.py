@@ -7,13 +7,8 @@ The layer is opt-in and inert by default -- see
 
 from repro.obs.histograms import LatencyHistograms
 from repro.obs.observer import Observation, ObsConfig
-from repro.obs.sampler import (
-    CounterSampler,
-    CounterTimeseries,
-    MachineSeries,
-    verify_integration,
-)
-from repro.obs.tracer import TraceRecorder, validate_chrome_trace
+from repro.obs.sampler import CounterSampler, CounterTimeseries, MachineSeries
+from repro.obs.tracer import TraceRecorder
 
 __all__ = [
     "CounterSampler",
@@ -23,6 +18,4 @@ __all__ = [
     "ObsConfig",
     "Observation",
     "TraceRecorder",
-    "validate_chrome_trace",
-    "verify_integration",
 ]

@@ -8,12 +8,12 @@ simulated seconds into a :class:`CounterTimeseries` -- the two-week
 diurnal curves of the paper, per machine, for any counter.
 
 The series supports the derivations the paper's post-processing used
-(deltas per interval, rates per second) plus the acceptance check this
-layer is built around: **integrating any counter's deltas over the full
-run reproduces the end-of-run aggregate exactly** (the sampler reads
-the same objects the Table 4-9 pipeline reads, so sum-of-deltas =
-last - first = final counter, with no float drift for the integer
-counters).
+(deltas per interval, rates per second).  The layer is built around one
+acceptance property, which the obs tests check: **integrating any
+counter's deltas over the full run reproduces the end-of-run aggregate
+exactly** (the sampler reads the same objects the Table 4-9 pipeline
+reads, so sum-of-deltas = last - first = final counter, with no float
+drift for the integer counters).
 
 Timeseries dump/load goes through :mod:`repro.pipeline.codec` (tag
 ``O``): per-machine row tables serialized with :mod:`marshal`, the same
@@ -37,13 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 CLIENT_FIELDS: tuple[str, ...] = ClientCounters.FIELDS
 SERVER_FIELDS: tuple[str, ...] = ServerCounters.FIELDS
-
-#: Instantaneous gauges (re-written at every snapshot) rather than
-#: cumulative counters: for these the end-of-run value is the *last*
-#: sample, not the sum of deltas (the baseline sample is non-zero).
-GAUGE_FIELDS: frozenset[str] = frozenset({
-    "cache_size_bytes", "vm_resident_bytes", "dirty_blocks_resident",
-})
 
 
 @dataclass
@@ -283,71 +276,3 @@ class CounterSampler:
         server_times = self.timeseries.machines[self._server_names[0]].times
         if not server_times or server_times[-1] < now:
             self.sample()
-
-
-def verify_integration(
-    timeseries: CounterTimeseries,
-    final_counters: dict[int, ClientCounters],
-    server_counters: ServerCounters,
-    per_server_counters: Sequence[ServerCounters] | None = None,
-    server_ids: Sequence[int] | None = None,
-) -> list[str]:
-    """Check sum-of-deltas == end-of-run aggregate for every counter.
-
-    Returns a list of mismatches (empty = the timeseries integrates to
-    exactly the Table 4-9 inputs).  Used by the obs test suite and handy
-    for ad-hoc sanity checks on saved timeseries.
-
-    A sharded replay samples ``server-0`` .. ``server-N-1`` instead of
-    ``server``; pass the result's ``per_server_counters`` and each
-    shard's series is checked against its own final counters (the
-    aggregate ``server_counters`` is then implied, being the field-wise
-    sum of the shards).  An owned-only shard's ``per_server_counters``
-    rows are its *owned* servers, not ``0..N-1``; pass the result's
-    ``server_ids`` so each row is matched to the right series.
-    """
-    problems: list[str] = []
-
-    def check(series: MachineSeries, names: Sequence[str], counters) -> None:
-        for name in names:
-            if name in GAUGE_FIELDS:
-                # Gauges overwrite, they don't accumulate: the run's
-                # final value is the closing sample itself.
-                got = series.column(name)[-1]
-                how = "last sample"
-            else:
-                got = series.integrate(name)
-                how = "integrated"
-            expected = getattr(counters, name)
-            if got != expected:
-                problems.append(
-                    f"{series.machine}.{name}: {how} {got!r} "
-                    f"!= final {expected!r}"
-                )
-
-    for client_id, counters in sorted(final_counters.items()):
-        check(timeseries.series(f"client-{client_id}"), CLIENT_FIELDS, counters)
-    if "server" in timeseries.machines:
-        check(timeseries.series("server"), SERVER_FIELDS, server_counters)
-    elif per_server_counters is not None:
-        ids = (
-            list(server_ids) if server_ids
-            else list(range(len(per_server_counters)))
-        )
-        if len(ids) != len(per_server_counters):
-            problems.append(
-                f"{len(ids)} server ids for "
-                f"{len(per_server_counters)} per-server counter rows"
-            )
-            return problems
-        for server_id, counters in zip(ids, per_server_counters):
-            check(
-                timeseries.series(f"server-{server_id}"),
-                SERVER_FIELDS, counters,
-            )
-    else:
-        problems.append(
-            "no 'server' series and no per_server_counters to check the "
-            f"per-shard series against; have {sorted(timeseries.machines)}"
-        )
-    return problems

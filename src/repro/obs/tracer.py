@@ -169,42 +169,3 @@ class TraceRecorder:
         """Write the trace as JSON; openable at https://ui.perfetto.dev."""
         with open(os.fspath(path), "w", encoding="utf-8") as handle:
             json.dump(self.to_chrome_trace(), handle, separators=(",", ":"))
-
-
-_VALID_PHASES = frozenset("BEXiICPnbesfNODMVvRcaAt(){}")
-
-
-def validate_chrome_trace(trace: dict[str, Any]) -> list[str]:
-    """Check a trace object against the Chrome trace-event JSON schema.
-
-    Returns a list of problems (empty = valid).  Checks the JSON-object
-    format: a ``traceEvents`` array whose rows carry the required
-    ``name``/``ph``/``ts``/``pid``/``tid`` fields with the right types,
-    ``dur`` on complete events, and known phase codes.
-    """
-    problems: list[str] = []
-    events = trace.get("traceEvents")
-    if not isinstance(events, list):
-        return ["top-level 'traceEvents' must be a list"]
-    for i, row in enumerate(events):
-        where = f"traceEvents[{i}]"
-        if not isinstance(row, dict):
-            problems.append(f"{where}: not an object")
-            continue
-        ph = row.get("ph")
-        if not isinstance(ph, str) or ph not in _VALID_PHASES:
-            problems.append(f"{where}: bad phase {ph!r}")
-        if not isinstance(row.get("name"), str):
-            problems.append(f"{where}: 'name' must be a string")
-        if not isinstance(row.get("ts", 0), (int, float)):
-            problems.append(f"{where}: 'ts' must be numeric")
-        elif ph != "M" and "ts" not in row:
-            problems.append(f"{where}: missing 'ts'")
-        for key in ("pid", "tid"):
-            if not isinstance(row.get(key), int):
-                problems.append(f"{where}: '{key}' must be an integer")
-        if ph == "X" and not isinstance(row.get("dur"), (int, float)):
-            problems.append(f"{where}: complete event missing numeric 'dur'")
-        if ph == "C" and not isinstance(row.get("args"), dict):
-            problems.append(f"{where}: counter event missing 'args'")
-    return problems

@@ -38,11 +38,10 @@ group's records, which every shard computes identically.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Any, Sequence
 
-from repro.common.errors import ConfigError, SimulationError
+from repro.common.errors import ConfigError
 from repro.fs.cluster import (
     ClusterResult,
     merge_cluster_results,
@@ -398,84 +397,3 @@ def run_unpartitioned_replay(
         plan.cluster_config(), traces[0].duration, plan.replay_seed,
         oracle=oracle, obs=obs,
     )
-
-
-# --------------------------------------------------------------------------
-# cross-shard merge of the observability layers
-# --------------------------------------------------------------------------
-
-
-def merge_obs_timeseries(
-    series: Sequence, owned_groups: Sequence[Sequence[int]], plan: ScaleOutPlan
-):
-    """Merge per-shard obs timeseries by machine ownership.
-
-    An owned-only shard's sampler saw just its own groups' machines, so
-    the merged series walks the union of every shard's machine names
-    (sorted -- the order an unpartitioned observed replay registers
-    them in) and takes each machine from the shard owning its group.
-    A machine no shard accounts for is a partitioning bug and raises a
-    contextual error rather than a bare ``KeyError``.
-    """
-    from repro.obs.sampler import CounterTimeseries
-
-    owner: dict[int, Any] = {}
-    for ts, groups in zip(series, owned_groups):
-        for group in groups:
-            owner[group] = ts
-    offsets = plan.group_client_offsets
-    servers_per_group = plan.servers_per_group
-    merged = CounterTimeseries(series[0].sample_interval)
-    names = sorted(set().union(*(ts.machines.keys() for ts in series)))
-    for name in names:
-        if name.startswith("client-"):
-            group = bisect_right(offsets, int(name.split("-")[1])) - 1
-        elif name.startswith("server-"):
-            group = int(name.split("-")[1]) // servers_per_group
-        else:  # a lone "server" only exists in ungrouped clusters
-            group = 0
-        ts = owner.get(group)
-        if ts is None or name not in ts.machines:
-            raise SimulationError(
-                f"machine {name!r} belongs to group {group}, which no "
-                f"shard in the merge owns (owned groups: "
-                f"{sorted(owner)}; shards sampled {len(names)} machines)"
-            )
-        merged.machines[name] = ts.machines[name]
-    return merged
-
-
-def merge_oracle_versions(
-    oracles: Sequence, owned_groups: Sequence[Sequence[int]], groups: int
-) -> dict[int, int]:
-    """Merge per-shard oracle version maps by file-id residue class.
-
-    A shard's oracle observes its own groups' file ids (``file_id %
-    groups`` names the owner), so those merge as a disjoint union.
-    Negative (sentinel) ids are shared: every shard whose clients did
-    directory passthrough may have observed them, and determinism
-    demands the shards *agree* -- a disagreement means the partitioning
-    leaked state between groups, so it raises a seed-carrying error
-    instead of silently keeping the last writer.
-    """
-    merged: dict[int, int] = {}
-    shared_sources: dict[int, Any] = {}
-    for oracle, owned in zip(oracles, owned_groups):
-        owned_set = set(owned)
-        for file_id, version in oracle.version_map().items():
-            if file_id < 0:
-                prior = merged.get(file_id)
-                if prior is not None and prior != version:
-                    raise SimulationError(
-                        f"shards disagree on shared sentinel file "
-                        f"{file_id}: one shard (owning groups "
-                        f"{sorted(shared_sources[file_id])}) observed "
-                        f"version {prior}, another (owning groups "
-                        f"{sorted(owned_set)}) observed {version} "
-                        f"(oracle seed {oracle.seed})"
-                    )
-                merged[file_id] = version
-                shared_sources.setdefault(file_id, owned_set)
-            elif file_id % groups in owned_set:
-                merged[file_id] = version
-    return merged

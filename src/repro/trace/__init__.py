@@ -5,7 +5,7 @@ Sprite file servers: opens, closes, repositions, deletes, truncates, and
 -- for files undergoing write-sharing -- individual read/write requests.
 This package defines that record vocabulary, a streaming JSON-lines
 serialization, a columnar form whose merge orders per-server streams
-(:mod:`repro.trace.columnar`), the filters the paper applied
+(:mod:`repro.trace.columnar`), the filter the paper applied
 (dropping tracer self-traffic and nightly backups), and a validator for
 the per-file event grammar.
 """
@@ -27,7 +27,7 @@ from repro.trace.records import (
 )
 from repro.trace.reader import TraceReader, read_trace
 from repro.trace.writer import TraceWriter, write_trace
-from repro.trace.filters import drop_users, drop_self_traffic, time_window
+from repro.trace.filters import drop_self_traffic
 from repro.trace.validate import validate_stream
 from repro.trace.tools import TraceSummary, split_by_duration, summarize
 
@@ -49,9 +49,7 @@ __all__ = [
     "TraceWriter",
     "read_trace",
     "write_trace",
-    "drop_users",
     "drop_self_traffic",
-    "time_window",
     "validate_stream",
     "TraceSummary",
     "summarize",

@@ -1,15 +1,13 @@
-"""Stream filters applied before analysis.
+"""The self-traffic filter applied before analysis.
 
 The paper's merge step "removed all records related to writing the trace
-files themselves and all records related to the nightly tape backup";
-it also reprocessed traces with the kernel-development group excluded to
-test whether the large-file trend was an artifact.  These filters model
-those operations.
+files themselves and all records related to the nightly tape backup".
+:func:`drop_self_traffic` models that step.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.trace.records import TraceRecord
 
@@ -33,51 +31,3 @@ def drop_self_traffic(
         if _record_user(record) in SELF_TRAFFIC_USER_IDS:
             continue
         yield record
-
-
-def drop_users(
-    records: Iterable[TraceRecord], user_ids: Iterable[int]
-) -> Iterator[TraceRecord]:
-    """Remove all records belonging to the given users (the paper's
-    "ignore the kernel development group" reprocessing)."""
-    excluded = frozenset(user_ids)
-    for record in records:
-        if _record_user(record) in excluded:
-            continue
-        yield record
-
-
-def time_window(
-    records: Iterable[TraceRecord], start: float, end: float
-) -> Iterator[TraceRecord]:
-    """Keep records with start <= time < end (splitting 48-hour captures
-    into the paper's 24-hour trace halves)."""
-    if end <= start:
-        raise ValueError(f"empty time window: {start}..{end}")
-    for record in records:
-        if start <= record.time < end:
-            yield record
-
-
-def keep_kinds(
-    records: Iterable[TraceRecord], kinds: Iterable[str]
-) -> Iterator[TraceRecord]:
-    """Keep only records of the named kinds."""
-    wanted = frozenset(kinds)
-    for record in records:
-        if record.kind in wanted:
-            yield record
-
-
-def compose(
-    *filters: Callable[[Iterable[TraceRecord]], Iterator[TraceRecord]],
-) -> Callable[[Iterable[TraceRecord]], Iterator[TraceRecord]]:
-    """Compose stream filters left-to-right into one filter."""
-
-    def apply(records: Iterable[TraceRecord]) -> Iterator[TraceRecord]:
-        stream: Iterable[TraceRecord] = records
-        for item in filters:
-            stream = item(stream)
-        yield from stream
-
-    return apply

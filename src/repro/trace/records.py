@@ -257,13 +257,3 @@ class DirectoryReadRecord(TraceRecord):
     user_id: int = 0
     client_id: int = 0
     length: int = 0
-
-
-#: Records whose byte counts Table 1 reports as "read from files".
-#: Shared-request records are the per-request server log for write-shared
-#: files; their bytes are already covered by the coalesced run records,
-#: so counting both would double-count.
-READ_TRANSFER_KINDS = ("read_run",)
-
-#: Records whose byte counts Table 1 reports as "written to files".
-WRITE_TRANSFER_KINDS = ("write_run",)

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.analysis.export import read_cdf_csv, write_cdf_csv
+from repro.analysis.export import write_cdf_csv
 from repro.common.cdf import Cdf
 from repro.common.errors import AnalysisError
+
+from checkers import read_cdf_csv
 
 
 def make_cdf(values):

@@ -1,107 +1,9 @@
-"""Tests for interval bucketing and the extras of the render module."""
+"""Tests for the CDF figure rendering of the render module."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.common.cdf import Cdf
-from repro.common.errors import AnalysisError
-from repro.common.intervals import (
-    Interval,
-    IntervalAccumulator,
-    interval_index,
-    span_intervals,
-)
 from repro.common.render import render_cdf_figure
-
-
-class TestIntervalIndex:
-    def test_basic(self):
-        assert interval_index(0.0, 10.0) == 0
-        assert interval_index(9.999, 10.0) == 0
-        assert interval_index(10.0, 10.0) == 1
-
-    def test_negative_times(self):
-        assert interval_index(-0.5, 10.0) == -1
-
-    def test_origin_shift(self):
-        assert interval_index(5.0, 10.0, origin=5.0) == 0
-
-    def test_zero_width_raises(self):
-        with pytest.raises(ValueError):
-            interval_index(0.0, 0.0)
-
-
-class TestIntervalAccumulator:
-    def test_groups_observations(self):
-        acc = IntervalAccumulator(width=10.0, factory=list)
-        acc.observe(1.0).append("a")
-        acc.observe(5.0).append("b")
-        acc.observe(15.0).append("c")
-        assert acc.bucket_count == 2
-        values = list(acc.values())
-        assert values == [["a", "b"], ["c"]]
-
-    def test_items_in_time_order(self):
-        acc = IntervalAccumulator(width=10.0, factory=list)
-        acc.observe(25.0)
-        acc.observe(5.0)
-        intervals = [interval for interval, _ in acc.items()]
-        assert [i.index for i in intervals] == [0, 2]
-        assert intervals[0].start == 0.0
-        assert intervals[1].end == 30.0
-
-    def test_interval_for(self):
-        acc = IntervalAccumulator(width=10.0, factory=list, origin=100.0)
-        interval = acc.interval_for(2)
-        assert interval == Interval(index=2, start=120.0, end=130.0)
-
-    def test_bad_width_raises(self):
-        with pytest.raises(ValueError):
-            IntervalAccumulator(width=0.0, factory=list)
-
-
-class TestSpanIntervals:
-    def test_span_within_one(self):
-        spans = list(span_intervals(1.0, 5.0, 10.0))
-        assert len(spans) == 1
-        assert spans[0].index == 0
-
-    def test_span_across_boundary(self):
-        spans = list(span_intervals(5.0, 15.0, 10.0))
-        assert [s.index for s in spans] == [0, 1]
-
-    def test_span_ending_on_boundary(self):
-        spans = list(span_intervals(5.0, 10.0, 10.0))
-        assert [s.index for s in spans] == [0]
-
-    def test_point_span(self):
-        spans = list(span_intervals(5.0, 5.0, 10.0))
-        assert [s.index for s in spans] == [0]
-
-    def test_backwards_raises(self):
-        with pytest.raises(AnalysisError):
-            list(span_intervals(10.0, 5.0, 10.0))
-
-    @given(
-        start=st.floats(min_value=0, max_value=1e5),
-        length=st.floats(min_value=0, max_value=1e5),
-        width=st.floats(min_value=0.1, max_value=1e4),
-    )
-    @settings(max_examples=100, deadline=None)
-    @pytest.mark.slow
-    def test_span_covers_endpoints_property(self, start, length, width):
-        end = start + length
-        spans = list(span_intervals(start, end, width))
-        # Float boundary fuzz: index*width can land an ulp past the
-        # requested time, so compare with a width-relative tolerance.
-        eps = width * 1e-9 + 1e-9
-        assert spans[0].start <= start + eps
-        assert start < spans[0].end + eps
-        assert spans[-1].start <= max(start, end) + eps
-        # Consecutive and non-overlapping.
-        for a, b in zip(spans, spans[1:]):
-            assert b.index == a.index + 1
 
 
 class TestCdfFigureRendering:

@@ -26,9 +26,9 @@ from repro.obs import (
     ObsConfig,
     Observation,
     TraceRecorder,
-    validate_chrome_trace,
-    verify_integration,
 )
+
+from checkers import validate_chrome_trace, verify_integration
 
 pytestmark = pytest.mark.obs
 

@@ -20,14 +20,11 @@ from repro.fs.faults import FaultConfig
 from repro.fs.oracle import ProtocolOracle
 from repro.fs.sharding import MachineRoster, Placement
 from repro.obs.observer import Observation, ObsConfig
-from repro.obs.sampler import CounterTimeseries, MachineSeries
 from repro.pipeline.scaleout import (
     GROUP_SEED_STRIDE,
     ScaleOutPlan,
     build_group_traces,
     check_id_space,
-    merge_obs_timeseries,
-    merge_oracle_versions,
     run_partitioned_replay,
     run_unpartitioned_replay,
     shard_partition,
@@ -35,6 +32,8 @@ from repro.pipeline.scaleout import (
 from repro.trace.columnar import ColumnarTrace, ColumnarTraceBuilder
 from repro.trace.records import OpenRecord, AccessMode
 from repro.workload.profiles import STANDARD_PROFILES
+
+from checkers import oracle_versions
 
 SCALE = 0.15  # 6 clients -- an unequal (2, 2, 1, 1) split over 4 groups
 GROUPS = 4
@@ -256,88 +255,28 @@ class TestOracleAndObs:
 
         assert not ref_oracle.violations
         assert not any(oracle.violations for oracle in oracles)
-        assert merge_oracle_versions(oracles, owned, plan.groups) == (
-            ref_oracle.version_map()
-        )
 
-        merged_ts = merge_obs_timeseries(
-            [obs.timeseries for obs in observations], owned, plan
-        )
-        assert sorted(merged_ts.machines) == sorted(
-            ref_obs.timeseries.machines
-        )
-        for name, series in ref_obs.timeseries.machines.items():
-            assert merged_ts.machines[name].times == series.times
-            assert merged_ts.machines[name].rows == series.rows
+        def restricted(versions, groups):
+            return {
+                file_id: version for file_id, version in versions.items()
+                if file_id < 0 or file_id % plan.groups in groups
+            }
 
+        ref_versions = oracle_versions(ref_oracle)
+        for oracle, groups in zip(oracles, owned):
+            assert restricted(oracle_versions(oracle), groups) == restricted(
+                ref_versions, groups
+            )
 
-class _StubOracle:
-    """Just enough oracle surface for the merge helpers."""
-
-    def __init__(self, versions, seed=7):
-        self._versions = dict(versions)
-        self.seed = seed
-
-    def version_map(self):
-        return dict(self._versions)
-
-
-def _series(name):
-    return MachineSeries(machine=name, fields=("x",), times=[0.0], rows=[(0,)])
-
-
-def _timeseries(names):
-    ts = CounterTimeseries(600.0)
-    for name in names:
-        ts.machines[name] = _series(name)
-    return ts
-
-
-class TestMergeHelpers:
-    def test_oracle_merge_is_residue_disjoint(self):
-        # Group 0 owns even ids, group 1 odd; foreign ids are ignored.
-        a = _StubOracle({0: 3, 2: 1, 5: 9})
-        b = _StubOracle({1: 4, 5: 9})
-        merged = merge_oracle_versions([a, b], [[0], [1]], 2)
-        assert merged == {0: 3, 2: 1, 1: 4, 5: 9}
-
-    def test_oracle_merge_keeps_agreeing_sentinels(self):
-        a = _StubOracle({-5: 2, 0: 1})
-        b = _StubOracle({-5: 2, 1: 1})
-        merged = merge_oracle_versions([a, b], [[0], [1]], 2)
-        assert merged[-5] == 2
-
-    def test_oracle_merge_rejects_sentinel_disagreement(self):
-        a = _StubOracle({-5: 2}, seed=1234)
-        b = _StubOracle({-5: 3}, seed=1234)
-        with pytest.raises(SimulationError) as excinfo:
-            merge_oracle_versions([a, b], [[0], [1]], 2)
-        message = str(excinfo.value)
-        assert "disagree" in message
-        assert "seed 1234" in message
-
-    def test_obs_merge_takes_each_machine_from_its_owner(self, plan):
-        owned = [[0, 1], [2, 3]]
-        offsets = plan.group_client_offsets  # (0, 2, 4, 5, 6)
-        shard0 = _timeseries(
-            [f"client-{i}" for i in range(offsets[2])]
-            + ["server-0", "server-1"]
-        )
-        shard1 = _timeseries(
-            [f"client-{i}" for i in range(offsets[2], offsets[4])]
-            + ["server-2", "server-3"]
-        )
-        merged = merge_obs_timeseries([shard0, shard1], owned, plan)
-        assert sorted(merged.machines) == sorted(
-            set(shard0.machines) | set(shard1.machines)
-        )
-
-    def test_obs_merge_unowned_machine_is_contextual_error(self, plan):
-        # A shard sampled a group-3 client, but no shard owns group 3.
-        stray = f"client-{plan.group_client_offsets[3]}"
-        shard = _timeseries(["client-0", "client-1", "server-0", stray])
-        with pytest.raises(SimulationError, match="belongs to group 3"):
-            merge_obs_timeseries([shard], [[0]], plan)
+        ref_machines = ref_obs.timeseries.machines
+        sampled = [
+            name for obs in observations for name in obs.timeseries.machines
+        ]
+        assert sorted(sampled) == sorted(ref_machines)
+        for obs in observations:
+            for name, series in obs.timeseries.machines.items():
+                assert series.times == ref_machines[name].times
+                assert series.rows == ref_machines[name].rows
 
 
 class TestPlanAndPartition:

@@ -10,18 +10,22 @@ handlerless kinds, a close whose open predates a client reboot -- both
 must leave every counter, snapshot, tick and engine event identical,
 in a plain, a lossy-with-oracle, a replicated-with-faults and a grouped
 cluster.  Over the same streams, attaching a protocol oracle or an
-observation to a plain cluster must not steer the replay.
+observation to a plain cluster must not steer the replay; a grouped
+stream replayed as owned-only shards and merged must equal one replay;
+and a raise-mode oracle must stay clean in replicated clusters under
+the strategy's faults plus overlapping server crashes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, replace
 
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.fs.cluster import Cluster, ClusterResult
+from repro.fs.cluster import Cluster, ClusterResult, merge_cluster_results
 from repro.fs.config import ClusterConfig
 from repro.fs.counters import ServerCounters
 from repro.fs.faults import (
@@ -31,7 +35,7 @@ from repro.fs.faults import (
     FaultKind,
     FaultSchedule,
 )
-from repro.fs.oracle import ProtocolOracle
+from repro.fs.oracle import InvariantViolation, ProtocolOracle
 from repro.fs.sharding import _mix64
 from repro.obs.observer import Observation
 from repro.trace.columnar import ColumnarTrace
@@ -507,6 +511,180 @@ def test_property_obs_on_matches_obs_off(stream):
     observed = _replay_plain(records, duration, obs=Observation())
     assert _client_digests(observed) == _client_digests(bare)
     assert _server_values(observed) == _server_values(bare)
+
+
+# --------------------------------------------------------------------------
+# owned-only shards, merged, equal one replay
+# --------------------------------------------------------------------------
+
+#: Rate-driven faults for a grouped cluster (explicit schedules are
+#: refused there); rates are per simulated hour, and streams span
+#: minutes, so most examples see a crash or a partition.
+GROUP_FAULTS = FaultConfig(
+    server_crash_rate=30.0,
+    server_downtime=30.0,
+    client_crash_rate=30.0,
+    client_downtime=60.0,
+    partition_rate=30.0,
+    partition_duration=20.0,
+)
+
+PARTITIONED_CONFIGS: dict[str, ClusterConfig] = {
+    "grouped": CONFIGS["grouped"],
+    "grouped+replicated+faults": ClusterConfig(
+        client_count=CLIENTS, num_servers=4, client_groups=2,
+        replication_factor=2, faults=GROUP_FAULTS,
+    ),
+}
+
+
+def _group_streams(records, config: ClusterConfig):
+    """The stream moved into per-group id spaces, whole and per group.
+
+    Each record's file id is strided into its client's group residue
+    class (``file_id * groups + group``); negative directory sentinels
+    pass through, as in :meth:`ColumnarTrace.remap_group`.
+    """
+    groups = config.client_groups
+    offsets = config.group_client_offsets
+    whole: list[TraceRecord] = []
+    per_group: list[list[TraceRecord]] = [[] for _ in range(groups)]
+    for record in records:
+        group = bisect_right(offsets, record.client_id) - 1
+        if record.file_id >= 0:
+            record = replace(record, file_id=record.file_id * groups + group)
+        whole.append(record)
+        per_group[group].append(record)
+    return whole, per_group
+
+
+def _merge_fingerprint(result: ClusterResult) -> dict:
+    """Everything the shard merge must reproduce; ``tick_events`` and
+    ``construction_seconds`` are left out because the merge sums them
+    as fleet gauges."""
+    return {
+        "clients": _client_digests(result),
+        "servers": [row.digest() for row in result.per_server_counters],
+        "aggregate": result.server_counters.digest(),
+        "records_replayed": result.records_replayed,
+    }
+
+
+def assert_shards_match_one_replay(records, duration, name) -> ClusterResult:
+    config = PARTITIONED_CONFIGS[name]
+    whole, per_group = _group_streams(records, config)
+    reference = Cluster(config, seed=SEED).replay(
+        ColumnarTrace.from_records(whole), duration
+    )
+    owned = [[group] for group in range(config.client_groups)]
+    shards = [
+        Cluster(config, seed=SEED, owned_groups=groups).replay(
+            ColumnarTrace.from_records(per_group[groups[0]]), duration
+        )
+        for groups in owned
+    ]
+    merged = merge_cluster_results(shards, owned)
+    assert _merge_fingerprint(merged) == _merge_fingerprint(reference), name
+    return reference
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@given(record_streams())
+def test_property_partitioned_matches_unpartitioned(stream):
+    records, duration, _ = stream
+    assert_shards_match_one_replay(records, duration, "grouped")
+    reference = assert_shards_match_one_replay(
+        records, duration, "grouped+replicated+faults"
+    )
+    faults = reference.server_counters.crashes + sum(
+        c.crashes + c.partitions for c in reference.final_counters.values()
+    )
+    hypothesis.event("fault fired" if faults else "no fault fired")
+
+
+# --------------------------------------------------------------------------
+# the protocol oracle stays clean, in raise mode
+# --------------------------------------------------------------------------
+
+ORACLE_CONFIGS: dict[str, ClusterConfig] = {
+    "replicated+faults": CONFIGS["replicated+faults"],
+    "replicated-r3+faults": ClusterConfig(
+        client_count=CLIENTS, num_servers=4, replication_factor=3
+    ),
+}
+
+
+@st.composite
+def streams_with_server_crashes(draw):
+    """A :func:`record_streams` draw plus up to three extra server
+    crashes, each starting inside the strategy's own server outage, so
+    two or three servers are down at once."""
+    records, duration, schedule = draw(record_streams())
+    (outage,) = [
+        e for e in schedule.events if e.kind is FaultKind.SERVER_CRASH
+    ]
+    extra = [
+        FaultEvent(
+            outage.time + draw(st.sampled_from((0.0, 0.5, 1.5))),
+            FaultKind.SERVER_CRASH,
+            draw(st.integers(0, 2)),
+            draw(st.sampled_from((2.0, 30.0, 120.0))),
+        )
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    return records, duration, FaultSchedule([*schedule.events, *extra])
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@given(streams_with_server_crashes())
+def test_property_oracle_stays_clean_under_crashes(stream):
+    """A raise-mode oracle fails the example at its first violation."""
+    records, duration, schedule = stream
+    for config in ORACLE_CONFIGS.values():
+        oracle = ProtocolOracle(seed=SEED, raise_on_violation=True)
+        cluster = Cluster(
+            config, seed=SEED, oracle=oracle, fault_schedule=schedule
+        )
+        cluster.replay(ColumnarTrace.from_records(records), duration)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=InvariantViolation,
+    reason="retired substitutes keep their copy; a later re-replication "
+    "re-adopts the orphan at its stale version",
+)
+@pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
+def test_orphaned_substitute_after_a_second_crash(name):
+    """The Table A replica divergence, shrunk from a variant of the
+    property above whose extra crashes need not overlap.  Server 0 is
+    down twice, for 30 s each time.  At r=2 file 0 lives on servers
+    (2, 0); at r=3 on (3, 0, 2), and the story is the same:
+
+    1. At t=15 server 0 is declared dead and server 1 stands in for it;
+       the write-open at t=25 stamps v1 on every live copy.
+    2. Server 0 recovers at t=30 and server 1 retires, keeping its v1.
+    3. Server 0 crashes again at t=50.5; the delete at t=60 resets the
+       live replicas to v0, but never reaches the orphan on server 1.
+    4. At t=65 server 0 is declared dead again, re-replication adopts
+       server 1 once more, and the version max-merge leaves it at v1.
+    """
+    records = [
+        OpenRecord(5.0, 0, open_id=1, file_id=0, client_id=0,
+                   mode=AccessMode.READ),
+        OpenRecord(25.0, 0, open_id=2, file_id=0, client_id=0,
+                   mode=AccessMode.WRITE),
+        DeleteRecord(60.0, 0, file_id=0, client_id=0),
+    ]
+    schedule = FaultSchedule([
+        FaultEvent(0.0, FaultKind.SERVER_CRASH, 0, 30.0),
+        FaultEvent(50.5, FaultKind.SERVER_CRASH, 0, 30.0),
+    ])
+    oracle = ProtocolOracle(seed=SEED, raise_on_violation=True)
+    cluster = Cluster(
+        ORACLE_CONFIGS[name], seed=SEED, oracle=oracle, fault_schedule=schedule
+    )
+    cluster.replay(ColumnarTrace.from_records(records), 65.0)
 
 
 # --------------------------------------------------------------------------

@@ -35,8 +35,9 @@ class TestReport:
 
 class TestFigureExport:
     def test_export_figure_data(self, tmp_path, experiment_context):
-        from repro.analysis import read_cdf_csv
         from repro.experiments.report import export_figure_data
+
+        from checkers import read_cdf_csv
 
         written = export_figure_data(tmp_path, experiment_context)
         assert len(written) == 4

@@ -13,6 +13,7 @@ import pytest
 from repro.common.errors import SimulationError
 from repro.common.rng import RngStream
 from repro.fs.client import ClientKernel
+from repro.fs.cluster import Cluster
 from repro.fs.config import ClusterConfig
 from repro.fs.faults import FaultConfig
 from repro.fs.rpc import (
@@ -23,7 +24,6 @@ from repro.fs.rpc import (
     DedupStatus,
     Delivery,
     Message,
-    ServerEndpoint,
 )
 from repro.fs.server import Server
 from repro.fs.vm import VirtualMemory
@@ -185,12 +185,6 @@ class TestDedupCache:
         # The retained ones still replay their own replies.
         assert cache.classify(0, 4) == (DedupStatus.DUPLICATE, "reply-4")
 
-    def test_forget_client_resets_sequence_space(self):
-        cache = DedupCache()
-        cache.record(0, 9, "r")
-        cache.forget_client(0)
-        assert cache.classify(0, 0) == (DedupStatus.NEW, None)
-
 
 class TestServerEndpoint:
     def test_attach_is_shared_per_server(self):
@@ -286,3 +280,45 @@ class TestRpcTransport:
     def test_outage_resend_loop_matches_policy(self):
         _, _, _, (client,) = make_rig()
         assert client.transport.outage_resend_loop(0.5) == 3
+
+
+class TestSequenceSpaceAcrossCrashes:
+    """A reboot keeps the client's transport, so its sequence numbers run
+    on across crashes: the first RPC after a client crash and reboot, or
+    after a server crash and recovery, is new to the server's dedup cache
+    and executes.  A restarted sequence space would land on an evicted
+    entry (retention is 1 here) and be dropped as stale instead."""
+
+    @staticmethod
+    def lossy_cluster():
+        cluster = Cluster(
+            ClusterConfig(
+                client_count=1, faults=FaultConfig(message_loss_rate=0.3)
+            ),
+            seed=5,
+        )
+        client, server = cluster.clients[0], cluster.servers[0]
+        server.rpc_endpoint.dedup.retention = 1
+        for i in range(5):
+            client.transport.call(float(i), "name_operation")
+        return cluster, client, server
+
+    @staticmethod
+    def assert_next_call_executes(client, server):
+        naming_rpcs = server.counters.naming_rpcs
+        client.transport.call(10.0, "name_operation")
+        assert server.counters.naming_rpcs == naming_rpcs + 1
+        assert server.counters.stale_rpcs_dropped == 0
+
+    def test_rpc_after_client_reboot_executes(self):
+        cluster, client, server = self.lossy_cluster()
+        cluster.crash_client(client)
+        cluster.reboot_client(client)
+        self.assert_next_call_executes(client, server)
+
+    def test_rpc_after_server_recovery_executes(self):
+        cluster, client, server = self.lossy_cluster()
+        cluster.crash_server(down_until=0.0)
+        cluster.recover_server()
+        assert server.up
+        self.assert_next_call_executes(client, server)

@@ -347,7 +347,8 @@ def test_observed_sharded_replay_integrates_per_server(small_trace):
     """The obs sampler keeps one timeseries per server shard, and each
     integrates exactly to that shard's end-of-run counters."""
     from repro.obs import Observation, ObsConfig
-    from repro.obs.sampler import verify_integration
+
+    from checkers import verify_integration
 
     obs = Observation(ObsConfig(sample_interval=120.0))
     result = run_cluster_on_trace(

@@ -12,14 +12,12 @@ from repro.trace import (
     TraceReader,
     TraceWriter,
     drop_self_traffic,
-    drop_users,
     read_trace,
-    time_window,
     validate_stream,
     write_trace,
 )
 from repro.trace.columnar import ColumnarTrace
-from repro.trace.filters import BACKUP_USER_ID, TRACER_USER_ID, compose, keep_kinds
+from repro.trace.filters import BACKUP_USER_ID, TRACER_USER_ID
 from repro.trace.records import DeleteRecord
 
 
@@ -195,34 +193,6 @@ class TestFilters:
     def test_drop_backup_traffic(self):
         records = make_episode(user_id=BACKUP_USER_ID)
         assert list(drop_self_traffic(records)) == []
-
-    def test_drop_users(self):
-        records = make_episode(user_id=1) + make_episode(open_id=2, user_id=2)
-        kept = list(drop_users(records, [1]))
-        assert all(r.user_id == 2 for r in kept)
-
-    def test_time_window(self):
-        records = make_episode(t0=0.0) + make_episode(open_id=2, t0=100.0)
-        kept = list(time_window(records, 0.0, 50.0))
-        assert len(kept) == 3
-
-    def test_time_window_empty_raises(self):
-        with pytest.raises(ValueError):
-            list(time_window([], 5.0, 5.0))
-
-    def test_keep_kinds(self):
-        records = make_episode()
-        kept = list(keep_kinds(records, ["open"]))
-        assert len(kept) == 1
-        assert kept[0].kind == "open"
-
-    def test_compose(self):
-        records = make_episode(user_id=TRACER_USER_ID) + make_episode(
-            open_id=2, user_id=5
-        )
-        pipeline = compose(drop_self_traffic, lambda rs: keep_kinds(rs, ["open"]))
-        kept = list(pipeline(records))
-        assert len(kept) == 1
 
 
 class TestValidate:

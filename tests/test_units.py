@@ -1,7 +1,5 @@
 """Unit tests for repro.common.units."""
 
-import pytest
-
 from repro.common import units
 
 
@@ -33,54 +31,6 @@ class TestConstants:
 
 
 class TestConversions:
-    def test_bytes_to_kbytes(self):
-        assert units.bytes_to_kbytes(2048) == 2.0
-
     def test_bytes_to_mbytes(self):
         assert units.bytes_to_mbytes(3 * units.MB) == 3.0
 
-
-class TestBlockMath:
-    def test_blocks_for_zero_bytes(self):
-        assert units.blocks_for(0) == 0
-
-    def test_blocks_for_one_byte(self):
-        assert units.blocks_for(1) == 1
-
-    def test_blocks_for_exact_block(self):
-        assert units.blocks_for(4096) == 1
-
-    def test_blocks_for_block_plus_one(self):
-        assert units.blocks_for(4097) == 2
-
-    def test_blocks_for_negative_raises(self):
-        with pytest.raises(ValueError):
-            units.blocks_for(-1)
-
-    def test_block_of_offsets(self):
-        assert units.block_of(0) == 0
-        assert units.block_of(4095) == 0
-        assert units.block_of(4096) == 1
-
-    def test_block_of_negative_raises(self):
-        with pytest.raises(ValueError):
-            units.block_of(-5)
-
-    def test_block_range_empty_for_zero_length(self):
-        assert list(units.block_range(100, 0)) == []
-
-    def test_block_range_within_one_block(self):
-        assert list(units.block_range(10, 100)) == [0]
-
-    def test_block_range_spanning_blocks(self):
-        assert list(units.block_range(4000, 200)) == [0, 1]
-
-    def test_block_range_exact_boundaries(self):
-        assert list(units.block_range(4096, 4096)) == [1]
-
-    def test_block_range_negative_length_raises(self):
-        with pytest.raises(ValueError):
-            units.block_range(0, -1)
-
-    def test_block_range_custom_block_size(self):
-        assert list(units.block_range(0, 1024, block_size=512)) == [0, 1]
