@@ -52,12 +52,6 @@ class Cdf:
         """Number of (non-zero-weight) samples."""
         return len(self._samples)
 
-    @property
-    def total_weight(self) -> float:
-        """Total mass in the distribution."""
-        self._materialize()
-        return self._total
-
     def _materialize(self) -> None:
         if self._values is not None:
             return
@@ -126,13 +120,6 @@ class Cdf:
         return [
             CdfPoint(value=self._values[i], fraction=self._cum[i] / self._total)
             for i in indices
-        ]
-
-    def sample_at(self, probe_values: Sequence[float]) -> list[CdfPoint]:
-        """Evaluate the CDF at explicit probe values (for figure tables)."""
-        return [
-            CdfPoint(value=v, fraction=self.fraction_at_or_below(v))
-            for v in probe_values
         ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

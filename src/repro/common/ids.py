@@ -47,10 +47,5 @@ class IdAllocator:
         self._next += 1
         return value
 
-    @property
-    def allocated(self) -> int:
-        """How many ids have been handed out so far."""
-        return self._next
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"IdAllocator(next={self._next})"

@@ -93,10 +93,6 @@ class RngStream:
         """Sample ``k`` distinct items."""
         return self._random.sample(seq, k)
 
-    def shuffle(self, items: list[T]) -> None:
-        """Shuffle a list in place."""
-        self._random.shuffle(items)
-
     # --- distributions ------------------------------------------------------
 
     def exponential(self, mean: float) -> float:
@@ -108,14 +104,6 @@ class RngStream:
     def lognormal(self, mu: float, sigma: float) -> float:
         """Lognormal variate; ``mu``/``sigma`` parameterize the log."""
         return self._random.lognormvariate(mu, sigma)
-
-    def pareto(self, alpha: float, minimum: float = 1.0) -> float:
-        """Pareto variate with shape ``alpha`` and scale ``minimum``."""
-        if alpha <= 0:
-            raise ValueError(f"pareto shape must be positive, got {alpha}")
-        if minimum <= 0:
-            raise ValueError(f"pareto minimum must be positive, got {minimum}")
-        return minimum * (1.0 + self._random.paretovariate(alpha) - 1.0)
 
     def normal(self, mean: float, stddev: float) -> float:
         """Gaussian variate."""

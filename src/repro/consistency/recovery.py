@@ -103,12 +103,6 @@ class RecoveryStudyResult:
 
     cells: list[RecoveryCell] = field(default_factory=list)
 
-    def cell_for(self, label: str) -> RecoveryCell:
-        for cell in self.cells:
-            if cell.label == label:
-                return cell
-        raise KeyError(f"no sweep cell labelled {label!r}")
-
     def render(self) -> str:
         headers = ["Measurement"] + [cell.label for cell in self.cells]
 

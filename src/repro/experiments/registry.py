@@ -727,7 +727,7 @@ def _rpc_loss(ctx: ExperimentContext) -> ExperimentResult:
                 replies_replayed=server.rpc_replies_replayed,
                 stale_rpcs_dropped=server.stale_rpcs_dropped,
                 # stall_seconds already contains rpc_delay_seconds;
-                # never add the two (see ClientCounters.backoff_stall_seconds).
+                # never add the two (see rpc_delay_seconds in repro.fs.counters).
                 stall_seconds=sum(c.stall_seconds for c in clients),
                 oracle_checks=oracle.checks_run,
                 oracle_violations=len(oracle.violations),

@@ -78,9 +78,6 @@ class BlockCache:
         #: Dirty blocks whose stamp broke the insertion-order invariant.
         #: While non-empty, age queries fall back to the full scan.
         self._out_of_order: set[BlockKey] = set()
-        #: Dirty blocks evicted without a write-back (``evict_lru`` with
-        #: ``allow_dirty``); feeds the oracle's dirty-byte conservation.
-        self.dirty_evictions = 0
         #: Per-file index so deletes/recalls don't scan the whole cache.
         self._by_file: dict[int, set[BlockKey]] = {}
 
@@ -166,27 +163,6 @@ class BlockCache:
 
     # --- mutation ------------------------------------------------------------
 
-    def touch(self, key: BlockKey, now: float) -> CacheBlock:
-        """Mark a resident block most recently used."""
-        block = self._blocks.get(key)
-        if block is None:
-            raise CacheError(f"touch of non-resident block {key}")
-        block.last_referenced = now
-        self._blocks.move_to_end(key)
-        return block
-
-    def touch_if_present(self, key: BlockKey, now: float) -> CacheBlock | None:
-        """Touch and return the block, or None on a miss.
-
-        One call doing what ``key in cache`` + ``touch`` did in two --
-        the read path asks this for every block of every read run.
-        """
-        block = self._blocks.get(key)
-        if block is not None:
-            block.last_referenced = now
-            self._blocks.move_to_end(key)
-        return block
-
     def insert(self, key: BlockKey, now: float, migrated: bool = False) -> CacheBlock:
         """Insert a clean block (fetched or about to be overwritten)."""
         blocks = self._blocks
@@ -249,30 +225,6 @@ class BlockCache:
             if not keys:
                 del self._by_file[key[0]]
         return block
-
-    def evict_lru(self, allow_dirty: bool = False) -> CacheBlock:
-        """Evict the least recently used block.
-
-        With such long cache lifetimes dirty blocks have almost always
-        been written back before they reach the LRU end; if the LRU
-        block *is* dirty, the caller is responsible for writing it back
-        first (the paper notes this is rare).  Evicting a dirty block
-        therefore raises :class:`CacheError` unless the caller passes
-        ``allow_dirty=True``, which books the lost data in
-        :attr:`dirty_evictions` so the oracle's dirty-byte conservation
-        check still balances.
-        """
-        block = self.lru_block()
-        if block is None:
-            raise CacheError("evict from an empty cache")
-        if block.dirty:
-            if not allow_dirty:
-                raise CacheError(
-                    f"evict_lru would drop dirty block {block.key}; write it "
-                    "back first or pass allow_dirty=True"
-                )
-            self.dirty_evictions += 1
-        return self.remove(block.key)
 
     def clear(self) -> list[CacheBlock]:
         """Drop every block (a client crash: the machine's memory is

@@ -37,7 +37,7 @@ from repro.fs.rpc import RpcTransport
 from repro.fs.server import Server
 from repro.fs.sharding import MachineRoster, Placement
 from repro.sim.engine import Engine
-from repro.sim.timers import RecurringTimer, SharedTicker
+from repro.sim.timers import SharedTicker
 
 # Bound counter positions for the hot paths.  The generated attribute
 # properties cost a Python call per bump; the per-block loops below bump
@@ -101,17 +101,15 @@ class ClientKernel:
 
     Every server interaction goes through a per-shard
     :class:`~repro.fs.rpc.RpcTransport`: at-most-once RPC over a seeded
-    lossy channel.  ``server`` may be a single :class:`Server` (the
-    classic cluster; also what most unit tests build) or the cluster's
-    list of shards, in which case ``placement`` routes each file's
-    traffic to its server and ``channel_rng`` may be a matching sequence
-    of streams.  ``oracle`` attaches the protocol-invariant oracle.
-    ``replication`` (the cluster's ReplicationManager) and
-    ``replica_map`` (the client's group's ReplicaMap) turn on
-    replicated routing.
-
-    :attr:`server` and :attr:`transport` remain as shard-0 aliases so
-    single-server call sites read exactly as before.
+    lossy channel.  The cluster builds each client with its group's
+    server slice (``servers``: the plain server list, or a
+    :class:`MachineRoster` when the slice is narrower than the cluster),
+    one channel stream per slice server, the group's ``placement``
+    view, the shared writeback ``ticker``, and the shard that holds the
+    client's backing files (``paging_shard``).  ``oracle`` attaches the
+    protocol-invariant oracle.  ``replication`` (the cluster's
+    ReplicationManager) and ``replica_map`` (the client's group's
+    ReplicaMap) turn on replicated routing.
     """
 
     def __init__(
@@ -119,58 +117,35 @@ class ClientKernel:
         client_id: int,
         config: ClusterConfig,
         engine: Engine,
-        server: Server | Sequence[Server],
+        servers: Sequence[Server],
         vm,
-        channel_rng: RngStream | Sequence[RngStream | None] | None = None,
+        channel_rngs: Sequence[RngStream],
+        placement: Placement,
+        ticker: SharedTicker,
+        paging_shard: int,
         oracle: ProtocolOracle | None = None,
-        placement: Placement | None = None,
-        ticker: SharedTicker | None = None,
         replication=None,
         replica_map=None,
         integrity=None,
-        paging_shard: int | None = None,
     ) -> None:
         self.client_id = client_id
         self.config = config
         self.engine = engine
-        if isinstance(server, Server):
-            servers: Sequence[Server] = [server]
-        elif isinstance(server, MachineRoster):
-            # A grouped cluster hands each client its group's server
-            # slice as a roster: global ids and global len(), owned
-            # (slice) iteration, loud refusal of foreign servers.
-            servers = server
-        else:
-            servers = list(server)
         self.servers = servers
-        #: The shard implied when a caller names no server: the first
-        #: server this client can actually reach (shard 0 classically,
-        #: the slice's first server for a grouped client).
-        self._default_server = next(iter(servers))
-        self.placement = (
-            placement if placement is not None else Placement(len(servers))
-        )
+        self.placement = placement
         self.vm = vm
-        if channel_rng is None or isinstance(channel_rng, RngStream):
-            channel_rngs: list[RngStream | None] = [channel_rng] * len(servers)
-        else:
-            channel_rngs = list(channel_rng)
         transports = [
-            RpcTransport(self, shard, config.faults, rng=rng, oracle=oracle)
-            for shard, rng in zip(servers, channel_rngs)
+            RpcTransport(self, server, config.faults, rng, oracle)
+            for server, rng in zip(servers, channel_rngs)
         ]
         self.transports: Sequence[RpcTransport] = (
             servers.like(transports, kind="transport to server")
             if isinstance(servers, MachineRoster) else transports
         )
         #: Backing-file paging is pinned to one shard per client (a
-        #: process's backing file lives on a single server).  Grouped
-        #: clusters pass an explicit shard so the pin stays inside the
+        #: process's backing file lives on a single server), inside the
         #: client's group slice.
-        self._paging_shard = (
-            paging_shard if paging_shard is not None
-            else client_id % len(servers)
-        )
+        self._paging_shard = paging_shard
         self.counters = ClientCounters()
         self.cache = BlockCache(config.block_size)
         #: Optional observability hook (repro.obs); every use is guarded
@@ -178,16 +153,9 @@ class ClientKernel:
         self.obs = None
         self._known_version: dict[int, int] = {}
         self._uncacheable: set[int] = set()
-        # The 5-second writeback daemon.  Inside a cluster every client
-        # shares one coalesced tick (one heap event per interval for the
-        # whole cluster); standalone clients keep a private timer.
-        if ticker is not None:
-            self._daemon = ticker.subscribe(self._writeback_scan)
-        else:
-            self._daemon = RecurringTimer(
-                engine, config.writeback_scan_interval, self._writeback_scan
-            )
-            self._daemon.start()
+        # The 5-second writeback daemon: every client of a cluster
+        # shares one coalesced tick (one heap event per interval).
+        self._daemon = ticker.subscribe(self._writeback_scan)
         self._max_cache_blocks = max(
             1, int(config.client_page_count * config.max_cache_fraction)
         )
@@ -225,16 +193,6 @@ class ClientKernel:
             self._route = self._shard_of
 
     # --- shard routing -----------------------------------------------------------
-
-    @property
-    def server(self) -> Server:
-        """Shard 0 -- *the* server when the cluster has one."""
-        return self.servers[0]
-
-    @property
-    def transport(self) -> RpcTransport:
-        """Shard 0's transport (the only one in a classic cluster)."""
-        return self.transports[0]
 
     def _shard_of(self, file_id: int) -> int:
         # Shadowed by ``_shard_zero`` on single-server clusters.
@@ -347,11 +305,9 @@ class ClientKernel:
         """Can the server reach this client right now?"""
         return self.up and now >= self.partition_until
 
-    def _unavailable_until(self, now: float, server: Server | None = None) -> float:
-        """When ``server`` (this client's default shard when omitted)
-        becomes reachable again (== ``now`` if it already is)."""
-        if server is None:
-            server = self._default_server
+    def _unavailable_until(self, now: float, server: Server) -> float:
+        """When ``server`` becomes reachable again (== ``now`` if it
+        already is)."""
         until = now
         if not server.up:
             until = max(until, server.down_until)
@@ -359,7 +315,7 @@ class ClientKernel:
             until = max(until, self.partition_until)
         return until
 
-    def await_server(self, now: float, data_op: bool = False, shard: int = 0) -> bool:
+    def await_server(self, now: float, shard: int, data_op: bool = False) -> bool:
         """Gate one operation on the availability of server ``shard``.
 
         Returns True when the operation may proceed (immediately, or
@@ -436,7 +392,7 @@ class ClientKernel:
         self._revalidate_cached_files(now)
         self._replay_overdue_writes(now)
 
-    def on_server_recovered(self, now: float, server_id: int = 0) -> None:
+    def on_server_recovered(self, now: float, server_id: int) -> None:
         """Sprite's stateful reopen protocol, client side, for the
         recovered shard.
 
@@ -660,8 +616,8 @@ class ClientKernel:
             key = (file_id, index)
             block = blocks_get(key)
             if block is not None:
-                # Inlined cache.touch_if_present -- the hottest path of
-                # the whole replay; the overlap arithmetic is skipped
+                # The LRU touch, inlined -- the hottest path of the
+                # whole replay; the overlap arithmetic is skipped
                 # entirely on a healthy hit.
                 block.last_referenced = now
                 move_to_end(key)
@@ -800,16 +756,6 @@ class ClientKernel:
                 block.written_end = end - block_start
             if write_through:
                 self._clean_block(now, block, CleanReason.FSYNC)
-
-    def fsync_file(self, now: float, file_id: int) -> None:
-        """Application-requested synchronous write-through."""
-        shard = self._route(file_id)
-        # Sync write: stalls through outages.
-        self.await_server(now, shard=shard)
-        self._clean_file(now, file_id, CleanReason.FSYNC)
-        self.transports[shard].call(
-            now, "note_written_back", file_id, self.client_id
-        )
 
     def delete_on_server(self, now: float, file_id: int) -> None:
         """Issue the delete/truncate naming RPC: one message carries

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.common.errors import ConfigError, SimulationError, TraceOrderError
+from repro.common.errors import ConfigError, SimulationError
 from repro.common.rng import RngStream
 from repro.common.units import MB
 from repro.fs.client import ClientKernel
@@ -36,7 +36,6 @@ from repro.trace.records import (
     DirectoryReadRecord,
     OpenRecord,
     ReadRunRecord,
-    TraceRecord,
     TruncateRecord,
     WriteRunRecord,
 )
@@ -72,13 +71,6 @@ class ClusterResult:
     #: heartbeats, snapshots, scrubs): the recurring-event overhead an
     #: owned-only shard avoids paying for foreign machines.
     tick_events: int = 0
-
-    def all_snapshots(self) -> list[CounterSnapshot]:
-        out: list[CounterSnapshot] = []
-        for per_client in self.snapshots.values():
-            out.extend(per_client)
-        out.sort(key=lambda snap: (snap.client_id, snap.time))
-        return out
 
 
 @dataclass(slots=True)
@@ -315,17 +307,17 @@ class Cluster:
                 ]
                 client = ClientKernel(
                     client_id, config, self.engine, server_roster, vm,
-                    channel_rng=channel_rngs,
-                    oracle=oracle,
+                    channel_rngs=channel_rngs,
                     placement=group_placement,
                     ticker=self.shared_ticker(config.writeback_scan_interval),
-                    replication=self.replication,
-                    replica_map=replica_map,
-                    integrity=self.integrity,
                     # Pin paging inside the group's server slice (the
                     # classic ``client_id % num_servers`` would leak
                     # paging traffic onto other groups' servers).
                     paging_shard=group * spg + client_id % spg,
+                    oracle=oracle,
+                    replication=self.replication,
+                    replica_map=replica_map,
+                    integrity=self.integrity,
                 )
                 for server in slice_servers:
                     server.register_client(client)
@@ -387,11 +379,6 @@ class Cluster:
             ticker = self._tickers[period] = SharedTicker(self.engine, period)
         return ticker
 
-    @property
-    def server(self) -> Server:
-        """Shard 0 -- *the* server when ``num_servers == 1``."""
-        return self.servers[0]
-
     def _group_cacheability(
         self, group: int, file_id: int, cacheable: bool
     ) -> None:
@@ -418,11 +405,11 @@ class Cluster:
 
     # --- fault transitions -------------------------------------------------------
 
-    def crash_server(self, down_until: float, server_id: int = 0) -> None:
+    def crash_server(self, down_until: float, server_id: int) -> None:
         """Server ``server_id`` crashes, staying down until ``down_until``."""
         self.servers[server_id].crash(self.engine.now, down_until)
 
-    def recover_server(self, server_id: int = 0) -> None:
+    def recover_server(self, server_id: int) -> None:
         """Server ``server_id`` reboots; every reachable client runs the
         reopen protocol for that shard, in client order (deterministic).
 
@@ -561,22 +548,11 @@ class Cluster:
 
     # --- main entry ------------------------------------------------------------
 
-    def replay(
-        self, records: ColumnarTrace | Iterable[TraceRecord], duration: float
-    ) -> ClusterResult:
+    def replay(self, records: ColumnarTrace, duration: float) -> ClusterResult:
         """Replay a full trace and return the measurement data.
 
-        ``records`` is a :class:`ColumnarTrace`; any other record
-        iterable is converted once at the entry, and a stream that goes
-        backwards fails with :class:`SimulationError`.
+        A stream that goes backwards fails with :class:`SimulationError`.
         """
-        if not isinstance(records, ColumnarTrace):
-            try:
-                records = ColumnarTrace.from_records(records)
-            except TraceOrderError as exc:
-                raise SimulationError(
-                    f"trace records out of order: {exc}"
-                ) from exc
         schedule = self._fault_schedule
         if schedule is None and (
             self.config.faults.any_faults or self.config.faults.any_disk_faults
@@ -627,8 +603,8 @@ class Cluster:
                         next_wake = engine.next_event_time()
                         seen_sequence = engine._sequence
                     else:
-                        # No event due before this record: advancing the
-                        # clock directly is exactly advance_to(time).
+                        # No event due before this record: move the
+                        # clock directly, skipping run_until's loop.
                         engine._now = time
                 handler = handlers[kind]
                 if handler is not None:
@@ -770,7 +746,7 @@ def merge_cluster_results(
 
 
 def run_cluster_on_trace(
-    records: ColumnarTrace | Iterable[TraceRecord],
+    records: ColumnarTrace,
     duration: float,
     config: ClusterConfig | None = None,
     seed: int = 7,

@@ -205,8 +205,8 @@ _CLIENT_SPEC = (
     ("rpc_replies_lost", 0),  # request executed but its reply dropped
     # Channel-delay stall.  This is a *component* of stall_seconds, not
     # an addition to it: every second booked here was also booked there.
-    # Consumers must report one or the other, never their sum (see
-    # backoff_stall_seconds for the complement).
+    # Consumers must report one or the other, never their sum (the
+    # difference is the backoff and outage share of the stall).
     ("rpc_delay_seconds", 0.0),
     ("reopen_rpcs", 0),  # recovery: re-register open files
     ("revalidate_rpcs", 0),  # recovery: version-check cached files
@@ -281,33 +281,6 @@ class ClientCounters(_ArrayCounters):
             + self.blocks_cleaned_vm
             + self.blocks_cleaned_recovery
         )
-
-    @property
-    def dirty_blocks_accounted(self) -> int:
-        """Every dirty block's eventual fate: written back, absorbed by
-        a delete, destroyed by a fault, or still dirty at the final
-        snapshot.  Equals :attr:`blocks_dirtied` in a consistent run
-        (the chaos suite's conservation invariant)."""
-        return (
-            self.blocks_cleaned_total
-            + self.dirty_blocks_discarded
-            + self.lost_dirty_blocks
-            + self.dirty_blocks_resident
-        )
-
-    @property
-    def backoff_stall_seconds(self) -> float:
-        """Stall time NOT explained by channel transit delay.
-
-        ``stall_seconds`` is the total process-seconds spent waiting for
-        the server; ``rpc_delay_seconds`` is the subset caused by the
-        lossy channel delaying packets in flight.  The remainder is
-        retransmission backoff and outage waits.  Because the two raw
-        counters overlap, adding them double-counts: report
-        ``stall_seconds`` alone for totals, or split it as
-        ``rpc_delay_seconds`` + ``backoff_stall_seconds``.
-        """
-        return max(0.0, self.stall_seconds - self.rpc_delay_seconds)
 
     @property
     def server_bytes(self) -> int:

@@ -670,12 +670,6 @@ class IntegrityStudyResult:
 
     cells: list[IntegrityCell] = field(default_factory=list)
 
-    def cell_for(self, label: str) -> IntegrityCell:
-        for cell in self.cells:
-            if cell.label == label:
-                return cell
-        raise KeyError(f"no sweep cell labelled {label!r}")
-
     def render(self) -> str:
         headers = ["Measurement"] + [cell.label for cell in self.cells]
 

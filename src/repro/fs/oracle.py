@@ -247,7 +247,6 @@ class ProtocolOracle:
                 counters.blocks_cleaned_total
                 + counters.dirty_blocks_discarded
                 + counters.lost_dirty_blocks
-                + client.cache.dirty_evictions
                 + client.cache.dirty_count
             )
             if accounted != counters.blocks_dirtied:
@@ -257,8 +256,7 @@ class ProtocolOracle:
                     f"{counters.blocks_dirtied} blocks but accounts for "
                     f"{accounted} (cleaned {counters.blocks_cleaned_total}, "
                     f"discarded {counters.dirty_blocks_discarded}, lost "
-                    f"{counters.lost_dirty_blocks}, dirty-evicted "
-                    f"{client.cache.dirty_evictions}, resident "
+                    f"{counters.lost_dirty_blocks}, resident "
                     f"{client.cache.dirty_count})",
                 )
 

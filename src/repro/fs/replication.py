@@ -398,12 +398,6 @@ class ReplicationStudyResult:
 
     cells: list[ReplicationCell] = field(default_factory=list)
 
-    def cell_for(self, label: str) -> ReplicationCell:
-        for cell in self.cells:
-            if cell.label == label:
-                return cell
-        raise KeyError(f"no sweep cell labelled {label!r}")
-
     def render(self) -> str:
         headers = ["Measurement"] + [cell.label for cell in self.cells]
 

@@ -47,7 +47,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.common.errors import SimulationError
+from repro.common.errors import ConfigError, SimulationError
 from repro.common.rng import RngStream
 from repro.fs.faults import FaultConfig
 
@@ -300,18 +300,17 @@ class ServerEndpoint:
 
     One endpoint serves all clients (the dedup cache is server state).
     It attaches itself to the :class:`~repro.fs.server.Server` so
-    independently constructed :class:`RpcTransport`\\ s share it.
+    independently constructed :class:`RpcTransport`\\ s share it.  Its
+    oracle is fixed when it is created: every transport to the server
+    must bring the same one.
     """
 
     def __init__(
-        self,
-        server: "Server",
-        oracle: "ProtocolOracle | None" = None,
-        retention: int = DEFAULT_DEDUP_RETENTION,
+        self, server: "Server", oracle: "ProtocolOracle | None"
     ) -> None:
         self.server = server
         self.oracle = oracle
-        self.dedup = DedupCache(retention)
+        self.dedup = DedupCache()
         self._ops: dict[str, Callable] = {
             "open_file": server.open_file,
             "close_file": server.close_file,
@@ -338,31 +337,28 @@ class ServerEndpoint:
 
     @classmethod
     def attach(
-        cls, server: "Server", oracle: "ProtocolOracle | None" = None
+        cls, server: "Server", oracle: "ProtocolOracle | None"
     ) -> "ServerEndpoint":
-        """Get the server's endpoint, creating it on first use."""
+        """Get the server's endpoint, creating it on first use.
+
+        A transport that brings a different oracle than the endpoint
+        was created with is refused: its calls would skip the oracle on
+        the direct path, or notify one the other transports never see.
+        """
         endpoint = server.rpc_endpoint
         if endpoint is None:
-            endpoint = cls(server, oracle)
-            server.rpc_endpoint = endpoint
-        elif oracle is not None:
-            endpoint.oracle = oracle
+            endpoint = server.rpc_endpoint = cls(server, oracle)
+        elif endpoint.oracle is not oracle:
+            raise ConfigError(
+                f"server {server.server_id} already has an RPC endpoint "
+                "with a different protocol oracle"
+            )
         return endpoint
 
     def _delete_file(self, now: float, file_id: int) -> None:
         """A delete/truncate naming RPC: one message, both effects."""
         self.server.name_operation(now)
         self.server.invalidate_file(file_id)
-
-    def execute(self, now: float, client_id: int, op: str, args: tuple) -> Any:
-        """Run one operation (no dedup -- the inert fast path)."""
-        reply = self._ops[op](now, *args)
-        if self.oracle is not None:
-            self.oracle.on_execute(
-                now, client_id, -1, op, args, reply,
-                server_id=self.server.server_id,
-            )
-        return reply
 
     def receive(self, now: float, message: Message) -> tuple[bool, Any]:
         """One message arrives; returns (answered, reply).
@@ -413,8 +409,8 @@ class RpcTransport:
         client: "ClientKernel",
         server: "Server",
         faults: FaultConfig,
-        rng: RngStream | None = None,
-        oracle: "ProtocolOracle | None" = None,
+        rng: RngStream,
+        oracle: "ProtocolOracle | None",
     ) -> None:
         self.client = client
         self.server = server
@@ -425,26 +421,19 @@ class RpcTransport:
         self._seq = 0
         #: Fast path: no message faults and no oracle to notify.
         self._direct = not self.channel.lossy and oracle is None
-        #: Prebound op table for the fast path: a direct call skips the
-        #: execute() frame entirely (the oracle re-check in call() keeps
-        #: an endpoint that gains an oracle later on the slow path).
+        #: Prebound op table for the fast path: a direct call is one
+        #: dict lookup and the server method itself.
         self._endpoint_ops = self.endpoint._ops
         #: Optional observability hook (repro.obs); None keeps call()
         #: on its unobserved paths, byte-identical to an obs-free build.
         self.obs = None
-
-    @property
-    def oracle(self) -> "ProtocolOracle | None":
-        return self.endpoint.oracle
 
     def call(self, now: float, op: str, *args: Any) -> Any:
         """Issue one RPC and return its reply (at-most-once executed)."""
         if self.obs is not None:
             return self._call_observed(now, op, args)
         if self._direct:
-            if self.endpoint.oracle is None:
-                return self._endpoint_ops[op](now, *args)
-            return self.endpoint.execute(now, self.client.client_id, op, args)
+            return self._endpoint_ops[op](now, *args)
         return self._call_messaged(now, op, args)
 
     def _call_observed(self, now: float, op: str, args: tuple) -> Any:
@@ -456,7 +445,7 @@ class RpcTransport:
         stall_before = counters.stall_seconds
         retrans_before = counters.rpc_retransmissions
         if self._direct:
-            reply = self.endpoint.execute(now, self.client.client_id, op, args)
+            reply = self._endpoint_ops[op](now, *args)
         else:
             reply = self._call_messaged(now, op, args)
         self.obs.on_rpc_call(

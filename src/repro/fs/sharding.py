@@ -75,10 +75,6 @@ class MachineRoster:
                 f"(owned {self.kind}s: {sorted(self._by_id)})"
             ) from None
 
-    @property
-    def owned_ids(self) -> list[int]:
-        return sorted(self._by_id)
-
     def like(self, items: Iterable[_T], kind: str | None = None) -> "MachineRoster":
         """A parallel roster over the same ids (e.g. the transports
         matching an owned server slice)."""

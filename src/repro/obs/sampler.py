@@ -7,13 +7,11 @@ reproduction: an engine timer snapshots every client's
 simulated seconds into a :class:`CounterTimeseries` -- the two-week
 diurnal curves of the paper, per machine, for any counter.
 
-The series supports the derivations the paper's post-processing used
-(deltas per interval, rates per second).  The layer is built around one
-acceptance property, which the obs tests check: **integrating any
-counter's deltas over the full run reproduces the end-of-run aggregate
-exactly** (the sampler reads the same objects the Table 4-9 pipeline
-reads, so sum-of-deltas = last - first = final counter, with no float
-drift for the integer counters).
+The layer is built around one acceptance property, which the obs tests
+check: **integrating any counter's deltas over the full run reproduces
+the end-of-run aggregate exactly** (the sampler reads the same objects
+the Table 4-9 pipeline reads, so sum-of-deltas = last - first = final
+counter, with no float drift for the integer counters).
 
 Timeseries dump/load goes through :mod:`repro.pipeline.codec` (tag
 ``O``): per-machine row tables serialized with :mod:`marshal`, the same
@@ -44,8 +42,8 @@ class MachineSeries:
     """Sampled counter rows for one machine.
 
     ``rows[i]`` is a tuple aligned with ``fields``, read at
-    ``times[i]``.  Counters are cumulative, so consumers usually want
-    :meth:`deltas` or :meth:`rates`; gauges (``cache_size_bytes``,
+    ``times[i]``.  Counters are cumulative (an interval's increment is
+    the difference of two samples); gauges (``cache_size_bytes``,
     ``vm_resident_bytes``, ``dirty_blocks_resident``) are meaningful
     directly via :meth:`column`.
     """
@@ -68,35 +66,6 @@ class MachineSeries:
         """The sampled values of one counter, cumulative."""
         col = self._col(name)
         return [row[col] for row in self.rows]
-
-    def deltas(self, name: str) -> list[float]:
-        """Per-interval increments (one shorter than ``times``)."""
-        values = self.column(name)
-        return [b - a for a, b in zip(values, values[1:])]
-
-    def rates(self, name: str) -> list[float]:
-        """Per-second rates over each interval (zero-width intervals,
-        which only arise from a finalize landing on a sample boundary,
-        rate as 0)."""
-        values = self.column(name)
-        out = []
-        for (t0, v0), (t1, v1) in zip(
-            zip(self.times, values), zip(self.times[1:], values[1:])
-        ):
-            width = t1 - t0
-            out.append((v1 - v0) / width if width > 0 else 0.0)
-        return out
-
-    def integrate(self, name: str) -> float:
-        """Sum of all deltas == last sample - first sample.
-
-        With a zero baseline sample at attach time this is exactly the
-        end-of-run aggregate the Table 4-9 pipeline computes.
-        """
-        values = self.column(name)
-        if not values:
-            raise SimulationError(f"{self.machine}: no samples to integrate")
-        return values[-1] - values[0]
 
 
 class CounterTimeseries:
@@ -269,7 +238,7 @@ class CounterSampler:
     def finalize(self, now: float) -> None:
         """Take the closing sample (idempotent per timestamp)."""
         if self._timer is not None:
-            self._timer.stop()
+            self._timer.cancel()
             self._timer = None
         if self._engine is None:
             return

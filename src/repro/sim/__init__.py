@@ -8,12 +8,11 @@ monotonic clock.
 """
 
 from repro.sim.engine import Engine, EventHandle
-from repro.sim.timers import RecurringTimer, SharedTicker, TickSubscription
+from repro.sim.timers import SharedTicker, TickSubscription
 
 __all__ = [
     "Engine",
     "EventHandle",
-    "RecurringTimer",
     "SharedTicker",
     "TickSubscription",
 ]

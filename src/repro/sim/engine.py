@@ -11,11 +11,12 @@ Python ``__lt__`` was a measurable slice of replay wall clock.)
 
 Cancellation is lazy: a cancelled event stays in the heap (marked) and
 is discarded when it reaches the top, so ``cancel``, ``pending``, and
-``advance_to`` are all O(1) apart from amortized heap maintenance.  A
-live-event counter replaces the old full-heap scans, and the heap is
-compacted when cancelled entries come to dominate it, so a workload
-that schedules and cancels millions of timers (every open schedules a
-writeback, most are cancelled by the close) stays linear.
+``next_event_time`` are all O(1) apart from amortized heap
+maintenance.  A live-event counter replaces the old full-heap scans,
+and the heap is compacted when cancelled entries come to dominate it,
+so a workload that schedules and cancels millions of timers (every
+open schedules a writeback, most are cancelled by the close) stays
+linear.
 """
 
 from __future__ import annotations
@@ -157,18 +158,6 @@ class Engine:
             heapq.heapify(self._heap)
             self._stale = 0
 
-    def _pop_next(self) -> _ScheduledEvent | None:
-        """Pop the next live event, discarding cancelled ones."""
-        while self._heap:
-            event = heapq.heappop(self._heap)[2]
-            event.done = True
-            if event.cancelled:
-                self._stale -= 1
-                continue
-            self._live -= 1
-            return event
-        return None
-
     def _purge_cancelled_top(self) -> None:
         """Drop cancelled events sitting at the top of the heap."""
         heap = self._heap
@@ -197,44 +186,6 @@ class Engine:
             if self._observer is not None:
                 self._observer.on_engine_event(event.time)
         self._now = end_time
-
-    def run_all(self, max_events: int = 10_000_000) -> None:
-        """Fire every pending event; guard against runaway self-scheduling.
-
-        Exactly ``max_events`` callbacks may fire; the guard raises the
-        moment one more would run (it used to let ``max_events + 1``
-        through before noticing).
-        """
-        fired = 0
-        while True:
-            event = self._pop_next()
-            if event is None:
-                break
-            if fired >= max_events:
-                raise SchedulingError(
-                    f"run_all exceeded {max_events} events; runaway timer?"
-                )
-            fired += 1
-            self._now = event.time
-            self._events_run += 1
-            event.callback()
-            if self._observer is not None:
-                self._observer.on_engine_event(event.time)
-
-    def advance_to(self, time: float) -> None:
-        """Move the clock forward without firing events (used by
-        trace-driven components that interleave with the event loop)."""
-        if time < self._now:
-            raise SchedulingError(
-                f"cannot move the clock backwards from {self._now} to {time}"
-            )
-        self._purge_cancelled_top()
-        if self._heap and self._heap[0][0] < time:
-            raise SchedulingError(
-                f"advance_to({time}) would skip an event at "
-                f"{self._heap[0][0]}; use run_until instead"
-            )
-        self._now = time
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Engine(now={self._now:.3f}, pending={self.pending})"

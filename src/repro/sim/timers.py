@@ -1,17 +1,18 @@
-"""Recurring timers built on the event engine.
+"""Recurring ticks built on the event engine.
 
 Sprite's writeback daemon wakes every 5 seconds; the counter collector
-snapshots at a regular period.  Both used to be independent
-:class:`RecurringTimer`\\ s -- one heap event per daemon per interval,
-which at cluster scale means the heap churns tens of thousands of
-events per simulated minute just to wake 40 identical scans.
+snapshots at a regular period.  One self-rescheduling timer per daemon
+would push one heap event per daemon per interval, which at cluster
+scale means the heap churns tens of thousands of events per simulated
+minute just to wake 40 identical scans.
 
 :class:`SharedTicker` coalesces them: one engine event per period,
-fanned out to every subscriber in subscription order.  Because each
-old per-client timer rescheduled itself immediately after its callback,
-the per-tick FIFO order of N sibling timers was exactly their creation
+fanned out to every subscriber in subscription order.  Because a
+per-daemon timer reschedules itself immediately after its callback,
+the per-tick FIFO order of N sibling timers is exactly their creation
 order -- which is the ticker's subscription order, so coalescing is
-byte-identical to the per-client timers it replaces.
+byte-identical to per-daemon timers (``tests/test_engine.py`` keeps
+such a timer as the reference).
 """
 
 from __future__ import annotations
@@ -20,59 +21,6 @@ from typing import Callable
 
 from repro.common.errors import SchedulingError
 from repro.sim.engine import Engine, EventHandle
-
-
-class RecurringTimer:
-    """Fires a callback every ``period`` seconds until stopped.
-
-    The first firing happens ``period`` seconds after :meth:`start`
-    (matching a daemon that sleeps before its first scan) unless
-    ``fire_immediately`` is set.
-    """
-
-    def __init__(
-        self,
-        engine: Engine,
-        period: float,
-        callback: Callable[[], None],
-        fire_immediately: bool = False,
-    ) -> None:
-        if period <= 0:
-            raise SchedulingError(f"timer period must be positive, got {period}")
-        self._engine = engine
-        self.period = period
-        self._callback = callback
-        self._fire_immediately = fire_immediately
-        self._handle: EventHandle | None = None
-        self._running = False
-        self.fire_count = 0
-
-    @property
-    def running(self) -> bool:
-        return self._running
-
-    def start(self) -> None:
-        """Begin firing.  Starting an already-running timer is an error."""
-        if self._running:
-            raise SchedulingError("timer is already running")
-        self._running = True
-        delay = 0.0 if self._fire_immediately else self.period
-        self._handle = self._engine.schedule_after(delay, self._fire)
-
-    def stop(self) -> None:
-        """Stop firing.  Idempotent."""
-        self._running = False
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-
-    def _fire(self) -> None:
-        if not self._running:
-            return
-        self.fire_count += 1
-        self._callback()
-        if self._running:
-            self._handle = self._engine.schedule_after(self.period, self._fire)
 
 
 class TickSubscription:
@@ -88,22 +36,15 @@ class TickSubscription:
         """Stop receiving ticks.  Idempotent."""
         self.active = False
 
-    #: Alias so a subscription drops in where a RecurringTimer was held.
-    stop = cancel
-
-    @property
-    def running(self) -> bool:
-        return self.active
-
 
 class SharedTicker:
     """One engine event per period, fanned out to many subscribers.
 
     Subscribers fire in subscription order on every tick.  The first
-    tick lands ``period`` seconds after the first subscription (the
-    same sleep-before-first-scan phase a :class:`RecurringTimer` has);
-    if every subscriber cancels, the pending tick is dropped, and a
-    later subscription re-arms the ticker from the current time.
+    tick lands ``period`` seconds after the first subscription (a
+    daemon sleeps before its first scan); if every subscriber cancels,
+    the pending tick is dropped, and a later subscription re-arms the
+    ticker from the current time.
 
     Tick callbacks must not schedule events at exactly the next tick's
     timestamp -- with per-subscriber timers such an event would have
@@ -121,10 +62,6 @@ class SharedTicker:
         self._subscriptions: list[TickSubscription] = []
         self._handle: EventHandle | None = None
         self.fire_count = 0
-
-    @property
-    def subscriber_count(self) -> int:
-        return sum(1 for sub in self._subscriptions if sub.active)
 
     def subscribe(self, callback: Callable[[], None]) -> TickSubscription:
         """Add a per-tick callback; returns a cancellable subscription."""

@@ -204,10 +204,6 @@ class RecordEmitter:
     def _episode_closed(self, episode: OpenEpisode) -> None:
         self._open_episodes.pop(episode.open_id, None)
 
-    @property
-    def open_episode_count(self) -> int:
-        return len(self._open_episodes)
-
     # --- lifecycle operations ----------------------------------------------
 
     def create_file(

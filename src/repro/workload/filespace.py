@@ -117,7 +117,3 @@ class FileSpace:
             raise TraceError(f"cannot delete missing file {file_id}")
         self.deleted_count += 1
         return state
-
-    @property
-    def live_count(self) -> int:
-        return len(self._files)

@@ -10,7 +10,10 @@ check what the package writes:
 * :func:`read_cdf_csv` -- reads back a file written by
   :func:`repro.analysis.export.write_cdf_csv`;
 * :func:`oracle_versions` -- a protocol oracle's version ledger, so two
-  oracles' ledgers can be compared.
+  oracles' ledgers can be compared;
+* :func:`dirty_blocks_accounted` -- every dirty block's eventual fate,
+  which equals ``blocks_dirtied`` in a consistent run;
+* :func:`all_snapshots` -- a replay's counter snapshots as one list.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import os
 from typing import Any, Sequence
 
 from repro.common.errors import AnalysisError
-from repro.fs.counters import ClientCounters, ServerCounters
+from repro.fs.cluster import ClusterResult
+from repro.fs.counters import ClientCounters, CounterSnapshot, ServerCounters
 from repro.fs.oracle import ProtocolOracle
 from repro.obs.sampler import (
     CLIENT_FIELDS,
@@ -67,7 +71,9 @@ def verify_integration(
                 got = series.column(name)[-1]
                 how = "last sample"
             else:
-                got = series.integrate(name)
+                # Sum of the deltas: last sample - first sample.
+                values = series.column(name)
+                got = values[-1] - values[0]
                 how = "integrated"
             expected = getattr(counters, name)
             if got != expected:
@@ -159,3 +165,23 @@ def read_cdf_csv(path: str | os.PathLike[str]) -> dict[str, list[tuple[float, fl
 def oracle_versions(oracle: ProtocolOracle) -> dict[int, int]:
     """The highest version stamp ``oracle`` observed per file id (a copy)."""
     return dict(oracle._versions)
+
+
+def dirty_blocks_accounted(counters: ClientCounters) -> int:
+    """Every dirty block's eventual fate: written back, absorbed by a
+    delete, destroyed by a fault, or still dirty at the final snapshot.
+    Equals ``counters.blocks_dirtied`` in a consistent run (the chaos
+    suites' conservation invariant)."""
+    return (
+        counters.blocks_cleaned_total
+        + counters.dirty_blocks_discarded
+        + counters.lost_dirty_blocks
+        + counters.dirty_blocks_resident
+    )
+
+
+def all_snapshots(result: ClusterResult) -> list[CounterSnapshot]:
+    """Every client's snapshots, ordered by client then time."""
+    out = [snap for per_client in result.snapshots.values() for snap in per_client]
+    out.sort(key=lambda snap: (snap.client_id, snap.time))
+    return out

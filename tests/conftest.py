@@ -71,7 +71,7 @@ def cluster_result(small_trace):
     """One cluster replay of the small trace."""
     config = ClusterConfig(client_count=4)
     return run_cluster_on_trace(
-        small_trace.records, small_trace.duration, config, seed=9
+        small_trace.columnar, small_trace.duration, config, seed=9
     )
 
 

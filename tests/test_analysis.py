@@ -299,7 +299,7 @@ class TestFigures:
                               client_id=0, size=800, oldest_byte_time=0.0,
                               newest_byte_time=100.0)
         result = compute_lifetimes([delete])
-        assert result.by_bytes.total_weight == pytest.approx(800)
+        assert sum(w for _, w in result.by_bytes._samples) == pytest.approx(800)
         # Byte ages span 0..100; about half the mass is under 50.
         assert result.by_bytes.fraction_at_or_below(50.0) == pytest.approx(
             0.5, abs=0.1

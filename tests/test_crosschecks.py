@@ -98,7 +98,7 @@ class TestAnalysisSimulatorAgreement:
         trace = generate_trace(STANDARD_PROFILES[0], seed=31, scale=0.05)
         actions = compute_actions(trace.records)
         result = run_cluster_on_trace(
-            trace.records, trace.duration, ClusterConfig(client_count=4),
+            trace.columnar, trace.duration, ClusterConfig(client_count=4),
             seed=5,
         )
         simulated = result.server_counters.recalls_issued
@@ -111,7 +111,7 @@ class TestAnalysisSimulatorAgreement:
     def test_write_sharing_detected_by_both(self, shared_heavy_trace):
         actions = compute_actions(shared_heavy_trace.records)
         result = run_cluster_on_trace(
-            shared_heavy_trace.records, shared_heavy_trace.duration,
+            shared_heavy_trace.columnar, shared_heavy_trace.duration,
             ClusterConfig(client_count=4), seed=5,
         )
         assert actions.write_sharing_opens > 0

@@ -5,8 +5,55 @@ import time
 import pytest
 
 from repro.common.errors import SchedulingError
-from repro.sim import Engine, RecurringTimer, SharedTicker
-from repro.sim.engine import _COMPACT_MIN_STALE
+from repro.sim import Engine, SharedTicker
+from repro.sim.engine import EventHandle, _COMPACT_MIN_STALE
+
+#: Past every event these tests schedule.
+END = 1e6
+
+
+class RecurringTimer:
+    """One self-rescheduling timer per daemon: what :class:`SharedTicker`
+    coalesces, kept here as the reference it must match byte for byte.
+
+    The first firing happens ``period`` seconds after :meth:`start`
+    (matching a daemon that sleeps before its first scan) unless
+    ``fire_immediately`` is set.
+    """
+
+    def __init__(self, engine, period, callback, fire_immediately=False):
+        if period <= 0:
+            raise SchedulingError(f"timer period must be positive, got {period}")
+        self._engine = engine
+        self.period = period
+        self._callback = callback
+        self._fire_immediately = fire_immediately
+        self._handle: EventHandle | None = None
+        self.running = False
+        self.fire_count = 0
+
+    def start(self) -> None:
+        """Begin firing.  Starting an already-running timer is an error."""
+        if self.running:
+            raise SchedulingError("timer is already running")
+        self.running = True
+        delay = 0.0 if self._fire_immediately else self.period
+        self._handle = self._engine.schedule_after(delay, self._fire)
+
+    def stop(self) -> None:
+        """Stop firing.  Idempotent."""
+        self.running = False
+        if self._handle is not None:
+            self._handle.cancel()
+            self._handle = None
+
+    def _fire(self) -> None:
+        if not self.running:
+            return
+        self.fire_count += 1
+        self._callback()
+        if self.running:
+            self._handle = self._engine.schedule_after(self.period, self._fire)
 
 
 class TestEngine:
@@ -30,7 +77,7 @@ class TestEngine:
         fired = []
         for index in range(5):
             engine.schedule_at(1.0, lambda i=index: fired.append(i))
-        engine.run_all()
+        engine.run_until(END)
         assert fired == [0, 1, 2, 3, 4]
 
     def test_run_until_advances_clock(self):
@@ -68,7 +115,7 @@ class TestEngine:
         fired = []
         handle = engine.schedule_at(1.0, lambda: fired.append(1))
         handle.cancel()
-        engine.run_all()
+        engine.run_until(END)
         assert fired == []
         assert handle.cancelled
 
@@ -83,7 +130,7 @@ class TestEngine:
         engine = Engine()
         seen = []
         engine.schedule_at(7.5, lambda: seen.append(engine.now))
-        engine.run_all()
+        engine.run_until(END)
         assert seen == [7.5]
 
     def test_callback_can_schedule_more(self):
@@ -98,53 +145,11 @@ class TestEngine:
         engine.run_until(5.0)
         assert fired == ["first", "second"]
 
-    def test_run_all_guards_against_runaway(self):
-        engine = Engine()
-
-        def reschedule():
-            engine.schedule_after(1.0, reschedule)
-
-        engine.schedule_at(0.0, reschedule)
-        with pytest.raises(SchedulingError):
-            engine.run_all(max_events=100)
-
-    def test_run_all_guard_is_exact(self):
-        # Exactly max_events pending events must run to completion; the
-        # guard used to let max_events + 1 callbacks fire before raising.
-        engine = Engine()
-        fired = []
-        for i in range(5):
-            engine.schedule_at(float(i), lambda i=i: fired.append(i))
-        engine.run_all(max_events=5)
-        assert fired == [0, 1, 2, 3, 4]
-
-    def test_run_all_guard_raises_before_excess_event_fires(self):
-        engine = Engine()
-        fired = []
-        for i in range(6):
-            engine.schedule_at(float(i), lambda i=i: fired.append(i))
-        with pytest.raises(SchedulingError):
-            engine.run_all(max_events=5)
-        # The sixth callback must never have run.
-        assert fired == [0, 1, 2, 3, 4]
-
-    def test_advance_to_skipping_event_raises(self):
-        engine = Engine()
-        engine.schedule_at(5.0, lambda: None)
-        with pytest.raises(SchedulingError):
-            engine.advance_to(10.0)
-
-    def test_advance_to_before_events_ok(self):
-        engine = Engine()
-        engine.schedule_at(5.0, lambda: None)
-        engine.advance_to(3.0)
-        assert engine.now == 3.0
-
     def test_events_run_counter(self):
         engine = Engine()
         engine.schedule_at(1.0, lambda: None)
         engine.schedule_at(2.0, lambda: None)
-        engine.run_all()
+        engine.run_until(END)
         assert engine.events_run == 2
 
 
@@ -245,7 +250,7 @@ class TestCancellationScaling:
         # The old implementation scanned the heap per pending call
         # (~50M comparisons here); the counter version is instant.
         assert elapsed < 1.0
-        engine.run_all()
+        engine.run_until(END)
         assert engine.events_run == 0
 
     def test_cancel_after_fire_is_noop(self):
@@ -268,18 +273,16 @@ class TestCancellationScaling:
             handle.cancel()
         assert engine.pending == 1
         assert len(engine._heap) < 10_000  # stale entries were dropped
-        engine.run_all()
+        engine.run_until(END)
         assert engine.events_run == 1
 
-    def test_advance_to_skips_cancelled_events(self):
+    def test_next_event_time_skips_cancelled_events(self):
         engine = Engine()
         doomed = engine.schedule_at(1.0, lambda: None)
         engine.schedule_at(10.0, lambda: None)
         doomed.cancel()
-        engine.advance_to(5.0)  # fine: the 1.0 event is cancelled
-        assert engine.now == 5.0
-        with pytest.raises(SchedulingError):
-            engine.advance_to(11.0)  # would skip the live 10.0 event
+        assert engine.next_event_time() == 10.0
+        assert engine.pending == 1
 
     def test_run_until_with_cancelled_head_stops_at_end_time(self):
         engine = Engine()
@@ -341,7 +344,7 @@ class TestHeapCompaction:
         assert engine._stale == _COMPACT_MIN_STALE + 10
         assert len(engine._heap) == total
 
-    def test_advance_to_and_pending_after_compaction(self):
+    def test_next_event_time_and_pending_after_compaction(self):
         engine = Engine()
         handles = [
             engine.schedule_at(float(i + 1), lambda: None)
@@ -352,12 +355,9 @@ class TestHeapCompaction:
             handle.cancel()
         assert len(engine._heap) == 1  # compacted
         assert engine.pending == 1
-        # advance_to honours the surviving event, not the dropped ones.
-        engine.advance_to(survivor_time - 0.5)
-        assert engine.now == survivor_time - 0.5
-        with pytest.raises(SchedulingError):
-            engine.advance_to(survivor_time + 1.0)
-        engine.run_all()
+        # The next wake is the surviving event, not the dropped ones.
+        assert engine.next_event_time() == survivor_time
+        engine.run_until(END)
         assert engine.events_run == 1
         assert engine.pending == 0
 
@@ -379,7 +379,7 @@ class TestHeapCompaction:
         fired_handle.cancel()
         handles[0].cancel()  # no-op: already cancelled + compacted away
         assert engine.pending == 1
-        engine.run_all()
+        engine.run_until(END)
         assert engine.events_run == 2
 
     def test_compaction_preserves_fifo_order(self):
@@ -396,7 +396,7 @@ class TestHeapCompaction:
         for handle in doomed:
             handle.cancel()
         assert len(engine._heap) == len(survivors)
-        engine.run_all()
+        engine.run_until(END)
         assert fired == [0, 1, 2]
 
 
@@ -456,11 +456,10 @@ class TestSharedTicker:
         drop = ticker.subscribe(lambda: fired.append("drop"))
         engine.run_until(1.5)
         drop.cancel()
-        drop.stop()  # the RecurringTimer-compatible alias, idempotent
+        drop.cancel()  # idempotent
         engine.run_until(3.5)
         assert fired == ["keep", "drop", "keep", "keep"]
-        assert keep.running and not drop.running
-        assert ticker.subscriber_count == 1
+        assert keep.active and not drop.active
 
     def test_rearms_after_full_drain(self):
         engine = Engine()

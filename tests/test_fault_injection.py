@@ -26,6 +26,7 @@ from repro.fs import (
 )
 from repro.fs.rpc import BackoffPolicy
 from repro.common.rng import RngStream
+from repro.trace.columnar import ColumnarTrace
 
 KB = 1024
 
@@ -231,22 +232,22 @@ class TestServerCrash:
         client = cluster.clients[0]
         client.open_file(0.0, 7, will_write=True)
         client.write(0.0, 7, 0, 8 * KB)
-        version_before = cluster.server.state_of(7).version
+        version_before = cluster.servers[0].state_of(7).version
 
-        cluster.crash_server(down_until=50.0)
-        state = cluster.server.state_of(7)
-        assert not cluster.server.up
+        cluster.crash_server(down_until=50.0, server_id=0)
+        state = cluster.servers[0].state_of(7)
+        assert not cluster.servers[0].up
         assert not state.writers and not state.readers
         assert state.last_writer == -1
-        assert len(cluster.server.cache) == 0
+        assert len(cluster.servers[0].cache) == 0
         assert state.version == version_before  # durable on disk
-        assert cluster.server.counters.crashes == 1
+        assert cluster.servers[0].counters.crashes == 1
         # Downtime is booked from real timestamps at recovery, not
         # predicted at crash time.
-        assert cluster.server.counters.downtime_seconds == 0.0
+        assert cluster.servers[0].counters.downtime_seconds == 0.0
         cluster.engine.run_until(50.0)
-        cluster.recover_server()
-        assert cluster.server.counters.downtime_seconds == pytest.approx(50.0)
+        cluster.recover_server(0)
+        assert cluster.servers[0].counters.downtime_seconds == pytest.approx(50.0)
 
     def test_reopen_reregisters_open_files(self):
         cluster = make_cluster()
@@ -255,13 +256,13 @@ class TestServerCrash:
         client.open_file(0.0, 9, will_write=False)
 
         cluster.engine.run_until(10.0)
-        cluster.crash_server(down_until=20.0)
+        cluster.crash_server(down_until=20.0, server_id=0)
         cluster.engine.run_until(20.0)
-        cluster.recover_server()
+        cluster.recover_server(0)
 
-        assert cluster.server.counters.reopen_rpcs == 2
-        assert cluster.server.state_of(7).writers == {0: 1}
-        assert cluster.server.state_of(9).readers == {0: 1}
+        assert cluster.servers[0].counters.reopen_rpcs == 2
+        assert cluster.servers[0].state_of(7).writers == {0: 1}
+        assert cluster.servers[0].state_of(9).readers == {0: 1}
         assert client.counters.reopen_rpcs == 2
 
     def test_recovery_revalidates_every_cached_file(self):
@@ -272,9 +273,9 @@ class TestServerCrash:
             client.read(0.0, file_id, 0, 4 * KB)
             client.close_file(0.0, file_id, wrote=False)
 
-        cluster.crash_server(down_until=30.0)
+        cluster.crash_server(down_until=30.0, server_id=0)
         cluster.engine.run_until(30.0)
-        cluster.recover_server()
+        cluster.recover_server(0)
 
         resident = set(client.cache.resident_files())
         assert client.counters.revalidate_rpcs >= len(resident)
@@ -289,13 +290,13 @@ class TestServerCrash:
         reader.read(0.0, 11, 0, 4 * KB)
         reader.close_file(0.0, 11, wrote=False)
 
-        cluster.crash_server(down_until=30.0)
+        cluster.crash_server(down_until=30.0, server_id=0)
         # While the reader is cut off, the file's durable version moves
         # on (simulate by bumping the stamp the way an accepted write
         # elsewhere would).
-        cluster.server.state_of(11).version += 1
+        cluster.servers[0].state_of(11).version += 1
         cluster.engine.run_until(30.0)
-        cluster.recover_server()
+        cluster.recover_server(0)
 
         assert reader.counters.blocks_invalidated_on_recovery == 1
         assert (11, 0) not in reader.cache
@@ -307,10 +308,10 @@ class TestServerCrash:
         client.write(1.0, 7, 0, 4 * KB)
 
         cluster.engine.run_until(10.0)
-        cluster.crash_server(down_until=60.0)
+        cluster.crash_server(down_until=60.0, server_id=0)
         cluster.engine.run_until(60.0)
         assert client.cache.dirty_count == 1  # daemon was gated off
-        cluster.recover_server()
+        cluster.recover_server(0)
 
         assert client.counters.blocks_cleaned_recovery == 1
         assert client.cache.dirty_count == 0
@@ -323,11 +324,11 @@ class TestServerCrash:
         reader.open_file(0.0, 13, will_write=False)
         assert 13 in writer._uncacheable
 
-        cluster.crash_server(down_until=10.0)
+        cluster.crash_server(down_until=10.0, server_id=0)
         cluster.engine.run_until(10.0)
-        cluster.recover_server()
+        cluster.recover_server(0)
 
-        assert cluster.server.state_of(13).uncacheable
+        assert cluster.servers[0].state_of(13).uncacheable
         assert 13 in writer._uncacheable and 13 in reader._uncacheable
 
 
@@ -346,8 +347,8 @@ class TestClientCrash:
         assert client.counters.lost_dirty_blocks == 3
         assert client.counters.lost_dirty_bytes > 0
         assert len(client.cache) == 0
-        assert cluster.server.state_of(7).last_writer == -1
-        assert cluster.server.state_of(7).writers == {}
+        assert cluster.servers[0].state_of(7).last_writer == -1
+        assert cluster.servers[0].state_of(7).writers == {}
 
     def test_epoch_bump_drops_stale_closes(self):
         from repro.trace.records import (
@@ -370,7 +371,8 @@ class TestClientCrash:
                         client_id=0),
         ]
         result = run_cluster_on_trace(
-            records, 60.0, ClusterConfig(client_count=2), seed=5,
+            ColumnarTrace.from_records(records), 60.0,
+            ClusterConfig(client_count=2), seed=5,
             fault_schedule=schedule,
         )
         counters = result.final_counters[0]
@@ -391,7 +393,8 @@ class TestClientCrash:
                           client_id=0, offset=0, length=KB),
         ]
         result = run_cluster_on_trace(
-            records, 50.0, ClusterConfig(client_count=2), seed=5,
+            ColumnarTrace.from_records(records), 50.0,
+            ClusterConfig(client_count=2), seed=5,
             fault_schedule=schedule,
         )
         counters = result.final_counters[0]
@@ -429,7 +432,7 @@ class TestPartition:
         assert client.counters.rpc_retries > 0
         assert client.counters.stall_seconds == pytest.approx(10.0)
         # The op itself executed (stall semantics): the server saw it.
-        assert cluster.server.counters.open_rpcs == 1
+        assert cluster.servers[0].counters.open_rpcs == 1
 
     def test_fail_mode_drops_data_ops_after_timeout(self):
         cluster = make_cluster(
@@ -438,10 +441,10 @@ class TestPartition:
         client = cluster.clients[0]
         cluster.partition_client(client, until=100.0)
         client.open_file(0.0, 5, will_write=False)  # naming op: stalls
-        before = cluster.server.counters.block_reads
+        before = cluster.servers[0].counters.block_reads
         client.read(0.0, 5, 0, 4 * KB)
         assert client.counters.rpc_failed_ops == 1
-        assert cluster.server.counters.block_reads == before
+        assert cluster.servers[0].counters.block_reads == before
         assert client.counters.cache_read_misses == 1  # miss still counted
         assert len(client.cache) == 0  # nothing crossed the wire
 
@@ -479,10 +482,10 @@ class TestPartition:
 
         cluster.partition_client(writer, until=100.0)
         reader.open_file(1.0, 7, will_write=False)
-        assert cluster.server.counters.recalls_failed == 1
-        assert cluster.server.counters.recalls_issued == 0
+        assert cluster.servers[0].counters.recalls_failed == 1
+        assert cluster.servers[0].counters.recalls_issued == 0
         # The dirty data is still on the writer, still on record.
-        assert cluster.server.state_of(7).last_writer == 0
+        assert cluster.servers[0].state_of(7).last_writer == 0
         assert writer.cache.dirty_count == 1
 
 
@@ -496,7 +499,7 @@ class TestFaultInjector:
             [FaultEvent(mid, FaultKind.SERVER_CRASH, SERVER_TARGET, 120.0)]
         )
         result = run_cluster_on_trace(
-            small_trace.records,
+            small_trace.columnar,
             small_trace.duration,
             ClusterConfig(client_count=4),
             seed=9,
@@ -516,7 +519,7 @@ class TestFaultInjector:
             faults=FaultConfig(server_crash_rate=2.0, server_downtime=60.0),
         )
         result = run_cluster_on_trace(
-            small_trace.records, small_trace.duration, config, seed=9
+            small_trace.columnar, small_trace.duration, config, seed=9
         )
         assert result.server_counters.crashes > 0
 
@@ -527,6 +530,6 @@ class TestFaultInjector:
         cluster = Cluster(
             ClusterConfig(client_count=2), seed=3, fault_schedule=schedule
         )
-        result = cluster.replay([], 100.0)
-        assert not cluster.server.up
+        result = cluster.replay(ColumnarTrace.from_records([]), 100.0)
+        assert not cluster.servers[0].up
         assert result.server_counters.crashes == 1

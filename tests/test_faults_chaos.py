@@ -33,6 +33,8 @@ from repro.fs import (
 from repro.pipeline.runner import run_stage
 from repro.pipeline.tasks import ReplayTask
 
+from checkers import dirty_blocks_accounted
+
 CHAOS_SEEDS = (11, 23, 37, 41, 53)
 
 CHAOS_FAULTS = FaultConfig(
@@ -62,7 +64,7 @@ class AuditingCluster(Cluster):
         self.audit_failures: list[str] = []
         self.recoveries_audited = 0
 
-    def recover_server(self, server_id: int = 0) -> None:
+    def recover_server(self, server_id: int) -> None:
         now = self.engine.now
         before = {
             client.client_id: (
@@ -90,7 +92,7 @@ class AuditingCluster(Cluster):
 def chaos_run(request, small_trace):
     """One audited chaos replay per seed (shared by the invariant tests)."""
     cluster = AuditingCluster(CHAOS_CONFIG, seed=request.param)
-    result = cluster.replay(small_trace.records, small_trace.duration)
+    result = cluster.replay(small_trace.columnar, small_trace.duration)
     return cluster, result
 
 
@@ -105,9 +107,10 @@ def test_chaos_runs_actually_inject_faults(chaos_run):
 def test_dirty_block_conservation(chaos_run):
     _, result = chaos_run
     for client_id, counters in result.final_counters.items():
-        assert counters.dirty_blocks_accounted == counters.blocks_dirtied, (
+        accounted = dirty_blocks_accounted(counters)
+        assert accounted == counters.blocks_dirtied, (
             f"client {client_id}: dirtied {counters.blocks_dirtied}, "
-            f"accounted {counters.dirty_blocks_accounted} "
+            f"accounted {accounted} "
             f"(cleaned {counters.blocks_cleaned_total}, "
             f"discarded {counters.dirty_blocks_discarded}, "
             f"lost {counters.lost_dirty_blocks}, "
@@ -117,7 +120,7 @@ def test_dirty_block_conservation(chaos_run):
 
 def test_no_cache_block_survives_recovery_unvalidated(chaos_run):
     cluster, _ = chaos_run
-    assert cluster.recoveries_audited == cluster.server.counters.crashes
+    assert cluster.recoveries_audited == cluster.servers[0].counters.crashes
     assert cluster.audit_failures == []
 
 
@@ -126,7 +129,7 @@ def test_replay_is_deterministic_per_seed(request, chaos_run, small_trace):
     _, result = chaos_run
     seed = request.node.callspec.params["chaos_run"]
     again = Cluster(CHAOS_CONFIG, seed=seed).replay(
-        small_trace.records, small_trace.duration
+        small_trace.columnar, small_trace.duration
     )
     assert again.final_counters == result.final_counters
     assert again.server_counters == result.server_counters
@@ -157,10 +160,10 @@ def test_fault_free_run_is_identical_to_empty_schedule(small_trace):
     """The fault machinery must be inert when nothing is scheduled."""
     config = ClusterConfig(client_count=4)
     plain = run_cluster_on_trace(
-        small_trace.records, small_trace.duration, config, seed=9
+        small_trace.columnar, small_trace.duration, config, seed=9
     )
     empty = run_cluster_on_trace(
-        small_trace.records, small_trace.duration, config, seed=9,
+        small_trace.columnar, small_trace.duration, config, seed=9,
         fault_schedule=FaultSchedule([]),
     )
     assert plain.final_counters == empty.final_counters
@@ -187,7 +190,7 @@ def test_write_through_loses_nothing(seed, small_trace):
         faults=CHAOS_FAULTS,
     )
     result = run_cluster_on_trace(
-        small_trace.records, small_trace.duration, config, seed=seed
+        small_trace.columnar, small_trace.duration, config, seed=seed
     )
     for counters in result.final_counters.values():
         assert counters.lost_dirty_bytes == 0

@@ -14,6 +14,12 @@ def cache():
     return BlockCache(block_size=4096)
 
 
+def touch(cache, key, now):
+    """A read hit, as the client's read path applies it inline."""
+    cache.get(key).last_referenced = now
+    cache._blocks.move_to_end(key)
+
+
 class TestBlockCache:
     def test_insert_and_get(self, cache):
         block = cache.insert((1, 0), now=1.0)
@@ -32,23 +38,18 @@ class TestBlockCache:
         cache.insert((1, 1), now=2.0)
         cache.insert((2, 0), now=3.0)
         assert cache.lru_block().key == (1, 0)
-        cache.touch((1, 0), now=4.0)
+        touch(cache, (1, 0), now=4.0)
         assert cache.lru_block().key == (1, 1)
 
     def test_evict_lru_removes_oldest(self, cache):
         cache.insert((1, 0), now=1.0)
         cache.insert((1, 1), now=2.0)
-        victim = cache.evict_lru()
+        victim = cache.remove(cache.lru_block().key)
         assert victim.key == (1, 0)
         assert len(cache) == 1
 
-    def test_evict_empty_raises(self, cache):
-        with pytest.raises(CacheError):
-            cache.evict_lru()
-
-    def test_touch_nonresident_raises(self, cache):
-        with pytest.raises(CacheError):
-            cache.touch((1, 0), now=1.0)
+    def test_empty_cache_has_no_lru_block(self, cache):
+        assert cache.lru_block() is None
 
     def test_mark_dirty_and_clean(self, cache):
         cache.insert((1, 0), now=1.0)
@@ -196,30 +197,8 @@ class TestBlockCache:
     def test_evict_dirty_lru_clears_dirty_index(self, cache):
         cache.insert((1, 0), now=0.0)
         cache.mark_dirty((1, 0), now=1.0)
-        cache.evict_lru(allow_dirty=True)
+        cache.remove(cache.lru_block().key)
         assert cache.dirty_count == 0
-
-    def test_evict_dirty_lru_refused_by_default(self, cache):
-        """Regression: evict_lru used to silently drop dirty (unwritten)
-        data; now it refuses unless the caller opts in."""
-        cache.insert((1, 0), now=0.0)
-        cache.mark_dirty((1, 0), now=1.0)
-        with pytest.raises(CacheError, match="dirty block"):
-            cache.evict_lru()
-        assert (1, 0) in cache  # nothing was dropped
-        assert cache.dirty_count == 1
-        assert cache.dirty_evictions == 0
-
-    def test_evict_dirty_lru_counts_dropped_bytes(self, cache):
-        cache.insert((1, 0), now=0.0)
-        cache.mark_dirty((1, 0), now=1.0)
-        cache.insert((1, 1), now=2.0)
-        victim = cache.evict_lru(allow_dirty=True)
-        assert victim.key == (1, 0)
-        assert cache.dirty_evictions == 1
-        # Clean LRU evictions never touch the counter.
-        cache.evict_lru()
-        assert cache.dirty_evictions == 1
 
     def test_bad_block_size_raises(self):
         with pytest.raises(CacheError):
@@ -246,7 +225,7 @@ class TestBlockCache:
             if op == "insert" and key not in cache:
                 cache.insert(key, now)
             elif op == "touch" and key in cache:
-                cache.touch(key, now)
+                touch(cache, key, now)
             elif op == "remove" and key in cache:
                 cache.remove(key)
             elif op == "dirty" and key in cache:
@@ -277,7 +256,7 @@ class TestBlockCache:
     def test_full_invariant_property(self, ops):
         """Every structural invariant holds under arbitrary interleaving
         of the whole public mutation surface, including backdated dirty
-        stamps, file invalidation, and dirty-opt-in eviction."""
+        stamps, file invalidation, and eviction of a dirty LRU block."""
         cache = BlockCache(block_size=4096)
         now = 0.0
         for op, file_id, index, offset in ops:
@@ -286,7 +265,7 @@ class TestBlockCache:
             if op == "insert" and key not in cache:
                 cache.insert(key, now)
             elif op == "touch" and key in cache:
-                cache.touch(key, now)
+                touch(cache, key, now)
             elif op == "remove" and key in cache:
                 cache.remove(key)
             elif op == "dirty" and key in cache:
@@ -298,7 +277,7 @@ class TestBlockCache:
             elif op == "clear":
                 cache.clear()
             elif op == "evict" and len(cache):
-                cache.evict_lru(allow_dirty=True)
+                cache.remove(cache.lru_block().key)
 
             blocks = cache._blocks
             # The per-file index exactly mirrors the block map.

@@ -3,30 +3,15 @@
 import pytest
 
 from repro.common.units import MB
-from repro.fs.client import ClientKernel
 from repro.fs.config import ClusterConfig
-from repro.fs.server import Server
 from repro.fs.servercache import ServerCache
-from repro.fs.vm import VirtualMemory
-from repro.sim import Engine
+from rigs import build_rig
 
 
 def make_rig(client_count=2, **config_kwargs):
     """A small engine + server + N clients rig."""
     config = ClusterConfig(client_count=client_count, **config_kwargs)
-    engine = Engine()
-    server = Server(config.server_memory, config.block_size)
-    clients = []
-    for client_id in range(client_count):
-        vm = VirtualMemory(
-            total_pages=config.client_page_count,
-            preference_seconds=config.vm_preference,
-            base_demand_pages=500,
-            cache_floor_pages=config.min_cache_size // config.block_size,
-        )
-        client = ClientKernel(client_id, config, engine, server, vm)
-        server.register_client(client)
-        clients.append(client)
+    engine, server, clients = build_rig(config)
 
     def fan_out(file_id, cacheable):
         for client in clients:
@@ -119,7 +104,7 @@ class TestDelayedWrites:
         _, engine, server, (client, _) = make_rig()
         client.open_file(0.0, 1, will_write=True)
         client.write(1.0, 1, 0, 4096)
-        client.fsync_file(1.5, 1)
+        client.close_file(1.5, 1, wrote=True, fsync=True)
         assert client.counters.blocks_cleaned_fsync == 1
         assert client.counters.bytes_written_to_server == 4096
 

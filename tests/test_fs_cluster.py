@@ -14,6 +14,7 @@ from repro.caching import (
 from repro.fs import ClusterConfig, run_cluster_on_trace
 from repro.fs.cluster import Cluster
 from repro.fs.counters import ClientCounters
+from repro.trace.columnar import ColumnarTrace
 
 
 def aggregate(result):
@@ -26,9 +27,9 @@ class TestReplay:
 
     def test_replay_is_deterministic(self, small_trace):
         config = ClusterConfig(client_count=4)
-        a = run_cluster_on_trace(small_trace.records, small_trace.duration,
+        a = run_cluster_on_trace(small_trace.columnar, small_trace.duration,
                                  config, seed=9)
-        b = run_cluster_on_trace(small_trace.records, small_trace.duration,
+        b = run_cluster_on_trace(small_trace.columnar, small_trace.duration,
                                  config, seed=9)
         assert aggregate(a) == aggregate(b)
         assert a.server_counters == b.server_counters
@@ -83,11 +84,16 @@ class TestReplay:
     def test_out_of_order_records_rejected(self, small_trace):
         from repro.common.errors import SimulationError
 
-        records = list(small_trace.records[:100])
-        records.reverse()
+        # A columnar trace whose rows run backwards, as a corrupt
+        # payload would decode: the replay loop's own check refuses it.
+        head = ColumnarTrace.from_records(small_trace.records[:100])
+        backwards = ColumnarTrace(
+            head.tables, head.kind_idx[::-1], head.row_idx[::-1],
+            head.times[::-1],
+        )
         cluster = Cluster(ClusterConfig(client_count=4), seed=1)
-        with pytest.raises(SimulationError):
-            cluster.replay(records, small_trace.duration)
+        with pytest.raises(SimulationError, match="out of order"):
+            cluster.replay(backwards, small_trace.duration)
 
     def test_handlerless_records_are_counted_and_skipped(
         self, small_trace, cluster_result
@@ -101,7 +107,8 @@ class TestReplay:
         removed = len(small_trace.records) - len(kept)
         assert removed > 0
         result = run_cluster_on_trace(
-            kept, small_trace.duration, ClusterConfig(client_count=4), seed=9
+            ColumnarTrace.from_records(kept), small_trace.duration,
+            ClusterConfig(client_count=4), seed=9,
         )
         assert result.records_replayed == (
             cluster_result.records_replayed - removed
@@ -192,11 +199,11 @@ class TestCachingTables:
 class TestAblationConfigs:
     def test_write_through_increases_server_writes(self, small_trace):
         base = run_cluster_on_trace(
-            small_trace.records, small_trace.duration,
+            small_trace.columnar, small_trace.duration,
             ClusterConfig(client_count=4), seed=3,
         )
         through = run_cluster_on_trace(
-            small_trace.records, small_trace.duration,
+            small_trace.columnar, small_trace.duration,
             ClusterConfig(client_count=4, write_through=True), seed=3,
         )
         assert (aggregate(through).bytes_written_to_server
@@ -204,11 +211,11 @@ class TestAblationConfigs:
 
     def test_small_cache_fraction_increases_misses(self, small_trace):
         base = run_cluster_on_trace(
-            small_trace.records, small_trace.duration,
+            small_trace.columnar, small_trace.duration,
             ClusterConfig(client_count=4), seed=3,
         )
         tiny = run_cluster_on_trace(
-            small_trace.records, small_trace.duration,
+            small_trace.columnar, small_trace.duration,
             ClusterConfig(client_count=4, max_cache_fraction=0.05), seed=3,
         )
         assert (aggregate(tiny).cache_read_misses

@@ -5,26 +5,14 @@ import pytest
 from repro.common import errors
 from repro.common.ids import IdAllocator
 from repro.common.rng import RngStream
-from repro.fs.client import ClientKernel
 from repro.fs.config import ClusterConfig
 from repro.fs.paging import EXECUTABLE_FILE_ID_BASE, PagingModel
-from repro.fs.server import Server
-from repro.fs.vm import VirtualMemory
-from repro.sim import Engine
+from rigs import build_rig
 
 
 def make_paging_rig(seed=3, intensity=1.0):
     config = ClusterConfig(client_count=1)
-    engine = Engine()
-    server = Server(config.server_memory, config.block_size)
-    vm = VirtualMemory(
-        total_pages=config.client_page_count,
-        preference_seconds=config.vm_preference,
-        base_demand_pages=1000,
-        cache_floor_pages=config.min_cache_size // config.block_size,
-    )
-    client = ClientKernel(0, config, engine, server, vm)
-    server.register_client(client)
+    engine, _, (client,) = build_rig(config, base_demand_pages=1000)
     rng = RngStream.root(seed)
     binaries = PagingModel.build_binaries(rng.fork("bins"))
     model = PagingModel(client, engine, rng.fork("paging"), binaries,
@@ -95,7 +83,6 @@ class TestIdAllocator:
     def test_dense_allocation(self):
         alloc = IdAllocator()
         assert [alloc.allocate() for _ in range(3)] == [0, 1, 2]
-        assert alloc.allocated == 3
 
     def test_custom_start(self):
         assert IdAllocator(start=10).allocate() == 10

@@ -744,7 +744,7 @@ def test_integrity_replay_is_deterministic(small_trace):
     rows = []
     for _ in range(2):
         result = run_cluster_on_trace(
-            small_trace.records, small_trace.duration, config, seed=17
+            small_trace.columnar, small_trace.duration, config, seed=17
         )
         rows.append(
             (
@@ -760,7 +760,7 @@ def test_integrity_replay_is_deterministic(small_trace):
 def test_zero_rate_config_builds_no_integrity_layer(small_trace):
     cluster = Cluster(ClusterConfig(client_count=4))
     assert cluster.integrity is None
-    result = cluster.replay(small_trace.records, small_trace.duration)
+    result = cluster.replay(small_trace.columnar, small_trace.duration)
     assert result.server_counters.checksum_failures == 0
     assert result.server_counters.scrub_blocks_checked == 0
     assert result.server_counters.disk_bit_rot_events == 0
@@ -797,7 +797,7 @@ def test_chaos_no_silent_corruption_with_replicas_and_scrubbing(small_trace):
         paging_intensity=0.0, scrub_interval=30.0, faults=DISK_KNOBS,
     )
     result = run_cluster_on_trace(
-        small_trace.records, duration, config, seed=31,
+        small_trace.columnar, duration, config, seed=31,
         fault_schedule=schedule, oracle=oracle,
     )
     assert result.server_counters.disk_bit_rot_events > 0
@@ -820,7 +820,7 @@ def test_chaos_undefended_corruption_is_exposed(small_trace):
         paging_intensity=0.0, faults=DISK_KNOBS,
     )
     run_cluster_on_trace(
-        small_trace.records, small_trace.duration, config, seed=31,
+        small_trace.columnar, small_trace.duration, config, seed=31,
         oracle=oracle,
     )
     exposed = [

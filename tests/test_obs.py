@@ -40,7 +40,7 @@ def observed_replay(trace, config=None, seed=9, oracle=None,
         sample_interval=sample_interval, max_trace_events=max_trace_events,
     ))
     result = run_cluster_on_trace(
-        trace.records, trace.duration,
+        trace.columnar, trace.duration,
         config or ClusterConfig(client_count=4),
         seed=seed, oracle=oracle, fault_schedule=fault_schedule, obs=obs,
     )
@@ -68,12 +68,12 @@ class TestInertness:
     def test_double_attach_refused(self, small_trace):
         obs = Observation()
         run_cluster_on_trace(
-            small_trace.records, small_trace.duration,
+            small_trace.columnar, small_trace.duration,
             ClusterConfig(client_count=2), seed=3, obs=obs,
         )
         with pytest.raises(RuntimeError, match="already attached"):
             run_cluster_on_trace(
-                small_trace.records, small_trace.duration,
+                small_trace.columnar, small_trace.duration,
                 ClusterConfig(client_count=2), seed=3, obs=obs,
             )
 
@@ -97,24 +97,14 @@ class TestIntegration:
         assert len(series) >= 2
         assert all(b >= a for a, b in zip(series.times, series.times[1:]))
 
-    def test_deltas_and_rates(self):
+    def test_column_reads_cumulative_samples(self):
         series = MachineSeries(
             machine="client-0", fields=("x",),
             times=[0.0, 10.0, 20.0], rows=[(0,), (4,), (10,)],
         )
         assert series.column("x") == [0, 4, 10]
-        assert series.deltas("x") == [4, 6]
-        assert series.rates("x") == [0.4, 0.6]
-        assert series.integrate("x") == 10
         with pytest.raises(KeyError):
             series.column("nope")
-
-    def test_integrate_empty_series_raises(self):
-        series = MachineSeries(
-            machine="server", fields=("x",), times=[], rows=[],
-        )
-        with pytest.raises(SimulationError):
-            series.integrate("x")
 
 
 class TestTraceExport:

@@ -4,39 +4,19 @@ from __future__ import annotations
 
 import pytest
 
-from repro.common.rng import RngStream
-from repro.fs.client import ClientKernel
 from repro.fs.config import ClusterConfig
 from repro.fs.faults import FaultConfig
 from repro.fs.oracle import InvariantViolation, ProtocolOracle, Violation
-from repro.fs.server import OpenReply, Server
-from repro.fs.vm import VirtualMemory
-from repro.sim import Engine
+from repro.fs.server import OpenReply
+from rigs import build_rig
 
 
-def make_rig(client_count=1, channel_rng=None, oracle=None, **fault_kwargs):
+def make_rig(client_count=1, seed=7, oracle=None, **fault_kwargs):
     """Engine + server + clients wired through the RPC transport."""
     config = ClusterConfig(
         client_count=client_count, faults=FaultConfig(**fault_kwargs)
     )
-    engine = Engine()
-    server = Server(config.server_memory, config.block_size)
-    clients = []
-    for client_id in range(client_count):
-        vm = VirtualMemory(
-            total_pages=config.client_page_count,
-            preference_seconds=config.vm_preference,
-            base_demand_pages=500,
-            cache_floor_pages=config.min_cache_size // config.block_size,
-        )
-        rng = channel_rng.fork(f"client-{client_id}") if channel_rng else None
-        client = ClientKernel(
-            client_id, config, engine, server, vm,
-            channel_rng=rng, oracle=oracle,
-        )
-        server.register_client(client)
-        clients.append(client)
-    return config, engine, server, clients
+    return (config, *build_rig(config, seed=seed, oracle=oracle))
 
 
 class TestAtMostOnce:
@@ -173,7 +153,7 @@ class TestOracleIsPassive:
 
     def test_unused_channel_rng_changes_no_counters(self):
         plain = make_rig(client_count=2)
-        seeded = make_rig(client_count=2, channel_rng=RngStream.root(5))
+        seeded = make_rig(client_count=2, seed=5)
 
         def drive(clients):
             a, b = clients
@@ -202,7 +182,7 @@ class TestReplicaDivergence:
         cluster = Cluster(config, seed=77, oracle=oracle)
         if skip_server is not None:
             cluster.replication.skip_propagation_to = {skip_server}
-        cluster.replay(small_trace.records, small_trace.duration)
+        cluster.replay(small_trace.columnar, small_trace.duration)
         return oracle
 
     def test_healthy_replay_is_divergence_free(self, small_trace):

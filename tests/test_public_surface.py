@@ -1,16 +1,28 @@
-"""Every public top-level name in ``src/repro`` has a user outside tests.
+"""Every public name in ``src/repro`` has a user outside tests.
 
-A short ``ast`` walk: for each top-level public ``def``/``class`` in a
-``repro`` module (``__init__.py`` files excluded), some reference must
-exist in another ``src/`` module, in its own module outside the
-definition, in ``examples/``, ``benchmarks/`` or ``perfbench/``, or in a
-``[project.scripts]`` entry point.  A reference is a load ``Name``, an
-``Attribute``, an import alias, or a string constant that names the
-symbol once split on ``:`` and ``.`` (perfbench's tracer targets look
-like ``"repro.fs.cluster:Cluster.replay"``).  ``__init__`` re-exports do
-not count, and neither does a name that only appears in prose (a
-docstring is not a string reference), so a helper that only tests call
-fails here: move it into ``tests/`` or delete it.
+A short ``ast`` walk over the ``repro`` modules (``__init__.py`` files
+excluded) checks two kinds of name:
+
+* every public top-level ``def``/``class``;
+* every public method and property of a top-level class (a ``def`` in
+  the class body; same-named definitions, such as a property and its
+  setter, count as one).
+
+Each must be referenced somewhere outside its own definition: in a
+``src/`` module (its own included), in ``examples/``, ``benchmarks/``
+or ``perfbench/``, or in a ``[project.scripts]`` entry point.  A
+reference is a load ``Name``, an ``Attribute``, an import alias, or a
+string constant that names the symbol once split on ``:`` and ``.``
+(perfbench's tracer targets look like
+``"repro.fs.cluster:Cluster.replay"``).  ``__init__`` re-exports do not
+count, and neither does a name that only appears in prose (a docstring
+is not a string reference), so a helper that only tests call fails
+here: move it into ``tests/`` or delete it.  There is no allowlist.
+
+References are matched by name, not resolved through types, so a
+method whose name collides with another reference (``get``, ``server``,
+``oracle``) counts as used: a collision can hide a test-only method,
+never fail a used one.  Such a method has to be found by reading.
 
 The package is located through ``repro.__file__``, so the scan checks
 whichever ``src/`` is first on ``PYTHONPATH``.
@@ -20,6 +32,7 @@ from __future__ import annotations
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import repro
@@ -28,9 +41,9 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(repro.__file__).resolve().parent
 USER_DIRS = ("examples", "benchmarks", "perfbench")
 _STRING_PARTS = re.compile(r"[:.]")
-_DOCSTRING_OWNERS = (
-    ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef
-)
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFS = (*_FUNCTIONS, ast.ClassDef)
+_DOCSTRING_OWNERS = (ast.Module, *_DEFS)
 
 
 def _docstrings(node: ast.AST) -> set[int]:
@@ -48,17 +61,18 @@ def _docstrings(node: ast.AST) -> set[int]:
     return found
 
 
-def _references(node: ast.AST) -> set[str]:
-    """Names that ``node`` refers to, per the rules in the module docstring."""
-    names: set[str] = set()
+def _references(node: ast.AST) -> Counter[str]:
+    """How often ``node`` refers to each name, per the rules in the
+    module docstring."""
+    names: Counter[str] = Counter()
     prose = _docstrings(node)
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-            names.add(sub.id)
+            names[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
+            names[sub.attr] += 1
         elif isinstance(sub, ast.alias):
-            names.add(sub.name.rpartition(".")[2])
+            names[sub.name.rpartition(".")[2]] += 1
         elif (
             isinstance(sub, ast.Constant)
             and isinstance(sub.value, str)
@@ -85,52 +99,69 @@ def _module_name(path: Path) -> str:
     return ".".join(("repro", *path.relative_to(PACKAGE).with_suffix("").parts))
 
 
+def _definitions(tree: ast.Module) -> list[tuple[str, list[ast.AST]]]:
+    """``(label, definition nodes)`` for every public top-level symbol
+    and every public method of a top-level class."""
+    found: list[tuple[str, list[ast.AST]]] = []
+    for statement in tree.body:
+        if not isinstance(statement, _DEFS) or statement.name.startswith("_"):
+            continue
+        found.append((statement.name, [statement]))
+        if isinstance(statement, ast.ClassDef):
+            methods: dict[str, list[ast.AST]] = {}
+            for member in statement.body:
+                if isinstance(member, _FUNCTIONS) and not member.name.startswith("_"):
+                    methods.setdefault(member.name, []).append(member)
+            found.extend(
+                (f"{statement.name}.{name}", nodes)
+                for name, nodes in methods.items()
+            )
+    return found
+
+
+def unreferenced(sources: dict[str, ast.Module], outside: Counter[str]) -> list[str]:
+    """``module:label`` for every definition in ``sources`` that nothing
+    but its own body references (``outside`` holds the references made
+    from everywhere that is not a scanned module)."""
+    total = outside.copy()
+    for tree in sources.values():
+        total.update(_references(tree))
+    missing = []
+    for module, tree in sources.items():
+        for label, nodes in _definitions(tree):
+            name = label.rpartition(".")[2]
+            # The definition's own body (recursion, a class naming
+            # itself, a setter naming its property) is not a use.
+            own = sum(_references(node)[name] for node in nodes)
+            if total[name] <= own:
+                missing.append(f"{module}:{label}")
+    return missing
+
+
 def unreferenced_public_names() -> list[str]:
-    """``module:name`` for every public top-level symbol with no user."""
-    modules = {
-        path: _parse(path)
+    """Every public top-level symbol or method in ``src/repro`` with no
+    user outside tests."""
+    sources = {
+        _module_name(path): _parse(path)
         for path in sorted(PACKAGE.rglob("*.py"))
         if path.name != "__init__.py"
     }
-    outside: set[str] = set()
+    outside: Counter[str] = Counter()
     for directory in USER_DIRS:
         for path in sorted((ROOT / directory).rglob("*.py")):
-            outside |= _references(_parse(path))
+            outside.update(_references(_parse(path)))
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     for target in _entry_point_targets(pyproject):
         outside.update(_STRING_PARTS.split(target))
-
-    per_statement = {
-        path: [_references(statement) for statement in tree.body]
-        for path, tree in modules.items()
-    }
-    missing = []
-    for path, tree in modules.items():
-        other_modules = set().union(*(
-            refs
-            for other, statements in per_statement.items() if other != path
-            for refs in statements
-        ))
-        for index, statement in enumerate(tree.body):
-            if not isinstance(
-                statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ) or statement.name.startswith("_"):
-                continue
-            # The definition's own body (recursion, a class naming
-            # itself) is not a use.
-            own_module = set().union(*(
-                refs for i, refs in enumerate(per_statement[path]) if i != index
-            ))
-            if statement.name not in outside | other_modules | own_module:
-                missing.append(f"{_module_name(path)}:{statement.name}")
-    return missing
+    return unreferenced(sources, outside)
 
 
 def test_every_public_symbol_has_a_non_test_user():
     missing = unreferenced_public_names()
     assert not missing, (
-        "public names in src/ that only tests (or nothing) reference; move them "
-        "into tests/ or delete them:\n  " + "\n  ".join(missing)
+        "public names or methods in src/ that only tests (or nothing) "
+        "reference; move them into tests/ or delete them:\n  "
+        + "\n  ".join(missing)
     )
 
 
@@ -145,7 +176,33 @@ def test_docstrings_are_prose_but_string_targets_are_references():
     refs = _references(tree)
     assert "blocks_for" not in refs
     assert "validate_chrome_trace" not in refs
-    assert {"Cluster", "replay"} <= refs
+    assert refs["Cluster"] and refs["replay"]
+
+
+def test_methods_are_scanned_and_their_own_bodies_do_not_count():
+    tree = ast.parse(
+        'class Cache:\n'
+        '    def insert(self):\n'
+        '        return self.evict()\n'
+        '    def evict(self):\n'
+        '        """Calls evict_all."""\n'
+        '    def reset(self):\n'
+        '        self.reset()\n'
+        '    @property\n'
+        '    def size(self):\n'
+        '        return 0\n'
+        '    @size.setter\n'
+        '    def size(self, value):\n'
+        '        pass\n'
+        '    def _private(self):\n'
+        '        pass\n'
+        'def evict_all():\n'
+        '    pass\n'
+    )
+    outside = Counter({"Cache": 1, "insert": 1})
+    assert unreferenced({"m": tree}, outside) == [
+        "m:Cache.reset", "m:Cache.size", "m:evict_all",
+    ]
 
 
 def test_entry_points_are_read_from_the_scripts_table():

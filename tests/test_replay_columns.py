@@ -56,6 +56,7 @@ from repro.trace.records import (
 )
 from repro.trace.validate import validate_stream
 
+from checkers import all_snapshots
 from test_rpc_chaos import SERVER_MESSAGE_ACCOUNTING
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -280,7 +281,7 @@ def _fingerprint(cluster: Cluster, result: ClusterResult, oracle) -> dict:
         "aggregate": result.server_counters.digest(),
         "snapshots": [
             (snap.time, snap.client_id, snap.counters.digest())
-            for snap in result.all_snapshots()
+            for snap in all_snapshots(result)
         ],
         "records_replayed": result.records_replayed,
         "tick_events": result.tick_events,
@@ -469,7 +470,7 @@ def _client_digests(result: ClusterResult) -> tuple:
         ],
         [
             (snap.time, snap.client_id, snap.counters.digest())
-            for snap in result.all_snapshots()
+            for snap in all_snapshots(result)
         ],
     )
 
@@ -570,15 +571,17 @@ def _merge_fingerprint(result: ClusterResult) -> dict:
     }
 
 
-def assert_shards_match_one_replay(records, duration, name) -> ClusterResult:
+def assert_shards_match_one_replay(
+    records, duration, name, seed=SEED
+) -> ClusterResult:
     config = PARTITIONED_CONFIGS[name]
     whole, per_group = _group_streams(records, config)
-    reference = Cluster(config, seed=SEED).replay(
+    reference = Cluster(config, seed=seed).replay(
         ColumnarTrace.from_records(whole), duration
     )
     owned = [[group] for group in range(config.client_groups)]
     shards = [
-        Cluster(config, seed=SEED, owned_groups=groups).replay(
+        Cluster(config, seed=seed, owned_groups=groups).replay(
             ColumnarTrace.from_records(per_group[groups[0]]), duration
         )
         for groups in owned
@@ -588,13 +591,71 @@ def assert_shards_match_one_replay(records, duration, name) -> ClusterResult:
     return reference
 
 
+def _groups_closing_a_written_file(records, config: ClusterConfig) -> int:
+    offsets = config.group_client_offsets
+    written = {r.open_id for r in records if isinstance(r, WriteRunRecord)}
+    return len({
+        bisect_right(offsets, r.client_id) - 1
+        for r in records
+        if isinstance(r, CloseRecord) and r.open_id in written
+    })
+
+
+@st.composite
+def streams_closing_a_written_file_per_group(draw):
+    """A :func:`record_streams` draw followed by one written-and-closed
+    episode per client group, the groups' opens, writes and closes
+    interleaved in a drawn order, plus a drawn replay seed.
+
+    A close of a written file is where the replay makes its one
+    cluster-level random draw, the fsync decision.  Plain draws seldom
+    close a written file in both groups, and under one fixed seed the
+    first few decisions are fixed too, so a decision that leaked across
+    groups would rarely show without the tail and the seed.
+    """
+    records, duration, _ = draw(record_streams())
+    offsets = PARTITIONED_CONFIGS["grouped"].group_client_offsets
+    first_open = 1 + max(
+        (r.open_id for r in records if isinstance(r, OpenRecord)), default=0
+    )
+    episodes = [
+        (
+            first_open + group,
+            draw(st.integers(offsets[group], offsets[group + 1] - 1)),
+            draw(st.sampled_from(FILES)),
+        )
+        for group in range(len(offsets) - 1)
+    ]
+    now = records[-1].time
+    tail: list[TraceRecord] = []
+    for kind in (OpenRecord, WriteRunRecord, CloseRecord):
+        for open_id, client, file_id in draw(st.permutations(episodes)):
+            now = _next_time(draw, now)
+            ids = dict(open_id=open_id, file_id=file_id, client_id=client)
+            if kind is OpenRecord:
+                tail.append(OpenRecord(now, 0, mode=AccessMode.WRITE, **ids))
+            elif kind is WriteRunRecord:
+                tail.append(WriteRunRecord(
+                    now, 0, offset=0,
+                    length=draw(st.sampled_from((1, 4096, 70000))), **ids,
+                ))
+            else:
+                tail.append(CloseRecord(now, 0, **ids))
+    seed = draw(st.integers(0, 2**16))
+    return [*records, *tail], max(duration, now), seed
+
+
 @hypothesis.settings(max_examples=60, deadline=None)
-@given(record_streams())
+@given(streams_closing_a_written_file_per_group())
 def test_property_partitioned_matches_unpartitioned(stream):
-    records, duration, _ = stream
-    assert_shards_match_one_replay(records, duration, "grouped")
+    records, duration, seed = stream
+    groups = _groups_closing_a_written_file(
+        records, PARTITIONED_CONFIGS["grouped"]
+    )
+    hypothesis.event(f"groups closing a written file: {groups} of 2")
+    assert_shards_match_one_replay(records, duration, "grouped", seed)
     reference = assert_shards_match_one_replay(
-        records, duration, "grouped+replicated+faults"
+        records, duration, "grouped+replicated+faults", seed
     )
     faults = reference.server_counters.crashes + sum(
         c.crashes + c.partitions for c in reference.final_counters.values()
@@ -714,7 +775,7 @@ def test_close_whose_open_predates_a_client_reboot_is_dropped():
     ])
     config = CONFIGS["replicated+faults"]
     cluster = Cluster(config, seed=SEED, fault_schedule=schedule)
-    result = cluster.replay(records, 600.0)
+    result = cluster.replay(ColumnarTrace.from_records(records), 600.0)
     assert result.final_counters[1].ops_dropped_while_down == 1
     assert_loops_agree(records, 600.0, schedule)
 
@@ -750,31 +811,3 @@ def test_delete_under_open_and_handlerless_kinds():
     ]
     fingerprints = assert_loops_agree(records, 310.0)
     assert fingerprints["plain"]["records_replayed"] == len(records)
-
-
-# --------------------------------------------------------------------------
-# the entry conversion
-# --------------------------------------------------------------------------
-
-
-class TestEntryConversion:
-    RECORDS = _episode(1, 0, 2, 1.0, 2.0, 3.0) + _episode(2, 1, 2, 3.0, 6.0, 9.0)
-
-    def _replay(self, records) -> dict:
-        cluster = Cluster(CONFIGS["plain"], seed=SEED)
-        return _fingerprint(cluster, cluster.replay(records, 600.0), None)
-
-    def test_list_and_generator_match_the_columnar_trace(self):
-        expected = self._replay(ColumnarTrace.from_records(self.RECORDS))
-        assert self._replay(list(self.RECORDS)) == expected
-        assert self._replay(r for r in self.RECORDS) == expected
-        assert expected["records_replayed"] == len(self.RECORDS)
-
-    def test_empty_iterable(self):
-        assert self._replay(iter(()))["records_replayed"] == 0
-        assert self._replay([]) == self._replay(iter(()))
-
-    def test_reversed_list_raises_simulation_error(self):
-        cluster = Cluster(CONFIGS["plain"], seed=SEED)
-        with pytest.raises(SimulationError):
-            cluster.replay(list(reversed(self.RECORDS)), 600.0)

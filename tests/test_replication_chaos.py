@@ -78,7 +78,7 @@ def test_rolling_server_crashes_never_stall_a_client(seed, small_trace):
     mode) guarantees the served data still honoured every invariant."""
     oracle = ProtocolOracle(seed=seed, raise_on_violation=True)
     result = run_cluster_on_trace(
-        small_trace.records,
+        small_trace.columnar,
         small_trace.duration,
         REPLICATED_CONFIG,
         seed=seed,
@@ -109,7 +109,7 @@ def test_single_copy_baseline_does_stall(small_trace):
         client_count=4, num_servers=4, paging_intensity=0.0
     )
     result = run_cluster_on_trace(
-        small_trace.records,
+        small_trace.columnar,
         small_trace.duration,
         config,
         seed=11,
@@ -167,7 +167,7 @@ class TestSingleCopyInertness:
             )
             results.append(
                 run_cluster_on_trace(
-                    small_trace.records,
+                    small_trace.columnar,
                     small_trace.duration,
                     config,
                     seed=23,
@@ -183,7 +183,7 @@ class TestSingleCopyInertness:
 
     def test_r1_books_no_replication_counters(self, small_trace):
         result = run_cluster_on_trace(
-            small_trace.records,
+            small_trace.columnar,
             small_trace.duration,
             ClusterConfig(client_count=4, num_servers=4),
             seed=23,
@@ -243,7 +243,7 @@ def test_generated_fault_schedule_stays_oracle_clean(seed, small_trace):
     )
     oracle = ProtocolOracle(seed=seed, raise_on_violation=False)
     result = run_cluster_on_trace(
-        small_trace.records, small_trace.duration, config, seed=seed,
+        small_trace.columnar, small_trace.duration, config, seed=seed,
         oracle=oracle,
     )
     assert result.server_counters.crashes > 0
@@ -292,7 +292,7 @@ def test_table_a_r3_replicas_converge_at_study_seed_16384(experiment_context):
     )
     oracle = ProtocolOracle(seed=16384, raise_on_violation=False)
     run_cluster_on_trace(
-        trace.records, trace.duration, config, seed=16384, oracle=oracle
+        trace.columnar, trace.duration, config, seed=16384, oracle=oracle
     )
     divergences = [
         str(v) for v in oracle.violations

@@ -81,15 +81,6 @@ class TestDistributions:
         median = values[len(values) // 2]
         assert 85 < median < 115
 
-    def test_pareto_minimum_respected(self):
-        rng = RngStream.root(4)
-        for _ in range(100):
-            assert rng.pareto(1.5, minimum=10.0) >= 10.0
-
-    def test_pareto_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            RngStream.root(1).pareto(0.0)
-
     def test_poisson_zero_mean(self):
         assert RngStream.root(1).poisson(0.0) == 0
 

@@ -31,6 +31,8 @@ from repro.fs import (
     run_cluster_on_trace,
 )
 
+from checkers import all_snapshots, dirty_blocks_accounted
+
 CHAOS_SEEDS = (11, 23, 37, 41, 53)
 
 LOSS_RATES = (0.0, 0.01, 0.10)
@@ -67,7 +69,7 @@ def lossy_faults(rate: float) -> FaultConfig:
 def run(small_trace, rate: float, seed: int, oracle=None):
     config = ClusterConfig(client_count=4, faults=lossy_faults(rate))
     return run_cluster_on_trace(
-        small_trace.records, small_trace.duration, config, seed=seed,
+        small_trace.columnar, small_trace.duration, config, seed=seed,
         oracle=oracle,
     )
 
@@ -83,7 +85,7 @@ def test_oracle_clean_at_every_loss_rate(small_trace, rate, seed):
     oracle.assert_clean()
     # The ledger the oracle's final check balances, restated directly.
     for counters in result.final_counters.values():
-        assert counters.dirty_blocks_accounted == counters.blocks_dirtied
+        assert dirty_blocks_accounted(counters) == counters.blocks_dirtied
 
 
 @pytest.mark.slow
@@ -128,19 +130,19 @@ def test_zero_rates_are_byte_identical_to_plain_replay(small_trace):
     randomness, and leave every snapshot identical to a plain replay."""
     config = ClusterConfig(client_count=4)
     plain = run_cluster_on_trace(
-        small_trace.records, small_trace.duration, config, seed=9
+        small_trace.columnar, small_trace.duration, config, seed=9
     )
     with_transport = run_cluster_on_trace(
-        small_trace.records, small_trace.duration,
+        small_trace.columnar, small_trace.duration,
         replace(config, faults=FaultConfig()), seed=9,
     )
     assert plain.final_counters == with_transport.final_counters
     assert plain.server_counters == with_transport.server_counters
     assert [
-        (s.time, s.client_id, s.counters) for s in plain.all_snapshots()
+        (s.time, s.client_id, s.counters) for s in all_snapshots(plain)
     ] == [
         (s.time, s.client_id, s.counters)
-        for s in with_transport.all_snapshots()
+        for s in all_snapshots(with_transport)
     ]
     for counters in with_transport.final_counters.values():
         assert counters.rpc_messages_sent == 0
@@ -155,11 +157,11 @@ def test_duplicate_heavy_channel_is_idempotent(small_trace):
         client_count=4, faults=FaultConfig(message_duplicate_rate=0.5)
     )
     base = run_cluster_on_trace(
-        small_trace.records, small_trace.duration,
+        small_trace.columnar, small_trace.duration,
         ClusterConfig(client_count=4), seed=13,
     )
     doubled = run_cluster_on_trace(
-        small_trace.records, small_trace.duration, config, seed=13,
+        small_trace.columnar, small_trace.duration, config, seed=13,
     )
     assert doubled.server_counters.duplicate_rpcs_suppressed > 0
     for name in type(base.server_counters).FIELDS:

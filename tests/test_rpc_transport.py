@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.common.errors import SimulationError
+from repro.common.errors import ConfigError, SimulationError
 from repro.common.rng import RngStream
-from repro.fs.client import ClientKernel
 from repro.fs.cluster import Cluster
 from repro.fs.config import ClusterConfig
 from repro.fs.faults import FaultConfig
@@ -24,35 +23,18 @@ from repro.fs.rpc import (
     DedupStatus,
     Delivery,
     Message,
+    RpcTransport,
 )
-from repro.fs.server import Server
-from repro.fs.vm import VirtualMemory
-from repro.sim import Engine
+from repro.fs.oracle import ProtocolOracle
+from rigs import build_rig
 
 
-def make_rig(client_count=1, channel_rng=None, oracle=None, **fault_kwargs):
+def make_rig(client_count=1, seed=7, oracle=None, **fault_kwargs):
     """Engine + server + clients wired through the RPC transport."""
     config = ClusterConfig(
         client_count=client_count, faults=FaultConfig(**fault_kwargs)
     )
-    engine = Engine()
-    server = Server(config.server_memory, config.block_size)
-    clients = []
-    for client_id in range(client_count):
-        vm = VirtualMemory(
-            total_pages=config.client_page_count,
-            preference_seconds=config.vm_preference,
-            base_demand_pages=500,
-            cache_floor_pages=config.min_cache_size // config.block_size,
-        )
-        rng = channel_rng.fork(f"client-{client_id}") if channel_rng else None
-        client = ClientKernel(
-            client_id, config, engine, server, vm,
-            channel_rng=rng, oracle=oracle,
-        )
-        server.register_client(client)
-        clients.append(client)
-    return config, engine, server, clients
+    return (config, *build_rig(config, seed=seed, oracle=oracle))
 
 
 def msg(seq, client_id=0, op="name_operation", args=(), attempt=0):
@@ -189,8 +171,33 @@ class TestDedupCache:
 class TestServerEndpoint:
     def test_attach_is_shared_per_server(self):
         _, _, server, clients = make_rig(client_count=2)
-        assert clients[0].transport.endpoint is clients[1].transport.endpoint
-        assert server.rpc_endpoint is clients[0].transport.endpoint
+        assert clients[0].transports[0].endpoint is clients[1].transports[0].endpoint
+        assert server.rpc_endpoint is clients[0].transports[0].endpoint
+
+    @pytest.mark.parametrize("with_oracle", [False, True])
+    def test_attach_accepts_the_same_oracle_again(self, with_oracle):
+        oracle = ProtocolOracle() if with_oracle else None
+        _, _, server, clients = make_rig(client_count=2, oracle=oracle)
+        assert server.rpc_endpoint.oracle is oracle
+        assert (clients[0].transports[0].endpoint
+                is clients[1].transports[0].endpoint)
+
+    @pytest.mark.parametrize("first, second", [
+        (True, True),  # two distinct oracles
+        (True, False),  # an oracle, then none
+        (False, True),  # none, then an oracle
+    ])
+    def test_attach_refuses_a_different_oracle(self, first, second):
+        """The endpoint's oracle is fixed at creation: a later transport
+        that brings another one would split or skip the oracle's view."""
+        oracle = ProtocolOracle() if first else None
+        config, _, server, (client,) = make_rig(oracle=oracle)
+        with pytest.raises(ConfigError, match="different protocol oracle"):
+            RpcTransport(
+                client, server, config.faults, RngStream.root(1),
+                ProtocolOracle() if second else None,
+            )
+        assert server.rpc_endpoint.oracle is oracle
 
     def test_duplicate_is_suppressed_and_replayed(self):
         _, _, server, (client,) = make_rig()
@@ -242,7 +249,7 @@ class TestRpcTransport:
 
     def test_lossy_transport_retransmits_and_stalls(self):
         _, _, server, (client,) = make_rig(
-            channel_rng=RngStream.root(3), message_loss_rate=0.5
+            seed=3, message_loss_rate=0.5
         )
         for i in range(20):
             client.open_file(float(i), i, will_write=False)
@@ -255,7 +262,7 @@ class TestRpcTransport:
 
     def test_total_loss_still_terminates_and_executes(self):
         _, _, server, (client,) = make_rig(
-            channel_rng=RngStream.root(3), message_loss_rate=1.0
+            seed=3, message_loss_rate=1.0
         )
         client.open_file(0.0, 1, will_write=False)
         assert server.counters.open_rpcs == 1
@@ -265,13 +272,13 @@ class TestRpcTransport:
         # Loss hits requests and replies alike; duplicate suppression
         # must keep executions at exactly one per call regardless.
         _, _, server, (client,) = make_rig(
-            channel_rng=RngStream.root(11),
+            seed=11,
             message_loss_rate=0.4,
             message_duplicate_rate=0.3,
             message_reorder_rate=0.2,
         )
         for i in range(50):
-            client.transport.call(float(i), "name_operation")
+            client.transports[0].call(float(i), "name_operation")
         # Stragglers may still be queued; what executed must match the
         # calls exactly (naming RPCs only in this test).
         assert server.counters.naming_rpcs == 50
@@ -279,7 +286,7 @@ class TestRpcTransport:
 
     def test_outage_resend_loop_matches_policy(self):
         _, _, _, (client,) = make_rig()
-        assert client.transport.outage_resend_loop(0.5) == 3
+        assert client.transports[0].outage_resend_loop(0.5) == 3
 
 
 class TestSequenceSpaceAcrossCrashes:
@@ -300,13 +307,13 @@ class TestSequenceSpaceAcrossCrashes:
         client, server = cluster.clients[0], cluster.servers[0]
         server.rpc_endpoint.dedup.retention = 1
         for i in range(5):
-            client.transport.call(float(i), "name_operation")
+            client.transports[0].call(float(i), "name_operation")
         return cluster, client, server
 
     @staticmethod
     def assert_next_call_executes(client, server):
         naming_rpcs = server.counters.naming_rpcs
-        client.transport.call(10.0, "name_operation")
+        client.transports[0].call(10.0, "name_operation")
         assert server.counters.naming_rpcs == naming_rpcs + 1
         assert server.counters.stale_rpcs_dropped == 0
 
@@ -318,7 +325,7 @@ class TestSequenceSpaceAcrossCrashes:
 
     def test_rpc_after_server_recovery_executes(self):
         cluster, client, server = self.lossy_cluster()
-        cluster.crash_server(down_until=0.0)
-        cluster.recover_server()
+        cluster.crash_server(down_until=0.0, server_id=0)
+        cluster.recover_server(0)
         assert server.up
         self.assert_next_call_executes(client, server)

@@ -209,7 +209,7 @@ class TestOverlappingCrashAccounting:
         # inside the first outage: one crash, 50 seconds of downtime.
         schedule = FaultSchedule([_crash(10.0, 50.0), _crash(30.0, 10.0)])
         result = run_cluster_on_trace(
-            small_trace.records, small_trace.duration,
+            small_trace.columnar, small_trace.duration,
             ClusterConfig(client_count=4), seed=3, fault_schedule=schedule,
         )
         assert result.server_counters.crashes == 1
@@ -220,7 +220,7 @@ class TestOverlappingCrashAccounting:
         # booked downtime runs to the *later* recovery (10.0 .. 130.0).
         schedule = FaultSchedule([_crash(10.0, 50.0), _crash(30.0, 100.0)])
         result = run_cluster_on_trace(
-            small_trace.records, small_trace.duration,
+            small_trace.columnar, small_trace.duration,
             ClusterConfig(client_count=4), seed=3, fault_schedule=schedule,
         )
         assert result.server_counters.crashes == 1
@@ -286,13 +286,13 @@ class TestShardIsolation:
         outage_start = small_trace.duration * 0.3
         outage = small_trace.duration * 0.1
         faulted = run_cluster_on_trace(
-            small_trace.records, small_trace.duration, config, seed=seed,
+            small_trace.columnar, small_trace.duration, config, seed=seed,
             fault_schedule=FaultSchedule(
                 [_crash(outage_start, outage, target=1)]
             ),
         )
         clean = run_cluster_on_trace(
-            small_trace.records, small_trace.duration, config, seed=seed,
+            small_trace.columnar, small_trace.duration, config, seed=seed,
             fault_schedule=FaultSchedule([]),
         )
         assert faulted.per_server_counters[1].crashes == 1
@@ -308,10 +308,10 @@ class TestShardIsolation:
     def test_sharded_replay_is_deterministic(self, small_trace):
         config = ClusterConfig(client_count=4, num_servers=4)
         one = run_cluster_on_trace(
-            small_trace.records, small_trace.duration, config, seed=17
+            small_trace.columnar, small_trace.duration, config, seed=17
         )
         two = run_cluster_on_trace(
-            small_trace.records, small_trace.duration, config, seed=17
+            small_trace.columnar, small_trace.duration, config, seed=17
         )
         assert one.final_counters == two.final_counters
         assert one.per_server_counters == two.per_server_counters
@@ -321,7 +321,7 @@ class TestShardIsolation:
 class TestPerServerAccounting:
     def test_single_server_shard_is_the_aggregate(self, small_trace):
         result = run_cluster_on_trace(
-            small_trace.records, small_trace.duration,
+            small_trace.columnar, small_trace.duration,
             ClusterConfig(client_count=4), seed=5,
         )
         assert len(result.per_server_counters) == 1
@@ -329,7 +329,7 @@ class TestPerServerAccounting:
 
     def test_aggregate_is_the_shard_sum(self, small_trace):
         result = run_cluster_on_trace(
-            small_trace.records, small_trace.duration,
+            small_trace.columnar, small_trace.duration,
             ClusterConfig(client_count=4, num_servers=3), seed=5,
         )
         assert len(result.per_server_counters) == 3
@@ -352,7 +352,7 @@ def test_observed_sharded_replay_integrates_per_server(small_trace):
 
     obs = Observation(ObsConfig(sample_interval=120.0))
     result = run_cluster_on_trace(
-        small_trace.records, small_trace.duration,
+        small_trace.columnar, small_trace.duration,
         ClusterConfig(client_count=4, num_servers=3), seed=13, obs=obs,
     )
     names = {s.machine for s in obs.timeseries.server_series()}
@@ -368,7 +368,7 @@ def test_replay_codec_round_trips_per_server_counters(small_trace):
     from repro.pipeline.codec import decode_artifact, encode_artifact
 
     result = run_cluster_on_trace(
-        small_trace.records, small_trace.duration,
+        small_trace.columnar, small_trace.duration,
         ClusterConfig(client_count=4, num_servers=3), seed=5,
     )
     decoded = decode_artifact(encode_artifact(result))
@@ -383,7 +383,7 @@ class TestPerServerRendering:
         table1 = render_table1_per_server([small_trace], placement)
         table2 = render_table2_per_server([small_trace], placement)
         result = run_cluster_on_trace(
-            small_trace.records, small_trace.duration,
+            small_trace.columnar, small_trace.duration,
             ClusterConfig(client_count=4, num_servers=4), seed=5,
         )
         table7 = render_table7_per_server([result])

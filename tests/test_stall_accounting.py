@@ -5,38 +5,21 @@ for the server; ``rpc_delay_seconds`` is the subset of that caused by
 the lossy channel delaying packets in flight.  They overlap by
 construction -- every second of channel delay is booked in *both* --
 so no consumer may ever add the two.  These tests pin the containment
-on synthetic lossy runs and exercise the non-overlapping split
-(:attr:`ClientCounters.backoff_stall_seconds`).
+on synthetic lossy runs: the difference of the two is the backoff and
+outage share of the stall.
 """
 
 from __future__ import annotations
 
-from repro.common.rng import RngStream
-from repro.fs.client import ClientKernel
 from repro.fs.config import ClusterConfig
-from repro.fs.counters import ClientCounters
 from repro.fs.faults import FaultConfig
-from repro.fs.server import Server
-from repro.fs.vm import VirtualMemory
-from repro.sim import Engine
+from rigs import build_rig
 
 
 def make_client(seed=7, **fault_kwargs):
     """One client wired to a server through a lossy channel."""
     config = ClusterConfig(client_count=1, faults=FaultConfig(**fault_kwargs))
-    engine = Engine()
-    server = Server(config.server_memory, config.block_size)
-    vm = VirtualMemory(
-        total_pages=config.client_page_count,
-        preference_seconds=config.vm_preference,
-        base_demand_pages=500,
-        cache_floor_pages=config.min_cache_size // config.block_size,
-    )
-    client = ClientKernel(
-        0, config, engine, server, vm,
-        channel_rng=RngStream.root(seed).fork("channel"),
-    )
-    server.register_client(client)
+    _, _, (client,) = build_rig(config, seed=seed)
     return client
 
 
@@ -65,7 +48,6 @@ class TestStallOverlap:
         counters = client.counters
         assert counters.rpc_delay_seconds > 0.0
         assert counters.stall_seconds == counters.rpc_delay_seconds
-        assert counters.backoff_stall_seconds == 0.0
 
     def test_lossy_channel_books_backoff_beyond_delay(self):
         """Packet loss adds retransmission backoff, which lands in
@@ -79,12 +61,8 @@ class TestStallOverlap:
         counters = client.counters
         assert counters.rpc_retransmissions > 0
         assert counters.rpc_delay_seconds > 0.0
+        # The backoff share is what the stall holds beyond the delay.
         assert counters.stall_seconds > counters.rpc_delay_seconds
-        assert counters.backoff_stall_seconds > 0.0
-        # The decomposition is exact: delay + backoff == total stall.
-        assert counters.backoff_stall_seconds == (
-            counters.stall_seconds - counters.rpc_delay_seconds
-        )
 
     def test_inert_channel_books_nothing(self):
         client = make_client()
@@ -92,9 +70,3 @@ class TestStallOverlap:
         counters = client.counters
         assert counters.stall_seconds == 0.0
         assert counters.rpc_delay_seconds == 0.0
-        assert counters.backoff_stall_seconds == 0.0
-
-    def test_backoff_stall_never_negative(self):
-        counters = ClientCounters()
-        counters.rpc_delay_seconds = 5.0  # corrupt: delay without stall
-        assert counters.backoff_stall_seconds == 0.0

@@ -211,9 +211,9 @@ class TestFileSpace:
     def test_live_count(self, filespace):
         a = filespace.create(0.0, UserId(0))
         filespace.create(0.0, UserId(0))
-        assert filespace.live_count == 2
+        assert len(filespace._files) == 2
         filespace.delete(a.file_id)
-        assert filespace.live_count == 1
+        assert len(filespace._files) == 1
         assert filespace.created_count == 2
         assert filespace.deleted_count == 1
 
@@ -347,9 +347,9 @@ class TestEmitter:
         file = emitter.create_file(0.0, UserId(1), ClientId(2))
         episode = emitter.open_file(1.0, file, UserId(1), ClientId(2),
                                     AccessMode.READ)
-        assert emitter.open_episode_count == 1
+        assert len(emitter._open_episodes) == 1
         episode.close(2.0)
-        assert emitter.open_episode_count == 0
+        assert len(emitter._open_episodes) == 0
 
 
 @given(
