@@ -14,6 +14,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.common.errors import CacheError
+from repro.sim.timers import TickSubscription
 
 BlockKey = tuple[int, int]  # (file_id, block_index)
 
@@ -58,12 +59,17 @@ class BlockCache:
     the VM negotiation layer how many blocks it may hold and calls
     :meth:`shrink_to`.  That keeps the 20-minute trading policy in one
     place (:mod:`repro.fs.vm`).
+
+    ``daemon`` is the owning client's writeback-tick subscription: the
+    first dirty block arms it (the daemon disarms itself on a scan that
+    finds the cache clean), so a clean cache costs no scans.
     """
 
-    def __init__(self, block_size: int) -> None:
+    def __init__(self, block_size: int, daemon: TickSubscription) -> None:
         if block_size <= 0:
             raise CacheError(f"bad block size {block_size}")
         self.block_size = block_size
+        self._daemon = daemon
         #: LRU order: oldest first.
         self._blocks: OrderedDict[BlockKey, CacheBlock] = OrderedDict()
         self._dirty: dict[BlockKey, CacheBlock] = {}
@@ -185,6 +191,8 @@ class BlockCache:
         if block is None:
             raise CacheError(f"write to non-resident block {key}")
         if not block.dirty:
+            if not self._dirty:
+                self._daemon.arm()
             block.dirty = True
             block.dirty_since = now
             self._dirty[key] = block

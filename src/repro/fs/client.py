@@ -147,15 +147,16 @@ class ClientKernel:
         #: client's group slice.
         self._paging_shard = paging_shard
         self.counters = ClientCounters()
-        self.cache = BlockCache(config.block_size)
+        # The 5-second writeback daemon: every client of a cluster
+        # shares one coalesced tick, which calls this client's scan only
+        # while the cache arms it (it holds dirty blocks).
+        self._daemon = ticker.subscribe(self._writeback_scan, armed=False)
+        self.cache = BlockCache(config.block_size, self._daemon)
         #: Optional observability hook (repro.obs); every use is guarded
         #: so None (the default) leaves all code paths untouched.
         self.obs = None
         self._known_version: dict[int, int] = {}
         self._uncacheable: set[int] = set()
-        # The 5-second writeback daemon: every client of a cluster
-        # shares one coalesced tick (one heap event per interval).
-        self._daemon = ticker.subscribe(self._writeback_scan)
         self._max_cache_blocks = max(
             1, int(config.client_page_count * config.max_cache_fraction)
         )
@@ -877,7 +878,9 @@ class ClientKernel:
         """The 5-second daemon: clean files with 30-second-old data."""
         cache = self.cache
         if not cache._dirty:
-            # Nothing dirty anywhere: the overwhelmingly common scan.
+            # Nothing dirty anywhere: sleep until the cache's next first
+            # dirty block re-arms the daemon.
+            self._daemon.disarm()
             return
         now = self.engine.now
         if not self.up or now < self.partition_until:

@@ -408,6 +408,8 @@ class Cluster:
     def crash_server(self, down_until: float, server_id: int) -> None:
         """Server ``server_id`` crashes, staying down until ``down_until``."""
         self.servers[server_id].crash(self.engine.now, down_until)
+        if self.replication is not None:
+            self.replication.on_server_crashed()
 
     def recover_server(self, server_id: int) -> None:
         """Server ``server_id`` reboots; every reachable client runs the

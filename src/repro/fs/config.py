@@ -50,8 +50,8 @@ class ClusterConfig:
     #: detector declares a replica dead.
     replication_factor: int = 1
     #: The failure detector's heartbeat period.  The default matches
-    #: the writeback scan interval so the detector shares that tick's
-    #: single recurring engine event (repro.sim.timers.SharedTicker).
+    #: the writeback scan interval so the detector shares that single
+    #: coalesced tick (repro.sim.timers.SharedTicker).
     heartbeat_interval: float = WRITEBACK_SCAN_INTERVAL
     #: Consecutive missed heartbeats before a server is declared dead
     #: and its files re-replicated.

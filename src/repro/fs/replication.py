@@ -19,9 +19,10 @@ remedy on top of the PR 5 sharded cluster:
   replica misses are queued here as a **pending log** and applied when
   it recovers -- before the clients' reopen sweeps run.
 * **Failure detection**: a heartbeat tick (a ``SharedTicker``
-  subscription, sharing the writeback scan's coalesced engine event at
-  the default period) counts consecutive missed beats per server and
-  declares a server dead after ``heartbeat_miss_threshold`` misses.
+  subscription, sharing the writeback scan's coalesced tick at the
+  default period, and armed only from a server crash until a beat
+  finds every server up) counts consecutive missed beats per server
+  and declares a server dead after ``heartbeat_miss_threshold`` misses.
 * **Re-replication**: a dead declaration triggers a background copy of
   every file the dead server hosted onto the next live server in the
   file's placement chain, restoring ``r`` reachable copies.  Substitute
@@ -182,7 +183,11 @@ class ReplicationManager:
         #: Integrity layer (repro.fs.integrity), set by the cluster when
         #: built; re-replication then copies verified block content too.
         self.integrity = None
-        self._subscription = ticker.subscribe(self._heartbeat_tick)
+        #: Armed only while a server may be down: a beat with every
+        #: server up and every miss count at 0 changes nothing.
+        self._subscription = ticker.subscribe(
+            self._heartbeat_tick, armed=False
+        )
 
     def _map_for_server(self, server_id: int) -> ReplicaMap:
         return self.group_maps[server_id // self._servers_per_group]
@@ -191,11 +196,13 @@ class ReplicationManager:
 
     def _heartbeat_tick(self) -> None:
         now = self.engine.now
+        all_up = True
         for server in self.servers:
             sid = server.server_id
             if server.up:
                 self._missed[sid] = 0
                 continue
+            all_up = False
             self._missed[sid] += 1
             server.counters.heartbeats_missed += 1
             if self._missed[sid] == self.miss_threshold and sid not in self._dead:
@@ -204,6 +211,9 @@ class ReplicationManager:
                 if self.obs is not None:
                     self.obs.on_failure_detected(now, sid, self._missed[sid])
                 self._rereplicate(now, sid)
+        if all_up:
+            # Every miss count is 0 now; the next crash re-arms the beat.
+            self._subscription.disarm()
 
     # --- the pending log ---------------------------------------------------------
 
@@ -252,6 +262,10 @@ class ReplicationManager:
                 server.apply_replica_version(file_id, version)
 
     # --- cluster transitions -----------------------------------------------------
+
+    def on_server_crashed(self) -> None:
+        """A server went down: the heartbeat starts counting misses."""
+        self._subscription.arm()
 
     def on_server_recovered(self, now: float, server_id: int) -> None:
         """The server rebooted: patch its durable state from the pending

@@ -187,7 +187,7 @@ class CounterSampler:
         server_names: Sequence[str],
     ) -> None:
         """Start sampling on ``ticker``, a cluster's coalesced tick (one
-        heap event per interval cluster-wide).
+        tick per interval cluster-wide; the sampler stays armed).
 
         ``server_names`` are the per-server machine names, parallel to
         ``servers``; the caller derives them from the *cluster's* server

@@ -4,9 +4,12 @@ import time
 
 import pytest
 
+import reference_ticks
 from repro.common.errors import SchedulingError
+from repro.fs.config import ClusterConfig
 from repro.sim import Engine, SharedTicker
 from repro.sim.engine import EventHandle, _COMPACT_MIN_STALE
+from rigs import build_rig
 
 #: Past every event these tests schedule.
 END = 1e6
@@ -477,3 +480,184 @@ class TestSharedTicker:
     def test_bad_period_raises(self):
         with pytest.raises(SchedulingError):
             SharedTicker(Engine(), 0.0)
+
+
+class TestKeyedTicks:
+    """Ticks keyed beside the heap and the armed fan-out, each checked
+    against the heap-only reference in ``tests/reference_ticks.py``."""
+
+    @staticmethod
+    def _tie_script(engine_cls, ticker_cls):
+        engine = engine_cls()
+        fired = []
+        engine.schedule_at(5.0, lambda: fired.append("event before"))
+        ticker = ticker_cls(engine, 5.0)
+        ticker.subscribe(lambda: fired.append(("tick", engine.now)))
+        engine.schedule_at(5.0, lambda: fired.append("event after"))
+        # Scheduled before the tick at 5 re-keys the one at 10.
+        engine.schedule_at(10.0, lambda: fired.append("event at 10"))
+        assert engine.next_event_time() == 5.0
+        assert engine.pending == 4
+        engine.run_until(12.0)
+        return fired, engine.events_run, engine.next_event_time()
+
+    def test_tick_ties_with_heap_events_in_sequence_order(self):
+        fired, events_run, next_time = self._tie_script(Engine, SharedTicker)
+        assert fired == [
+            "event before", ("tick", 5.0), "event after",
+            "event at 10", ("tick", 10.0),
+        ]
+        assert (events_run, next_time) == (5, 15.0)
+        assert (fired, events_run, next_time) == self._tie_script(
+            reference_ticks.Engine, reference_ticks.SharedTicker
+        )
+
+    @staticmethod
+    def _idle_script(engine_cls, ticker_cls):
+        """An idle ticker between events at and between its tick times,
+        one of them arming its subscriber, over several run windows.
+
+        The subscriber has work only while armed, as a production
+        subscriber does: the reference ticker calls it anyway."""
+        engine = engine_cls()
+        fired = []
+        ticker = ticker_cls(engine, 5.0)
+        work = {"armed": False}
+
+        def tick():
+            if work["armed"]:
+                fired.append(("tick", engine.now))
+
+        def set_armed(armed):
+            work["armed"] = armed
+            if armed:
+                sub.arm()
+            else:
+                sub.disarm()
+
+        sub = ticker.subscribe(tick, armed=False)
+
+        def at(time, label, then=None):
+            def callback():
+                fired.append((label, engine.now))
+                if then is not None:
+                    then()
+            engine.schedule_at(time, callback)
+
+        at(20.0, "event at 20")  # keyed before the tick at 20
+        at(33.0, "arms", lambda: set_armed(True))
+        at(33.0, "schedules 45", lambda: at(45.0, "event at 45"))
+        at(52.5, "disarms", lambda: set_armed(False))
+        for end in (12.0, 20.0, 41.0, 61.0, 100.0):
+            engine.run_until(end)
+            fired.append(("end", end, engine.events_run, engine._sequence))
+        return fired, ticker.fire_count
+
+    def test_idle_ticks_run_in_one_loop_match_the_reference(self):
+        fired, fire_count = self._idle_script(Engine, SharedTicker)
+        assert fire_count == 20
+        assert fired[:4] == [
+            ("end", 12.0, 2, 7), ("event at 20", 20.0),
+            ("end", 20.0, 5, 9), ("arms", 33.0),
+        ]
+        assert [f for f in fired if f[0] == "tick"] == [
+            ("tick", 35.0), ("tick", 40.0), ("tick", 45.0), ("tick", 50.0),
+        ]
+        assert (fired, fire_count) == self._idle_script(
+            reference_ticks.Engine, reference_ticks.SharedTicker
+        )
+
+    def test_subscriber_armed_mid_tick_fires_in_that_tick(self):
+        engine = Engine()
+        ticker = SharedTicker(engine, 1.0)
+        fired = []
+        subs = {}
+
+        def first():
+            fired.append(("first", engine.now))
+            subs["late"].arm()
+            subs["early"].arm()  # already passed: waits for the next tick
+
+        subs["early"] = ticker.subscribe(
+            lambda: fired.append(("early", engine.now)), armed=False
+        )
+        ticker.subscribe(first)
+        subs["late"] = ticker.subscribe(
+            lambda: fired.append(("late", engine.now)), armed=False
+        )
+        engine.run_until(1.0)
+        assert fired == [("first", 1.0), ("late", 1.0)]
+        engine.run_until(2.0)
+        assert fired[2:] == [("early", 2.0), ("first", 2.0), ("late", 2.0)]
+
+    def test_rearm_before_its_turn_fires_once(self):
+        engine = Engine()
+        ticker = SharedTicker(engine, 1.0)
+        fired = []
+        subs = {}
+
+        def first():
+            subs["late"].disarm()
+            subs["late"].arm()
+
+        ticker.subscribe(first)
+        subs["late"] = ticker.subscribe(lambda: fired.append(engine.now))
+        engine.run_until(2.0)
+        assert fired == [1.0, 2.0]
+
+    def test_cancelling_the_last_subscriber_while_disarmed_drops_the_tick(self):
+        def script(engine_cls, ticker_cls):
+            engine = engine_cls()
+            ticker = ticker_cls(engine, 2.0)
+            fired = []
+            idle = ticker.subscribe(lambda: fired.append(engine.now))
+            idle.disarm()
+            engine.run_until(2.5)  # the tick at 2 counts, calls nobody
+            idle.cancel()
+            pending = engine.pending  # the tick at 4 is still keyed
+            engine.run_until(7.0)  # ...fires into nobody, is not re-keyed
+            state = (ticker.fire_count, engine.events_run, engine.pending)
+            ticker.subscribe(lambda: fired.append(engine.now))
+            engine.run_until(12.0)
+            return fired, pending, state
+
+        fired, pending, state = script(Engine, SharedTicker)
+        assert pending == 1
+        assert state == (2, 2, 0)
+        # Re-armed from the subscription time (7.0), not the old phase.
+        assert fired == [9.0, 11.0]
+        reference = script(reference_ticks.Engine, reference_ticks.SharedTicker)
+        # The reference calls the disarmed subscriber at 2.0 anyway.
+        assert reference == ([2.0, 9.0, 11.0], pending, state)
+
+    def test_client_crash_then_write_rearms_the_daemon(self):
+        config = ClusterConfig(client_count=1)
+        engine, _, (client,) = build_rig(config)
+        daemon = client._daemon
+
+        class DirtyMeansArmed:
+            """After every event: a dirty cache has an armed daemon."""
+
+            def on_engine_event(self, time):
+                assert daemon.armed or not client.cache.dirty_count, time
+
+        engine.attach_observer(DirtyMeansArmed())
+        assert not daemon.armed  # a clean cache costs no scans
+        client.open_file(0.0, 1, will_write=True)
+        client.write(1.0, 1, 0, 4096)
+        assert daemon.armed
+        client.crash(2.0)  # BlockCache.clear: the dirty block is lost
+        engine.run_until(5.0)
+        assert not daemon.armed  # the scan at 5 found the cache clean
+        client.reboot(6.0)
+        client.open_file(6.0, 1, will_write=True)
+        client.write(7.0, 1, 0, 4096)
+        assert daemon.armed
+        engine.run_until(35.0)
+        assert client.counters.blocks_cleaned_delay == 0  # 28 s old at 35
+        engine.run_until(40.0)  # the scan at 40 finds it 33 s old
+        assert client.counters.blocks_cleaned_delay == 1
+        assert client.counters.lost_dirty_blocks == 1
+        engine.run_until(45.0)
+        assert not daemon.armed
+

@@ -7,11 +7,19 @@ from hypothesis import strategies as st
 from repro.common.errors import CacheError, SimulationError
 from repro.fs.cache import BlockCache
 from repro.fs.vm import VirtualMemory
+from repro.sim import Engine, SharedTicker
+
+
+def new_cache(block_size=4096):
+    """A cache whose writeback daemon is a real, disarmed subscription
+    that no engine run ever ticks."""
+    daemon = SharedTicker(Engine(), 5.0).subscribe(lambda: None, armed=False)
+    return BlockCache(block_size, daemon)
 
 
 @pytest.fixture()
 def cache():
-    return BlockCache(block_size=4096)
+    return new_cache()
 
 
 def touch(cache, key, now):
@@ -202,7 +210,7 @@ class TestBlockCache:
 
     def test_bad_block_size_raises(self):
         with pytest.raises(CacheError):
-            BlockCache(block_size=0)
+            new_cache(block_size=0)
 
     @given(
         ops=st.lists(
@@ -217,7 +225,7 @@ class TestBlockCache:
     @settings(max_examples=60, deadline=None)
     def test_index_consistency_property(self, ops):
         """The per-file index always mirrors the block map."""
-        cache = BlockCache(block_size=4096)
+        cache = new_cache()
         now = 0.0
         for op, file_id, index in ops:
             now += 1.0
@@ -256,8 +264,12 @@ class TestBlockCache:
     def test_full_invariant_property(self, ops):
         """Every structural invariant holds under arbitrary interleaving
         of the whole public mutation surface, including backdated dirty
-        stamps, file invalidation, and eviction of a dirty LRU block."""
-        cache = BlockCache(block_size=4096)
+        stamps, file invalidation, and eviction of a dirty LRU block.
+
+        After each op the daemon is disarmed when the cache is clean, as
+        its scan does; a dirty cache must then have an armed daemon."""
+        cache = new_cache()
+        daemon = cache._daemon
         now = 0.0
         for op, file_id, index, offset in ops:
             now += 1.0
@@ -278,6 +290,9 @@ class TestBlockCache:
                 cache.clear()
             elif op == "evict" and len(cache):
                 cache.remove(cache.lru_block().key)
+            if not cache.dirty_count:
+                daemon.disarm()
+            assert daemon.armed == bool(cache.dirty_count)
 
             blocks = cache._blocks
             # The per-file index exactly mirrors the block map.

@@ -21,9 +21,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from unittest import mock
 
 import pytest
 
+import repro.fs.cluster as cluster_module
 from repro.common.errors import SimulationError
 from repro.fs.cluster import Cluster, ClusterResult, merge_cluster_results
 from repro.fs.config import ClusterConfig
@@ -37,7 +39,8 @@ from repro.fs.faults import (
 )
 from repro.fs.oracle import InvariantViolation, ProtocolOracle
 from repro.fs.sharding import _mix64
-from repro.obs.observer import Observation
+from repro.obs.observer import ObsConfig, Observation
+from repro.sim import Engine, SharedTicker
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.records import (
     AccessMode,
@@ -56,6 +59,7 @@ from repro.trace.records import (
 )
 from repro.trace.validate import validate_stream
 
+import reference_ticks
 from checkers import all_snapshots
 from test_rpc_chaos import SERVER_MESSAGE_ACCOUNTING
 
@@ -286,37 +290,57 @@ def _fingerprint(cluster: Cluster, result: ClusterResult, oracle) -> dict:
         "records_replayed": result.records_replayed,
         "tick_events": result.tick_events,
         "events_run": cluster.engine.events_run,
+        "fsync_blocks": _fsync_blocks(result),
         "violations": (
             None if oracle is None else [str(v) for v in oracle.violations]
         ),
     }
 
 
-def _run(cls, name, records, duration, schedule=None) -> dict:
-    config = CONFIGS[name]
+def _fsync_blocks(result: ClusterResult) -> int:
+    return sum(c.blocks_cleaned_fsync for c in result.final_counters.values())
+
+
+def _fsync_event(blocks: int) -> None:
+    """Report whether an fsync draw came out "yes" and had data to clean."""
+    hypothesis.event("an fsync cleaned a block" if blocks else "no fsync clean")
+
+
+def _build(cls, name, schedule=None, seed=SEED, obs=None):
+    """A ``cls`` cluster in config ``name`` replaying ``schedule``, and
+    its oracle (or None)."""
     oracle = (
-        ProtocolOracle(seed=SEED, raise_on_violation=False)
+        ProtocolOracle(seed=seed, raise_on_violation=False)
         if name in ("lossy+oracle", "replicated+faults")
         else None
     )
     cluster = cls(
-        config, seed=SEED, oracle=oracle,
-        fault_schedule=schedule if name == "replicated+faults" else None,
+        CONFIGS[name], seed=seed, oracle=oracle, obs=obs,
+        fault_schedule=schedule,
+    )
+    return cluster, oracle
+
+
+def _run(cls, name, records, duration, schedule=None, seed=SEED) -> dict:
+    cluster, oracle = _build(
+        cls, name, schedule if name == "replicated+faults" else None, seed
     )
     result = cluster.replay(records, duration)
     return _fingerprint(cluster, result, oracle)
 
 
-def assert_loops_agree(records, duration, schedule=None) -> dict:
+def assert_loops_agree(records, duration, schedule=None, seed=SEED) -> dict:
     """Replay ``records`` through both loops in every config; returns
     the production fingerprints by config name."""
     validate_stream(records, allow_open_at_end=True)
     out = {}
     for name in CONFIGS:
-        reference = _run(RecordLoopCluster, name, records, duration, schedule)
+        reference = _run(
+            RecordLoopCluster, name, records, duration, schedule, seed
+        )
         columns = _run(
             Cluster, name, ColumnarTrace.from_records(records), duration,
-            schedule,
+            schedule, seed,
         )
         assert columns == reference, name
         out[name] = columns
@@ -445,11 +469,18 @@ def record_streams(draw):
     return records, max(duration, 1.0), FaultSchedule([client_crash, server_crash])
 
 
+#: A drawn replay seed: under one fixed seed every RNG-driven decision
+#: (the fsync draw, the lossy channel's draws) would repeat its first
+#: few outcomes in every example.
+seeds = st.integers(0, 2**16)
+
+
 @hypothesis.settings(max_examples=60, deadline=None)
-@given(record_streams())
-def test_property_column_loop_matches_the_record_loop(stream):
+@given(record_streams(), seeds)
+def test_property_column_loop_matches_the_record_loop(stream, seed):
     records, duration, schedule = stream
-    assert_loops_agree(records, duration, schedule)
+    fingerprints = assert_loops_agree(records, duration, schedule, seed)
+    _fsync_event(fingerprints["plain"]["fsync_blocks"])
 
 
 # --------------------------------------------------------------------------
@@ -457,8 +488,10 @@ def test_property_column_loop_matches_the_record_loop(stream):
 # --------------------------------------------------------------------------
 
 
-def _replay_plain(records, duration, oracle=None, obs=None) -> ClusterResult:
-    cluster = Cluster(CONFIGS["plain"], seed=SEED, oracle=oracle, obs=obs)
+def _replay_plain(
+    records, duration, seed, oracle=None, obs=None
+) -> ClusterResult:
+    cluster = Cluster(CONFIGS["plain"], seed=seed, oracle=oracle, obs=obs)
     return cluster.replay(ColumnarTrace.from_records(records), duration)
 
 
@@ -487,16 +520,17 @@ def _server_values(result: ClusterResult, exempt=frozenset()) -> list:
 
 
 @hypothesis.settings(max_examples=60, deadline=None)
-@given(record_streams())
-def test_property_oracle_on_matches_oracle_off(stream):
+@given(record_streams(), seeds)
+def test_property_oracle_on_matches_oracle_off(stream, seed):
     """An attached oracle sends every call through the RPC message path,
     so only the server's message accounting may move (its duplicate
     cache evicts); every client counter and snapshot stays exact, and
     the oracle finds nothing."""
     records, duration, _ = stream
-    bare = _replay_plain(records, duration)
-    oracle = ProtocolOracle(seed=SEED, raise_on_violation=False)
-    checked = _replay_plain(records, duration, oracle=oracle)
+    bare = _replay_plain(records, duration, seed)
+    _fsync_event(_fsync_blocks(bare))
+    oracle = ProtocolOracle(seed=seed, raise_on_violation=False)
+    checked = _replay_plain(records, duration, seed, oracle=oracle)
     assert [str(v) for v in oracle.violations] == []
     assert _client_digests(checked) == _client_digests(bare)
     assert _server_values(checked, SERVER_MESSAGE_ACCOUNTING) == (
@@ -505,13 +539,168 @@ def test_property_oracle_on_matches_oracle_off(stream):
 
 
 @hypothesis.settings(max_examples=60, deadline=None)
-@given(record_streams())
-def test_property_obs_on_matches_obs_off(stream):
+@given(record_streams(), seeds)
+def test_property_obs_on_matches_obs_off(stream, seed):
     records, duration, _ = stream
-    bare = _replay_plain(records, duration)
-    observed = _replay_plain(records, duration, obs=Observation())
+    bare = _replay_plain(records, duration, seed)
+    _fsync_event(_fsync_blocks(bare))
+    observed = _replay_plain(records, duration, seed, obs=Observation())
     assert _client_digests(observed) == _client_digests(bare)
     assert _server_values(observed) == _server_values(bare)
+
+
+# --------------------------------------------------------------------------
+# ticks beside the heap, armed fan-out: against the heap-only reference
+# --------------------------------------------------------------------------
+
+
+def _label(callback):
+    """A fired event's callback, comparable across the two engines."""
+    owner = getattr(callback, "__self__", None)
+    if isinstance(owner, (SharedTicker, reference_ticks.SharedTicker)):
+        return ("tick", owner.period)
+    return getattr(callback, "__qualname__", type(callback).__qualname__)
+
+
+def _recorded(engine, callback):
+    label = _label(callback)
+
+    def fire():
+        engine.fired.append((engine.now, label))
+        callback()
+
+    return fire
+
+
+class RecordingEngine(Engine):
+    """The production engine, logging every fired event and tick."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.fired: list = []
+
+    def schedule_at(self, time, callback):
+        return super().schedule_at(time, _recorded(self, callback))
+
+    def schedule_tick(self, time, fire):
+        super().schedule_tick(time, _recorded(self, fire))
+
+    def run_idle_ticks(self, time, period):
+        ran, after = super().run_idle_ticks(time, period)
+        for _ in range(ran):
+            self.fired.append((time, ("tick", period)))
+            time += period
+        return ran, after
+
+
+class RecordingReferenceEngine(reference_ticks.Engine):
+    """The heap-only reference engine, logging every fired event."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.fired: list = []
+
+    def schedule_at(self, time, callback):
+        return super().schedule_at(time, _recorded(self, callback))
+
+
+#: The configs the tick comparison runs: every ``CONFIGS`` entry, plus
+#: an observed replicated cluster whose 5 s sampler shares the writeback
+#: and heartbeat tick and is cancelled at the end of the replay.
+TICK_CONFIGS = (*CONFIGS, "replicated+faults+obs")
+
+
+def _run_on_engine(reference: bool, name, records, duration, schedule, seed):
+    engine_cls = RecordingReferenceEngine if reference else RecordingEngine
+    ticker_cls = reference_ticks.SharedTicker if reference else SharedTicker
+    base, obs = name, None
+    if name.endswith("+obs"):
+        base = name.removesuffix("+obs")
+        obs = Observation(ObsConfig(sample_interval=5.0))
+    if CONFIGS[base].client_groups > 1:
+        schedule = None  # a grouped cluster draws its faults from rates
+    with mock.patch.object(cluster_module, "Engine", engine_cls), \
+            mock.patch.object(cluster_module, "SharedTicker", ticker_cls):
+        cluster, oracle = _build(Cluster, base, schedule, seed, obs)
+    assert isinstance(cluster.engine, engine_cls)
+    result = cluster.replay(ColumnarTrace.from_records(records), duration)
+    fingerprint = _fingerprint(cluster, result, oracle)
+    fingerprint["fired"] = cluster.engine.fired
+    # Every tick takes one sequence number, run or skipped.
+    fingerprint["sequence"] = cluster.engine._sequence
+    return fingerprint
+
+
+#: Outage lengths per fault kind: shorter and longer than one 5 s scan
+#: period, and than the 30 s writeback delay.
+OUTAGES = {
+    FaultKind.CLIENT_CRASH: (1.0, 5.0, 60.0),
+    FaultKind.PARTITION: (7.0, 40.0, 95.0),
+    FaultKind.SERVER_CRASH: (2.0, 30.0),
+}
+
+
+@st.composite
+def streams_with_outages(draw):
+    """A :func:`record_streams` draw followed by one write episode per
+    fault kind, in a drawn order: a client writes, an outage begins
+    while the block is dirty, and the client writes again during and
+    after it.
+
+    Each outage is where a clean-cache shortcut can go wrong: a crash
+    empties the cache, so the next write must re-arm the daemon; a
+    partitioned daemon holds its dirty blocks across scans; a server
+    crash arms the heartbeat and skips that server's files.
+    """
+    records, duration, schedule = draw(record_streams())
+    client = draw(st.integers(0, CLIENTS - 1))
+    file_id = draw(st.sampled_from(FILES))
+    open_id = 1 + max(
+        (r.open_id for r in records if isinstance(r, OpenRecord)), default=0
+    )
+    now = records[-1].time
+    tail: list[TraceRecord] = []
+    events = list(schedule.events)
+    for kind in draw(st.permutations(tuple(OUTAGES))):
+        now = _next_time(draw, now)
+        ids = dict(open_id=open_id, file_id=file_id, client_id=client)
+        open_id += 1
+        outage = draw(st.sampled_from(OUTAGES[kind]))
+        target = client if kind is not FaultKind.SERVER_CRASH else (
+            draw(st.integers(0, 2))
+        )
+        fault_at = now + 1.0
+        events.append(FaultEvent(fault_at, kind, target, outage))
+        tail.append(OpenRecord(now, 0, mode=AccessMode.WRITE, **ids))
+        for at in (now + 0.5, fault_at + 0.5, fault_at + outage + 0.5):
+            tail.append(WriteRunRecord(
+                at, 0, offset=draw(st.sampled_from((0, 4096, 10000))),
+                length=draw(st.sampled_from((1, 4096, 70000))), **ids,
+            ))
+        now = fault_at + outage + draw(st.sampled_from((1.0, 31.0)))
+        tail.append(CloseRecord(now, 0, **ids))
+    duration = max(duration, (math.floor(now / 300.0) + 1) * 300.0)
+    return [*records, *tail], duration, FaultSchedule(events)
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@given(streams_with_outages(), seeds)
+def test_property_ticks_match_the_heap_reference(stream, seed):
+    """Keyed ticks and the armed fan-out fire the same events, in the
+    same order, and leave every counter and snapshot equal to a cluster
+    on the heap-only engine whose ticker calls every subscriber."""
+    records, duration, schedule = stream
+    validate_stream(records, allow_open_at_end=True)
+    for name in TICK_CONFIGS:
+        reference = _run_on_engine(
+            True, name, records, duration, schedule, seed
+        )
+        production = _run_on_engine(
+            False, name, records, duration, schedule, seed
+        )
+        assert production == reference, name
+        if name == "plain":
+            _fsync_event(production["fsync_blocks"])
 
 
 # --------------------------------------------------------------------------
@@ -641,7 +830,7 @@ def streams_closing_a_written_file_per_group(draw):
                 ))
             else:
                 tail.append(CloseRecord(now, 0, **ids))
-    seed = draw(st.integers(0, 2**16))
+    seed = draw(seeds)
     return [*records, *tail], max(duration, now), seed
 
 
@@ -699,7 +888,12 @@ def streams_with_server_crashes(draw):
 @hypothesis.settings(max_examples=60, deadline=None)
 @given(streams_with_server_crashes())
 def test_property_oracle_stays_clean_under_crashes(stream):
-    """A raise-mode oracle fails the example at its first violation."""
+    """A raise-mode oracle fails the example at its first violation.
+
+    The replay seed stays fixed here: a drawn seed may reach the known
+    orphaned-substitute divergence (pinned as a strict xfail below),
+    which a raise-mode oracle would report as a failure of this test.
+    """
     records, duration, schedule = stream
     for config in ORACLE_CONFIGS.values():
         oracle = ProtocolOracle(seed=SEED, raise_on_violation=True)

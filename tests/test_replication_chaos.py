@@ -376,10 +376,17 @@ class _Clock:
 
 
 class _NoTicker:
-    """Heartbeat ticks are driven by hand, not by the engine."""
+    """Heartbeat ticks are driven by hand, not by the engine, so arming
+    and disarming the heartbeat changes nothing."""
 
-    def subscribe(self, callback):
-        return None
+    def subscribe(self, callback, armed=True):
+        return self
+
+    def arm(self):
+        pass
+
+    def disarm(self):
+        pass
 
 
 #: Cache capacity in blocks: small, so installs also evict.
