@@ -2,16 +2,16 @@
 
 Every client<->server interaction -- opens, closes and other naming
 operations, block fetches, writebacks, recovery RPCs, and the server's
-recall/cache-disable callbacks -- is a :class:`Message` carried through
-a seeded :class:`Channel` that can drop, duplicate, hold back
-(reorder), and delay packets at the rates in
-:class:`~repro.fs.faults.FaultConfig`.  On top of the channel sits a
-classic at-most-once RPC layer:
+recall/cache-disable callbacks -- is carried through a seeded
+:class:`Channel` that can drop, duplicate, hold back (reorder), and
+delay packets at the rates in :class:`~repro.fs.faults.FaultConfig`.
+On top of the channel sits a classic at-most-once RPC layer:
 
 * **sequence numbers** -- each client stamps requests from a private
   counter; retransmissions reuse the original stamp;
 * **duplicate suppression** -- the server keeps a bounded per-client
-  reply cache (:class:`DedupCache`).  A duplicate of an executed
+  reply cache (:class:`DedupCache`): a ring of the most recent replies
+  and the highest executed sequence number.  A duplicate of an executed
   request replays the recorded reply without re-executing; a request
   older than the retention window is *dropped* -- never re-executed and
   never answered from someone else's reply (replaying after eviction is
@@ -26,7 +26,12 @@ channel delays are booked into the stall counters, and the operation
 executes logically at the moment it was issued -- so with every channel
 rate at zero the transport is pure dispatch: no randomness is consumed,
 no counter moves, and replays are byte-identical to the pre-transport
-engine.
+engine.  Such an *inert* channel builds no :class:`Message` either: a
+call with no oracle goes straight to the server method, and one with an
+oracle hands its sequence number, op and arguments to the server's
+:class:`ServerEndpoint` as plain arguments, which executes it (a fresh
+sequence number is always new), records the reply and notifies the
+oracle.  Only a lossy channel runs the retransmission loop.
 
 Reordering in a synchronous RPC world appears as *stragglers*: a held-
 back packet is not delivered now but surfaces later, just before the
@@ -43,7 +48,6 @@ processes run alongside it.
 from __future__ import annotations
 
 import enum
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -115,14 +119,12 @@ class BackoffPolicy:
 
 @dataclass(slots=True)
 class Message:
-    """One packet on the wire."""
+    """One packet on a lossy wire: what a held-back straggler keeps."""
 
     seq: int
     client_id: int
     op: str
     args: tuple
-    #: > 0 on resends of the same (client, seq).
-    attempt: int = 0
 
 
 class Delivery(enum.Enum):
@@ -144,11 +146,7 @@ class Channel:
     deterministic.
     """
 
-    __slots__ = (
-        "faults", "rng", "lossy", "_stragglers",
-        "messages_sent", "messages_dropped", "messages_duplicated",
-        "messages_straggled", "delay_seconds",
-    )
+    __slots__ = ("faults", "rng", "lossy", "_stragglers")
 
     def __init__(self, faults: FaultConfig, rng: RngStream | None) -> None:
         if faults.any_network_faults and rng is None:
@@ -158,39 +156,28 @@ class Channel:
         self.lossy = faults.any_network_faults
         #: Held-back messages awaiting out-of-order delivery.
         self._stragglers: list[Message] = []
-        self.messages_sent = 0
-        self.messages_dropped = 0
-        self.messages_duplicated = 0
-        self.messages_straggled = 0
-        self.delay_seconds = 0.0
 
     def transmit(self, message: Message) -> tuple[Delivery, int, float]:
         """Send one message; returns (outcome, copies delivered, delay).
 
         ``copies`` counts extra duplicate deliveries (0 or 1) on top of
         the principal delivery; it is zero unless the outcome is
-        DELIVERED.
+        DELIVERED.  Every draw is gated on its rate, so an inert channel
+        delivers without touching its (absent) RNG.
         """
-        self.messages_sent += 1
-        if not self.lossy:
-            return Delivery.DELIVERED, 0, 0.0
         faults = self.faults
         rng = self.rng
         if faults.message_loss_rate and rng.random() < faults.message_loss_rate:
-            self.messages_dropped += 1
             return Delivery.DROPPED, 0, 0.0
         if faults.message_reorder_rate and rng.random() < faults.message_reorder_rate:
-            self.messages_straggled += 1
             self._stragglers.append(message)
             return Delivery.STRAGGLED, 0, 0.0
         copies = 0
         if faults.message_duplicate_rate and rng.random() < faults.message_duplicate_rate:
-            self.messages_duplicated += 1
             copies = 1
         delay = 0.0
         if faults.message_delay_rate and rng.random() < faults.message_delay_rate:
             delay = rng.exponential(faults.message_delay_mean)
-            self.delay_seconds += delay
         return Delivery.DELIVERED, copies, delay
 
     def transmit_reply(self) -> tuple[bool, float]:
@@ -200,18 +187,13 @@ class Channel:
         by the client and a held-back reply is indistinguishable from a
         delayed one, so neither needs separate modelling.
         """
-        self.messages_sent += 1
-        if not self.lossy:
-            return True, 0.0
         faults = self.faults
         rng = self.rng
         if faults.message_loss_rate and rng.random() < faults.message_loss_rate:
-            self.messages_dropped += 1
             return False, 0.0
         delay = 0.0
         if faults.message_delay_rate and rng.random() < faults.message_delay_rate:
             delay = rng.exponential(faults.message_delay_mean)
-            self.delay_seconds += delay
         return True, delay
 
     def drain(self) -> list[Message]:
@@ -233,6 +215,20 @@ class DedupStatus(enum.Enum):
     STALE = "stale"          # already executed but evicted: drop silently
 
 
+class _ReplyRing:
+    """One client's retained replies: ``size`` slots written in turn, so
+    the slot the next record writes holds the oldest retained reply."""
+
+    __slots__ = ("seqs", "replies", "next")
+
+    def __init__(self, size: int) -> None:
+        #: slot -> retained sequence number; None until first written.
+        self.seqs: list[int | None] = [None] * size
+        self.replies: list[Any] = [None] * size
+        #: The slot the next record writes.
+        self.next = 0
+
+
 class DedupCache:
     """Bounded per-client reply retention for at-most-once execution.
 
@@ -247,51 +243,56 @@ class DedupCache:
       answer is silence.  Replaying some *other* retained reply here
       would hand the client an answer to the wrong request -- the
       eviction bug this class exists to rule out.
+
+    The retained replies sit in a fixed ring of ``retention`` slots per
+    client, sized at the client's first record: a record overwrites the
+    oldest slot, and counts as an eviction once every slot has been
+    written (the ``retention + 1``-th record onward).  A duplicate is
+    looked up by its sequence number among the slots, so gaps in a
+    client's sequence numbers cost nothing.
     """
 
-    __slots__ = ("retention", "_replies", "_high", "suppressed",
-                 "replayed", "stale_dropped", "evictions")
+    __slots__ = ("retention", "high", "_rings")
 
     def __init__(self, retention: int = DEFAULT_DEDUP_RETENTION) -> None:
         if retention < 1:
             raise SimulationError(f"dedup retention must be >= 1, got {retention}")
         self.retention = retention
-        #: client -> seq -> recorded reply, oldest first.
-        self._replies: dict[int, OrderedDict[int, Any]] = {}
-        #: client -> highest executed sequence number.
-        self._high: dict[int, int] = {}
-        self.suppressed = 0
-        self.replayed = 0
-        self.stale_dropped = 0
-        self.evictions = 0
+        #: client -> highest executed sequence number.  The endpoint
+        #: compares against it inline, before any classification.
+        self.high: dict[int, int] = {}
+        #: client -> its reply ring.
+        self._rings: dict[int, _ReplyRing] = {}
 
     def classify(self, client_id: int, seq: int) -> tuple[DedupStatus, Any]:
         """Classify an arrival; returns (status, retained reply or None)."""
-        high = self._high.get(client_id)
+        high = self.high.get(client_id)
         if high is None or seq > high:
             return DedupStatus.NEW, None
-        retained = self._replies.get(client_id)
-        if retained is not None and seq in retained:
-            self.suppressed += 1
-            self.replayed += 1
-            return DedupStatus.DUPLICATE, retained[seq]
-        self.suppressed += 1
-        self.stale_dropped += 1
+        ring = self._rings[client_id]
+        if seq in ring.seqs:
+            return DedupStatus.DUPLICATE, ring.replies[ring.seqs.index(seq)]
         return DedupStatus.STALE, None
 
-    def record(self, client_id: int, seq: int, reply: Any) -> None:
-        """Remember an executed request's reply, evicting beyond the
-        retention bound."""
-        high = self._high
+    def record(self, client_id: int, seq: int, reply: Any) -> bool:
+        """Retain the reply of an arrival classified NEW in place of the
+        client's oldest one; returns True when that evicted a retained
+        reply.  A nested call may have recorded a higher ``seq`` since,
+        so the high-water mark only ever rises."""
+        high = self.high
         if seq > high.get(client_id, -1):
             high[client_id] = seq
-        retained = self._replies.get(client_id)
-        if retained is None:
-            retained = self._replies[client_id] = OrderedDict()
-        retained[seq] = reply
-        while len(retained) > self.retention:
-            retained.popitem(last=False)
-            self.evictions += 1
+        ring = self._rings.get(client_id)
+        if ring is None:
+            ring = self._rings[client_id] = _ReplyRing(self.retention)
+        slot = ring.next
+        seqs = ring.seqs
+        evicted = seqs[slot] is not None
+        seqs[slot] = seq
+        ring.replies[slot] = reply
+        slot += 1
+        ring.next = slot if slot < len(seqs) else 0
+        return evicted
 
 
 class ServerEndpoint:
@@ -360,8 +361,11 @@ class ServerEndpoint:
         self.server.name_operation(now)
         self.server.invalidate_file(file_id)
 
-    def receive(self, now: float, message: Message) -> tuple[bool, Any]:
-        """One message arrives; returns (answered, reply).
+    def deliver(
+        self, now: float, client_id: int, seq: int, op: str, args: tuple
+    ) -> tuple[bool, Any]:
+        """Request ``seq`` from ``client_id`` arrives; returns (answered,
+        reply).
 
         ``answered`` is False only for STALE arrivals, which are dropped
         without a reply (and without re-execution).
@@ -372,27 +376,25 @@ class ServerEndpoint:
         still recognised as old -- without this, a reboot would re-open
         the at-most-once hole the cache exists to close.
         """
-        status, retained = self.dedup.classify(message.client_id, message.seq)
+        dedup = self.dedup
+        if seq > dedup.high.get(client_id, -1):
+            reply = self._ops[op](now, *args)
+            if dedup.record(client_id, seq, reply):
+                self.server.counters.dedup_evictions += 1
+            if self.oracle is not None:
+                self.oracle.on_execute(
+                    now, client_id, seq, op, args, reply,
+                    server_id=self.server.server_id,
+                )
+            return True, reply
+        status, retained = dedup.classify(client_id, seq)
         counters = self.server.counters
+        counters.duplicate_rpcs_suppressed += 1
         if status is DedupStatus.DUPLICATE:
-            counters.duplicate_rpcs_suppressed += 1
             counters.rpc_replies_replayed += 1
             return True, retained
-        if status is DedupStatus.STALE:
-            counters.duplicate_rpcs_suppressed += 1
-            counters.stale_rpcs_dropped += 1
-            return False, None
-        reply = self._ops[message.op](now, *message.args)
-        evictions_before = self.dedup.evictions
-        self.dedup.record(message.client_id, message.seq, reply)
-        counters.dedup_evictions += self.dedup.evictions - evictions_before
-        if self.oracle is not None:
-            self.oracle.on_execute(
-                now, message.client_id, message.seq, message.op,
-                message.args, reply,
-                server_id=self.server.server_id,
-            )
-        return True, reply
+        counters.stale_rpcs_dropped += 1
+        return False, None
 
 
 class RpcTransport:
@@ -456,43 +458,49 @@ class RpcTransport:
         return reply
 
     def _call_messaged(self, now: float, op: str, args: tuple) -> Any:
-        counters = self.client.counters
+        seq = self._seq
+        self._seq = seq + 1
+        client_id = self.client.client_id
+        endpoint = self.endpoint
         channel = self.channel
-        message = Message(
-            seq=self._seq, client_id=self.client.client_id, op=op, args=args
-        )
-        self._seq += 1
+        if not channel.lossy:
+            # Nothing can be lost, duplicated or held back, and a fresh
+            # sequence number is always new to the server: the one
+            # delivery executes the call and its reply comes straight back.
+            return endpoint.deliver(now, client_id, seq, op, args)[1]
+        counters = self.client.counters
+        message = Message(seq, client_id, op, args)
         delay: float | None = None
         attempt = 0
         while True:
             # Out-of-order traffic surfaces first: stragglers arrive
             # behind newer messages and must be suppressed, not rerun.
-            for late in channel.drain():
-                self.endpoint.receive(now, late)
-            message.attempt = attempt
+            if channel._stragglers:
+                for late in channel.drain():
+                    endpoint.deliver(
+                        now, late.client_id, late.seq, late.op, late.args
+                    )
             if attempt > 0:
                 counters.rpc_retransmissions += 1
                 if self.obs is not None:
-                    self.obs.on_rpc_retransmit(
-                        now, self.client.client_id, op, attempt
-                    )
+                    self.obs.on_rpc_retransmit(now, client_id, op, attempt)
             outcome, copies, net_delay = channel.transmit(message)
-            if channel.lossy:
-                counters.rpc_messages_sent += 1
+            counters.rpc_messages_sent += 1
             if outcome is Delivery.DELIVERED:
                 if net_delay > 0.0:
                     counters.rpc_delay_seconds += net_delay
                     counters.stall_seconds += net_delay
-                answered, reply = self.endpoint.receive(now, message)
+                answered, reply = endpoint.deliver(
+                    now, client_id, seq, op, args
+                )
                 for _ in range(copies):
                     # The duplicate arrives right behind the original
                     # and is suppressed by the reply cache.
-                    self.endpoint.receive(now, message)
+                    endpoint.deliver(now, client_id, seq, op, args)
                 if answered:
                     # The reply crosses the same lossy link.
                     delivered, reply_delay = channel.transmit_reply()
-                    if channel.lossy:
-                        counters.rpc_messages_sent += 1
+                    counters.rpc_messages_sent += 1
                     if delivered:
                         if reply_delay > 0.0:
                             counters.rpc_delay_seconds += reply_delay
@@ -500,14 +508,14 @@ class RpcTransport:
                         return reply
                     counters.rpc_replies_lost += 1
                     if self.obs is not None:
-                        self.obs.on_rpc_reply_lost(
-                            now, self.client.client_id, op
-                        )
+                        self.obs.on_rpc_reply_lost(now, client_id, op)
                 # No reply (lost, straggled, or a stale drop): fall
                 # through to the retransmission path below.
             if attempt + 1 >= MAX_ATTEMPTS:
                 # Eventually-reliable floor: stop simulating losses.
-                answered, reply = self.endpoint.receive(now, message)
+                answered, reply = endpoint.deliver(
+                    now, client_id, seq, op, args
+                )
                 return reply if answered else None
             delay = self.backoff.next_delay(delay)
             counters.stall_seconds += delay
@@ -548,7 +556,6 @@ class RpcTransport:
             counters.rpc_messages_sent += 1
             if channel.rng.random() >= self.faults.message_loss_rate:
                 break
-            channel.messages_dropped += 1
             if attempt + 1 >= MAX_ATTEMPTS:
                 break
             delay = self.backoff.next_delay(delay)

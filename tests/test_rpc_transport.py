@@ -37,8 +37,15 @@ def make_rig(client_count=1, seed=7, oracle=None, **fault_kwargs):
     return (config, *build_rig(config, seed=seed, oracle=oracle))
 
 
-def msg(seq, client_id=0, op="name_operation", args=(), attempt=0):
-    return Message(seq=seq, client_id=client_id, op=op, args=args, attempt=attempt)
+def msg(seq, client_id=0, op="name_operation", args=()):
+    return Message(seq=seq, client_id=client_id, op=op, args=args)
+
+
+def deliver(endpoint, message):
+    """Hand ``message`` to ``endpoint`` as the transport does."""
+    return endpoint.deliver(
+        0.0, message.client_id, message.seq, message.op, message.args
+    )
 
 
 class TestChannel:
@@ -73,7 +80,6 @@ class TestChannel:
         for i in range(50):
             outcome, _, _ = channel.transmit(msg(i))
             assert outcome is Delivery.DROPPED
-        assert channel.messages_dropped == 50
 
     def test_straggler_surfaces_on_drain_once(self):
         channel = Channel(
@@ -92,7 +98,6 @@ class TestChannel:
         outcome, copies, _ = channel.transmit(msg(0))
         assert outcome is Delivery.DELIVERED
         assert copies == 1
-        assert channel.messages_duplicated == 1
 
     def test_delay_books_positive_latency(self):
         channel = Channel(
@@ -101,7 +106,17 @@ class TestChannel:
         )
         _, _, delay = channel.transmit(msg(0))
         assert delay > 0.0
-        assert channel.delay_seconds == pytest.approx(delay)
+
+    def test_delays_are_booked_as_client_stall(self):
+        _, _, _, (client,) = make_rig(
+            message_delay_rate=1.0, message_delay_mean=0.5
+        )
+        client.transports[0].call(0.0, "name_operation")
+        counters = client.counters
+        # The request and the reply each drew a delay.
+        assert counters.rpc_messages_sent == 2
+        assert counters.rpc_delay_seconds > 0.0
+        assert counters.stall_seconds == counters.rpc_delay_seconds
 
     def test_reply_leg_draws_loss_and_delay_only(self):
         # Duplicate/reorder rates at 1.0 must not affect replies.
@@ -139,7 +154,6 @@ class TestDedupCache:
         assert cache.classify(0, 0) == (DedupStatus.NEW, None)
         cache.record(0, 0, "reply-0")
         assert cache.classify(0, 0) == (DedupStatus.DUPLICATE, "reply-0")
-        assert cache.replayed == 1
 
     def test_clients_are_independent(self):
         cache = DedupCache()
@@ -155,17 +169,30 @@ class TestDedupCache:
         mark whose reply aged out must be dropped silently -- replaying
         any retained reply would answer the wrong request."""
         cache = DedupCache(retention=2)
+        evicted = []
         for seq in range(5):
             assert cache.classify(0, seq)[0] is DedupStatus.NEW
-            cache.record(0, seq, f"reply-{seq}")
-        assert cache.evictions == 3
+            evicted.append(cache.record(0, seq, f"reply-{seq}"))
+        # Records 3 to 5 each evict the oldest retained reply.
+        assert evicted == [False, False, True, True, True]
         # Seqs 3 and 4 are retained; 0-2 were evicted.
         status, reply = cache.classify(0, 1)
         assert status is DedupStatus.STALE
         assert reply is None
-        assert cache.stale_dropped == 1
         # The retained ones still replay their own replies.
         assert cache.classify(0, 4) == (DedupStatus.DUPLICATE, "reply-4")
+
+    def test_gaps_in_seqs_do_not_shift_the_window(self):
+        """The ring holds the last ``retention`` records, whatever their
+        sequence numbers: a skipped number is stale, never a slot."""
+        cache = DedupCache(retention=2)
+        for seq in (0, 5, 9):
+            cache.record(0, seq, f"reply-{seq}")
+        assert cache.classify(0, 5) == (DedupStatus.DUPLICATE, "reply-5")
+        assert cache.classify(0, 9) == (DedupStatus.DUPLICATE, "reply-9")
+        for stale in (0, 4, 7):
+            assert cache.classify(0, stale) == (DedupStatus.STALE, None)
+        assert cache.classify(0, 10) == (DedupStatus.NEW, None)
 
 
 class TestServerEndpoint:
@@ -203,10 +230,10 @@ class TestServerEndpoint:
         _, _, server, (client,) = make_rig()
         endpoint = server.rpc_endpoint
         request = msg(0, op="revalidate_file", args=(1,))
-        answered, reply = endpoint.receive(0.0, request)
+        answered, reply = deliver(endpoint, request)
         assert answered
         rpcs_after_first = server.counters.rpc_count
-        answered_again, replayed = endpoint.receive(0.0, request)
+        answered_again, replayed = deliver(endpoint, request)
         assert answered_again and replayed == reply
         # The duplicate did NOT re-execute: no new server RPC.
         assert server.counters.rpc_count == rpcs_after_first
@@ -218,9 +245,9 @@ class TestServerEndpoint:
         endpoint = server.rpc_endpoint
         endpoint.dedup.retention = 1
         for seq in range(3):
-            endpoint.receive(0.0, msg(seq, op="name_operation"))
+            deliver(endpoint, msg(seq, op="name_operation"))
         rpcs = server.counters.rpc_count
-        answered, reply = endpoint.receive(0.0, msg(0, op="name_operation"))
+        answered, reply = deliver(endpoint, msg(0, op="name_operation"))
         assert not answered and reply is None
         assert server.counters.rpc_count == rpcs  # nothing re-executed
         assert server.counters.stale_rpcs_dropped == 1
@@ -231,7 +258,7 @@ class TestServerEndpoint:
         endpoint = server.rpc_endpoint
         endpoint.dedup.retention = 2
         for seq in range(5):
-            endpoint.receive(0.0, msg(seq, op="name_operation"))
+            deliver(endpoint, msg(seq, op="name_operation"))
         assert server.counters.dedup_evictions == 3
 
 
@@ -283,6 +310,26 @@ class TestRpcTransport:
         # calls exactly (naming RPCs only in this test).
         assert server.counters.naming_rpcs == 50
         assert client.counters.rpc_replies_lost > 0
+
+    def test_stragglers_surface_and_are_suppressed_on_the_next_call(self):
+        """Every transmission straggles, so each call runs to the
+        delivery floor and leaves its last copy held back.  The next
+        call's first pass must still drain it: the drain is skipped only
+        while nothing is held back."""
+        _, _, server, (client,) = make_rig(seed=3, message_reorder_rate=1.0)
+        transport = client.transports[0]
+        counters = server.counters
+        transport.call(0.0, "name_operation")
+        # Passes 1 to 63 drain the previous pass's copy: the first
+        # executes, the rest and the floor delivery are suppressed.
+        assert counters.naming_rpcs == 1
+        assert counters.duplicate_rpcs_suppressed == MAX_ATTEMPTS - 1
+        transport.call(1.0, "name_operation")
+        # One more: the first call's held-back copy, on the second's
+        # first pass.
+        assert counters.naming_rpcs == 2
+        assert counters.duplicate_rpcs_suppressed == 2 * (MAX_ATTEMPTS - 1) + 1
+        assert counters.stale_rpcs_dropped == 0
 
     def test_outage_resend_loop_matches_policy(self):
         _, _, _, (client,) = make_rig()
