@@ -199,9 +199,8 @@ class Channel:
     def drain(self) -> list[Message]:
         """Surface held-back messages.  Called before the channel
         carries its next message, so stragglers arrive after newer
-        traffic -- a genuine out-of-order delivery."""
-        if not self._stragglers:
-            return []
+        traffic -- a genuine out-of-order delivery.  The transport calls
+        it only while something is held back."""
         late = self._stragglers
         self._stragglers = []
         return late
@@ -245,11 +244,12 @@ class DedupCache:
       eviction bug this class exists to rule out.
 
     The retained replies sit in a fixed ring of ``retention`` slots per
-    client, sized at the client's first record: a record overwrites the
-    oldest slot, and counts as an eviction once every slot has been
-    written (the ``retention + 1``-th record onward).  A duplicate is
-    looked up by its sequence number among the slots, so gaps in a
-    client's sequence numbers cost nothing.
+    client, sized at the client's first record (so a later change to
+    ``retention`` reaches only clients not yet recorded): a record
+    overwrites the oldest slot, and counts as an eviction once every
+    slot has been written (the ``retention + 1``-th record onward).  A
+    duplicate is looked up by its sequence number among the slots, so
+    gaps in a client's sequence numbers cost nothing.
     """
 
     __slots__ = ("retention", "high", "_rings")
