@@ -277,8 +277,8 @@ class DedupCache:
     def record(self, client_id: int, seq: int, reply: Any) -> bool:
         """Retain the reply of an arrival classified NEW in place of the
         client's oldest one; returns True when that evicted a retained
-        reply.  A nested call may have recorded a higher ``seq`` since,
-        so the high-water mark only ever rises."""
+        reply.  The high-water mark only ever rises, whatever order
+        records come in."""
         high = self.high
         if seq > high.get(client_id, -1):
             high[client_id] = seq

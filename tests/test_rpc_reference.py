@@ -49,8 +49,8 @@ st = hypothesis.strategies
 def dedup_scripts(draw):
     """A retention and a script of steps over three clients: an arrival
     of a drawn sequence number (gaps, repeats and old numbers included),
-    or the record of an arrival classified NEW and not yet recorded --
-    recorded late, and out of order, as a nested call would be."""
+    or the record of an arrival classified NEW and not yet recorded,
+    possibly late and out of seq order."""
     retention = draw(st.integers(1, 4))
     steps = []
     for _ in range(draw(st.integers(1, 80))):
