@@ -327,8 +327,11 @@ _SERVER_SPEC = (
     # --- at-most-once RPC (repro.fs.rpc) ----------------------------------
     ("duplicate_rpcs_suppressed", 0),  # arrivals not executed again
     ("rpc_replies_replayed", 0),  # answered from the reply cache
-    ("stale_rpcs_dropped", 0),  # evicted seq: dropped, never replayed
-    ("dedup_evictions", 0),  # replies aged out of the bounded cache
+    ("stale_rpcs_dropped", 0),  # reply not kept: dropped, never replayed
+    # Never booked: the reply cache keeps what a transport can ask for
+    # and evicts nothing.  The slot stays until the next SCHEMA_VERSION
+    # bump, because the row layout feeds recorded counter digests.
+    ("dedup_evictions", 0),
     # --- replication (repro.fs.replication) -------------------------------
     # All zero at replication_factor=1: no heartbeats, no replica ops.
     ("replica_version_pushes", 0),  # version stamps merged from peers

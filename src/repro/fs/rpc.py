@@ -9,13 +9,14 @@ On top of the channel sits a classic at-most-once RPC layer:
 
 * **sequence numbers** -- each client stamps requests from a private
   counter; retransmissions reuse the original stamp;
-* **duplicate suppression** -- the server keeps a bounded per-client
-  reply cache (:class:`DedupCache`): a ring of the most recent replies
-  and the highest executed sequence number.  A duplicate of an executed
-  request replays the recorded reply without re-executing; a request
-  older than the retention window is *dropped* -- never re-executed and
-  never answered from someone else's reply (replaying after eviction is
-  the classic at-most-once bug);
+* **duplicate suppression** -- the server keeps a per-client reply
+  cache (:class:`DedupCache`): the highest executed sequence number,
+  its reply, and the replies recorded below it (by calls that finished
+  after a call nested inside them).  A duplicate of an executed request
+  replays the recorded reply without re-executing; an executed request
+  whose reply is no longer kept is *dropped* -- never re-executed and
+  never answered from someone else's reply (replaying the wrong reply
+  is the classic at-most-once bug);
 * **retransmission** -- a client that misses a reply resends with the
   same exponential backoff policy the outage path uses
   (:class:`BackoffPolicy`), booking the backoff as stall time.
@@ -26,12 +27,13 @@ channel delays are booked into the stall counters, and the operation
 executes logically at the moment it was issued -- so with every channel
 rate at zero the transport is pure dispatch: no randomness is consumed,
 no counter moves, and replays are byte-identical to the pre-transport
-engine.  Such an *inert* channel builds no :class:`Message` either: a
-call with no oracle goes straight to the server method, and one with an
-oracle hands its sequence number, op and arguments to the server's
-:class:`ServerEndpoint` as plain arguments, which executes it (a fresh
-sequence number is always new), records the reply and notifies the
-oracle.  Only a lossy channel runs the retransmission loop.
+engine.  A call takes one of two paths, chosen by
+:attr:`Channel.lossy`.  On an inert channel every arrival is new, so
+the call takes its sequence number, runs the server op straight from
+the endpoint's op table and notifies the oracle if one is attached: it
+builds no :class:`Message` and never touches the reply cache.  Only a
+lossy channel runs the retransmission loop, and only that loop reads or
+writes the reply cache.
 
 Reordering in a synchronous RPC world appears as *stragglers*: a held-
 back packet is not delivered now but surfaces later, just before the
@@ -65,12 +67,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
 #: link): the cap bounds the simulated retransmissions, not delivery,
 #: so degenerate configs (loss rate 1.0) still terminate.
 MAX_ATTEMPTS = 64
-
-#: Replies retained per client by the duplicate-suppression cache.
-#: With synchronous clients only stragglers ever look further back than
-#: one sequence number, so a small window is plenty.
-DEFAULT_DEDUP_RETENTION = 32
-
 
 class BackoffPolicy:
     """The exponential-backoff retransmission policy.
@@ -211,95 +207,69 @@ class DedupStatus(enum.Enum):
 
     NEW = "new"              # execute it
     DUPLICATE = "duplicate"  # replay the recorded reply
-    STALE = "stale"          # already executed but evicted: drop silently
-
-
-class _ReplyRing:
-    """One client's retained replies: ``size`` slots written in turn, so
-    the slot the next record writes holds the oldest retained reply."""
-
-    __slots__ = ("seqs", "replies", "next")
-
-    def __init__(self, size: int) -> None:
-        #: slot -> retained sequence number; None until first written.
-        self.seqs: list[int | None] = [None] * size
-        self.replies: list[Any] = [None] * size
-        #: The slot the next record writes.
-        self.next = 0
+    STALE = "stale"          # already executed, reply not kept: drop silently
 
 
 class DedupCache:
-    """Bounded per-client reply retention for at-most-once execution.
+    """Per-client reply cache for at-most-once execution.
 
-    For each client the cache remembers the highest executed sequence
-    number and the replies of the most recent ``retention`` requests.
-    Arrivals classify as:
+    For each client the cache keeps the high-water mark (the highest
+    executed sequence number), the mark's reply, and the replies
+    recorded *below* the mark since it last rose.  A reply lands below
+    the mark when a call finishes after a call nested inside it: a
+    client whose own open disables caching writes its dirty blocks
+    back inside that open, so the writeback's higher sequence number
+    is recorded first.  When the mark rises, the replies below the old
+    mark are forgotten: each belongs to a call that had returned before
+    the call that raised the mark was issued, and whose held-back
+    copies surfaced before that call executed, so no transport can ask
+    for them again.  Arrivals classify as:
 
     * ``NEW`` -- a sequence number above the high-water mark: execute;
-    * ``DUPLICATE`` -- executed and still retained: replay the reply;
-    * ``STALE`` -- at or below the high-water mark but evicted: the
-      request already executed, its reply is gone, so the only safe
-      answer is silence.  Replaying some *other* retained reply here
-      would hand the client an answer to the wrong request -- the
-      eviction bug this class exists to rule out.
-
-    The retained replies sit in a fixed ring of ``retention`` slots per
-    client, sized at the client's first record (so a later change to
-    ``retention`` reaches only clients not yet recorded): a record
-    overwrites the oldest slot, and counts as an eviction once every
-    slot has been written (the ``retention + 1``-th record onward).  A
-    duplicate is looked up by its sequence number among the slots, so
-    gaps in a client's sequence numbers cost nothing.
+    * ``DUPLICATE`` -- the mark or a reply kept below it: replay it;
+    * ``STALE`` -- at or below the mark but not kept: the request
+      already executed and its reply is gone, so the only safe answer
+      is silence.  Replaying some *other* reply here would hand the
+      client an answer to the wrong request.
     """
 
-    __slots__ = ("retention", "high", "_rings")
+    __slots__ = ("high", "_replies")
 
-    def __init__(self, retention: int = DEFAULT_DEDUP_RETENTION) -> None:
-        if retention < 1:
-            raise SimulationError(f"dedup retention must be >= 1, got {retention}")
-        self.retention = retention
-        #: client -> highest executed sequence number.  The endpoint
-        #: compares against it inline, before any classification.
+    def __init__(self) -> None:
+        #: client -> highest executed sequence number.
         self.high: dict[int, int] = {}
-        #: client -> its reply ring.
-        self._rings: dict[int, _ReplyRing] = {}
+        #: client -> seq -> reply: the mark's, and those recorded below
+        #: it since it last rose.
+        self._replies: dict[int, dict[int, Any]] = {}
 
     def classify(self, client_id: int, seq: int) -> tuple[DedupStatus, Any]:
-        """Classify an arrival; returns (status, retained reply or None)."""
+        """Classify an arrival; returns (status, kept reply or None)."""
         high = self.high.get(client_id)
         if high is None or seq > high:
             return DedupStatus.NEW, None
-        ring = self._rings[client_id]
-        if seq in ring.seqs:
-            return DedupStatus.DUPLICATE, ring.replies[ring.seqs.index(seq)]
+        replies = self._replies[client_id]
+        if seq in replies:
+            return DedupStatus.DUPLICATE, replies[seq]
         return DedupStatus.STALE, None
 
-    def record(self, client_id: int, seq: int, reply: Any) -> bool:
-        """Retain the reply of an arrival classified NEW in place of the
-        client's oldest one; returns True when that evicted a retained
-        reply.  The high-water mark only ever rises, whatever order
-        records come in."""
-        high = self.high
-        if seq > high.get(client_id, -1):
-            high[client_id] = seq
-        ring = self._rings.get(client_id)
-        if ring is None:
-            ring = self._rings[client_id] = _ReplyRing(self.retention)
-        slot = ring.next
-        seqs = ring.seqs
-        evicted = seqs[slot] is not None
-        seqs[slot] = seq
-        ring.replies[slot] = reply
-        slot += 1
-        ring.next = slot if slot < len(seqs) else 0
-        return evicted
+    def record(self, client_id: int, seq: int, reply: Any) -> None:
+        """Keep the reply of an arrival classified NEW.  A sequence
+        number above the mark raises it and forgets the replies kept
+        below the old one; one below it (a call that finished after a
+        call nested inside it) is kept beside the mark's."""
+        if seq > self.high.get(client_id, -1):
+            self.high[client_id] = seq
+            self._replies[client_id] = {seq: reply}
+        else:
+            self._replies[client_id][seq] = reply
 
 
 class ServerEndpoint:
-    """The server side of the transport: dispatch + duplicate
-    suppression + oracle notification.
+    """The server side of the transport: the op table both call paths
+    execute from, the reply cache the lossy loop delivers through, and
+    the oracle both notify.
 
-    One endpoint serves all clients (the dedup cache is server state).
+    One endpoint serves all clients (the reply cache is server state).
     It attaches itself to the :class:`~repro.fs.server.Server` so
     independently constructed :class:`RpcTransport`\\ s share it.  Its
     oracle is fixed when it is created: every transport to the server
@@ -343,8 +313,8 @@ class ServerEndpoint:
         """Get the server's endpoint, creating it on first use.
 
         A transport that brings a different oracle than the endpoint
-        was created with is refused: its calls would skip the oracle on
-        the direct path, or notify one the other transports never see.
+        was created with is refused: its calls would be checked by the
+        endpoint's oracle, never by the one it brought.
         """
         endpoint = server.rpc_endpoint
         if endpoint is None:
@@ -364,8 +334,8 @@ class ServerEndpoint:
     def deliver(
         self, now: float, client_id: int, seq: int, op: str, args: tuple
     ) -> tuple[bool, Any]:
-        """Request ``seq`` from ``client_id`` arrives; returns (answered,
-        reply).
+        """Request ``seq`` from ``client_id`` arrives over a lossy
+        channel; returns (answered, reply).
 
         ``answered`` is False only for STALE arrivals, which are dropped
         without a reply (and without re-execution).
@@ -377,22 +347,21 @@ class ServerEndpoint:
         the at-most-once hole the cache exists to close.
         """
         dedup = self.dedup
-        if seq > dedup.high.get(client_id, -1):
+        status, kept = dedup.classify(client_id, seq)
+        if status is DedupStatus.NEW:
             reply = self._ops[op](now, *args)
-            if dedup.record(client_id, seq, reply):
-                self.server.counters.dedup_evictions += 1
+            dedup.record(client_id, seq, reply)
             if self.oracle is not None:
                 self.oracle.on_execute(
                     now, client_id, seq, op, args, reply,
                     server_id=self.server.server_id,
                 )
             return True, reply
-        status, retained = dedup.classify(client_id, seq)
         counters = self.server.counters
         counters.duplicate_rpcs_suppressed += 1
         if status is DedupStatus.DUPLICATE:
             counters.rpc_replies_replayed += 1
-            return True, retained
+            return True, kept
         counters.stale_rpcs_dropped += 1
         return False, None
 
@@ -401,9 +370,12 @@ class RpcTransport:
     """The client side: sequence numbers, retransmission, stall
     accounting, and the outage gate.
 
-    With an inert channel and no oracle, :meth:`call` is a dict lookup
-    and a method call -- the transport must cost nothing when it is
-    configured to do nothing.
+    A call takes one of two paths, chosen by :attr:`Channel.lossy`.  On
+    an inert channel it takes a sequence number and is a dict lookup
+    and a method call, plus the oracle's notification when one is
+    attached -- the transport must cost nothing when it is configured
+    to do nothing.  On a lossy channel it runs the retransmission loop
+    against the server's reply cache.
     """
 
     def __init__(
@@ -421,11 +393,6 @@ class RpcTransport:
         self.endpoint = ServerEndpoint.attach(server, oracle)
         self.backoff = BackoffPolicy.from_config(faults)
         self._seq = 0
-        #: Fast path: no message faults and no oracle to notify.
-        self._direct = not self.channel.lossy and oracle is None
-        #: Prebound op table for the fast path: a direct call is one
-        #: dict lookup and the server method itself.
-        self._endpoint_ops = self.endpoint._ops
         #: Optional observability hook (repro.obs); None keeps call()
         #: on its unobserved paths, byte-identical to an obs-free build.
         self.obs = None
@@ -434,22 +401,17 @@ class RpcTransport:
         """Issue one RPC and return its reply (at-most-once executed)."""
         if self.obs is not None:
             return self._call_observed(now, op, args)
-        if self._direct:
-            return self._endpoint_ops[op](now, *args)
-        return self._call_messaged(now, op, args)
+        return self._call(now, op, args)
 
     def _call_observed(self, now: float, op: str, args: tuple) -> Any:
         """The observed path: measure the round-trip as the stall this
-        call books (channel delays + backoff; zero on the direct path,
+        call books (channel delays + backoff; zero on an inert channel,
         where the reply is logically instantaneous) and mirror it into
         the latency histogram and the event trace."""
         counters = self.client.counters
         stall_before = counters.stall_seconds
         retrans_before = counters.rpc_retransmissions
-        if self._direct:
-            reply = self._endpoint_ops[op](now, *args)
-        else:
-            reply = self._call_messaged(now, op, args)
+        reply = self._call(now, op, args)
         self.obs.on_rpc_call(
             now, self.client.client_id, op,
             counters.stall_seconds - stall_before,
@@ -457,17 +419,26 @@ class RpcTransport:
         )
         return reply
 
-    def _call_messaged(self, now: float, op: str, args: tuple) -> Any:
+    def _call(self, now: float, op: str, args: tuple) -> Any:
+        """The inert path or the lossy loop, by the channel."""
+        # The sequence number is taken before the op executes: a call
+        # nested inside it (a writeback from the cache-disable callback
+        # of the client's own open) takes the next one.
         seq = self._seq
         self._seq = seq + 1
-        client_id = self.client.client_id
         endpoint = self.endpoint
         channel = self.channel
         if not channel.lossy:
-            # Nothing can be lost, duplicated or held back, and a fresh
-            # sequence number is always new to the server: the one
-            # delivery executes the call and its reply comes straight back.
-            return endpoint.deliver(now, client_id, seq, op, args)[1]
+            # Nothing can be lost, duplicated or held back, so every
+            # arrival is new: execute straight from the op table.
+            reply = endpoint._ops[op](now, *args)
+            if endpoint.oracle is not None:
+                endpoint.oracle.on_execute(
+                    now, self.client.client_id, seq, op, args, reply,
+                    server_id=self.server.server_id,
+                )
+            return reply
+        client_id = self.client.client_id
         counters = self.client.counters
         message = Message(seq, client_id, op, args)
         delay: float | None = None

@@ -1,15 +1,16 @@
-"""The messaged RPC path before its inert branch and reply ring, kept as
-the reference for ``repro.fs.rpc``.
+"""The RPC call path before it split into an inert path and a lossy
+loop, kept as the reference for ``repro.fs.rpc``.
 
-Here every messaged call builds a :class:`Message`, drains the channel
-and crosses :meth:`Channel.transmit` and :meth:`Channel.transmit_reply`
-even when the channel is inert; the server endpoint classifies each
+Here every call, on an inert channel too, builds a :class:`Message`,
+drains the channel and crosses :meth:`Channel.transmit` and
+:meth:`Channel.transmit_reply`; the server endpoint classifies each
 arrival before executing it; and :class:`DedupCache` keeps each
-client's replies in an ``OrderedDict``, popping the oldest beyond the
-retention bound.  :func:`installed` swaps these into ``repro.fs.rpc``
-so a cluster built inside it runs the reference path
-(``tests/test_rpc_reference.py``), which must leave every counter, the
-oracle's checks and the channel RNG exactly where production does.
+client's last 32 replies in an ``OrderedDict``, popping the oldest
+beyond that bound and booking each pop in ``dedup_evictions``.
+:func:`installed` swaps these into ``repro.fs.rpc`` so a cluster built
+inside it runs the reference path (``tests/test_rpc_reference.py``),
+which must leave every counter but ``dedup_evictions``, the oracle's
+checks and the channel RNG exactly where production does.
 """
 
 from __future__ import annotations
@@ -22,12 +23,10 @@ from unittest import mock
 
 from repro.common.errors import SimulationError
 from repro.fs import rpc
-from repro.fs.rpc import (
-    DEFAULT_DEDUP_RETENTION,
-    MAX_ATTEMPTS,
-    DedupStatus,
-    Delivery,
-)
+from repro.fs.rpc import MAX_ATTEMPTS, DedupStatus, Delivery
+
+#: Replies kept per client.
+DEFAULT_DEDUP_RETENTION = 32
 
 
 @dataclass(slots=True)
@@ -124,8 +123,8 @@ class ServerEndpoint(rpc.ServerEndpoint):
         return True, reply
 
 
-def call_messaged(self, now: float, op: str, args: tuple) -> Any:
-    """``RpcTransport._call_messaged``: one loop for every channel."""
+def call(self, now: float, op: str, args: tuple) -> Any:
+    """``RpcTransport._call``: one loop for every channel."""
     counters = self.client.counters
     channel = self.channel
     message = Message(
@@ -179,8 +178,8 @@ def call_messaged(self, now: float, op: str, args: tuple) -> Any:
 @contextlib.contextmanager
 def installed():
     """Build clusters on the reference path inside this block: new
-    endpoints are reference endpoints, and every transport's messaged
-    call runs the reference loop."""
+    endpoints are reference endpoints, and every transport's call runs
+    the reference loop."""
     with mock.patch.object(rpc, "ServerEndpoint", ServerEndpoint), \
-            mock.patch.object(rpc.RpcTransport, "_call_messaged", call_messaged):
+            mock.patch.object(rpc.RpcTransport, "_call", call):
         yield

@@ -2,11 +2,14 @@
 
 The chaos suite (:mod:`tests.test_rpc_chaos`) runs full replays over
 lossy channels; these tests pin down the individual mechanisms --
-channel draw order, duplicate suppression, eviction semantics,
+channel draw order, duplicate suppression, the reply cache's mark,
 retransmission accounting -- one component at a time.
 """
 
 from __future__ import annotations
+
+import contextlib
+from unittest import mock
 
 import pytest
 
@@ -14,7 +17,7 @@ from repro.common.errors import ConfigError, SimulationError
 from repro.common.rng import RngStream
 from repro.fs.cluster import Cluster
 from repro.fs.config import ClusterConfig
-from repro.fs.faults import FaultConfig
+from repro.fs.faults import FaultConfig, FaultEvent, FaultKind, FaultSchedule
 from repro.fs.rpc import (
     MAX_ATTEMPTS,
     BackoffPolicy,
@@ -26,6 +29,15 @@ from repro.fs.rpc import (
     RpcTransport,
 )
 from repro.fs.oracle import ProtocolOracle
+from repro.trace.columnar import ColumnarTrace
+from repro.trace.records import (
+    AccessMode,
+    CloseRecord,
+    OpenRecord,
+    WriteRunRecord,
+)
+
+import reference_rpc
 from rigs import build_rig
 
 
@@ -160,39 +172,65 @@ class TestDedupCache:
         cache.record(0, 5, "a")
         assert cache.classify(1, 5) == (DedupStatus.NEW, None)
 
-    def test_retention_must_be_positive(self):
-        with pytest.raises(SimulationError):
-            DedupCache(retention=0)
-
     def test_evicted_seq_is_stale_not_replayed(self):
-        """The satellite-6 regression: an arrival below the high-water
-        mark whose reply aged out must be dropped silently -- replaying
-        any retained reply would answer the wrong request."""
-        cache = DedupCache(retention=2)
-        evicted = []
+        """An arrival below the high-water mark whose reply the cache no
+        longer keeps must be dropped silently -- replaying the kept
+        reply would answer the wrong request."""
+        cache = DedupCache()
         for seq in range(5):
             assert cache.classify(0, seq)[0] is DedupStatus.NEW
-            evicted.append(cache.record(0, seq, f"reply-{seq}"))
-        # Records 3 to 5 each evict the oldest retained reply.
-        assert evicted == [False, False, True, True, True]
-        # Seqs 3 and 4 are retained; 0-2 were evicted.
-        status, reply = cache.classify(0, 1)
-        assert status is DedupStatus.STALE
-        assert reply is None
-        # The retained ones still replay their own replies.
+            cache.record(0, seq, f"reply-{seq}")
+        # Each record raised the mark past the one before: only seq 4's
+        # reply is kept.
+        for seq in range(4):
+            assert cache.classify(0, seq) == (DedupStatus.STALE, None)
         assert cache.classify(0, 4) == (DedupStatus.DUPLICATE, "reply-4")
 
     def test_gaps_in_seqs_do_not_shift_the_window(self):
-        """The ring holds the last ``retention`` records, whatever their
-        sequence numbers: a skipped number is stale, never a slot."""
-        cache = DedupCache(retention=2)
+        """Only recorded sequence numbers are kept: a skipped number at
+        or below the mark is stale, one above it is new."""
+        cache = DedupCache()
         for seq in (0, 5, 9):
             cache.record(0, seq, f"reply-{seq}")
-        assert cache.classify(0, 5) == (DedupStatus.DUPLICATE, "reply-5")
         assert cache.classify(0, 9) == (DedupStatus.DUPLICATE, "reply-9")
-        for stale in (0, 4, 7):
+        for stale in (0, 4, 5, 7):
             assert cache.classify(0, stale) == (DedupStatus.STALE, None)
         assert cache.classify(0, 10) == (DedupStatus.NEW, None)
+
+    def test_reply_recorded_below_the_mark_is_replayed(self):
+        """Seq 4 (an open) finishes after seq 5, nested inside it (a
+        writeback from the open's cache-disable callback): both replies
+        are kept, and each duplicate gets its own."""
+        cache = DedupCache()
+        cache.record(0, 3, "reply-3")
+        assert cache.classify(0, 4) == (DedupStatus.NEW, None)
+        assert cache.classify(0, 5) == (DedupStatus.NEW, None)
+        cache.record(0, 5, "reply-5")
+        cache.record(0, 4, "reply-4")
+        assert cache.high[0] == 5
+        assert cache.classify(0, 4) == (DedupStatus.DUPLICATE, "reply-4")
+        assert cache.classify(0, 5) == (DedupStatus.DUPLICATE, "reply-5")
+
+    def test_rising_mark_forgets_the_replies_below_it(self):
+        cache = DedupCache()
+        cache.record(0, 5, "reply-5")
+        cache.record(0, 4, "reply-4")
+        cache.record(0, 6, "reply-6")
+        assert cache.classify(0, 4) == (DedupStatus.STALE, None)
+        assert cache.classify(0, 5) == (DedupStatus.STALE, None)
+        assert cache.classify(0, 6) == (DedupStatus.DUPLICATE, "reply-6")
+
+    def test_unkept_seq_at_or_below_the_mark_is_stale(self):
+        """Below the mark only the replies recorded there are kept;
+        every other number at or below it has executed (or is a call
+        still running around a nested one) and is dropped."""
+        cache = DedupCache()
+        cache.record(0, 8, "reply-8")
+        cache.record(0, 5, "reply-5")
+        for stale in (0, 4, 6, 7):
+            assert cache.classify(0, stale) == (DedupStatus.STALE, None)
+        assert cache.classify(0, 5) == (DedupStatus.DUPLICATE, "reply-5")
+        assert cache.classify(0, 8) == (DedupStatus.DUPLICATE, "reply-8")
 
 
 class TestServerEndpoint:
@@ -243,23 +281,15 @@ class TestServerEndpoint:
     def test_stale_arrival_is_dropped_without_execution(self):
         _, _, server, (client,) = make_rig()
         endpoint = server.rpc_endpoint
-        endpoint.dedup.retention = 1
         for seq in range(3):
             deliver(endpoint, msg(seq, op="name_operation"))
         rpcs = server.counters.rpc_count
+        # Seq 0 executed, and the mark has since risen past it.
         answered, reply = deliver(endpoint, msg(0, op="name_operation"))
         assert not answered and reply is None
         assert server.counters.rpc_count == rpcs  # nothing re-executed
         assert server.counters.stale_rpcs_dropped == 1
-        assert server.counters.dedup_evictions == 2
-
-    def test_eviction_counter_books_deltas(self):
-        _, _, server, (client,) = make_rig()
-        endpoint = server.rpc_endpoint
-        endpoint.dedup.retention = 2
-        for seq in range(5):
-            deliver(endpoint, msg(seq, op="name_operation"))
-        assert server.counters.dedup_evictions == 3
+        assert server.counters.dedup_evictions == 0
 
 
 class TestRpcTransport:
@@ -340,8 +370,9 @@ class TestSequenceSpaceAcrossCrashes:
     """A reboot keeps the client's transport, so its sequence numbers run
     on across crashes: the first RPC after a client crash and reboot, or
     after a server crash and recovery, is new to the server's dedup cache
-    and executes.  A restarted sequence space would land on an evicted
-    entry (retention is 1 here) and be dropped as stale instead."""
+    and executes.  A restarted sequence space would be stale by
+    construction: its numbers lie below the high-water mark, where the
+    cache keeps no reply, so the call would be dropped instead."""
 
     @staticmethod
     def lossy_cluster():
@@ -352,7 +383,6 @@ class TestSequenceSpaceAcrossCrashes:
             seed=5,
         )
         client, server = cluster.clients[0], cluster.servers[0]
-        server.rpc_endpoint.dedup.retention = 1
         for i in range(5):
             client.transports[0].call(float(i), "name_operation")
         return cluster, client, server
@@ -376,3 +406,114 @@ class TestSequenceSpaceAcrossCrashes:
         cluster.recover_server(0)
         assert server.up
         self.assert_next_call_executes(client, server)
+
+
+# --------------------------------------------------------------------------
+# a call nested inside a call
+# --------------------------------------------------------------------------
+
+
+def reopen_after_heal(start, writer, reader, file_id, open_id):
+    """Records and a partition from ``start`` on, in which ``writer``
+    makes a call inside one of its own calls.
+
+    ``writer`` writes ``file_id`` and closes it, and is partitioned at
+    ``start + 2.5`` for 8 s, its block still dirty.  During the
+    partition ``reader`` opens the file for read, so the server's recall
+    of the dirty block fails.  0.1 s after the heal ``writer`` opens the
+    file for write: its own open makes the file write-shared and
+    disables caching, and the cache-disable callback writes the dirty
+    block back inside the open RPC.  Returns (records, partition).
+    """
+    def at(dt):
+        return start + dt
+
+    def ids(offset, client):
+        return dict(open_id=open_id + offset, file_id=file_id,
+                    user_id=client, client_id=client)
+
+    records = [
+        OpenRecord(at(0.0), 0, mode=AccessMode.WRITE, **ids(0, writer)),
+        WriteRunRecord(at(0.5), 0, offset=0, length=4096,
+                       **ids(0, writer)),
+        CloseRecord(at(1.0), 0, **ids(0, writer)),
+        OpenRecord(at(5.0), 0, mode=AccessMode.READ, **ids(1, reader)),
+        OpenRecord(at(10.6), 0, mode=AccessMode.WRITE, **ids(2, writer)),
+        CloseRecord(at(12.0), 0, **ids(2, writer)),
+        CloseRecord(at(13.0), 0, **ids(1, reader)),
+    ]
+    return records, FaultEvent(at(2.5), FaultKind.PARTITION, writer, 8.0)
+
+
+@contextlib.contextmanager
+def records_below_the_mark():
+    """Inside this block, list each (client, seq) whose reply the
+    production reply cache records below the client's high-water mark."""
+    below: list[tuple[int, int]] = []
+    record = DedupCache.record
+
+    def spy(cache, client_id, seq, reply):
+        if seq < cache.high.get(client_id, -1):
+            below.append((client_id, seq))
+        return record(cache, client_id, seq, reply)
+
+    with mock.patch.object(DedupCache, "record", spy):
+        yield below
+
+
+#: Booked only by the reference's bounded reply cache.
+REFERENCE_ONLY = frozenset({"dedup_evictions"})
+
+
+def server_values(result, exempt=frozenset()) -> list:
+    """Every server counter row, field by field, but the ``exempt``
+    fields."""
+    return [
+        [(name, repr(getattr(row, name)))
+         for name in row.FIELDS if name not in exempt]
+        for row in (result.server_counters, *result.per_server_counters)
+    ]
+
+
+class TestNestedCalls:
+    """The reply of a call that finishes after a call nested inside it
+    is recorded below the high-water mark, and a lost reply or a late
+    copy of that call must still be answered with it.  A cache that kept
+    only the mark's reply would drop the retransmitted open as stale,
+    and the client would get no reply at all."""
+
+    LOSSY = FaultConfig(
+        message_loss_rate=0.2,
+        message_duplicate_rate=0.1,
+        message_reorder_rate=0.1,
+        message_delay_rate=0.2,
+    )
+
+    @classmethod
+    def replay(cls, seed):
+        records, partition = reopen_after_heal(
+            0.0, writer=0, reader=1, file_id=7, open_id=1
+        )
+        oracle = ProtocolOracle(seed=seed, raise_on_violation=False)
+        cluster = Cluster(
+            ClusterConfig(client_count=2, faults=cls.LOSSY), seed=seed,
+            oracle=oracle, fault_schedule=FaultSchedule([partition]),
+        )
+        result = cluster.replay(ColumnarTrace.from_records(records), 60.0)
+        assert [str(v) for v in oracle.violations] == []
+        return result
+
+    @pytest.mark.parametrize("seed", range(1, 15))
+    def test_reply_below_the_mark_is_replayed_as_the_ring_does(self, seed):
+        with records_below_the_mark() as below:
+            result = self.replay(seed)
+        assert result.server_counters.recalls_failed == 1
+        assert [client for client, _ in below] == [0]
+        with reference_rpc.installed():
+            reference = self.replay(seed)
+        assert {c: v.digest() for c, v in result.final_counters.items()} == {
+            c: v.digest() for c, v in reference.final_counters.items()
+        }
+        assert server_values(result, REFERENCE_ONLY) == (
+            server_values(reference, REFERENCE_ONLY)
+        )
