@@ -6,7 +6,11 @@ would drive it: the JSON-lines serialization, the multi-server merge,
 the filters (dropping tracer self-traffic), the 48-hour split, and the
 one-pass summarizer.
 
-Run:  python examples/trace_inspector.py [path.jsonl.gz]
+Exits non-zero if the read-back trace fails validation or the merge
+does not come back in time order.  A path ending in ``.gz`` is written
+gzip-compressed, any other path as plain text.
+
+Run:  python examples/trace_inspector.py [path.jsonl.gz | path.jsonl]
 """
 
 import sys
@@ -25,7 +29,7 @@ from repro.trace.tools import split_by_duration, summarize
 from repro.workload import STANDARD_PROFILES, generate_trace
 
 
-def main() -> None:
+def main() -> int:
     if len(sys.argv) > 1:
         path = Path(sys.argv[1])
     else:
@@ -34,13 +38,13 @@ def main() -> None:
     print(f"Generating trace1 (scale 0.05) and writing {path} ...")
     trace = generate_trace(STANDARD_PROFILES[0], seed=7, scale=0.05)
     count = write_trace(path, trace.records)
-    print(f"  wrote {count} records "
-          f"({path.stat().st_size / 1024:.0f} KB compressed)")
+    print(f"  wrote {count} records ({path.stat().st_size / 1024:.0f} KB)")
     print()
 
     # Read back, filter, validate, summarize: the standard pipeline.
+    # Validation raises TraceError on the first illegal record.
     records = list(drop_self_traffic(read_trace(path)))
-    report = validate_stream(records)
+    report = validate_stream(ColumnarTrace.from_records(records))
     print(f"Validation: {report.opens} opens, {report.closes} closes, "
           f"{len(report.unclosed_open_ids)} cut by the window")
     print()
@@ -54,9 +58,9 @@ def main() -> None:
     merged = ColumnarTrace.merge(
         [ColumnarTrace.from_records(stream) for stream in by_server.values()]
     ).materialize()
+    ordered = [r.time for r in merged] == sorted(r.time for r in merged)
     print(f"Merged {len(by_server)} per-server streams back into "
-          f"{len(merged)} ordered records "
-          f"(order preserved: {[r.time for r in merged] == sorted(r.time for r in merged)})")
+          f"{len(merged)} ordered records (order preserved: {ordered})")
     print()
 
     # The paper's 48h -> 2 x 24h split, here 24h -> 2 x 12h.
@@ -66,7 +70,8 @@ def main() -> None:
         print(f"half {index}: {piece_summary.records} records, "
               f"{len(piece_summary.users)} users, "
               f"{piece_summary.bytes_read / 2**20:.0f} MB read")
+    return 0 if ordered and len(merged) == len(records) else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -7,8 +7,10 @@ figure next to the paper's expectation.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
+from repro.common.errors import ConfigError
 from repro.experiments.registry import (
     EXPERIMENT_IDS,
     ExperimentContext,
@@ -240,24 +242,26 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--obs-sample-interval requires --obs")
         if args.obs_trace_out:
             parser.error("--obs-trace-out requires --obs")
-    if args.obs_sample_interval is not None and args.obs_sample_interval <= 0:
-        parser.error(
-            f"--obs-sample-interval must be > 0, got {args.obs_sample_interval}"
-        )
+    interval = args.obs_sample_interval
+    if interval is not None and not (math.isfinite(interval) and interval > 0):
+        parser.error(f"--obs-sample-interval must be finite and > 0, got {interval}")
     if args.no_cache:
         cache: bool | str = False
     else:
         cache = args.cache_dir if args.cache_dir else True
-    context = ExperimentContext(
-        scale=args.scale,
-        seed=args.seed,
-        num_servers=args.num_servers,
-        replication_factor=args.replication_factor,
-        disk_corruption_rate=args.disk_corruption_rate,
-        scrub_interval=args.scrub_interval,
-        workers=args.workers,
-        cache=cache,
-    )
+    try:
+        context = ExperimentContext(
+            scale=args.scale,
+            seed=args.seed,
+            num_servers=args.num_servers,
+            replication_factor=args.replication_factor,
+            disk_corruption_rate=args.disk_corruption_rate,
+            scrub_interval=args.scrub_interval,
+            workers=args.workers,
+            cache=cache,
+        )
+    except ConfigError as exc:
+        parser.error(str(exc))
     if args.scale_out:
         return _run_scale_out(args, context)
     if args.figures_dir:

@@ -10,6 +10,7 @@ fan the generation out across worker processes.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 from hashlib import sha256
@@ -158,8 +159,8 @@ class ExperimentContext:
     _trace_accesses: list[list[Access]] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ConfigError(f"scale must be positive, got {self.scale}")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ConfigError(f"scale must be positive and finite, got {self.scale}")
         if self.num_servers < 1:
             raise ConfigError(
                 f"num_servers must be >= 1, got {self.num_servers}"
@@ -169,15 +170,15 @@ class ExperimentContext:
                 f"replication_factor must be >= 1, "
                 f"got {self.replication_factor}"
             )
-        if self.disk_corruption_rate < 0:
+        if not (math.isfinite(self.disk_corruption_rate) and self.disk_corruption_rate >= 0):
             raise ConfigError(
-                f"disk_corruption_rate must be >= 0 events per "
+                f"disk_corruption_rate must be finite and >= 0 events per "
                 f"server-hour, got {self.disk_corruption_rate}"
             )
-        if self.scrub_interval < 0:
+        if not (math.isfinite(self.scrub_interval) and self.scrub_interval >= 0):
             raise ConfigError(
-                f"scrub_interval must be >= 0 seconds (0 = scrubbing "
-                f"off), got {self.scrub_interval}"
+                f"scrub_interval must be finite and >= 0 seconds (0 = "
+                f"scrubbing off), got {self.scrub_interval}"
             )
         self._artifact_cache = resolve_cache(self.cache)
 

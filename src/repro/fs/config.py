@@ -8,6 +8,7 @@ changes rather than code changes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.common.errors import ConfigError
@@ -122,6 +123,14 @@ class ClusterConfig:
     faults: FaultConfig = field(default_factory=FaultConfig)
 
     def __post_init__(self) -> None:
+        for name in (
+            "heartbeat_interval", "writeback_delay", "writeback_scan_interval",
+            "vm_preference", "snapshot_interval", "paging_intensity",
+            "scrub_interval",
+        ):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.client_count <= 0:
             raise ConfigError("need at least one client")
         if self.num_servers <= 0:

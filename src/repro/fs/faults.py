@@ -42,6 +42,7 @@ never stalls):
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -188,6 +189,9 @@ class FaultConfig:
 
     def validate(self) -> None:
         """Reject impossible knob combinations with a :class:`ConfigError`."""
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         for name in ("server_crash_rate", "client_crash_rate", "partition_rate"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")

@@ -9,10 +9,10 @@ cap the warm-cache speedup well below what the hardware allows.
 This codec stores a trace as its columnar form instead: the
 :class:`~repro.trace.columnar.ColumnarTrace` payload (one flat array
 per field per record kind, plus the time order), serialized with
-:mod:`marshal` (C-speed for primitives).  A decoded trace's ``records``
-view stays unbuilt until it is read; reading it runs
-:meth:`~repro.trace.columnar.ColumnarTrace.materialize` -- the builder
-generation itself uses, so the records are exactly the generated ones.
+:mod:`marshal` (C-speed for primitives).  A decoded trace, like a
+generated one, builds its ``records`` view only when it is read, by
+:meth:`~repro.trace.columnar.ColumnarTrace.materialize` over the same
+columns, so its records are exactly the generated trace's.
 Object-heavy loads run with the cyclic GC paused; the rebuilt graphs
 are trees.
 

@@ -38,6 +38,7 @@ group's records, which every shard computes identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Sequence
 
@@ -94,8 +95,8 @@ class ScaleOutPlan:
                 f"need at least one server per group, got "
                 f"{self.servers_per_group}"
             )
-        if self.scale <= 0:
-            raise ConfigError(f"scale must be positive, got {self.scale}")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ConfigError(f"scale must be positive and finite, got {self.scale}")
         if self.groups > self.client_count:
             raise ConfigError(
                 f"groups={self.groups} exceeds the {self.client_count}-"

@@ -3,11 +3,11 @@
 The paper's data came from kernel-call-level traces gathered on the four
 Sprite file servers: opens, closes, repositions, deletes, truncates, and
 -- for files undergoing write-sharing -- individual read/write requests.
-This package defines that record vocabulary, a streaming JSON-lines
-serialization, a columnar form whose merge orders per-server streams
-(:mod:`repro.trace.columnar`), the filter the paper applied
-(dropping tracer self-traffic and nightly backups), and a validator for
-the per-file event grammar.
+This package defines that record vocabulary, a JSON-lines trace file
+format (:mod:`repro.trace.files`), a columnar form whose merge orders
+per-server streams (:mod:`repro.trace.columnar`), the filter the paper
+applied (dropping tracer self-traffic and nightly backups), and a
+validator for the per-file event grammar.
 """
 
 from repro.trace.records import (
@@ -25,8 +25,7 @@ from repro.trace.records import (
     WriteRunRecord,
     AccessMode,
 )
-from repro.trace.reader import TraceReader, read_trace
-from repro.trace.writer import TraceWriter, write_trace
+from repro.trace.files import read_trace, write_trace
 from repro.trace.filters import drop_self_traffic
 from repro.trace.validate import validate_stream
 from repro.trace.tools import TraceSummary, split_by_duration, summarize
@@ -45,8 +44,6 @@ __all__ = [
     "SharedReadRecord",
     "SharedWriteRecord",
     "DirectoryReadRecord",
-    "TraceReader",
-    "TraceWriter",
     "read_trace",
     "write_trace",
     "drop_self_traffic",

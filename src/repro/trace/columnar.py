@@ -9,11 +9,12 @@ per record kind, plus a global time-sorted order index -- so that:
 * generation appends plain value rows (no dataclass construction),
 * sorting is an ``argsort`` over one float array instead of an object
   sort,
-* replay never materializes a
-  :class:`~repro.trace.records.TraceRecord`: it reads aligned field
-  lists gathered chunk-at-a-time (:meth:`ColumnarTrace.iter_columns`),
-  while validation and the analyses read one whole-trace record list
-  (:meth:`ColumnarTrace.materialize`, a trace's ``records`` view), and
+* replay and validation never build a
+  :class:`~repro.trace.records.TraceRecord`: they read gathered field
+  columns (:meth:`ColumnarTrace.gather`; the replay chunk by chunk
+  through :meth:`ColumnarTrace.iter_columns`), and only the analyses
+  read a whole-trace record list (:meth:`ColumnarTrace.materialize`,
+  built the first time a trace's ``records`` view is read), and
 * shard math (remapping a group's ids into a disjoint global id space,
   merging group streams into one time-ordered stream) is vectorized
   array arithmetic.
@@ -221,15 +222,6 @@ class ColumnarTraceBuilder:
     def __len__(self) -> int:
         return self._count
 
-    def emission_order_records(self) -> list[TraceRecord]:
-        """All rows as records, in emission order (the classic
-        ``emitter.records`` view; unfiltered, unsorted)."""
-        out: list[TraceRecord] = [None] * self._count  # type: ignore[list-item]
-        for index, cls in enumerate(RECORD_CLASSES):
-            for seq, row in zip(self._seqs[index], self._rows[index]):
-                out[seq] = cls(*row)
-        return out
-
     def seal(self, duration: float | None = None) -> "ColumnarTrace":
         """Freeze rows into columns, drop records outside
         ``[0, duration)`` when given, and time-sort (stable, emission
@@ -286,9 +278,6 @@ class ColumnarTrace:
     the same order, the same times.
     """
 
-    #: Default materialization chunk (records); ~64k records of mixed
-    #: kinds is a few MB of transient objects.
-    DEFAULT_CHUNK = 65536
     #: Column gather chunk (records) for :meth:`iter_columns`: nine
     #: Python lists of a few thousand values each.  Larger chunks buy
     #: no speed and raise the replay's peak RSS.
@@ -327,28 +316,6 @@ class ColumnarTrace:
 
     # --- materialization ---------------------------------------------------
 
-    def _materialize_slice(self, lo: int, hi: int) -> list[TraceRecord]:
-        kind_slice = self.kind_idx[lo:hi]
-        row_slice = self.row_idx[lo:hi]
-        out: list[TraceRecord] = [None] * (hi - lo)  # type: ignore[list-item]
-        for index in np.unique(kind_slice).tolist():
-            positions = np.nonzero(kind_slice == index)[0]
-            rows = row_slice[positions]
-            table = self.tables[index]
-            cols = [column[rows].tolist() for column in table.columns]
-            _FILLERS[index](out, positions.tolist(), cols)
-        return out
-
-    def iter_chunks(
-        self, chunk_size: int = DEFAULT_CHUNK
-    ) -> Iterator[list[TraceRecord]]:
-        """Materialize the stream as bounded record lists, in time order."""
-        if chunk_size <= 0:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        total = len(self)
-        for lo in range(0, total, chunk_size):
-            yield self._materialize_slice(lo, min(lo + chunk_size, total))
-
     def iter_columns(
         self, chunk_size: int = COLUMN_CHUNK
     ) -> Iterator[tuple[list, ...]]:
@@ -365,30 +332,37 @@ class ColumnarTrace:
         total = len(self)
         for lo in range(0, total, chunk_size):
             hi = min(lo + chunk_size, total)
-            kind_slice = self.kind_idx[lo:hi]
-            row_slice = self.row_idx[lo:hi]
-            gathered = [
-                np.zeros(hi - lo, dtype=dtype) for _, dtype in COLUMN_FIELDS
-            ]
-            for index in np.unique(kind_slice).tolist():
-                positions = np.nonzero(kind_slice == index)[0]
-                rows = row_slice[positions]
-                columns = self.tables[index].columns
-                for slot, source in _COLUMN_SOURCES[index]:
-                    gathered[slot][positions] = columns[source][rows]
             yield (
-                kind_slice.tolist(),
+                self.kind_idx[lo:hi].tolist(),
                 self.times[lo:hi].tolist(),
-                *(values.tolist() for values in gathered),
+                *(values.tolist() for values in self.gather(lo, hi)),
             )
+
+    def gather(self, lo: int, hi: int) -> list[np.ndarray]:
+        """One array per :data:`COLUMN_FIELDS` entry for positions
+        ``[lo, hi)``, in stream order; a field the kind lacks reads 0."""
+        kind_slice = self.kind_idx[lo:hi]
+        row_slice = self.row_idx[lo:hi]
+        gathered = [np.zeros(hi - lo, dtype=dtype) for _, dtype in COLUMN_FIELDS]
+        for index in np.unique(kind_slice).tolist():
+            positions = np.nonzero(kind_slice == index)[0]
+            rows = row_slice[positions]
+            columns = self.tables[index].columns
+            for slot, source in _COLUMN_SOURCES[index]:
+                gathered[slot][positions] = columns[source][rows]
+        return gathered
 
     def materialize(self) -> list[TraceRecord]:
         """The whole trace as a record list (the classic representation),
         built with the cyclic GC paused."""
-        if len(self) == 0:
-            return []
+        out: list[TraceRecord] = [None] * len(self)  # type: ignore[list-item]
         with gc_paused():
-            return self._materialize_slice(0, len(self))
+            for index in np.unique(self.kind_idx).tolist():
+                positions = np.nonzero(self.kind_idx == index)[0]
+                rows = self.row_idx[positions]
+                cols = [column[rows].tolist() for column in self.tables[index].columns]
+                _FILLERS[index](out, positions.tolist(), cols)
+        return out
 
     # --- shard math --------------------------------------------------------
 

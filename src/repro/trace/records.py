@@ -69,17 +69,27 @@ class TraceRecord:
 
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "TraceRecord":
-        """Deserialize a dict produced by :meth:`to_dict`."""
+        """Deserialize a dict produced by :meth:`to_dict`; anything else
+        raises :class:`TraceError`."""
+        if not isinstance(data, dict):
+            raise TraceError(
+                f"trace record must be a JSON object, got {type(data).__name__}"
+            )
         try:
             kind = data["kind"]
         except KeyError:
             raise TraceError(f"trace record missing 'kind': {data!r}") from None
-        cls = TraceRecord._registry.get(kind)
+        cls = TraceRecord._registry.get(kind) if isinstance(kind, str) else None
         if cls is None:
             raise TraceError(f"unknown trace record kind {kind!r}")
         kwargs = {k: v for k, v in data.items() if k != "kind"}
         if "mode" in kwargs and isinstance(kwargs["mode"], str):
-            kwargs["mode"] = AccessMode(kwargs["mode"])
+            try:
+                kwargs["mode"] = AccessMode(kwargs["mode"])
+            except ValueError:
+                raise TraceError(
+                    f"unknown access mode {kwargs['mode']!r} in {kind!r} record"
+                ) from None
         try:
             return cls(**kwargs)
         except TypeError as exc:

@@ -181,9 +181,7 @@ class RecordEmitter:
     Emission appends plain value rows (dataclass field order) to a
     :class:`~repro.trace.columnar.ColumnarTraceBuilder` -- no record
     objects are constructed on the hot path.  The generator seals the
-    sink into a sorted :class:`~repro.trace.columnar.ColumnarTrace`;
-    :attr:`records` materializes the classic emission-ordered list on
-    demand (tests and small callers).
+    sink into a sorted :class:`~repro.trace.columnar.ColumnarTrace`.
     """
 
     def __init__(self, filespace: FileSpace) -> None:
@@ -191,12 +189,6 @@ class RecordEmitter:
         self.sink = ColumnarTraceBuilder()
         self._open_ids = IdAllocator(start=1)
         self._open_episodes: dict[int, OpenEpisode] = {}
-
-    @property
-    def records(self) -> list[TraceRecord]:
-        """The emitted records in emission order (materialized fresh on
-        every access -- cheap for tests, not for whole-day traces)."""
-        return self.sink.emission_order_records()
 
     def _emit_row(self, cls: type[TraceRecord], row: tuple) -> None:
         self.sink.append(cls, row)

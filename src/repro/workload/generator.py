@@ -49,14 +49,15 @@ class SyntheticTrace:
     """One generated 24-hour trace plus its provenance.
 
     The stream is stored once, as ``columnar``
-    (:class:`~repro.trace.columnar.ColumnarTrace`): every cluster
-    replay reads it, and equality compares its column arrays.
-    ``records`` is a read-only view of the same stream as the classic
-    record list the analyses consume, built by
-    :meth:`~repro.trace.columnar.ColumnarTrace.materialize` at most once
-    per trace object.  The view is derived state: it is left out of
-    equality and of pickling, so a decoded or unpickled trace rebuilds
-    it only when it is read.
+    (:class:`~repro.trace.columnar.ColumnarTrace`): generation validates
+    it, every cluster replay reads it, and equality compares its column
+    arrays.  ``records`` is a read-only view of the same stream as the
+    classic record list the Section 4 analyses consume, built by
+    :meth:`~repro.trace.columnar.ColumnarTrace.materialize` the first
+    time it is read, and at most once per trace object.  The view is
+    derived state: it is left out of equality and of pickling, so a
+    generated, decoded or unpickled trace builds it only when it is
+    read.
     """
 
     profile: TraceProfile
@@ -276,8 +277,8 @@ class TraceGenerator:
         """Play out the full day and return the sorted, validated trace.
 
         ``scale`` is provenance only (the population is already scaled
-        into the profile).  The record list built for validation is
-        kept as the trace's ``records`` view.
+        into the profile).  Validation reads the columns; no record is
+        built until something reads the trace's ``records`` view.
         """
         for user in self.users:
             user_rng = self.rng.fork(f"sessions-{user.user_id}")
@@ -299,19 +300,14 @@ class TraceGenerator:
         # time (stable, emission order breaking ties) -- the vectorized
         # equivalent of the classic filter + list.sort.
         columnar = self.emitter.sink.seal(duration=self.profile.duration)
-        # Validate the list built once with the GC paused, then keep it
-        # as the view rather than building it again on first read.
-        records = columnar.materialize()
-        trace = SyntheticTrace(
+        return SyntheticTrace(
             profile=self.profile,
             seed=self.seed,
             scale=scale,
             users=self.users,
-            validation=validate_stream(records, allow_open_at_end=True),
+            validation=validate_stream(columnar, allow_open_at_end=True),
             columnar=columnar,
         )
-        vars(trace)["records"] = records
-        return trace
 
 
 def _log_mean_minutes(mean: float) -> float:

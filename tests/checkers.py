@@ -13,7 +13,9 @@ check what the package writes:
   oracles' ledgers can be compared;
 * :func:`dirty_blocks_accounted` -- every dirty block's eventual fate,
   which equals ``blocks_dirtied`` in a consistent run;
-* :func:`all_snapshots` -- a replay's counter snapshots as one list.
+* :func:`all_snapshots` -- a replay's counter snapshots as one list;
+* :func:`emitted_records` -- what a record emitter has appended to its
+  columnar sink, as records in emission order.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from repro.obs.sampler import (
     CounterTimeseries,
     MachineSeries,
 )
+from repro.trace.columnar import RECORD_CLASSES, ColumnarTraceBuilder
+from repro.trace.records import TraceRecord
 
 #: Instantaneous gauges (re-written at every snapshot) rather than
 #: cumulative counters: for these the end-of-run value is the *last*
@@ -184,4 +188,15 @@ def all_snapshots(result: ClusterResult) -> list[CounterSnapshot]:
     """Every client's snapshots, ordered by client then time."""
     out = [snap for per_client in result.snapshots.values() for snap in per_client]
     out.sort(key=lambda snap: (snap.client_id, snap.time))
+    return out
+
+
+def emitted_records(sink: ColumnarTraceBuilder) -> list[TraceRecord]:
+    """The rows appended to ``sink`` (a record emitter's ``sink``) as
+    records, in emission order: unfiltered and unsorted, since the sink
+    is not sealed."""
+    out: list[TraceRecord] = [None] * len(sink)  # type: ignore[list-item]
+    for cls, seqs, rows in zip(RECORD_CLASSES, sink._seqs, sink._rows):
+        for seq, row in zip(seqs, rows):
+            out[seq] = cls(*row)
     return out

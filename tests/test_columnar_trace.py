@@ -3,7 +3,7 @@
 The load-bearing property is byte-identity with the classic record-list
 path: materializing the columnar form must reproduce exactly the
 records (values *and* types) the old emit-sort-filter pipeline built,
-and streaming consumption must never hold a whole trace in memory.
+and the replay's column stream must never hold a whole trace in memory.
 """
 
 import gc
@@ -16,7 +16,15 @@ import pytest
 
 from repro.common.errors import TraceOrderError
 from repro.pipeline.codec import decode_artifact, encode_artifact
-from repro.pipeline.scaleout import GroupTraceTask
+from repro.fs.cluster import run_cluster_on_trace
+from repro.fs.config import ClusterConfig
+from repro.pipeline.scaleout import (
+    GroupTraceTask,
+    ScaleOutPlan,
+    build_group_traces,
+    run_partitioned_replay,
+)
+from repro.trace import columnar as columnar_module
 from repro.trace.columnar import (
     COLUMN_FIELDS,
     MODE_CODES,
@@ -33,6 +41,8 @@ from repro.trace.records import (
 )
 from repro.workload import generate_trace
 from repro.workload.profiles import STANDARD_PROFILES
+
+from checkers import emitted_records
 
 
 @pytest.fixture(scope="module")
@@ -65,25 +75,6 @@ class TestRoundTrip:
         payload = small_trace.columnar.to_payload()
         back = ColumnarTrace.from_payload(payload)
         assert back.materialize() == small_trace.records
-
-    def test_iter_chunks_matches_materialize(self, small_trace):
-        streamed = []
-        for chunk in small_trace.columnar.iter_chunks(chunk_size=777):
-            assert len(chunk) <= 777
-            streamed.extend(chunk)
-        assert streamed == small_trace.records
-
-    def test_iter_chunks_are_full_until_the_last(self, small_trace):
-        sizes = [
-            len(chunk) for chunk in small_trace.columnar.iter_chunks(1024)
-        ]
-        assert sum(sizes) == len(small_trace.records)
-        assert set(sizes[:-1]) == {1024}
-        assert 0 < sizes[-1] <= 1024
-
-    def test_bad_chunk_size_rejected(self, small_trace):
-        with pytest.raises(ValueError):
-            next(small_trace.columnar.iter_chunks(0))
 
 
 def _expected_columns(record) -> tuple:
@@ -179,7 +170,7 @@ class TestBuilderSeal:
             OpenRecord,
             (1.0, 0, 2, 8, 1, 0, 0, AccessMode.WRITE, 0, False),
         )
-        kinds = [type(r) for r in builder.emission_order_records()]
+        kinds = [type(r) for r in emitted_records(builder)]
         assert kinds == [CloseRecord, OpenRecord]
 
 
@@ -270,17 +261,23 @@ class TestGcPause:
     @pytest.mark.parametrize("enabled", [True, False])
     def test_restores_caller_state(self, small_trace, monkeypatch, enabled):
         seen = []
-        original = ColumnarTrace._materialize_slice
 
-        def spy(self, lo, hi):
-            seen.append(gc.isenabled())
-            return original(self, lo, hi)
+        def spied(filler):
+            def spy(out, positions, cols):
+                seen.append(gc.isenabled())
+                return filler(out, positions, cols)
+            return spy
 
-        monkeypatch.setattr(ColumnarTrace, "_materialize_slice", spy)
+        expected = small_trace.records
+        monkeypatch.setattr(
+            columnar_module, "_FILLERS",
+            tuple(spied(filler) for filler in columnar_module._FILLERS),
+        )
         with _gc_state(enabled):
-            assert small_trace.columnar.materialize() == small_trace.records
+            assert small_trace.columnar.materialize() == expected
             assert gc.isenabled() is enabled
-        assert seen == [False]
+        # One filler call per kind present, every one with the GC off.
+        assert seen == [False] * len(np.unique(small_trace.columnar.kind_idx))
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_restores_caller_state_when_a_filler_raises(
@@ -299,9 +296,10 @@ class TestGcPause:
 
 
 class TestStreamingMemory:
-    def test_iter_chunks_peak_is_bounded(self, small_trace):
-        """Streaming a trace must allocate far less than materializing
-        it: the chunked iterator's peak is one chunk, not a day."""
+    def test_iter_columns_peak_is_bounded(self, small_trace):
+        """Streaming a trace's columns must allocate far less than
+        materializing it: the replay's peak is one column chunk, not a
+        day of records."""
         columnar = small_trace.columnar
         count = len(columnar)
         assert count > 5_000  # the comparison below needs a real trace
@@ -312,16 +310,15 @@ class TestStreamingMemory:
         tracemalloc.stop()
         del full
 
-        chunk = 1024
         tracemalloc.start()
         seen = 0
-        for records in columnar.iter_chunks(chunk):
-            seen += len(records)
+        for chunk in columnar.iter_columns(1024):
+            seen += len(chunk[0])
         _, stream_peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
 
         assert seen == count
-        # One ~1k-record chunk vs tens of thousands of records: even
+        # One ~1k-position chunk vs tens of thousands of records: even
         # with iterator overhead the streaming peak must stay well
         # under half of the materialized allocation.
         assert stream_peak < full_peak / 2
@@ -346,11 +343,8 @@ class TestStreamingMemory:
             STANDARD_PROFILES[0], seed=3, scale=0.02, client_count=4,
             group=1, groups=4, client_base=8,
         ).run()
-        # Generation built one list per trace, for validation, as the
-        # view of the generated (group-local) trace -- nothing else.
-        assert len(built) == 2
-        assert all(columns is not remapped.columnar for columns in built)
-        built.clear()
+        # Generation, the codec and the remap build no record.
+        assert built == []
         for trace in (decoded, remapped):
             assert trace.record_count == len(trace.columnar) > 0
             assert built == []
@@ -373,3 +367,30 @@ def test_record_classes_cover_every_registered_kind():
     from repro.trace.records import TraceRecord
 
     assert set(RECORD_CLASSES) == set(TraceRecord._registry.values())
+
+
+def test_generation_and_replay_build_no_record(monkeypatch):
+    """Records exist only where a reader asks for them: generating a
+    trace, building a scale-out population, replaying it in shards and
+    replaying one trace never materialize a record."""
+
+    def refuse(self):
+        raise AssertionError("materialize() called")
+
+    monkeypatch.setattr(ColumnarTrace, "materialize", refuse)
+    trace = generate_trace(
+        STANDARD_PROFILES[0], seed=3, scale=0.02, client_count=4
+    )
+    assert trace.validation.records == trace.record_count > 0
+    plan = ScaleOutPlan(
+        profile=STANDARD_PROFILES[0], seed=3, scale=0.1, groups=2
+    )
+    traces = build_group_traces(plan)
+    merged = run_partitioned_replay(plan, traces, shards=2)
+    assert merged.records_replayed == sum(t.record_count for t in traces) > 0
+    single = run_cluster_on_trace(
+        trace.columnar, trace.duration, ClusterConfig(client_count=4), seed=3
+    )
+    assert single.records_replayed == trace.record_count
+    with pytest.raises(AssertionError, match="materialize"):
+        trace.records

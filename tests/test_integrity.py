@@ -293,6 +293,40 @@ def test_cli_rejects_negative_integrity_flags(capsys):
     assert "--scrub-interval must be >= 0" in capsys.readouterr().err
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_non_finite_knobs_are_rejected(value):
+    """NaN passes every ``< 0`` test, so each range check also asks for
+    a finite value."""
+    from repro.experiments import ExperimentContext
+    from repro.pipeline.scaleout import ScaleOutPlan
+    from repro.workload.profiles import STANDARD_PROFILES
+
+    for knob in ("scale", "disk_corruption_rate", "scrub_interval"):
+        with pytest.raises(ConfigError, match=f"{knob} must be .*finite"):
+            ExperimentContext(**{knob: value})
+    for knob in ("scrub_interval", "heartbeat_interval", "writeback_delay"):
+        with pytest.raises(ConfigError, match=f"{knob} must be finite"):
+            ClusterConfig(**{knob: value})
+    for knob in ("server_crash_rate", "disk_corruption_rate", "rpc_timeout"):
+        with pytest.raises(ConfigError, match=f"{knob} must be finite"):
+            FaultConfig(**{knob: value})
+    with pytest.raises(ConfigError, match="scale must be positive and finite"):
+        ScaleOutPlan(profile=STANDARD_PROFILES[0], scale=value)
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+def test_cli_turns_a_bad_context_into_a_usage_error(capsys, scale):
+    from repro.experiments.cli import main
+
+    with pytest.raises(SystemExit) as exited:
+        main(["table1", "--scale", scale, "--no-cache"])
+    assert exited.value.code == 2
+    assert "scale must be positive and finite" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------------------
 # replication pending log: deletes must be dropped, not replayed
 # --------------------------------------------------------------------------

@@ -264,6 +264,8 @@ class TestCli:
             main(["table4", "--obs-trace-out", "x.json"])
         with pytest.raises(SystemExit):
             main(["table4", "--obs-sample-interval", "30"])
-        with pytest.raises(SystemExit):
-            main(["table4", "--obs", "--obs-sample-interval", "0"])
-        capsys.readouterr()
+        for interval in ("0", "nan", "inf"):
+            with pytest.raises(SystemExit) as exited:
+                main(["table4", "--obs", "--obs-sample-interval", interval])
+            assert exited.value.code == 2
+            assert "must be finite and > 0" in capsys.readouterr().err

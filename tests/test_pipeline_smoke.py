@@ -129,13 +129,16 @@ def _remapped(trace):
 @pytest.mark.parametrize("view_built", [True, False])
 def test_trace_codec_round_trip(view_built):
     """Traces store as columns (tag ``C``), whether or not the encoded
-    trace has built its records view; the decoded trace has not.
-    Equality compares the column arrays: a trace equals its round trip
-    and a regenerated twin, but not its remapped copy, whose records
-    carry other ids.  The decoded view is the generated record list,
-    field types exact."""
+    trace has built its records view; neither a generated nor a decoded
+    trace has.  Equality compares the column arrays: a trace equals its
+    round trip and a regenerated twin, but not its remapped copy, whose
+    records carry other ids.  The decoded view is the generated record
+    list, field types exact."""
     trace = _small_trace()
-    source = trace if view_built else decode_artifact(encode_artifact(trace))
+    assert "records" not in vars(trace)
+    source = _small_trace()
+    if view_built:
+        assert source.records
     assert ("records" in vars(source)) is view_built
     payload = encode_artifact(source)
     assert payload[:1] == b"C"
@@ -157,9 +160,10 @@ def test_trace_codec_round_trip(view_built):
 
 def test_records_view_is_not_pickled():
     """The view is derived state: reading it does not grow a pickled
-    trace, and a generated trace (whose view generation built) pickles
-    to the same bytes as a decoded one (whose view is unbuilt)."""
+    trace, and a generated trace whose view is built pickles to the
+    same bytes as a decoded one whose view is not."""
     trace = _small_trace()
+    assert trace.records
     for candidate in (decode_artifact(encode_artifact(trace)), _remapped(trace)):
         before = pickle.dumps(candidate)
         assert candidate.records

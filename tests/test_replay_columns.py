@@ -332,7 +332,7 @@ def _run(cls, name, records, duration, schedule=None, seed=SEED) -> dict:
 def assert_loops_agree(records, duration, schedule=None, seed=SEED) -> dict:
     """Replay ``records`` through both loops in every config; returns
     the production fingerprints by config name."""
-    validate_stream(records, allow_open_at_end=True)
+    validate_stream(ColumnarTrace.from_records(records), allow_open_at_end=True)
     out = {}
     for name in CONFIGS:
         reference = _run(
@@ -676,7 +676,7 @@ def test_property_ticks_match_the_heap_reference(stream, seed):
     same order, and leave every counter and snapshot equal to a cluster
     on the heap-only engine whose ticker calls every subscriber."""
     records, duration, schedule = stream
-    validate_stream(records, allow_open_at_end=True)
+    validate_stream(ColumnarTrace.from_records(records), allow_open_at_end=True)
     for name in TICK_CONFIGS:
         reference = _run_on_engine(
             True, name, records, duration, schedule, seed

@@ -1,5 +1,10 @@
-"""Tests for trace writer/reader, merge, filters, and validation."""
+"""Tests for trace files, merge, filters, and validation."""
 
+import gzip
+import re
+from dataclasses import replace
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,8 +14,6 @@ from repro.trace import (
     CloseRecord,
     OpenRecord,
     ReadRunRecord,
-    TraceReader,
-    TraceWriter,
     drop_self_traffic,
     read_trace,
     validate_stream,
@@ -18,7 +21,11 @@ from repro.trace import (
 )
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.filters import BACKUP_USER_ID, TRACER_USER_ID
-from repro.trace.records import DeleteRecord
+from repro.trace.records import DeleteRecord, RepositionRecord, WriteRunRecord
+from repro.trace.validate import ValidationReport
+
+import reference_trace
+from test_replay_columns import record_streams
 
 
 def make_episode(open_id=1, file_id=7, t0=0.0, user_id=1):
@@ -43,31 +50,33 @@ class TestWriterReader:
         path = tmp_path / "trace.jsonl.gz"
         records = make_episode()
         write_trace(path, records)
+        with gzip.open(path, "rt", encoding="utf-8") as handle:
+            assert len(handle.readlines()) == 3
         assert list(read_trace(path)) == records
-
-    def test_writer_requires_open(self, tmp_path):
-        writer = TraceWriter(tmp_path / "x.jsonl")
-        with pytest.raises(TraceError):
-            writer.write(make_episode()[0])
-
-    def test_writer_double_open_raises(self, tmp_path):
-        writer = TraceWriter(tmp_path / "x.jsonl")
-        with writer:
-            with pytest.raises(TraceError):
-                writer.open()
-
-    def test_reader_requires_open(self, tmp_path):
-        path = tmp_path / "x.jsonl"
-        write_trace(path, make_episode())
-        reader = TraceReader(path)
-        with pytest.raises(TraceError):
-            list(reader)
 
     def test_reader_rejects_bad_json(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("{not json}\n")
-        with pytest.raises(TraceError, match="invalid JSON"):
+        with pytest.raises(TraceError, match=r"bad\.jsonl:1: invalid JSON"):
             list(read_trace(path))
+
+    @pytest.mark.parametrize("line,rule", [
+        ('{"kind": "open", "time": 0.0, "server_id": 0, "mode": "rw"}',
+         "unknown access mode 'rw'"),
+        ("[1, 2]", "must be a JSON object, got list"),
+        ('{"kind": ["open"], "time": 0.0, "server_id": 0}',
+         "unknown trace record kind"),
+    ])
+    def test_reader_names_the_line_of_a_malformed_record(
+        self, tmp_path, line, rule
+    ):
+        path = tmp_path / "bad.jsonl"
+        write_trace(path, make_episode())
+        path.write_text(path.read_text() + line + "\n")
+        stream = read_trace(path)
+        assert len([next(stream) for _ in range(3)]) == 3
+        with pytest.raises(TraceError, match=rf"bad\.jsonl:4: .*{re.escape(rule)}"):
+            next(stream)
 
     def test_reader_skips_blank_lines(self, tmp_path):
         path = tmp_path / "blank.jsonl"
@@ -76,48 +85,15 @@ class TestWriterReader:
         assert len(list(read_trace(path))) == 3
 
     def test_records_written_counter(self, tmp_path):
-        with TraceWriter(tmp_path / "x.jsonl") as writer:
-            writer.write_all(make_episode())
-            assert writer.records_written == 3
+        path = tmp_path / "x.jsonl"
+        assert write_trace(path, iter(make_episode())) == 3
+        assert write_trace(path, []) == 0
+        assert path.read_text() == ""
 
-
-class TestRecordStream:
-    """``read_trace`` returns a stream whose progress is observable --
-    the count streaming replays report while a trace drains."""
-
-    def test_records_read_is_live(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        write_trace(path, make_episode())
-        stream = read_trace(path)
-        assert stream.records_read == 0
-        next(stream)
-        assert stream.records_read == 1
-        next(stream)
-        assert stream.records_read == 2
-        assert len(list(stream)) == 1
-        assert stream.records_read == 3
-
-    def test_exhaustion_closes_and_count_persists(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        write_trace(path, make_episode())
-        stream = read_trace(path)
-        assert list(stream) == make_episode()
-        assert stream.records_read == 3
-        stream.close()  # idempotent after auto-close at exhaustion
-
-    def test_context_manager_closes_early(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        write_trace(path, make_episode())
-        with read_trace(path) as stream:
+    def test_reader_opens_the_file_only_when_iterated(self, tmp_path):
+        stream = read_trace(tmp_path / "missing.jsonl")
+        with pytest.raises(FileNotFoundError):
             next(stream)
-            assert stream.records_read == 1
-        assert stream.records_read == 1  # count survives the close
-
-    def test_path_property(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        write_trace(path, make_episode())
-        with read_trace(path) as stream:
-            assert stream.path == str(path)
 
 
 def merge_columnar(streams):
@@ -195,41 +171,56 @@ class TestFilters:
         assert list(drop_self_traffic(records)) == []
 
 
+def columns(records):
+    return ColumnarTrace.from_records(records)
+
+
+def swapped(trace, i):
+    """``trace`` with stream positions ``i`` and ``i + 1`` exchanged,
+    built in the columns (``from_records`` refuses a backwards stream)."""
+    order = np.arange(len(trace))
+    order[[i, i + 1]] = order[[i + 1, i]]
+    return ColumnarTrace(
+        trace.tables, trace.kind_idx[order], trace.row_idx[order],
+        trace.times[order],
+    )
+
+
 class TestValidate:
     def test_valid_stream(self):
-        report = validate_stream(make_episode())
+        report = validate_stream(columns(make_episode()))
         assert report.balanced
         assert report.opens == 1
         assert report.closes == 1
 
     def test_unsorted_raises(self):
         records = [
-            OpenRecord(time=5.0, server_id=0, open_id=1, file_id=1),
-            OpenRecord(time=1.0, server_id=0, open_id=2, file_id=1),
+            OpenRecord(time=1.0, server_id=0, open_id=1, file_id=1),
+            OpenRecord(time=5.0, server_id=0, open_id=2, file_id=1),
         ]
-        with pytest.raises(TraceOrderError):
-            validate_stream(records)
+        with pytest.raises(TraceOrderError, match="record 1 .* earlier"):
+            validate_stream(swapped(columns(records), 0))
 
     def test_double_open_raises(self):
         records = [
             OpenRecord(time=0.0, server_id=0, open_id=1, file_id=1),
             OpenRecord(time=1.0, server_id=0, open_id=1, file_id=1),
         ]
-        with pytest.raises(TraceError, match="opened twice"):
-            validate_stream(records)
+        with pytest.raises(TraceError, match="record 1: .*opened twice"):
+            validate_stream(columns(records))
 
     def test_close_of_unknown_open_raises(self):
         records = [CloseRecord(time=1.0, server_id=0, open_id=9, file_id=1)]
-        with pytest.raises(TraceError, match="unknown open_id"):
-            validate_stream(records)
+        with pytest.raises(TraceError, match="record 0: .*unknown open_id"):
+            validate_stream(columns(records))
 
     def test_close_with_wrong_file_raises(self):
         records = [
             OpenRecord(time=0.0, server_id=0, open_id=1, file_id=1),
             CloseRecord(time=1.0, server_id=0, open_id=1, file_id=2),
         ]
-        with pytest.raises(TraceError, match="names file"):
-            validate_stream(records)
+        with pytest.raises(TraceError, match="record 1: .*names file"):
+            validate_stream(columns(records))
 
     def test_run_outside_episode_raises(self):
         records = [
@@ -237,7 +228,7 @@ class TestValidate:
                           offset=0, length=10),
         ]
         with pytest.raises(TraceError, match="unopened"):
-            validate_stream(records)
+            validate_stream(columns(records))
 
     def test_negative_length_raises(self):
         records = [
@@ -246,23 +237,148 @@ class TestValidate:
                           offset=0, length=-5),
         ]
         with pytest.raises(TraceError, match="negative"):
-            validate_stream(records)
+            validate_stream(columns(records))
 
     def test_unclosed_episodes_reported(self):
         records = [OpenRecord(time=0.0, server_id=0, open_id=1, file_id=1)]
-        report = validate_stream(records, allow_open_at_end=True)
+        report = validate_stream(columns(records), allow_open_at_end=True)
         assert report.unclosed_open_ids == [1]
         assert not report.balanced
 
     def test_unclosed_episodes_strict(self):
         records = [OpenRecord(time=0.0, server_id=0, open_id=1, file_id=1)]
         with pytest.raises(TraceError, match="never closed"):
-            validate_stream(records, allow_open_at_end=False)
+            validate_stream(columns(records), allow_open_at_end=False)
 
     def test_non_episode_records_pass_through(self):
         records = [
             DeleteRecord(time=0.0, server_id=0, file_id=1, user_id=1,
                          client_id=0, size=10),
         ]
-        report = validate_stream(records)
+        report = validate_stream(columns(records))
         assert report.records == 1
+
+    def test_time_order_is_checked_before_the_grammar(self):
+        """A record that breaks both rules fails on time order."""
+        trace = swapped(columns(make_episode()), 1)
+        with pytest.raises(TraceOrderError, match="record 2 "):
+            validate_stream(trace)
+
+    def test_empty_trace(self):
+        assert validate_stream(columns([])) == ValidationReport()
+
+    def test_reopen_after_close_is_legal(self):
+        records = make_episode() + make_episode(file_id=8, t0=2.0)
+        report = validate_stream(columns(records), allow_open_at_end=False)
+        assert (report.opens, report.closes) == (2, 2)
+
+
+# --------------------------------------------------------------------------
+# the column validator against the record loop it replaced
+# --------------------------------------------------------------------------
+
+#: Each rule's wording, shared by both validators.
+RULES = (
+    "earlier than", "opened twice", "unknown open_id", "unopened",
+    "names file", "negative", "never closed",
+)
+MUTATIONS = (
+    "none", "swap", "drop_open", "duplicate_open", "unknown_close",
+    "double_close", "reopen", "run_file", "close_file", "negative_offset",
+    "negative_length",
+)
+
+
+def _rule(message):
+    (rule,) = [rule for rule in RULES if rule in message]
+    return rule
+
+
+def column_outcome(trace, allow_open_at_end):
+    """The report, or ``(class, rule, failing position)``; a rule
+    checked at end of stream has no position."""
+    try:
+        return validate_stream(trace, allow_open_at_end)
+    except TraceError as exc:
+        match = re.match(r"record (\d+)", str(exc))
+        position = int(match.group(1)) if match else None
+        return type(exc), _rule(str(exc)), position
+
+
+def reference_outcome(records, allow_open_at_end):
+    seen = 0
+
+    def counted():
+        nonlocal seen
+        for record in records:
+            seen += 1
+            yield record
+
+    try:
+        return reference_trace.validate_stream(counted(), allow_open_at_end)
+    except TraceError as exc:
+        rule = _rule(str(exc))
+        position = None if rule == "never closed" else seen - 1
+        return type(exc), rule, position
+
+
+@st.composite
+def mutated_streams(draw):
+    """A valid ``record_streams`` stream, or one broken by a single
+    mutation, as a columnar trace."""
+    records = list(draw(record_streams())[0])
+    mutation = draw(st.sampled_from(MUTATIONS))
+
+    def pick(*classes):
+        found = [i for i, r in enumerate(records) if type(r) in classes]
+        return draw(st.sampled_from(found)) if found else None
+
+    if mutation == "swap" and len(records) > 1:
+        i = draw(st.integers(0, len(records) - 2))
+        return swapped(columns(records), i)
+    if mutation == "drop_open" and (i := pick(OpenRecord)) is not None:
+        del records[i]
+    elif mutation == "duplicate_open" and (i := pick(OpenRecord)) is not None:
+        records.insert(i + 1, records[i])
+    elif mutation in ("double_close", "reopen") and (
+        i := pick(CloseRecord)
+    ) is not None:
+        # A second close is illegal; opening the closed id again is not.
+        (opened,) = [
+            r for r in records[:i]
+            if type(r) is OpenRecord and r.open_id == records[i].open_id
+        ]
+        again = records[i] if mutation == "double_close" else opened
+        records.insert(i + 1, replace(again, time=records[i].time))
+    elif mutation == "unknown_close":
+        i = draw(st.integers(0, len(records) - 1))
+        records.insert(i + 1, CloseRecord(
+            records[i].time, 0, open_id=10_000, file_id=records[i].file_id,
+        ))
+    elif mutation in ("run_file", "close_file"):
+        classes = (
+            (CloseRecord,) if mutation == "close_file"
+            else (ReadRunRecord, WriteRunRecord, RepositionRecord)
+        )
+        if (i := pick(*classes)) is not None:
+            records[i] = replace(records[i], file_id=records[i].file_id + 100)
+    elif mutation.startswith("negative") and (
+        i := pick(ReadRunRecord, WriteRunRecord)
+    ) is not None:
+        name = mutation.partition("_")[2]
+        records[i] = replace(records[i], **{name: -draw(st.integers(1, 9))})
+    return columns(records)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_streams(), st.booleans())
+def test_property_columns_match_the_record_loop(trace, allow_open_at_end):
+    expected = reference_outcome(trace.materialize(), allow_open_at_end)
+    assert column_outcome(trace, allow_open_at_end) == expected
+
+
+def test_generated_trace_matches_the_record_loop(small_trace):
+    for allow_open_at_end in (True, False):
+        assert column_outcome(small_trace.columnar, allow_open_at_end) == (
+            reference_outcome(small_trace.records, allow_open_at_end)
+        )

@@ -29,6 +29,8 @@ from repro.workload.distributions import FileSizeModel
 from repro.workload.profiles import scaled_profile
 from repro.workload.users import UserGroup, UserProfile
 
+from checkers import emitted_records
+
 
 def make_context(seed=5, migration_hosts=4):
     rng = RngStream.root(seed)
@@ -53,7 +55,7 @@ def make_context(seed=5, migration_hosts=4):
 
 
 def sorted_records(ctx):
-    return sorted(ctx.emitter.records, key=lambda r: r.time)
+    return sorted(emitted_records(ctx.emitter.sink), key=lambda r: r.time)
 
 
 APPS = [
@@ -76,19 +78,19 @@ class TestApplications:
         ctx = make_context()
         end = runner(ctx)
         assert end > 0.0
-        report = validate_stream(sorted_records(ctx))
+        report = validate_stream(ctx.emitter.sink.seal())
         assert report.balanced, f"{name} left unbalanced episodes"
 
     @pytest.mark.parametrize("name,runner", APPS, ids=[a[0] for a in APPS])
     def test_app_advances_time_monotonically(self, name, runner):
         ctx = make_context(seed=11)
         end = runner(ctx)
-        assert all(r.time <= end + 1e-6 for r in ctx.emitter.records)
+        assert all(r.time <= end + 1e-6 for r in emitted_records(ctx.emitter.sink))
 
     def test_compile_migrated_uses_remote_hosts(self):
         ctx = make_context(seed=3)
         run_compile(ctx, 0.0, migrated=True)
-        migrated = [r for r in ctx.emitter.records
+        migrated = [r for r in emitted_records(ctx.emitter.sink)
                     if getattr(r, "migrated", False)]
         assert migrated, "a migrated compile must produce migrated records"
         assert any(r.client_id != 0 for r in migrated)
@@ -96,7 +98,7 @@ class TestApplications:
     def test_compile_local_stays_home(self):
         ctx = make_context(seed=3)
         run_compile(ctx, 0.0, migrated=False)
-        assert all(r.client_id == 0 for r in ctx.emitter.records
+        assert all(r.client_id == 0 for r in emitted_records(ctx.emitter.sink)
                    if hasattr(r, "client_id"))
 
     def test_compile_link_reads_objects_at_home(self):
@@ -104,7 +106,7 @@ class TestApplications:
         run_compile(ctx, 0.0, migrated=True)
         # The link step writes an executable on the home client.
         writes_home = [
-            r for r in ctx.emitter.records
+            r for r in emitted_records(ctx.emitter.sink)
             if r.kind == "write_run" and r.client_id == 0
         ]
         assert writes_home
@@ -112,14 +114,14 @@ class TestApplications:
     def test_simulation_deletes_its_output(self):
         ctx = make_context(seed=6)
         run_simulation(ctx, 0.0, migrated=False)
-        kinds = [r.kind for r in ctx.emitter.records]
+        kinds = [r.kind for r in emitted_records(ctx.emitter.sink)]
         assert "delete" in kinds
 
     def test_simulation_reads_megabytes(self):
         ctx = make_context(seed=6)
         ctx.simulation_intensity = 3.0
         run_simulation(ctx, 0.0, migrated=False)
-        read_bytes = sum(r.length for r in ctx.emitter.records
+        read_bytes = sum(r.length for r in emitted_records(ctx.emitter.sink)
                          if r.kind == "read_run")
         assert read_bytes > 5 * 1024 * 1024
 
@@ -158,9 +160,9 @@ class TestApplications:
         )
         log = ctx.emitter.register_existing_file(0.0, ctx.user_id, 4096)
         run_shared_log(ctx, 0.0, partner, requests=20, log_file=log)
-        kinds = [r.kind for r in ctx.emitter.records]
+        kinds = [r.kind for r in emitted_records(ctx.emitter.sink)]
         assert "shared_write" in kinds
-        opens = [r for r in ctx.emitter.records if r.kind == "open"]
+        opens = [r for r in emitted_records(ctx.emitter.sink) if r.kind == "open"]
         assert len(opens) == 2
         assert {o.client_id for o in opens} == {0, 3}
 

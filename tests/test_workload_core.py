@@ -23,6 +23,8 @@ from repro.workload.emitter import RecordEmitter
 from repro.workload.filespace import FileSpace
 from repro.workload.users import UserGroup, build_user_population
 
+from checkers import emitted_records
+
 
 @pytest.fixture()
 def filespace(rng):
@@ -226,8 +228,7 @@ class TestEmitter:
         )
         episode.write(2.0, 0, 100)
         episode.close(2.5)
-        records = sorted(emitter.records, key=lambda r: r.time)
-        report = validate_stream(records)
+        report = validate_stream(emitter.sink.seal())
         assert report.balanced
 
     def test_write_updates_filespace(self, emitter):
@@ -249,7 +250,7 @@ class TestEmitter:
         episode.read(2.0, 0, 100)
         episode.read(3.0, 500, 100)  # jump -> reposition
         episode.close(3.5)
-        kinds = [r.kind for r in emitter.records]
+        kinds = [r.kind for r in emitted_records(emitter.sink)]
         assert kinds.count("reposition") == 1
 
     def test_contiguous_runs_no_reposition(self, emitter):
@@ -261,7 +262,7 @@ class TestEmitter:
         episode.read(2.0, 0, 500)
         episode.read(3.0, 500, 500)
         episode.close(3.5)
-        assert all(r.kind != "reposition" for r in emitter.records)
+        assert all(r.kind != "reposition" for r in emitted_records(emitter.sink))
 
     def test_close_totals(self, emitter):
         file = emitter.create_file(0.0, UserId(1), ClientId(2))
@@ -271,7 +272,7 @@ class TestEmitter:
         episode.write(2.0, 0, 300)
         episode.read(3.0, 0, 200)
         episode.close(4.0)
-        close = [r for r in emitter.records if r.kind == "close"][0]
+        close = [r for r in emitted_records(emitter.sink) if r.kind == "close"][0]
         assert close.bytes_written == 300
         assert close.bytes_read == 200
         assert close.size_at_close == 300
@@ -284,7 +285,7 @@ class TestEmitter:
         )
         assert file.size == 0
         episode.close(1.5)
-        open_record = [r for r in emitter.records if r.kind == "open"][0]
+        open_record = [r for r in emitted_records(emitter.sink) if r.kind == "open"][0]
         assert open_record.size_at_open == 500  # size before truncation
 
     def test_truncate_readonly_rejected(self, emitter):
@@ -323,7 +324,7 @@ class TestEmitter:
         episode.write(2.0, 0, 100)
         episode.close(2.5)
         emitter.delete_file(10.0, file, UserId(1), ClientId(2))
-        delete = [r for r in emitter.records if r.kind == "delete"][0]
+        delete = [r for r in emitted_records(emitter.sink) if r.kind == "delete"][0]
         assert delete.oldest_byte_time == 2.0
         assert delete.size == 100
 
@@ -334,12 +335,12 @@ class TestEmitter:
         episode.shared_request(2.0, 0, 50, is_write=True)
         episode.shared_request(3.0, 0, 50, is_write=False)
         episode.close(4.0)
-        kinds = [r.kind for r in emitter.records]
+        kinds = [r.kind for r in emitted_records(emitter.sink)]
         assert "shared_write" in kinds and "shared_read" in kinds
 
     def test_directory_read(self, emitter):
         emitter.read_directory(1.0, UserId(1), ClientId(2), 512)
-        assert emitter.records[-1].kind == "dir_read"
+        assert emitted_records(emitter.sink)[-1].kind == "dir_read"
         with pytest.raises(TraceError):
             emitter.read_directory(1.0, UserId(1), ClientId(2), 0)
 
