@@ -33,16 +33,18 @@ def main() -> None:
     profile = STANDARD_PROFILES[0]  # "trace1", 1/24/91
     print(f"Generating {profile.name} (scale 0.1) ...")
     trace = generate_trace(profile, seed=1991, scale=0.1)
-    print(f"  {len(trace.records)} records from {len(trace.users)} users, "
+    print(f"  {len(trace.columnar)} records from {len(trace.users)} users, "
           f"validation balanced={trace.validation.balanced}")
     print()
 
     # 2. Section 4 analyses.
-    stats = compute_table1(trace.name, trace.records, trace.duration)
+    stats = compute_table1(trace.name, trace.columnar, trace.duration)
     print(render_table1([stats]))
     print()
 
-    accesses = list(assemble_accesses(trace.records))
+    # One row per completed open..close episode, built from the columns.
+    accesses = [assemble_accesses(trace.columnar)]
+    print(f"  {len(accesses[0])} completed accesses")
     patterns = compute_access_patterns(accesses)
     print(render_table3(patterns, [patterns]))
     print()

@@ -12,16 +12,16 @@ Each module reproduces one table or figure from the trace data:
 * :mod:`repro.analysis.open_time` -- Figure 3, file open times.
 * :mod:`repro.analysis.lifetime` -- Figure 4, file lifetimes.
 
-All analyses consume plain record streams, so they run identically on
-synthetic traces and on any real trace converted to the record format.
+Tables 1 and 3 and Figures 1-4 read a trace's columns (or the access
+table :func:`~repro.analysis.episodes.assemble_accesses` builds from
+them); Table 2 reads its records.
 """
 
-from repro.analysis.episodes import Access, LogicalRun, assemble_accesses
+from repro.analysis.episodes import AccessTable, assemble_accesses
 from repro.analysis.table1 import TraceStatistics, compute_table1
 from repro.analysis.activity import ActivityResult, compute_activity
 from repro.analysis.access_patterns import (
     AccessPatternResult,
-    classify_access,
     compute_access_patterns,
 )
 from repro.analysis.run_length import RunLengthResult, compute_run_lengths
@@ -37,15 +37,13 @@ from repro.analysis.bsd_comparison import (
 from repro.analysis.export import write_cdf_csv
 
 __all__ = [
-    "Access",
-    "LogicalRun",
+    "AccessTable",
     "assemble_accesses",
     "TraceStatistics",
     "compute_table1",
     "ActivityResult",
     "compute_activity",
     "AccessPatternResult",
-    "classify_access",
     "compute_access_patterns",
     "RunLengthResult",
     "compute_run_lengths",

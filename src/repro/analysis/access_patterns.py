@@ -18,7 +18,9 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.analysis.episodes import Access
+import numpy as np
+
+from repro.analysis.episodes import AccessTable
 from repro.common.render import format_with_range, render_table
 from repro.common.stats import MinMax
 
@@ -35,47 +37,35 @@ class Sequentiality(enum.Enum):
     RANDOM = "Random"
 
 
-def classify_access(access: Access) -> tuple[AccessType, Sequentiality] | None:
-    """Classify one access; ``None`` for zero-byte accesses (an open and
-    close with no transfer carries no pattern information)."""
-    bytes_read = access.bytes_read
-    bytes_written = access.bytes_written
-    if bytes_read == 0 and bytes_written == 0:
-        return None
-    if bytes_read > 0 and bytes_written > 0:
-        access_type = AccessType.READ_WRITE
-    elif bytes_read > 0:
-        access_type = AccessType.READ_ONLY
-    else:
-        access_type = AccessType.WRITE_ONLY
+#: Every (type, sequentiality) cell, in table order.
+CELLS: tuple[tuple[AccessType, Sequentiality], ...] = tuple(
+    (t, s) for t in AccessType for s in Sequentiality
+)
 
-    runs = access.runs
-    if access_type is AccessType.READ_WRITE:
-        # A mixed access with a single run per direction back-to-back in
-        # place is still effectively random update behaviour; treat the
-        # single-run case as sequential, everything else random.
-        sequentiality = (
-            Sequentiality.OTHER_SEQUENTIAL if len(runs) == 1 else Sequentiality.RANDOM
-        )
-    elif len(runs) == 1:
-        run = runs[0]
-        # Whole-file: one run covering the file start to finish.  For
-        # reads the relevant size is the size when reading began; for
-        # writes it is the file's size at close.
-        file_size = (
-            access.open_record.size_at_open
-            if access_type is AccessType.READ_ONLY
-            else access.size_at_close
-        )
-        if run.offset == 0 and run.length >= file_size > 0:
-            sequentiality = Sequentiality.WHOLE_FILE
-        elif run.offset == 0 and access_type is AccessType.WRITE_ONLY and run.length == access.size_at_close:
-            sequentiality = Sequentiality.WHOLE_FILE
-        else:
-            sequentiality = Sequentiality.OTHER_SEQUENTIAL
-    else:
-        sequentiality = Sequentiality.RANDOM
-    return access_type, sequentiality
+
+def classify_accesses(table: AccessTable) -> np.ndarray:
+    """Each access's index into :data:`CELLS`; -1 for a zero-byte
+    access (an open and close with no transfer carries no pattern
+    information).
+
+    A read/write access has at least one run per direction, so it is
+    always random.  Otherwise one run is sequential, more are random,
+    and one run covering the file from start to finish is whole-file:
+    for reads the relevant size is the size when reading began, for
+    writes the file's size at close.
+    """
+    read = table.bytes_read > 0
+    written = table.bytes_written > 0
+    access_type = np.where(read, np.where(written, 2, 0), 1)
+    first = table.run_start[:-1]
+    offset = np.append(table.run_offset, 0)[first]
+    length = np.append(table.run_length, 0)[first]
+    file_size = np.where(read, table.size_at_open, table.size_at_close)
+    whole = (offset == 0) & (length >= file_size) & (file_size > 0)
+    single = np.diff(table.run_start) == 1
+    sequentiality = np.where(single, np.where(whole, 0, 1), 2)
+    cell = access_type * len(Sequentiality) + sequentiality
+    return np.where(read | written, cell, -1)
 
 
 @dataclass
@@ -91,20 +81,9 @@ class AccessPatternResult:
     """Table 3 for one trace or a pool of traces."""
 
     cells: dict[tuple[AccessType, Sequentiality], PatternCell] = field(
-        default_factory=lambda: {
-            (t, s): PatternCell() for t in AccessType for s in Sequentiality
-        }
+        default_factory=lambda: {key: PatternCell() for key in CELLS}
     )
     skipped_zero_byte: int = 0
-
-    def add(self, access: Access) -> None:
-        classified = classify_access(access)
-        if classified is None:
-            self.skipped_zero_byte += 1
-            return
-        cell = self.cells[classified]
-        cell.accesses += 1
-        cell.bytes += access.bytes_transferred
 
     # --- aggregate views ----------------------------------------------------
 
@@ -162,25 +141,19 @@ class AccessPatternResult:
         return sequential / self.total_bytes
 
 
-def compute_access_patterns(accesses: Iterable[Access]) -> AccessPatternResult:
-    """Classify every access."""
+def compute_access_patterns(tables: Iterable[AccessTable]) -> AccessPatternResult:
+    """Classify every access of the tables, pooled."""
     result = AccessPatternResult()
-    for access in accesses:
-        result.add(access)
+    for table in tables:
+        cells = classify_accesses(table)
+        transferred = table.bytes_read + table.bytes_written
+        result.skipped_zero_byte += int(np.count_nonzero(cells < 0))
+        for index, key in enumerate(CELLS):
+            chosen = cells == index
+            cell = result.cells[key]
+            cell.accesses += int(np.count_nonzero(chosen))
+            cell.bytes += int(transferred[chosen].sum())
     return result
-
-
-def merge_pattern_results(
-    results: list[AccessPatternResult],
-) -> AccessPatternResult:
-    """Pool per-trace results into one (for the paper-style aggregate)."""
-    merged = AccessPatternResult()
-    for result in results:
-        merged.skipped_zero_byte += result.skipped_zero_byte
-        for key, cell in result.cells.items():
-            merged.cells[key].accesses += cell.accesses
-            merged.cells[key].bytes += cell.bytes
-    return merged
 
 
 def render_table3(

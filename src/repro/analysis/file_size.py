@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.analysis.episodes import Access
+from repro.analysis.episodes import AccessTable
 from repro.common.cdf import Cdf
 from repro.common.render import byte_label, render_cdf_figure
 from repro.common.units import KB, MB
@@ -36,14 +36,6 @@ class FileSizeResult:
     by_accesses: Cdf = field(default_factory=Cdf)
     by_bytes: Cdf = field(default_factory=Cdf)
 
-    def add(self, access: Access) -> None:
-        transferred = access.bytes_transferred
-        if transferred == 0:
-            return
-        size = access.size_at_close
-        self.by_accesses.add(size)
-        self.by_bytes.add(size, weight=transferred)
-
     @property
     def fraction_of_accesses_below_10kb(self) -> float:
         return self.by_accesses.fraction_at_or_below(10 * KB)
@@ -62,9 +54,14 @@ class FileSizeResult:
         )
 
 
-def compute_file_sizes(accesses: Iterable[Access]) -> FileSizeResult:
-    """Build the file-size CDFs from an access stream."""
+def compute_file_sizes(tables: Iterable[AccessTable]) -> FileSizeResult:
+    """Build the file-size CDFs from the tables' accesses, pooled."""
     result = FileSizeResult()
-    for access in accesses:
-        result.add(access)
+    for table in tables:
+        transferred = table.bytes_read + table.bytes_written
+        moved = transferred != 0
+        sizes, weights = table.size_at_close[moved], transferred[moved]
+        for size, weight in zip(sizes.tolist(), weights.tolist()):
+            result.by_accesses.add(size)
+            result.by_bytes.add(size, weight=weight)
     return result

@@ -21,10 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
+import numpy as np
+
 from repro.common.cdf import Cdf
 from repro.common.render import render_cdf_figure, seconds_label
 from repro.common.units import DAY
-from repro.trace.records import DeleteRecord, TraceRecord, TruncateRecord
+from repro.trace.columnar import ColumnarTrace
+from repro.trace.records import DeleteRecord, TruncateRecord
 
 PROBE_VALUES: tuple[float, ...] = (
     1.0,
@@ -53,12 +56,14 @@ class LifetimeResult:
     #: unknown, so they cannot contribute a lifetime estimate.
     unknown_lifetime_deletes: int = 0
 
-    def add(self, record: DeleteRecord | TruncateRecord) -> None:
-        if record.oldest_byte_time < 0 or record.size <= 0:
+    def add(self, time: float, size: int, oldest: float, newest: float) -> None:
+        """Add one deletion (or truncation to zero) at ``time`` of
+        ``size`` bytes written between ``oldest`` and ``newest``."""
+        if oldest < 0 or size <= 0:
             self.unknown_lifetime_deletes += 1
             return
-        oldest_age = record.time - record.oldest_byte_time
-        newest_age = record.time - record.newest_byte_time
+        oldest_age = time - oldest
+        newest_age = time - newest
         if oldest_age < 0 or newest_age < 0:
             self.unknown_lifetime_deletes += 1
             return
@@ -66,9 +71,9 @@ class LifetimeResult:
         # Byte ages run linearly from newest (end of file) to oldest
         # (start of file) under the sequential-write assumption.
         if oldest_age == newest_age:
-            self.by_bytes.add(oldest_age, weight=record.size)
+            self.by_bytes.add(oldest_age, weight=size)
         else:
-            step_weight = record.size / _BYTE_SPAN_SAMPLES
+            step_weight = size / _BYTE_SPAN_SAMPLES
             for step in range(_BYTE_SPAN_SAMPLES):
                 fraction = (step + 0.5) / _BYTE_SPAN_SAMPLES
                 age = newest_age + fraction * (oldest_age - newest_age)
@@ -92,10 +97,18 @@ class LifetimeResult:
         )
 
 
-def compute_lifetimes(records: Iterable[TraceRecord]) -> LifetimeResult:
-    """Build the lifetime CDFs from a raw record stream."""
+_FIELDS = ("time", "size", "oldest_byte_time", "newest_byte_time")
+
+
+def compute_lifetimes(traces: Iterable[ColumnarTrace]) -> LifetimeResult:
+    """Build the lifetime CDFs from the traces' deletions and
+    truncations, pooled, in stream order."""
     result = LifetimeResult()
-    for record in records:
-        if isinstance(record, (DeleteRecord, TruncateRecord)):
-            result.add(record)
+    for trace in traces:
+        deletes = trace.select(DeleteRecord, *_FIELDS)
+        truncates = trace.select(TruncateRecord, *_FIELDS)
+        merged = [np.concatenate(pair) for pair in zip(deletes, truncates)]
+        order = np.argsort(merged[0], kind="stable")
+        for row in zip(*(column[order].tolist() for column in merged[1:])):
+            result.add(*row)
     return result

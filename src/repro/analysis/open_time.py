@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.analysis.episodes import Access
+import numpy as np
+
+from repro.analysis.episodes import AccessTable
 from repro.common.cdf import Cdf
 from repro.common.render import render_cdf_figure, seconds_label
 
@@ -33,9 +35,6 @@ class OpenTimeResult:
 
     by_opens: Cdf = field(default_factory=Cdf)
 
-    def add(self, access: Access) -> None:
-        self.by_opens.add(max(0.0, access.duration))
-
     @property
     def fraction_below_quarter_second(self) -> float:
         return self.by_opens.fraction_at_or_below(0.25)
@@ -54,9 +53,10 @@ class OpenTimeResult:
         )
 
 
-def compute_open_times(accesses: Iterable[Access]) -> OpenTimeResult:
-    """Build the open-time CDF from an access stream."""
+def compute_open_times(tables: Iterable[AccessTable]) -> OpenTimeResult:
+    """Build the open-time CDF from the tables' accesses, pooled."""
     result = OpenTimeResult()
-    for access in accesses:
-        result.add(access)
+    for table in tables:
+        duration = table.duration
+        result.by_opens.extend(np.where(duration > 0.0, duration, 0.0).tolist())
     return result

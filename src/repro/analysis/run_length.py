@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.analysis.episodes import Access
+from repro.analysis.episodes import AccessTable
 from repro.common.cdf import Cdf
 from repro.common.render import byte_label, render_cdf_figure
 from repro.common.units import KB, MB
@@ -36,13 +36,6 @@ class RunLengthResult:
     by_runs: Cdf = field(default_factory=Cdf)
     by_bytes: Cdf = field(default_factory=Cdf)
 
-    def add(self, access: Access) -> None:
-        for run in access.runs:
-            if run.length <= 0:
-                continue
-            self.by_runs.add(run.length)
-            self.by_bytes.add(run.length, weight=run.length)
-
     @property
     def fraction_of_runs_below_10kb(self) -> float:
         return self.by_runs.fraction_at_or_below(10 * KB)
@@ -61,9 +54,11 @@ class RunLengthResult:
         )
 
 
-def compute_run_lengths(accesses: Iterable[Access]) -> RunLengthResult:
-    """Build the run-length CDFs from an access stream."""
+def compute_run_lengths(tables: Iterable[AccessTable]) -> RunLengthResult:
+    """Build the run-length CDFs from the tables' logical runs, pooled."""
     result = RunLengthResult()
-    for access in accesses:
-        result.add(access)
+    for table in tables:
+        for length in table.run_length[table.run_length > 0].tolist():
+            result.by_runs.add(length)
+            result.by_bytes.add(length, weight=length)
     return result

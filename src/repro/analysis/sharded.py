@@ -6,9 +6,9 @@ the simulator shards the file space across servers by the deterministic
 :class:`~repro.fs.sharding.Placement` hash, so the same breakdowns fall
 out of the traces and the replay counters:
 
-* **Table 1** -- route every trace record to its file's server and pool
-  each server's records across the traces, yielding one Table 1 column
-  per server instead of per trace.
+* **Table 1** -- split each trace's column stream by the server its
+  records' files live on and pool each server's part across the
+  traces, yielding one Table 1 column per server instead of per trace.
 * **Table 2** -- run the user-activity computation on each server's
   record stream, yielding per-server throughput columns.
 * **Table 7** -- aggregate each shard's :class:`ServerCounters` across
@@ -20,33 +20,27 @@ directory) land on server 0, matching the placement function.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.analysis.table1 import TraceStatistics, compute_table1, render_table1
+import numpy as np
+
+from repro.analysis.table1 import TraceStatistics, render_table1
 from repro.analysis.activity import ActivityResult, compute_activity
 from repro.common.render import format_number, render_table
-from repro.common.units import MB
+from repro.common.units import HOUR, MB
 from repro.fs.counters import ServerCounters
 from repro.fs.sharding import Placement
-from repro.trace.records import TraceRecord
+from repro.trace.columnar import COLUMN_FIELDS, ColumnarTrace
+
+_FILE_SLOT = [name for name, _ in COLUMN_FIELDS].index("file_id")
 
 
-def shard_records(
-    records: Iterable[TraceRecord], placement: Placement
-) -> list[list[TraceRecord]]:
-    """Split one trace's records by the server their file lives on.
-
-    Order within each shard is trace order, so every downstream
-    computation stays deterministic.
-    """
-    shards: list[list[TraceRecord]] = [
-        [] for _ in range(placement.num_servers)
-    ]
-    shard_of = placement.shard_of
-    for record in records:
-        file_id = getattr(record, "file_id", -1)
-        shards[shard_of(file_id)].append(record)
-    return shards
+def _record_servers(trace: ColumnarTrace, placement: Placement) -> np.ndarray:
+    """The server each record of the stream is routed to, in stream order."""
+    file_ids = trace.gather(0, len(trace))[_FILE_SLOT]
+    files, inverse = np.unique(file_ids, return_inverse=True)
+    servers = [placement.shard_of(file_id) for file_id in files.tolist()]
+    return np.array(servers, dtype=np.int64)[inverse]
 
 
 def per_server_table1(
@@ -54,18 +48,15 @@ def per_server_table1(
 ) -> list[TraceStatistics]:
     """One pooled Table 1 row-set per server, across all traces."""
     total_duration = sum(trace.duration for trace in traces)
-    per_server_records: list[list[TraceRecord]] = [
-        [] for _ in range(placement.num_servers)
+    per_server = [
+        TraceStatistics(f"server {server_id}", total_duration / HOUR)
+        for server_id in range(placement.num_servers)
     ]
     for trace in traces:
-        for server_id, records in enumerate(
-            shard_records(trace.records, placement)
-        ):
-            per_server_records[server_id].extend(records)
-    return [
-        compute_table1(f"server {server_id}", records, total_duration)
-        for server_id, records in enumerate(per_server_records)
-    ]
+        servers = _record_servers(trace.columnar, placement)
+        for server_id, stats in enumerate(per_server):
+            stats.add_trace(trace.columnar.subset(servers == server_id))
+    return per_server
 
 
 def render_table1_per_server(
@@ -86,17 +77,19 @@ def render_table1_per_server(
 def per_server_activity(
     traces: Sequence, placement: Placement
 ) -> list[ActivityResult]:
-    """The Table 2 computation run once per server's record stream."""
-    per_server: list[ActivityResult] = []
-    shards_by_trace = [shard_records(t.records, placement) for t in traces]
-    for server_id in range(placement.num_servers):
-        per_server.append(
-            compute_activity(
-                (shards[server_id], trace.duration)
-                for trace, shards in zip(traces, shards_by_trace)
-            )
+    """The Table 2 computation run once per server's record stream (in
+    trace order, so every downstream computation stays deterministic)."""
+    routed = [
+        (t.records, _record_servers(t.columnar, placement), t.duration)
+        for t in traces
+    ]
+    return [
+        compute_activity(
+            ([records[i] for i in np.flatnonzero(servers == server_id)], duration)
+            for records, servers, duration in routed
         )
-    return per_server
+        for server_id in range(placement.num_servers)
+    ]
 
 
 #: Table 2 per-server rows: label plus accessor path into ActivityResult.

@@ -6,10 +6,12 @@ One row of counters per trace: users, Mbytes moved, and event counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+
+import numpy as np
 
 from repro.common.render import format_number, render_table
 from repro.common.units import HOUR, bytes_to_mbytes
+from repro.trace.columnar import RECORD_CLASSES, ColumnarTrace
 from repro.trace.records import (
     CloseRecord,
     DeleteRecord,
@@ -23,6 +25,22 @@ from repro.trace.records import (
     TruncateRecord,
     WriteRunRecord,
 )
+
+#: The counter each kind's records add to: one per record, or their
+#: lengths for the kinds in ``_BYTES``.
+_TALLY: dict[type[TraceRecord], str] = {
+    OpenRecord: "open_events",
+    CloseRecord: "close_events",
+    ReadRunRecord: "bytes_read",
+    WriteRunRecord: "bytes_written",
+    RepositionRecord: "reposition_events",
+    DeleteRecord: "delete_events",
+    TruncateRecord: "truncate_events",
+    SharedReadRecord: "shared_read_events",
+    SharedWriteRecord: "shared_write_events",
+    DirectoryReadRecord: "directory_bytes_read",
+}
+_BYTES = (ReadRunRecord, WriteRunRecord, DirectoryReadRecord)
 
 
 @dataclass
@@ -64,38 +82,26 @@ class TraceStatistics:
     def mbytes_read_from_directories(self) -> float:
         return bytes_to_mbytes(self.directory_bytes_read)
 
+    def add_trace(self, trace: ColumnarTrace) -> None:
+        """Count a trace's records, kind by kind."""
+        for cls in RECORD_CLASSES:
+            names = [n for n in ("migrated", "length") if n in cls.__dataclass_fields__]
+            _, users, *columns = trace.select(cls, "user_id", *names)
+            found = dict(zip(names, columns))
+            known = users >= 0
+            self.users.update(np.unique(users[known]).tolist())
+            if "migrated" in found:
+                migrated = users[known & found["migrated"]]
+                self.migration_users.update(np.unique(migrated).tolist())
+            if cls in _TALLY:
+                added = int(found["length"].sum()) if cls in _BYTES else len(users)
+                setattr(self, _TALLY[cls], getattr(self, _TALLY[cls]) + added)
 
-def compute_table1(
-    name: str, records: Iterable[TraceRecord], duration: float
-) -> TraceStatistics:
-    """Scan one trace and produce its Table 1 row."""
+
+def compute_table1(name: str, trace: ColumnarTrace, duration: float) -> TraceStatistics:
+    """One trace's Table 1 row."""
     stats = TraceStatistics(name=name, duration_hours=duration / HOUR)
-    for record in records:
-        user = getattr(record, "user_id", None)
-        if user is not None and user >= 0:
-            stats.users.add(user)
-            if getattr(record, "migrated", False):
-                stats.migration_users.add(user)
-        if isinstance(record, OpenRecord):
-            stats.open_events += 1
-        elif isinstance(record, CloseRecord):
-            stats.close_events += 1
-        elif isinstance(record, ReadRunRecord):
-            stats.bytes_read += record.length
-        elif isinstance(record, WriteRunRecord):
-            stats.bytes_written += record.length
-        elif isinstance(record, RepositionRecord):
-            stats.reposition_events += 1
-        elif isinstance(record, DeleteRecord):
-            stats.delete_events += 1
-        elif isinstance(record, TruncateRecord):
-            stats.truncate_events += 1
-        elif isinstance(record, SharedReadRecord):
-            stats.shared_read_events += 1
-        elif isinstance(record, SharedWriteRecord):
-            stats.shared_write_events += 1
-        elif isinstance(record, DirectoryReadRecord):
-            stats.directory_bytes_read += record.length
+    stats.add_trace(trace)
     return stats
 
 

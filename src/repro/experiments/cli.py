@@ -150,22 +150,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_scale_out(args, context: ExperimentContext) -> int:
-    """The ``--scale-out`` mode: partitioned generate + replay + merge."""
-    from repro.pipeline.scaleout import (
-        ScaleOutPlan,
-        build_group_traces,
-        run_partitioned_replay,
-    )
+def _scale_out_plan(args):
+    """The ``--scale-out`` plan; raises ``ConfigError`` on a bad one."""
+    from repro.pipeline.scaleout import ScaleOutPlan
     from repro.workload.profiles import STANDARD_PROFILES
 
-    plan = ScaleOutPlan(
+    return ScaleOutPlan(
         profile=STANDARD_PROFILES[0],
         seed=args.seed,
         scale=args.scale,
         groups=args.scale_out,
         replay_seed=args.seed,
     )
+
+
+def _run_scale_out(args, plan, context: ExperimentContext) -> int:
+    """The ``--scale-out`` mode: partitioned generate + replay + merge."""
+    from repro.pipeline.scaleout import build_group_traces, run_partitioned_replay
+
     shards = args.shards or plan.groups
     report = context.pipeline_report
     traces = build_group_traces(
@@ -260,10 +262,11 @@ def main(argv: list[str] | None = None) -> int:
             workers=args.workers,
             cache=cache,
         )
+        plan = _scale_out_plan(args) if args.scale_out else None
     except ConfigError as exc:
         parser.error(str(exc))
-    if args.scale_out:
-        return _run_scale_out(args, context)
+    if plan is not None:
+        return _run_scale_out(args, plan, context)
     if args.figures_dir:
         from repro.experiments.report import export_figure_data
 

@@ -17,7 +17,7 @@ from hashlib import sha256
 from typing import Callable
 
 from repro.analysis import (
-    Access,
+    AccessTable,
     assemble_accesses,
     compute_access_patterns,
     compute_activity,
@@ -30,7 +30,6 @@ from repro.analysis import (
 from repro.analysis.access_patterns import (
     AccessType,
     Sequentiality,
-    merge_pattern_results,
     render_table3,
 )
 from repro.analysis.table1 import render_table1
@@ -115,8 +114,8 @@ class ExperimentContext:
     ``workers`` fans trace generation and cluster replays out across
     that many worker processes (0 = one per core, 1 = serial).  Output
     is identical regardless of worker count.  Access assembly always
-    runs in process: shipping records to a worker and accesses back
-    costs more than assembling them.
+    runs in process: it is one array pass over a trace's columns, far
+    cheaper than shipping the columns to a worker and the table back.
 
     ``cache`` controls the content-addressed artifact cache: ``True``
     uses ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro``), ``False``
@@ -156,7 +155,7 @@ class ExperimentContext:
     )
     _traces: list[SyntheticTrace] | None = field(default=None, repr=False)
     _cluster_results: list[ClusterResult] | None = field(default=None, repr=False)
-    _trace_accesses: list[list[Access]] | None = field(default=None, repr=False)
+    _trace_accesses: list[AccessTable] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.scale) and self.scale > 0):
@@ -228,17 +227,13 @@ class ExperimentContext:
             )
         return self._traces
 
-    def trace_accesses(self) -> list[list[Access]]:
+    def trace_accesses(self) -> list[AccessTable]:
         """Each trace's completed accesses, assembled once per context."""
         if self._trace_accesses is None:
             self._trace_accesses = [
-                list(assemble_accesses(t.records)) for t in self.traces()
+                assemble_accesses(t.columnar) for t in self.traces()
             ]
         return self._trace_accesses
-
-    def accesses(self) -> list[Access]:
-        """All completed accesses, pooled across the traces in order."""
-        return [a for accesses in self.trace_accesses() for a in accesses]
 
     def cluster_results(self) -> list[ClusterResult]:
         if self._cluster_results is None:
@@ -263,7 +258,7 @@ class ExperimentContext:
 
 def _table1(ctx: ExperimentContext) -> ExperimentResult:
     stats = [
-        compute_table1(t.name, t.records, t.duration) for t in ctx.traces()
+        compute_table1(t.name, t.columnar, t.duration) for t in ctx.traces()
     ]
     total_opens = sum(s.open_events for s in stats)
     total_read = sum(s.mbytes_read for s in stats)
@@ -310,10 +305,9 @@ def _table2(ctx: ExperimentContext) -> ExperimentResult:
 
 
 def _table3(ctx: ExperimentContext) -> ExperimentResult:
-    per_trace = [
-        compute_access_patterns(accesses) for accesses in ctx.trace_accesses()
-    ]
-    pooled = merge_pattern_results(per_trace)
+    tables = ctx.trace_accesses()
+    per_trace = [compute_access_patterns([table]) for table in tables]
+    pooled = compute_access_patterns(tables)
     return ExperimentResult(
         experiment_id="table3",
         title="Table 3: file access patterns",
@@ -332,7 +326,7 @@ def _table3(ctx: ExperimentContext) -> ExperimentResult:
 
 
 def _figure1(ctx: ExperimentContext) -> ExperimentResult:
-    result = compute_run_lengths(ctx.accesses())
+    result = compute_run_lengths(ctx.trace_accesses())
     return ExperimentResult(
         experiment_id="figure1",
         title="Figure 1: sequential run lengths",
@@ -347,7 +341,7 @@ def _figure1(ctx: ExperimentContext) -> ExperimentResult:
 
 
 def _figure2(ctx: ExperimentContext) -> ExperimentResult:
-    result = compute_file_sizes(ctx.accesses())
+    result = compute_file_sizes(ctx.trace_accesses())
     return ExperimentResult(
         experiment_id="figure2",
         title="Figure 2: file sizes",
@@ -362,7 +356,7 @@ def _figure2(ctx: ExperimentContext) -> ExperimentResult:
 
 
 def _figure3(ctx: ExperimentContext) -> ExperimentResult:
-    result = compute_open_times(ctx.accesses())
+    result = compute_open_times(ctx.trace_accesses())
     return ExperimentResult(
         experiment_id="figure3",
         title="Figure 3: file open times",
@@ -376,9 +370,7 @@ def _figure3(ctx: ExperimentContext) -> ExperimentResult:
 
 
 def _figure4(ctx: ExperimentContext) -> ExperimentResult:
-    result = compute_lifetimes(
-        record for trace in ctx.traces() for record in trace.records
-    )
+    result = compute_lifetimes(trace.columnar for trace in ctx.traces())
     return ExperimentResult(
         experiment_id="figure4",
         title="Figure 4: file lifetimes",

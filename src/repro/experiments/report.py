@@ -151,13 +151,11 @@ def export_figure_data(
     )
 
     context = context or ExperimentContext()
-    accesses = context.accesses()
+    accesses = context.trace_accesses()
     run_lengths = compute_run_lengths(accesses)
     file_sizes = compute_file_sizes(accesses)
     open_times = compute_open_times(accesses)
-    lifetimes = compute_lifetimes(
-        record for trace in context.traces() for record in trace.records
-    )
+    lifetimes = compute_lifetimes(trace.columnar for trace in context.traces())
     figures = {
         "figure1.csv": {
             "by_runs": run_lengths.by_runs,

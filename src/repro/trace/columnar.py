@@ -12,9 +12,11 @@ per record kind, plus a global time-sorted order index -- so that:
 * replay and validation never build a
   :class:`~repro.trace.records.TraceRecord`: they read gathered field
   columns (:meth:`ColumnarTrace.gather`; the replay chunk by chunk
-  through :meth:`ColumnarTrace.iter_columns`), and only the analyses
-  read a whole-trace record list (:meth:`ColumnarTrace.materialize`,
-  built the first time a trace's ``records`` view is read), and
+  through :meth:`ColumnarTrace.iter_columns`), the Section 4 tables
+  and figures read one kind at a time (:meth:`ColumnarTrace.select`),
+  and only Table 2 and the consistency analyses read a whole-trace
+  record list (:meth:`ColumnarTrace.materialize`, built the first time
+  a trace's ``records`` view is read), and
 * shard math (remapping a group's ids into a disjoint global id space,
   merging group streams into one time-ordered stream) is vectorized
   array arithmetic.
@@ -351,6 +353,32 @@ class ColumnarTrace:
             for slot, source in _COLUMN_SOURCES[index]:
                 gathered[slot][positions] = columns[source][rows]
         return gathered
+
+    def select(
+        self, cls: type[TraceRecord], *names: str
+    ) -> tuple[np.ndarray, ...]:
+        """The stream positions of ``cls``'s records, then one array per
+        named field of those records, all in stream order.
+
+        A kind's table can hold rows that are not in the stream (``seal``
+        drops out-of-window records from the order only), so a kind is
+        read through the order's rows, never as whole table columns.
+        """
+        index = _KIND_INDEX[cls]
+        positions = np.flatnonzero(self.kind_idx == index)
+        specs = _SPECS[index]
+        table = self.tables[index]
+        columns = [np.empty(0, d) for _, d in specs] if table is None else table.columns
+        rows = self.row_idx[positions]
+        slots = [[name for name, _ in specs].index(name) for name in names]
+        return (positions, *(columns[s][rows] for s in slots))
+
+    def subset(self, keep: np.ndarray) -> "ColumnarTrace":
+        """The records at the stream positions where ``keep`` is true, in
+        stream order; the kind tables are shared, not copied."""
+        return ColumnarTrace(
+            self.tables, self.kind_idx[keep], self.row_idx[keep], self.times[keep]
+        )
 
     def materialize(self) -> list[TraceRecord]:
         """The whole trace as a record list (the classic representation),

@@ -52,7 +52,7 @@ class SyntheticTrace:
     (:class:`~repro.trace.columnar.ColumnarTrace`): generation validates
     it, every cluster replay reads it, and equality compares its column
     arrays.  ``records`` is a read-only view of the same stream as the
-    classic record list the Section 4 analyses consume, built by
+    classic record list Table 2 and the consistency analyses read, built by
     :meth:`~repro.trace.columnar.ColumnarTrace.materialize` the first
     time it is read, and at most once per trace object.  The view is
     derived state: it is left out of equality and of pickling, so a

@@ -1,10 +1,10 @@
 """Tests for the Section 4 analyses (episodes, Tables 1-3, Figures 1-4)."""
 
+import numpy as np
 import pytest
 
 from repro.analysis import (
     assemble_accesses,
-    classify_access,
     compute_access_patterns,
     compute_activity,
     compute_file_sizes,
@@ -14,20 +14,21 @@ from repro.analysis import (
     compute_table1,
 )
 from repro.analysis.access_patterns import (
+    CELLS,
     AccessType,
     Sequentiality,
-    merge_pattern_results,
+    classify_accesses,
     render_table3,
 )
 from repro.analysis.table1 import render_table1
 from repro.common.units import TEN_MINUTES
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.records import (
     AccessMode,
     CloseRecord,
     DeleteRecord,
     OpenRecord,
     ReadRunRecord,
-    RepositionRecord,
     WriteRunRecord,
 )
 
@@ -41,7 +42,6 @@ def episode(
     duration=1.0,
     user_id=1,
     migrated=False,
-    repositions=0,
 ):
     """Build a legal episode: (is_write, offset, length) per run."""
     records = [
@@ -62,12 +62,6 @@ def episode(
             bytes_written += length
         else:
             bytes_read += length
-    for index in range(repositions):
-        records.append(
-            RepositionRecord(time=t0 + duration * 0.9, server_id=0,
-                             open_id=open_id, file_id=file_id,
-                             user_id=user_id, offset_before=0, offset_after=0)
-        )
     records.append(
         CloseRecord(time=t0 + duration, server_id=0, open_id=open_id,
                     file_id=file_id, user_id=user_id,
@@ -78,120 +72,149 @@ def episode(
     return records
 
 
+def accesses(records):
+    """The access table of a time-sorted record list."""
+    return assemble_accesses(ColumnarTrace.from_records(records))
+
+
+def runs_of(table, index=0):
+    """Access ``index``'s logical runs as (is_write, offset, length)."""
+    lo, hi = table.run_start[index], table.run_start[index + 1]
+    return list(zip(
+        table.run_is_write[lo:hi].tolist(),
+        table.run_offset[lo:hi].tolist(),
+        table.run_length[lo:hi].tolist(),
+    ))
+
+
+def classify(records):
+    """The one access's (type, sequentiality) cell; None if zero-byte."""
+    (cell,) = classify_accesses(accesses(records)).tolist()
+    return CELLS[cell] if cell >= 0 else None
+
+
 class TestEpisodeAssembly:
     def test_basic_access(self):
-        accesses = list(assemble_accesses(episode()))
-        assert len(accesses) == 1
-        access = accesses[0]
-        assert access.bytes_read == 1000
-        assert access.bytes_written == 0
-        assert access.duration == 1.0
+        table = accesses(episode())
+        assert len(table) == 1
+        assert table.bytes_read.tolist() == [1000]
+        assert table.bytes_written.tolist() == [0]
+        assert table.duration.tolist() == [1.0]
+        assert table.size_at_open.tolist() == [1000]
+        assert table.size_at_close.tolist() == [1000]
 
     def test_contiguous_runs_merge(self):
-        records = episode(runs=((False, 0, 500), (False, 500, 500)))
-        access = next(assemble_accesses(records))
-        assert len(access.runs) == 1
-        assert access.runs[0].length == 1000
+        table = accesses(episode(runs=((False, 0, 500), (False, 500, 500))))
+        assert runs_of(table) == [(False, 0, 1000)]
 
     def test_noncontiguous_runs_stay_separate(self):
-        records = episode(runs=((False, 0, 100), (False, 500, 100)))
-        access = next(assemble_accesses(records))
-        assert len(access.runs) == 2
+        table = accesses(episode(runs=((False, 0, 100), (False, 500, 100))))
+        assert runs_of(table) == [(False, 0, 100), (False, 500, 100)]
 
     def test_kind_change_breaks_run(self):
-        records = episode(runs=((False, 0, 100), (True, 100, 100)))
-        access = next(assemble_accesses(records))
-        assert len(access.runs) == 2
+        table = accesses(episode(runs=((False, 0, 100), (True, 100, 100))))
+        assert runs_of(table) == [(False, 0, 100), (True, 100, 100)]
 
     def test_unclosed_episode_dropped(self):
-        records = episode()[:-1]
-        assert list(assemble_accesses(records)) == []
+        table = accesses(episode()[:-1])
+        assert len(table) == 0
+        assert table.run_start.tolist() == [0]
+        assert len(table.run_length) == 0
 
     def test_close_without_open_ignored(self):
-        records = episode()[1:]
-        assert list(assemble_accesses(records)) == []
+        assert len(accesses(episode()[1:])) == 0
 
-    def test_reposition_counted(self):
-        records = sorted(episode(repositions=2), key=lambda r: r.time)
-        access = next(assemble_accesses(records))
-        assert access.reposition_count == 2
+    def test_runs_after_close_ignored(self):
+        records = episode(runs=((False, 0, 100),))
+        late = ReadRunRecord(time=5.0, server_id=0, open_id=1, file_id=1,
+                             offset=100, length=100)
+        table = accesses(records + [late])
+        assert runs_of(table) == [(False, 0, 100)]
+        assert len(table.run_length) == 1
 
     def test_interleaved_episodes(self):
-        a = episode(open_id=1, t0=0.0, duration=10.0)
-        b = episode(open_id=2, t0=1.0, duration=2.0)
+        a = episode(open_id=1, t0=0.0, duration=10.0, size=10)
+        b = episode(open_id=2, t0=1.0, duration=2.0, size=20,
+                    runs=((True, 0, 20),))
         records = sorted(a + b, key=lambda r: r.time)
-        accesses = list(assemble_accesses(records))
-        assert len(accesses) == 2
-        assert {a.open_record.open_id for a in accesses} == {1, 2}
+        table = accesses(records)
+        # One row per access in the order of the closes: b closes first.
+        assert table.duration.tolist() == [2.0, 10.0]
+        assert table.size_at_open.tolist() == [20, 10]
+        assert runs_of(table, 0) == [(True, 0, 20)]
+        assert runs_of(table, 1) == [(False, 0, 1000)]
+
+    def test_reused_open_id_starts_a_new_episode(self):
+        first = episode(open_id=1, t0=0.0, runs=((False, 0, 10),))
+        second = episode(open_id=1, t0=5.0, runs=((True, 0, 30),))
+        table = accesses(first + second)
+        assert runs_of(table, 0) == [(False, 0, 10)]
+        assert runs_of(table, 1) == [(True, 0, 30)]
+
+    def test_table_pickles(self):
+        import pickle
+
+        table = accesses(episode(runs=((False, 0, 100), (True, 0, 50))))
+        copy = pickle.loads(pickle.dumps(table))
+        for name in vars(table):
+            assert np.array_equal(getattr(copy, name), getattr(table, name))
 
 
 class TestClassification:
     def test_whole_file_read(self):
-        access = next(assemble_accesses(episode(size=1000)))
-        assert classify_access(access) == (
+        assert classify(episode(size=1000)) == (
             AccessType.READ_ONLY, Sequentiality.WHOLE_FILE
         )
 
     def test_prefix_read_is_other_sequential(self):
-        access = next(assemble_accesses(episode(size=1000,
-                                                runs=((False, 0, 400),))))
-        assert classify_access(access) == (
+        assert classify(episode(size=1000, runs=((False, 0, 400),))) == (
             AccessType.READ_ONLY, Sequentiality.OTHER_SEQUENTIAL
         )
 
     def test_multiple_runs_is_random(self):
-        access = next(assemble_accesses(
-            episode(runs=((False, 0, 100), (False, 500, 100)))
-        ))
-        assert classify_access(access)[1] is Sequentiality.RANDOM
+        cell = classify(episode(runs=((False, 0, 100), (False, 500, 100))))
+        assert cell[1] is Sequentiality.RANDOM
 
     def test_whole_file_write(self):
-        access = next(assemble_accesses(
-            episode(size=0, runs=((True, 0, 800),))
-        ))
-        assert classify_access(access) == (
+        assert classify(episode(size=0, runs=((True, 0, 800),))) == (
             AccessType.WRITE_ONLY, Sequentiality.WHOLE_FILE
         )
 
     def test_append_is_other_sequential(self):
-        access = next(assemble_accesses(
-            episode(size=1000, runs=((True, 1000, 200),))
-        ))
-        assert classify_access(access) == (
+        assert classify(episode(size=1000, runs=((True, 1000, 200),))) == (
             AccessType.WRITE_ONLY, Sequentiality.OTHER_SEQUENTIAL
         )
 
     def test_read_write_access(self):
-        access = next(assemble_accesses(
-            episode(runs=((False, 0, 100), (True, 0, 100)))
-        ))
-        assert classify_access(access)[0] is AccessType.READ_WRITE
+        cell = classify(episode(runs=((False, 0, 100), (True, 0, 100))))
+        assert cell == (AccessType.READ_WRITE, Sequentiality.RANDOM)
 
     def test_zero_byte_access_skipped(self):
-        access = next(assemble_accesses(episode(runs=())))
-        assert classify_access(access) is None
+        assert classify(episode(runs=())) is None
 
     def test_pattern_result_counts(self):
         records = sorted(
             episode(open_id=1) + episode(open_id=2, t0=5.0)
-            + episode(open_id=3, t0=10.0, size=0, runs=((True, 0, 500),)),
+            + episode(open_id=3, t0=10.0, size=0, runs=((True, 0, 500),))
+            + episode(open_id=4, t0=15.0, runs=()),
             key=lambda r: r.time,
         )
-        result = compute_access_patterns(assemble_accesses(records))
+        result = compute_access_patterns([accesses(records)])
         assert result.total_accesses == 3
+        assert result.skipped_zero_byte == 1
         assert result.type_share(AccessType.READ_ONLY) == pytest.approx(2 / 3)
         assert result.type_share(AccessType.WRITE_ONLY, by_bytes=True) == (
             pytest.approx(500 / 2500)
         )
 
-    def test_merge_pattern_results(self):
-        r1 = compute_access_patterns(assemble_accesses(episode()))
-        r2 = compute_access_patterns(assemble_accesses(episode()))
-        merged = merge_pattern_results([r1, r2])
-        assert merged.total_accesses == 2
+    def test_tables_pool(self):
+        table = accesses(episode())
+        pooled = compute_access_patterns([table, table])
+        assert pooled.total_accesses == 2
+        assert pooled.total_bytes == 2000
 
     def test_render_table3(self):
-        result = compute_access_patterns(assemble_accesses(episode()))
+        result = compute_access_patterns([accesses(episode())])
         text = render_table3(result, [result])
         assert "Table 3" in text
         assert "Read-only" in text
@@ -199,9 +222,9 @@ class TestClassification:
 
 class TestTable1:
     def test_counts(self, small_trace):
-        stats = compute_table1("t", small_trace.records, small_trace.duration)
-        assert stats.open_events == sum(
-            1 for r in small_trace.records if r.kind == "open"
+        stats = compute_table1("t", small_trace.columnar, small_trace.duration)
+        assert stats.open_events == len(
+            small_trace.columnar.select(OpenRecord)[0]
         )
         assert stats.close_events <= stats.open_events
         assert stats.mbytes_read > 0
@@ -210,7 +233,7 @@ class TestTable1:
         assert stats.users_of_migration < stats.different_users
 
     def test_render(self, small_trace):
-        stats = compute_table1("t", small_trace.records, small_trace.duration)
+        stats = compute_table1("t", small_trace.columnar, small_trace.duration)
         text = render_table1([stats])
         assert "Open events" in text
 
@@ -258,7 +281,7 @@ class TestFigures:
                       size=1_000_000),
             key=lambda r: r.time,
         )
-        result = compute_run_lengths(assemble_accesses(records))
+        result = compute_run_lengths([accesses(records)])
         assert result.by_runs.count == 2
         assert result.by_runs.fraction_at_or_below(100) == pytest.approx(0.5)
         # By bytes the megabyte run dominates.
@@ -271,7 +294,7 @@ class TestFigures:
                       runs=((False, 0, 10_000),)),
             key=lambda r: r.time,
         )
-        result = compute_file_sizes(assemble_accesses(records))
+        result = compute_file_sizes([accesses(records)])
         assert result.by_accesses.fraction_at_or_below(100) == pytest.approx(0.5)
         assert result.by_bytes.fraction_at_or_below(100) == pytest.approx(
             100 / 10_100
@@ -283,14 +306,14 @@ class TestFigures:
             + episode(open_id=2, t0=5.0, duration=10.0),
             key=lambda r: r.time,
         )
-        result = compute_open_times(assemble_accesses(records))
+        result = compute_open_times([accesses(records)])
         assert result.by_opens.fraction_at_or_below(0.25) == pytest.approx(0.5)
 
     def test_lifetimes_per_file_estimator(self):
         delete = DeleteRecord(time=100.0, server_id=0, file_id=1, user_id=1,
                               client_id=0, size=1000, oldest_byte_time=40.0,
                               newest_byte_time=80.0)
-        result = compute_lifetimes([delete])
+        result = compute_lifetimes([ColumnarTrace.from_records([delete])])
         # per-file lifetime = average of oldest (60) and newest (20) ages.
         assert result.by_files.median() == pytest.approx(40.0)
 
@@ -298,7 +321,7 @@ class TestFigures:
         delete = DeleteRecord(time=100.0, server_id=0, file_id=1, user_id=1,
                               client_id=0, size=800, oldest_byte_time=0.0,
                               newest_byte_time=100.0)
-        result = compute_lifetimes([delete])
+        result = compute_lifetimes([ColumnarTrace.from_records([delete])])
         assert sum(w for _, w in result.by_bytes._samples) == pytest.approx(800)
         # Byte ages span 0..100; about half the mass is under 50.
         assert result.by_bytes.fraction_at_or_below(50.0) == pytest.approx(
@@ -308,13 +331,25 @@ class TestFigures:
     def test_lifetime_unknown_files_counted(self):
         delete = DeleteRecord(time=100.0, server_id=0, file_id=1, user_id=1,
                               client_id=0, size=0, oldest_byte_time=-1.0)
-        result = compute_lifetimes([delete])
+        result = compute_lifetimes([ColumnarTrace.from_records([delete])])
         assert result.unknown_lifetime_deletes == 1
         assert result.by_files.count == 0
 
+    def test_lifetimes_read_deletes_and_truncates_in_stream_order(self):
+        from repro.trace.records import TruncateRecord
+
+        truncate = TruncateRecord(time=50.0, server_id=0, file_id=2,
+                                  size=100, oldest_byte_time=10.0,
+                                  newest_byte_time=30.0)
+        delete = DeleteRecord(time=100.0, server_id=0, file_id=1,
+                              size=1000, oldest_byte_time=40.0,
+                              newest_byte_time=80.0)
+        result = compute_lifetimes([ColumnarTrace.from_records([truncate, delete])])
+        assert [value for value, _ in result.by_files._samples] == [30.0, 40.0]
+
     def test_figure_renderers(self, small_trace):
-        accesses = list(assemble_accesses(small_trace.records))
-        assert "Figure 1" in compute_run_lengths(accesses).render()
-        assert "Figure 2" in compute_file_sizes(accesses).render()
-        assert "Figure 3" in compute_open_times(accesses).render()
-        assert "Figure 4" in compute_lifetimes(small_trace.records).render()
+        tables = [assemble_accesses(small_trace.columnar)]
+        assert "Figure 1" in compute_run_lengths(tables).render()
+        assert "Figure 2" in compute_file_sizes(tables).render()
+        assert "Figure 3" in compute_open_times(tables).render()
+        assert "Figure 4" in compute_lifetimes([small_trace.columnar]).render()

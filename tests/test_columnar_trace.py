@@ -394,3 +394,43 @@ def test_generation_and_replay_build_no_record(monkeypatch):
     assert single.records_replayed == trace.record_count
     with pytest.raises(AssertionError, match="materialize"):
         trace.records
+
+
+def test_section4_analyses_build_no_record(monkeypatch, tmp_path):
+    """Tables 1 (with Table 1a at four servers) and 3, Figures 1-4 and
+    the figure export read the traces' columns, never a record list."""
+    from repro.experiments import ExperimentContext, run_experiment
+    from repro.experiments.report import export_figure_data
+
+    def refuse(self):
+        raise AssertionError("materialize() called")
+
+    monkeypatch.setattr(ColumnarTrace, "materialize", refuse)
+    ctx = ExperimentContext(scale=0.02, seed=3, num_servers=4, cache=False)
+    table1 = run_experiment("table1", ctx)
+    assert "Table 1a" in table1.rendered
+    assert table1.metrics["total_opens"] > 0
+    for experiment_id in ("table3", "figure1", "figure2", "figure3", "figure4"):
+        assert run_experiment(experiment_id, ctx).rendered
+    assert len(export_figure_data(tmp_path, ctx)) == 4
+    assert all("records" not in vars(trace) for trace in ctx.traces())
+
+
+def test_select_reads_only_the_stream_rows():
+    """A sealed window drops records from the order, not from the kind
+    tables; ``select`` reads a kind through the order."""
+    builder = ColumnarTraceBuilder()
+    for time, open_id in ((-1.0, 1), (0.5, 2), (2.0, 3), (3.0, 4)):
+        builder.append(
+            OpenRecord, (time, 0, open_id, 9, 0, 0, 0, AccessMode.READ, 0, False)
+        )
+    builder.append(CloseRecord, (1.0, 0, 2, 9, 0, 0, 0, 0, 0, False))
+    trace = builder.seal(duration=2.5)
+    assert trace.tables[RECORD_CLASSES.index(OpenRecord)].count == 4
+    positions, open_ids, times = trace.select(OpenRecord, "open_id", "time")
+    assert positions.tolist() == [0, 2]
+    assert open_ids.tolist() == [2, 3]
+    assert times.tolist() == [0.5, 2.0]
+    positions, lengths = trace.select(ReadRunRecord, "length")
+    assert len(positions) == len(lengths) == 0
+    assert lengths.dtype == np.int64

@@ -60,7 +60,7 @@ class TestCdfCsv:
     def test_export_real_figure(self, tmp_path, small_trace):
         from repro.analysis import assemble_accesses, compute_run_lengths
 
-        result = compute_run_lengths(assemble_accesses(small_trace.records))
+        result = compute_run_lengths([assemble_accesses(small_trace.columnar)])
         path = tmp_path / "figure1.csv"
         rows = write_cdf_csv(
             path, {"by runs": result.by_runs, "by bytes": result.by_bytes}

@@ -351,6 +351,28 @@ class TestPlanAndPartition:
             check_id_space(remapped, 1)
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--scale-out", "10", "--scale", "0.02"], "groups=10 exceeds the 4-client"),
+        (["--scale-out", "2", "--scale", "nan"], "scale must be positive and finite"),
+    ],
+)
+def test_cli_turns_a_bad_scale_out_plan_into_a_usage_error(capsys, flags, message):
+    """A plan the population cannot carry exits 2 with one error line
+    after the usage text, not a traceback."""
+    from repro.experiments.cli import main
+
+    with pytest.raises(SystemExit) as exited:
+        main(["table1", *flags, "--no-cache"])
+    assert exited.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and message in errors[0]
+    assert "Traceback" not in err
+
+
 class TestGroupedConfig:
     """Satellite 3: every grouped-config validation message."""
 

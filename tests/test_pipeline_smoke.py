@@ -11,6 +11,7 @@ import dataclasses
 import pickle
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from repro.experiments import ExperimentContext
@@ -33,30 +34,35 @@ from repro.workload.profiles import STANDARD_PROFILES
 SCALE = 0.02
 
 
+def assert_same_tables(tables, expected):
+    """Two access-table lists hold equal arrays, field by field."""
+    assert len(tables) == len(expected)
+    for table, other in zip(tables, expected):
+        assert vars(table).keys() == vars(other).keys()
+        for name, values in vars(table).items():
+            assert values.dtype == getattr(other, name).dtype, name
+            assert np.array_equal(values, getattr(other, name)), name
+
+
 def test_cold_then_warm_round_trip(tmp_path):
     """A warm context rebuilds the exact artifacts the cold one stored."""
     cold = ExperimentContext(scale=SCALE, seed=7, cache=tmp_path)
     cold_traces = cold.traces()
-    cold_accesses = cold.accesses()
+    cold_accesses = cold.trace_accesses()
     cold_results = cold.cluster_results()
     assert cold._artifact_cache.stats.hits == 0
     assert cold._artifact_cache.stats.stores == cold._artifact_cache.stats.misses > 0
 
     warm = ExperimentContext(scale=SCALE, seed=7, cache=tmp_path)
     warm_traces = warm.traces()
-    warm_accesses = warm.accesses()
+    warm_accesses = warm.trace_accesses()
     warm_results = warm.cluster_results()
     stats = warm._artifact_cache.stats
     assert stats.misses == 0 and stats.corrupt == 0
     assert stats.hits == cold._artifact_cache.stats.stores
 
     assert warm_traces == cold_traces
-    assert len(warm_accesses) == len(cold_accesses)
-    for a, b in zip(warm_accesses, cold_accesses):
-        assert a.open_record == b.open_record
-        assert a.close_record == b.close_record
-        assert a.runs == b.runs
-        assert a.reposition_count == b.reposition_count
+    assert_same_tables(warm_accesses, cold_accesses)
     assert len(warm_results) == len(cold_results)
     for a, b in zip(warm_results, cold_results):
         assert a.server_counters == b.server_counters
@@ -66,16 +72,13 @@ def test_cold_then_warm_round_trip(tmp_path):
         assert (a.duration, a.records_replayed) == (b.duration, b.records_replayed)
 
 
-def test_warm_accesses_alias_trace_records(tmp_path):
-    """Accesses are assembled from the warm trace's records, so they
-    share record objects with the cached traces."""
-    ExperimentContext(scale=SCALE, seed=7, cache=tmp_path).accesses()
+def test_warm_accesses_build_no_records_view(tmp_path):
+    """Accesses are assembled from the warm traces' columns: no trace
+    builds its record list."""
+    ExperimentContext(scale=SCALE, seed=7, cache=tmp_path).trace_accesses()
     warm = ExperimentContext(scale=SCALE, seed=7, cache=tmp_path)
-    traces = warm.traces()
-    record_ids = {id(r) for t in traces for r in t.records}
-    for access in warm.accesses():
-        assert id(access.open_record) in record_ids
-        assert id(access.close_record) in record_ids
+    assert sum(len(table) for table in warm.trace_accesses()) > 0
+    assert all("records" not in vars(trace) for trace in warm.traces())
 
 
 def test_corrupt_entries_are_misses_not_fatal(tmp_path):
@@ -175,15 +178,15 @@ def test_records_view_is_not_pickled():
 
 
 def test_accesses_without_trace_context_round_trip_through_pickle():
-    """An access list has no codec tag of its own: it pickles."""
+    """An access table has no codec tag of its own: it pickles."""
     from repro.analysis.episodes import assemble_accesses
 
     trace = _small_trace()
-    accesses = list(assemble_accesses(trace.records))
-    assert accesses
-    payload = encode_artifact(accesses)
+    table = assemble_accesses(trace.columnar)
+    assert len(table)
+    payload = encode_artifact(table)
     assert payload[:1] == b"P"
-    assert decode_artifact(payload) == accesses
+    assert_same_tables([decode_artifact(payload)], [table])
 
 
 def test_keys_stable_and_parameter_sensitive(tmp_path):
@@ -221,25 +224,33 @@ def test_workers_knob_resolution():
 
 
 def test_pooled_accesses_match_per_trace_order(tmp_path):
-    """The pooled access list is the per-trace lists concatenated in
-    trace order (what the serial assembler produced)."""
+    """Figures 1-3 pool the per-trace tables in trace order: each CDF is
+    fed exactly what the record path fed it from the concatenated
+    per-trace access lists."""
+    import reference_analysis as reference
+
+    from repro.analysis import (
+        compute_file_sizes,
+        compute_open_times,
+        compute_run_lengths,
+    )
     from repro.analysis.episodes import assemble_accesses
 
     ctx = ExperimentContext(scale=SCALE, seed=7, cache=False)
     traces = ctx.traces()
-    pooled = ctx.accesses()
-    expected = []
-    for trace in traces:
-        expected.extend(assemble_accesses(trace.records))
-    assert len(pooled) == len(expected)
-    for a, b in zip(pooled, expected):
-        assert a.open_record == b.open_record
-        assert a.close_record == b.close_record
-        assert a.runs == b.runs
-        assert a.reposition_count == b.reposition_count
-    concatenated = [a for per_trace in ctx.trace_accesses() for a in per_trace]
-    assert len(pooled) == len(concatenated)
-    assert all(a is b for a, b in zip(pooled, concatenated))
+    tables = ctx.trace_accesses()
+    assert_same_tables(tables, [assemble_accesses(t.columnar) for t in traces])
+    assert ctx.trace_accesses() is tables
+    pooled = [a for t in traces for a in reference.assemble_accesses(t.records)]
+    for compute, curves in (
+        (compute_run_lengths, ("by_runs", "by_bytes")),
+        (compute_file_sizes, ("by_accesses", "by_bytes")),
+        (compute_open_times, ("by_opens",)),
+    ):
+        ours = compute(tables)
+        theirs = getattr(reference, compute.__name__)(pooled)
+        for curve in curves:
+            assert getattr(ours, curve)._samples == getattr(theirs, curve)._samples
 
 
 def test_accesses_assembled_once_per_trace(monkeypatch):
@@ -252,9 +263,9 @@ def test_accesses_assembled_once_per_trace(monkeypatch):
     original = episodes.assemble_accesses
     calls = []
 
-    def counting(records):
+    def counting(trace):
         calls.append(1)
-        return original(records)
+        return original(trace)
 
     # Rebind every module-level name of the assembler, not just the
     # registry's, so an import inside any caller is counted too.

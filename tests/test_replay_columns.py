@@ -13,19 +13,35 @@ cluster.  Over the same streams, attaching a protocol oracle or an
 observation to a plain cluster must not steer the replay; a grouped
 stream replayed as owned-only shards and merged must equal one replay;
 and a raise-mode oracle must stay clean in replicated clusters under
-the strategy's faults plus overlapping server crashes.
+the strategy's faults plus overlapping server crashes.  The same
+streams, cut by a window, also drive the Section 4 analyses: over the
+columns they must equal the record path kept in
+``tests/reference_analysis.py``.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from unittest import mock
 
 import pytest
 
 import repro.fs.cluster as cluster_module
+from repro.analysis import (
+    assemble_accesses,
+    compute_access_patterns,
+    compute_file_sizes,
+    compute_lifetimes,
+    compute_open_times,
+    compute_run_lengths,
+    compute_table1,
+)
+from repro.analysis.access_patterns import render_table3
+from repro.analysis.sharded import per_server_activity, per_server_table1
+from repro.analysis.table1 import render_table1
+from repro.common.cdf import Cdf
 from repro.common.errors import SimulationError
 from repro.fs.cluster import Cluster, ClusterResult, merge_cluster_results
 from repro.fs.config import ClusterConfig
@@ -38,10 +54,10 @@ from repro.fs.faults import (
     FaultSchedule,
 )
 from repro.fs.oracle import InvariantViolation, ProtocolOracle
-from repro.fs.sharding import _mix64
+from repro.fs.sharding import Placement, _mix64
 from repro.obs.observer import ObsConfig, Observation
 from repro.sim import Engine, SharedTicker
-from repro.trace.columnar import ColumnarTrace
+from repro.trace.columnar import ColumnarTrace, ColumnarTraceBuilder
 from repro.trace.records import (
     AccessMode,
     CloseRecord,
@@ -59,6 +75,7 @@ from repro.trace.records import (
 )
 from repro.trace.validate import validate_stream
 
+import reference_analysis
 import reference_ticks
 from checkers import all_snapshots
 from test_rpc_transport import server_values
@@ -991,3 +1008,141 @@ def test_delete_under_open_and_handlerless_kinds():
     ]
     fingerprints = assert_loops_agree(records, 310.0)
     assert fingerprints["plain"]["records_replayed"] == len(records)
+
+
+# --------------------------------------------------------------------------
+# Section 4 over columns: Tables 1, 1a and 3 and Figures 1-4
+# --------------------------------------------------------------------------
+
+SIZES = (0, 1, 4096, 10000, 70000, 74096)
+
+
+@dataclass
+class _Windowed:
+    """One sealed stream, as both analysis paths read it."""
+
+    name: str
+    columnar: ColumnarTrace
+    records: list
+    duration: float
+
+
+def _with_fields(draw, record: TraceRecord, run_ends: dict) -> TraceRecord:
+    """Draw the fields the analyses read that ``record_streams`` leaves
+    at their defaults: users (some unknown), sizes and byte ages; and
+    start most runs where their episode's previous run ended, so runs
+    continue in place, in either direction."""
+    changes = {"user_id": draw(st.integers(-1, CLIENTS - 1))}
+    if isinstance(record, OpenRecord):
+        changes["size_at_open"] = draw(st.sampled_from(SIZES))
+    elif isinstance(record, CloseRecord):
+        changes["size_at_close"] = draw(st.sampled_from(SIZES))
+    elif isinstance(record, (ReadRunRecord, WriteRunRecord)):
+        if record.open_id in run_ends and draw(st.integers(0, 3)):
+            changes["offset"] = run_ends[record.open_id]
+        run_ends[record.open_id] = changes.get("offset", record.offset) + record.length
+    elif isinstance(record, (DeleteRecord, TruncateRecord)):
+        changes["size"] = draw(st.sampled_from(SIZES))
+        age = draw(st.sampled_from((None, 0.0, 2.5, 40.0, 900.0)))
+        if age is not None:
+            changes["oldest_byte_time"] = record.time - age
+            changes["newest_byte_time"] = record.time - age + draw(
+                st.sampled_from((0.0, 1.0, 30.0, 2000.0))
+            )
+    return replace(record, **changes)
+
+
+@st.composite
+def windowed_streams(draw):
+    """A ``record_streams`` stream with drawn users, sizes, byte ages and
+    continued runs, sealed with a window cut from its own timestamps:
+    the first one to three timestamps' records (shifted to negative
+    times) and, when more than one timestamp is left, the last one to
+    three timestamps' records are dropped from the stream but stay in
+    their kinds' tables, so opens, closes and runs lose their partners
+    at both ends."""
+    records, _, _ = draw(record_streams())
+    times = sorted({r.time for r in records})
+    count = len(times)
+    lo = draw(st.integers(min(1, count - 1), min(3, count - 1)))
+    hi = draw(st.integers(min(1, count - lo - 1), max(0, min(3, count - lo - 1))))
+    start = times[lo]
+    end = times[count - hi] if hi else times[-1] + 1.0
+    builder = ColumnarTraceBuilder()
+    run_ends: dict[int, int] = {}
+    for record in records:
+        record = _with_fields(draw, replace(record, time=record.time - start), run_ends)
+        builder.append(
+            type(record), tuple(getattr(record, f.name) for f in fields(record))
+        )
+    columnar = builder.seal(end - start)
+    hypothesis.event(
+        "rows outside the window"
+        if len(columnar) < len(records) else "every row in the window"
+    )
+    return columnar, end - start
+
+
+def _samples(cdf) -> list:
+    """A CDF's samples with their types, in insertion order."""
+    return [(type(v), v, type(w), w) for v, w in cdf._samples]
+
+
+def assert_section4_matches_the_record_path(traces, placement_seed) -> None:
+    ours = [compute_table1(t.name, t.columnar, t.duration) for t in traces]
+    theirs = [reference_analysis.compute_table1(t.name, t.records, t.duration) for t in traces]
+    assert [vars(s) for s in ours] == [vars(s) for s in theirs]
+    assert render_table1(ours) == render_table1(theirs)
+    for num_servers in range(1, 5):
+        placement = Placement(num_servers, placement_seed)
+        ours = per_server_table1(traces, placement)
+        theirs = reference_analysis.per_server_table1(traces, placement)
+        assert [vars(s) for s in ours] == [vars(s) for s in theirs], num_servers
+        assert render_table1(ours) == render_table1(theirs)
+        assert per_server_activity(traces, placement) == (
+            reference_analysis.per_server_activity(traces, placement)
+        )
+
+    tables = [assemble_accesses(t.columnar) for t in traces]
+    accesses = [list(reference_analysis.assemble_accesses(t.records)) for t in traces]
+    assert [len(table) for table in tables] == [len(a) for a in accesses]
+    pooled = [access for per_trace in accesses for access in per_trace]
+    ours = [compute_access_patterns(tables)]
+    ours += [compute_access_patterns([table]) for table in tables]
+    theirs = [reference_analysis.compute_access_patterns(pooled)]
+    theirs += [reference_analysis.compute_access_patterns(a) for a in accesses]
+    for mine, other in zip(ours, theirs):
+        assert mine.cells == other.cells
+        assert mine.skipped_zero_byte == other.skipped_zero_byte
+    assert render_table3(ours[0], ours[1:]) == render_table3(theirs[0], theirs[1:])
+
+    records = [r for t in traces for r in t.records]
+    for mine, other in (
+        (compute_run_lengths(tables), reference_analysis.compute_run_lengths(pooled)),
+        (compute_file_sizes(tables), reference_analysis.compute_file_sizes(pooled)),
+        (compute_open_times(tables), reference_analysis.compute_open_times(pooled)),
+        (compute_lifetimes(t.columnar for t in traces),
+         reference_analysis.compute_lifetimes(records)),
+    ):
+        assert vars(mine).keys() == vars(other).keys()
+        for name, value in vars(mine).items():
+            if isinstance(value, Cdf):
+                assert _samples(value) == _samples(getattr(other, name)), name
+            else:
+                assert value == getattr(other, name), name
+        assert mine.render() == other.render()
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@given(st.lists(windowed_streams(), min_size=1, max_size=3), st.integers(0, 99))
+def test_property_section4_matches_the_record_path(streams, placement_seed):
+    """Tables 1, 1a (at 1-4 servers) and 3 and Figures 1-4 read the
+    columns of windowed streams exactly as the record path reads their
+    materialized records: the same rows, CDF samples in the same order
+    with the same types, and the same rendered text.  Table 2a's column
+    split hands each server the same records as the record split."""
+    traces = [
+        _Windowed(f"t{index}", columnar, columnar.materialize(), duration)
+        for index, (columnar, duration) in enumerate(streams)
+    ]
+    assert_section4_matches_the_record_path(traces, placement_seed)

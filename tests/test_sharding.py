@@ -21,11 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import compute_table1
 from repro.analysis.sharded import (
+    per_server_table1,
     render_table1_per_server,
     render_table2_per_server,
     render_table7_per_server,
-    shard_records,
 )
 from repro.common.errors import ConfigError
 from repro.common.units import MB
@@ -391,13 +392,33 @@ class TestPerServerRendering:
             for server_id in range(4):
                 assert f"server {server_id}" in text
 
-    def test_shard_records_partitions_without_loss(self, small_trace):
-        placement = Placement(4)
-        shards = shard_records(small_trace.records, placement)
-        assert sum(len(shard) for shard in shards) == len(
-            small_trace.records
-        )
-        for server_id, records in enumerate(shards):
-            for record in records[:200]:
-                file_id = getattr(record, "file_id", -1)
-                assert placement.shard_of(file_id) == server_id
+    def test_table1_columns_partition_the_trace(self, small_trace):
+        """Table 1a's server columns split every count and byte total of
+        the trace's Table 1 row, and each server sees a subset of its
+        users."""
+        placement = Placement(4, seed=3)
+        whole = compute_table1("t", small_trace.columnar, small_trace.duration)
+        per_server = per_server_table1([small_trace], placement)
+        for attr in (
+            "bytes_read", "bytes_written", "directory_bytes_read",
+            "open_events", "close_events", "reposition_events",
+            "delete_events", "truncate_events", "shared_read_events",
+            "shared_write_events",
+        ):
+            assert sum(getattr(s, attr) for s in per_server) == getattr(whole, attr)
+        assert set().union(*(s.users for s in per_server)) == whole.users
+        assert sum(s.open_events > 0 for s in per_server) == 4
+
+    def test_per_server_activity_matches_the_record_split(self, small_trace):
+        """Table 2a splits records by their file's server through the
+        columns; each server sees what the record split handed it."""
+        import reference_analysis as reference
+
+        from repro.analysis.sharded import per_server_activity
+
+        placement = Placement(4, seed=3)
+        ours = per_server_activity([small_trace], placement)
+        assert ours == reference.per_server_activity([small_trace], placement)
+        shards = reference.shard_records(small_trace.records, placement)
+        assert sum(map(len, shards)) == len(small_trace.records)
+        assert all(shards)

@@ -145,11 +145,16 @@ class TestApplications:
     def test_rw_update_produces_read_write_access(self):
         ctx = make_context(seed=10)
         run_rw_update(ctx, 0.0)
-        from repro.analysis import assemble_accesses, classify_access
-        from repro.analysis.access_patterns import AccessType
+        from repro.analysis import assemble_accesses
+        from repro.analysis.access_patterns import (
+            CELLS,
+            AccessType,
+            classify_accesses,
+        )
+        from repro.trace.columnar import ColumnarTrace
 
-        accesses = list(assemble_accesses(sorted_records(ctx)))
-        types = {classify_access(a)[0] for a in accesses if classify_access(a)}
+        table = assemble_accesses(ColumnarTrace.from_records(sorted_records(ctx)))
+        types = {CELLS[c][0] for c in classify_accesses(table).tolist() if c >= 0}
         assert AccessType.READ_WRITE in types
 
     def test_shared_log_produces_shared_events_and_overlap(self):
