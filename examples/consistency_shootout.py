@@ -30,23 +30,23 @@ from repro.workload import generate_standard_traces
 def main() -> None:
     print("Generating the study's eight traces (scale 0.1) ...")
     traces = generate_standard_traces(scale=0.1, seed=1991)
-    print(f"  {sum(len(t.records) for t in traces)} records total")
+    print(f"  {sum(t.record_count for t in traces)} records total")
     print()
 
     # Table 10 -- how often does Sprite act?
-    actions = [compute_actions(t.records) for t in traces]
+    actions = [compute_actions(t.columnar) for t in traces]
     print(render_table10(actions))
     print()
 
     # Table 11 -- what would polling cost?
-    results_60 = [simulate_polling(t.records, 60.0, t.duration) for t in traces]
-    results_3 = [simulate_polling(t.records, 3.0, t.duration) for t in traces]
+    results_60 = [simulate_polling(t.columnar, 60.0, t.duration) for t in traces]
+    results_3 = [simulate_polling(t.columnar, 3.0, t.duration) for t in traces]
     print(render_table11(results_60, results_3))
     print()
 
     # Table 12 -- scheme overheads on write-shared activity.
     comparisons = [
-        simulate_schemes(extract_shared_activity(t.records)) for t in traces
+        simulate_schemes(extract_shared_activity(t.columnar)) for t in traces
     ]
     print(render_table12(comparisons))
     print()

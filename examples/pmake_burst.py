@@ -22,16 +22,19 @@ from repro.trace.records import ReadRunRecord, WriteRunRecord
 from repro.workload import STANDARD_PROFILES, generate_trace
 
 
-def burst_cdf(records, migrated_only: bool) -> Cdf:
+def burst_cdf(trace, migrated_only: bool) -> Cdf:
     """Per-user 10-second throughput samples (KB/s), as a CDF."""
+    _, times, users, lengths, migrated = trace.select(
+        (ReadRunRecord, WriteRunRecord), "time", "user_id", "length", "migrated"
+    )
     by_interval: dict[tuple[int, int], int] = {}
-    for record in records:
-        if not isinstance(record, (ReadRunRecord, WriteRunRecord)):
+    for time, user, length, moved in zip(
+        times.tolist(), users.tolist(), lengths.tolist(), migrated.tolist()
+    ):
+        if migrated_only and not moved:
             continue
-        if migrated_only and not record.migrated:
-            continue
-        key = (int(record.time // TEN_SECONDS), record.user_id)
-        by_interval[key] = by_interval.get(key, 0) + record.length
+        key = (int(time // TEN_SECONDS), user)
+        by_interval[key] = by_interval.get(key, 0) + length
     cdf = Cdf()
     for nbytes in by_interval.values():
         cdf.add(nbytes / TEN_SECONDS / KB)
@@ -43,7 +46,7 @@ def main() -> None:
     print(f"Generating {profile.name} (migration-heavy) ...")
     trace = generate_trace(profile, seed=2042, scale=0.15)
 
-    result = compute_activity([(trace.records, trace.duration)])
+    result = compute_activity([(trace.columnar, trace.duration)])
     print()
     print(result.render())
     print()
@@ -51,8 +54,8 @@ def main() -> None:
           f"{result.migration_burst_factor:.1f}x   (paper: ~6x)")
     print()
 
-    everyone = burst_cdf(trace.records, migrated_only=False)
-    migrated = burst_cdf(trace.records, migrated_only=True)
+    everyone = burst_cdf(trace.columnar, migrated_only=False)
+    migrated = burst_cdf(trace.columnar, migrated_only=True)
     print("Per-user 10-second throughput distribution (KB/s):")
     print(f"{'percentile':>12} {'all users':>12} {'migrated':>12}")
     for fraction in (0.5, 0.9, 0.99, 1.0):

@@ -13,12 +13,15 @@ across the eight traces).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
+
+import numpy as np
 
 from repro.common.render import format_with_spread, render_table
 from repro.common.stats import RunningStat
 from repro.common.units import KB, TEN_MINUTES, TEN_SECONDS
-from repro.trace.records import ReadRunRecord, TraceRecord, WriteRunRecord
+from repro.trace.columnar import RECORD_CLASSES, ColumnarTrace
+from repro.trace.records import ReadRunRecord, WriteRunRecord
 
 
 @dataclass
@@ -134,33 +137,56 @@ class _ScaleAccumulator:
         self.peak_total = 0.0
         self.max_active = 0
 
-    def consume(self, records: Sequence[TraceRecord], duration: float) -> None:
-        # user activity flags and byte counts, keyed by interval index.
+    def consume(
+        self,
+        times: np.ndarray,
+        users: np.ndarray,
+        migrated: np.ndarray,
+        nbytes: np.ndarray,
+        duration: float,
+    ) -> None:
+        """Fold in one trace, given per-record time, user, migrated flag
+        and transferred bytes (0 outside read and write runs)."""
+        keep = users >= 0
+        if self.migrated_only:
+            keep &= migrated
+        # Interval index exactly as ``int(time // width)``.
+        index = (times[keep] // self.width).astype(np.int64)
+        users = users[keep]
+        # One key per (interval, user) pair; ``first`` is where the pair
+        # first appears in the stream.
+        span = int(users.max()) + 1 if len(users) else 1
+        keys, first, inverse = np.unique(
+            index * span + users, return_index=True, return_inverse=True
+        )
+        totals = np.zeros(len(keys), dtype=np.int64)
+        np.add.at(totals, inverse, nbytes[keep])
+        order = np.argsort(first, kind="stable")
+        # Intervals in first-appearance order, each with its users added
+        # in first-appearance order: the same dict and set layouts a
+        # record-by-record sweep builds, so the sets iterate alike.
         active: dict[int, set[int]] = {}
         user_bytes: dict[int, dict[int, int]] = {}
-        for record in records:
-            if self.migrated_only and not getattr(record, "migrated", False):
-                continue
-            user = getattr(record, "user_id", None)
-            if user is None or user < 0:
-                continue
-            index = int(record.time // self.width)
-            active.setdefault(index, set()).add(user)
-            if isinstance(record, (ReadRunRecord, WriteRunRecord)):
-                bucket = user_bytes.setdefault(index, {})
-                bucket[user] = bucket.get(user, 0) + record.length
+        for key, total in zip(keys[order].tolist(), totals[order].tolist()):
+            interval, user = divmod(key, span)
+            users_of = active.get(interval)
+            if users_of is None:
+                users_of = active[interval] = set()
+                user_bytes[interval] = {}
+            users_of.add(user)
+            user_bytes[interval][user] = total
 
         total_intervals = max(1, int(duration // self.width))
         occupied = 0
-        for index, users in active.items():
-            count = len(users)
+        for interval, users_of in active.items():
+            count = len(users_of)
             self.active_user_counts.add(float(count))
             self.max_active = max(self.max_active, count)
             occupied += 1
             interval_bytes = 0
-            per_user = user_bytes.get(index, {})
-            for user in users:
-                nbytes = per_user.get(user, 0)
+            per_user = user_bytes[interval]
+            for user in users_of:
+                nbytes = per_user[user]
                 kbs = nbytes / self.width / KB
                 self.user_throughput.add(kbs)
                 self.peak_user = max(self.peak_user, kbs)
@@ -169,8 +195,7 @@ class _ScaleAccumulator:
                 self.peak_total, interval_bytes / self.width / KB
             )
         # Intervals with no active user count as zero users.
-        for _ in range(max(0, total_intervals - occupied)):
-            self.active_user_counts.add(0.0)
+        self.active_user_counts.add(0.0, max(0, total_intervals - occupied))
 
     def result(self) -> IntervalScaleResult:
         return IntervalScaleResult(
@@ -186,19 +211,22 @@ class _ScaleAccumulator:
 
 
 def compute_activity(
-    traces: Iterable[tuple[Sequence[TraceRecord], float]],
+    traces: Iterable[tuple[ColumnarTrace, float]],
 ) -> ActivityResult:
-    """Compute Table 2 over a pool of (records, duration) traces."""
+    """Compute Table 2 over a pool of (trace, duration) pairs."""
     accumulators = {
         ("10m", False): _ScaleAccumulator(TEN_MINUTES, migrated_only=False),
         ("10m", True): _ScaleAccumulator(TEN_MINUTES, migrated_only=True),
         ("10s", False): _ScaleAccumulator(TEN_SECONDS, migrated_only=False),
         ("10s", True): _ScaleAccumulator(TEN_SECONDS, migrated_only=True),
     }
-    for records, duration in traces:
-        records = list(records)
+    for trace, duration in traces:
+        _, users, migrated = trace.select(RECORD_CLASSES, "user_id", "migrated")
+        nbytes = np.zeros(len(trace), dtype=np.int64)
+        runs, lengths = trace.select((ReadRunRecord, WriteRunRecord), "length")
+        nbytes[runs] = lengths
         for accumulator in accumulators.values():
-            accumulator.consume(records, duration)
+            accumulator.consume(trace.times, users, migrated, nbytes, duration)
 
     result = ActivityResult()
     result.ten_minute_all = accumulators[("10m", False)].result()

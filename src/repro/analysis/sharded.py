@@ -9,8 +9,9 @@ out of the traces and the replay counters:
 * **Table 1** -- split each trace's column stream by the server its
   records' files live on and pool each server's part across the
   traces, yielding one Table 1 column per server instead of per trace.
-* **Table 2** -- run the user-activity computation on each server's
-  record stream, yielding per-server throughput columns.
+* **Table 2** -- split the column streams the same way and run the
+  user-activity computation on each server's part, yielding
+  per-server throughput columns.
 * **Table 7** -- aggregate each shard's :class:`ServerCounters` across
   the replayed traces and report the traffic mix one column per server.
 
@@ -77,16 +78,17 @@ def render_table1_per_server(
 def per_server_activity(
     traces: Sequence, placement: Placement
 ) -> list[ActivityResult]:
-    """The Table 2 computation run once per server's record stream (in
-    trace order, so every downstream computation stays deterministic)."""
+    """The Table 2 computation run once per server's part of the
+    streams (in trace order, so every downstream computation stays
+    deterministic)."""
     routed = [
-        (t.records, _record_servers(t.columnar, placement), t.duration)
+        (t.columnar, _record_servers(t.columnar, placement), t.duration)
         for t in traces
     ]
     return [
         compute_activity(
-            ([records[i] for i in np.flatnonzero(servers == server_id)], duration)
-            for records, servers, duration in routed
+            (columnar.subset(servers == server_id), duration)
+            for columnar, servers, duration in routed
         )
         for server_id in range(placement.num_servers)
     ]

@@ -15,18 +15,16 @@ the trace format only records file opens):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.common.render import format_with_range, render_table
 from repro.common.stats import MinMax
 from repro.common.units import DELAYED_WRITE_SECONDS, WRITEBACK_SCAN_INTERVAL
-from repro.trace.records import (
-    AccessMode,
-    CloseRecord,
-    OpenRecord,
-    TraceRecord,
-    WriteRunRecord,
-)
+from repro.trace.columnar import MODE_CODES, RECORD_CLASSES, ColumnarTrace
+from repro.trace.records import AccessMode, CloseRecord, OpenRecord, WriteRunRecord
+
+_OPEN = RECORD_CLASSES.index(OpenRecord)
+_CLOSE = RECORD_CLASSES.index(CloseRecord)
+_READ = MODE_CODES[AccessMode.READ]
 
 
 @dataclass
@@ -47,10 +45,11 @@ class ConsistencyActionResult:
 
 
 def compute_actions(
-    records: Iterable[TraceRecord],
+    trace: ColumnarTrace,
     flush_horizon: float = DELAYED_WRITE_SECONDS + WRITEBACK_SCAN_INTERVAL,
 ) -> ConsistencyActionResult:
-    """Sweep one trace and count consistency actions."""
+    """Sweep one trace's opens, closes and write runs and count
+    consistency actions."""
     result = ConsistencyActionResult()
     # per-file open state: client -> open count, and writer clients
     readers: dict[int, dict[int, int]] = {}
@@ -58,32 +57,43 @@ def compute_actions(
     open_mode: dict[int, tuple[int, int, bool]] = {}  # open_id -> (file, client, writer)
     last_write: dict[int, tuple[int, float]] = {}  # file -> (client, time)
 
-    for record in records:
-        if isinstance(record, OpenRecord):
+    positions, *columns = trace.select(
+        (OpenRecord, CloseRecord, WriteRunRecord),
+        "time", "file_id", "client_id", "open_id", "mode",
+    )
+    kinds = trace.kind_idx[positions].tolist()
+    for kind, time, file_id, client_id, open_id, mode in zip(
+        kinds, *(column.tolist() for column in columns)
+    ):
+        if kind == _OPEN:
             result.opens += 1
-            file_id = record.file_id
-            is_writer = record.mode is not AccessMode.READ
+            is_writer = mode != _READ
 
             # Server recall check: data dirty on another client?
             written = last_write.get(file_id)
             if (
                 written is not None
-                and written[0] != record.client_id
-                and record.time - written[1] <= flush_horizon
+                and written[0] != client_id
+                and time - written[1] <= flush_horizon
             ):
                 result.recall_opens += 1
                 last_write.pop(file_id, None)  # recalled: now clean
 
             table = writers if is_writer else readers
             by_client = table.setdefault(file_id, {})
-            by_client[record.client_id] = by_client.get(record.client_id, 0) + 1
-            open_mode[record.open_id] = (file_id, record.client_id, is_writer)
+            by_client[client_id] = by_client.get(client_id, 0) + 1
+            open_mode[open_id] = (file_id, client_id, is_writer)
 
-            clients = set(readers.get(file_id, {})) | set(writers.get(file_id, {}))
-            if writers.get(file_id) and len(clients) > 1:
+            # Shared when a writer holds it open and more than one
+            # client (writer or reader) has it open.
+            holders = writers.get(file_id)
+            if holders and (
+                len(holders) > 1
+                or any(c not in holders for c in readers.get(file_id, ()))
+            ):
                 result.write_sharing_opens += 1
-        elif isinstance(record, CloseRecord):
-            state = open_mode.pop(record.open_id, None)
+        elif kind == _CLOSE:
+            state = open_mode.pop(open_id, None)
             if state is None:
                 continue
             file_id, client_id, is_writer = state
@@ -96,8 +106,8 @@ def compute_actions(
                     table.pop(file_id, None)
             else:
                 by_client[client_id] = count - 1
-        elif isinstance(record, WriteRunRecord):
-            last_write[record.file_id] = (record.client_id, record.time)
+        else:
+            last_write[file_id] = (client_id, time)
     return result
 
 

@@ -14,18 +14,31 @@ dropping runs that duplicate shared requests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
+import numpy as np
+
+from repro.trace.columnar import MODE_CODES, RECORD_CLASSES, ColumnarTrace
 from repro.trace.records import (
+    AccessMode,
     CloseRecord,
     OpenRecord,
     ReadRunRecord,
     SharedReadRecord,
     SharedWriteRecord,
-    TraceRecord,
     WriteRunRecord,
-    AccessMode,
 )
+
+_SHARED = (SharedReadRecord, SharedWriteRecord)
+#: The kinds that join an episode by its open id.
+_FOLLOWERS = (CloseRecord, ReadRunRecord, WriteRunRecord)
+_EXTRACTED = (OpenRecord, *_FOLLOWERS, *_SHARED)
+_OPEN = RECORD_CLASSES.index(OpenRecord)
+_CLOSE = RECORD_CLASSES.index(CloseRecord)
+_SHARED_CODES = frozenset(RECORD_CLASSES.index(cls) for cls in _SHARED)
+_WRITE_CODES = frozenset(
+    RECORD_CLASSES.index(cls) for cls in (WriteRunRecord, SharedWriteRecord)
+)
+_READ = MODE_CODES[AccessMode.READ]
 
 
 @dataclass(frozen=True)
@@ -101,91 +114,76 @@ class SharedFileActivity:
         return windows
 
 
-def extract_shared_activity(
-    records: Iterable[TraceRecord],
-) -> list[SharedFileActivity]:
+def extract_shared_activity(trace: ColumnarTrace) -> list[SharedFileActivity]:
     """Build per-file activity for every file with shared requests."""
-    shared_files: set[int] = set()
+    shared_at, shared_file_ids = trace.select(_SHARED, "file_id")
+    shared_files = np.unique(shared_file_ids)
+    # Keep the shared requests, the opens of their files, and the runs
+    # and closes that carry one of those opens' ids.
+    open_at, open_files, open_ids = trace.select(OpenRecord, "file_id", "open_id")
+    shared_opens = np.isin(open_files, shared_files)
+    follow_at, follow_ids = trace.select(_FOLLOWERS, "open_id")
+    keep = np.zeros(len(trace), dtype=bool)
+    keep[shared_at] = True
+    keep[open_at[shared_opens]] = True
+    keep[follow_at[np.isin(follow_ids, open_ids[shared_opens])]] = True
+    sub = trace.subset(keep)
+    positions, *columns = sub.select(
+        _EXTRACTED, "time", "file_id", "open_id", "client_id", "user_id",
+        "offset", "length", "mode", "migrated",
+    )
+
     requests_by_file: dict[int, list[SharedRequest]] = {}
     intervals_by_file: dict[int, list[OpenInterval]] = {}
-    open_episodes: dict[int, tuple[OpenRecord, list[TraceRecord]]] = {}
-    records = list(records)
-
-    for record in records:
-        if isinstance(record, (SharedReadRecord, SharedWriteRecord)):
-            shared_files.add(record.file_id)
-
-    # Collect open intervals and runs for those files.
-    run_episodes: dict[int, list[TraceRecord]] = {}
-    episode_opens: dict[int, OpenRecord] = {}
-    for record in records:
-        if isinstance(record, OpenRecord) and record.file_id in shared_files:
-            episode_opens[record.open_id] = record
-            run_episodes[record.open_id] = []
-        elif isinstance(record, (ReadRunRecord, WriteRunRecord)):
-            if record.open_id in run_episodes:
-                run_episodes[record.open_id].append(record)
-        elif isinstance(record, CloseRecord) and record.open_id in episode_opens:
-            open_record = episode_opens.pop(record.open_id)
-            file_id = open_record.file_id
-            runs = run_episodes.pop(record.open_id, [])
+    #: open_id -> (time, file, client, user, writer) of an open episode.
+    episode_opens: dict[int, tuple[float, int, int, int, bool]] = {}
+    run_episodes: dict[int, list[SharedRequest]] = {}
+    #: open_id -> (file, runs) of a closed episode, in close order.
+    closed_episodes: dict[int, tuple[int, list[SharedRequest]]] = {}
+    rows = zip(sub.kind_idx[positions].tolist(), *(column.tolist() for column in columns))
+    for kind, time, file_id, open_id, client_id, user_id, offset, length, mode, migrated in rows:
+        if kind == _OPEN:
+            episode_opens[open_id] = (time, file_id, client_id, user_id, mode != _READ)
+            run_episodes[open_id] = []
+        elif kind == _CLOSE:
+            opened = episode_opens.pop(open_id, None)
+            if opened is None:
+                continue
+            start, file_id, client_id, user_id, writer = opened
+            runs = run_episodes.pop(open_id, [])
             intervals_by_file.setdefault(file_id, []).append(
-                OpenInterval(
-                    client_id=open_record.client_id,
-                    user_id=open_record.user_id,
-                    start=open_record.time,
-                    end=record.time,
-                    writer=open_record.mode is not AccessMode.READ,
-                )
+                OpenInterval(client_id, user_id, start, time, writer)
             )
             # Keep the runs; duplicates of shared requests are dropped
             # later based on the sharing windows.
-            open_episodes[record.open_id] = (open_record, runs)
-        elif isinstance(record, (SharedReadRecord, SharedWriteRecord)):
-            requests_by_file.setdefault(record.file_id, []).append(
-                SharedRequest(
-                    time=record.time,
-                    client_id=record.client_id,
-                    user_id=record.user_id,
-                    offset=record.offset,
-                    length=record.length,
-                    is_write=isinstance(record, SharedWriteRecord),
-                    migrated=record.migrated,
-                )
+            closed_episodes[open_id] = (file_id, runs)
+        else:
+            request = SharedRequest(
+                time, client_id, user_id, offset, length, kind in _WRITE_CODES, migrated
             )
+            if kind in _SHARED_CODES:
+                requests_by_file.setdefault(file_id, []).append(request)
+            elif open_id in run_episodes:
+                run_episodes[open_id].append(request)
+
+    solo_by_file: dict[int, list[SharedRequest]] = {}
+    for file_id, runs in closed_episodes.values():
+        solo_by_file.setdefault(file_id, []).extend(runs)
 
     activities: list[SharedFileActivity] = []
-    for file_id in sorted(shared_files):
+    for file_id in shared_files.tolist():
         activity = SharedFileActivity(
             file_id=file_id,
             requests=requests_by_file.get(file_id, []),
             intervals=intervals_by_file.get(file_id, []),
         )
         windows = activity.sharing_windows(until_all_close=True)
-
-        def in_window(time: float) -> bool:
-            return any(start <= time <= end for start, end in windows)
-
         # Solo runs on shared files become coarse requests -- unless
         # they fall inside a sharing window, where the fine-grained
         # shared records already cover them.
-        for open_record, runs in open_episodes.values():
-            if open_record.file_id != file_id:
-                continue
-            for run in runs:
-                if in_window(run.time):
-                    continue
-                activity.requests.append(
-                    SharedRequest(
-                        time=run.time,
-                        client_id=run.client_id,
-                        user_id=run.user_id,
-                        offset=run.offset,
-                        length=run.length,
-                        is_write=isinstance(run, WriteRunRecord),
-                        migrated=run.migrated,
-                    )
-                )
+        for run in solo_by_file.get(file_id, ()):
+            if not any(start <= run.time <= end for start, end in windows):
+                activity.requests.append(run)
         activity.requests.sort(key=lambda r: r.time)
         activities.append(activity)
     return activities

@@ -14,19 +14,27 @@ requests alike) in time order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+
+import numpy as np
 
 from repro.common.render import format_with_range, render_table
 from repro.common.stats import MinMax
 from repro.common.units import HOUR
+from repro.trace.columnar import RECORD_CLASSES, ColumnarTrace
 from repro.trace.records import (
     OpenRecord,
     ReadRunRecord,
     SharedReadRecord,
     SharedWriteRecord,
-    TraceRecord,
     WriteRunRecord,
 )
+
+#: The kinds the sweep replays: every read and write, runs and shared
+#: requests alike.
+_TRANSFERS = (ReadRunRecord, WriteRunRecord, SharedReadRecord, SharedWriteRecord)
+_WRITE_CODES = [
+    RECORD_CLASSES.index(cls) for cls in (WriteRunRecord, SharedWriteRecord)
+]
 
 
 @dataclass
@@ -67,52 +75,57 @@ class PollingResult:
 
 
 def simulate_polling(
-    records: Iterable[TraceRecord],
+    trace: ColumnarTrace,
     refresh_interval: float,
     duration: float,
 ) -> PollingResult:
     """Replay one trace under the polling scheme."""
     result = PollingResult(refresh_interval=refresh_interval, duration=duration)
+    _, users = trace.select(RECORD_CLASSES, "user_id")
+    result.users_seen.update(np.unique(users[users >= 0]).tolist())
+    _, open_migrated = trace.select(OpenRecord, "migrated")
+    result.opens = len(open_migrated)
+    result.migrated_opens = int(open_migrated.sum())
+
+    positions, *columns = trace.select(
+        _TRANSFERS, "time", "file_id", "client_id", "user_id", "migrated"
+    )
+    is_write = np.isin(trace.kind_idx[positions], _WRITE_CODES)
     #: (file, client) -> time the client last validated with the server.
     validated: dict[tuple[int, int], float] = {}
     #: file -> (time of last write, writing client).
     last_write: dict[int, tuple[float, int]] = {}
 
-    for record in records:
-        user = getattr(record, "user_id", None)
-        if user is not None and user >= 0:
-            result.users_seen.add(user)
-        if isinstance(record, OpenRecord):
-            result.opens += 1
-            if record.migrated:
-                result.migrated_opens += 1
-        elif isinstance(record, (WriteRunRecord, SharedWriteRecord)):
+    for time, file_id, client_id, user, migrated, write in zip(
+        *(column.tolist() for column in columns), is_write.tolist()
+    ):
+        if write:
             # Written through (almost) immediately; the writer's own
             # cache is current as of now.
-            last_write[record.file_id] = (record.time, record.client_id)
-            validated[(record.file_id, record.client_id)] = record.time
-        elif isinstance(record, (ReadRunRecord, SharedReadRecord)):
-            result.reads += 1
-            key = (record.file_id, record.client_id)
-            check_time = validated.get(key)
-            written = last_write.get(record.file_id)
-            if check_time is None or record.time >= check_time + refresh_interval:
-                # Cache expired (or cold): the client re-checks with the
-                # server and sees current data.
-                validated[key] = record.time
-                continue
-            if (
-                written is not None
-                and written[1] != record.client_id
-                and written[0] > check_time
-            ):
-                # Another client wrote since we validated, and our cache
-                # has not expired: stale data.
-                result.errors += 1
-                if record.migrated:
-                    result.migrated_errors += 1
-                if record.user_id >= 0:
-                    result.users_affected.add(record.user_id)
+            last_write[file_id] = (time, client_id)
+            validated[(file_id, client_id)] = time
+            continue
+        result.reads += 1
+        key = (file_id, client_id)
+        check_time = validated.get(key)
+        written = last_write.get(file_id)
+        if check_time is None or time >= check_time + refresh_interval:
+            # Cache expired (or cold): the client re-checks with the
+            # server and sees current data.
+            validated[key] = time
+            continue
+        if (
+            written is not None
+            and written[1] != client_id
+            and written[0] > check_time
+        ):
+            # Another client wrote since we validated, and our cache
+            # has not expired: stale data.
+            result.errors += 1
+            if migrated:
+                result.migrated_errors += 1
+            if user >= 0:
+                result.users_affected.add(user)
     return result
 
 

@@ -283,7 +283,7 @@ def _table1(ctx: ExperimentContext) -> ExperimentResult:
 
 def _table2(ctx: ExperimentContext) -> ExperimentResult:
     result = compute_activity(
-        (t.records, t.duration) for t in ctx.traces()
+        (t.columnar, t.duration) for t in ctx.traces()
     )
     rendered = result.render()
     placement = ctx.placement()
@@ -496,7 +496,7 @@ def _table9(ctx: ExperimentContext) -> ExperimentResult:
 
 
 def _table10(ctx: ExperimentContext) -> ExperimentResult:
-    per_trace = [compute_actions(t.records) for t in ctx.traces()]
+    per_trace = [compute_actions(t.columnar) for t in ctx.traces()]
     opens = sum(r.opens for r in per_trace)
     sharing = sum(r.write_sharing_opens for r in per_trace)
     recalls = sum(r.recall_opens for r in per_trace)
@@ -514,10 +514,10 @@ def _table10(ctx: ExperimentContext) -> ExperimentResult:
 
 def _table11(ctx: ExperimentContext) -> ExperimentResult:
     results_60 = [
-        simulate_polling(t.records, 60.0, t.duration) for t in ctx.traces()
+        simulate_polling(t.columnar, 60.0, t.duration) for t in ctx.traces()
     ]
     results_3 = [
-        simulate_polling(t.records, 3.0, t.duration) for t in ctx.traces()
+        simulate_polling(t.columnar, 3.0, t.duration) for t in ctx.traces()
     ]
     errors_60 = sum(r.errors for r in results_60)
     errors_3 = sum(r.errors for r in results_3)
@@ -544,7 +544,7 @@ def _table11(ctx: ExperimentContext) -> ExperimentResult:
 
 def _table12(ctx: ExperimentContext) -> ExperimentResult:
     comparisons = [
-        simulate_schemes(extract_shared_activity(t.records))
+        simulate_schemes(extract_shared_activity(t.columnar))
         for t in ctx.traces()
     ]
     total = {
@@ -679,7 +679,7 @@ def _rpc_loss(ctx: ExperimentContext) -> ExperimentResult:
     """
     activities = []
     for trace in ctx.traces():
-        activities.extend(extract_shared_activity(trace.records))
+        activities.extend(extract_shared_activity(trace.columnar))
     trace_index = ctx.cluster_trace_indexes[0]
     cluster_trace = ctx.traces()[trace_index]
     base = ctx.base_cluster_config()

@@ -9,14 +9,14 @@ per record kind, plus a global time-sorted order index -- so that:
 * generation appends plain value rows (no dataclass construction),
 * sorting is an ``argsort`` over one float array instead of an object
   sort,
-* replay and validation never build a
-  :class:`~repro.trace.records.TraceRecord`: they read gathered field
-  columns (:meth:`ColumnarTrace.gather`; the replay chunk by chunk
-  through :meth:`ColumnarTrace.iter_columns`), the Section 4 tables
-  and figures read one kind at a time (:meth:`ColumnarTrace.select`),
-  and only Table 2 and the consistency analyses read a whole-trace
-  record list (:meth:`ColumnarTrace.materialize`, built the first time
-  a trace's ``records`` view is read), and
+* replay, validation and the analyses never build a
+  :class:`~repro.trace.records.TraceRecord`: replay and validation
+  read gathered field columns (:meth:`ColumnarTrace.gather`; the
+  replay chunk by chunk through :meth:`ColumnarTrace.iter_columns`),
+  and every table and figure reads the fields of the kinds it needs
+  (:meth:`ColumnarTrace.select`).  A whole-trace record list
+  (:meth:`ColumnarTrace.materialize`) is built only when a trace's
+  ``records`` view is read, which no table does, and
 * shard math (remapping a group's ids into a disjoint global id space,
   merging group streams into one time-ordered stream) is vectorized
   array arithmetic.
@@ -355,23 +355,41 @@ class ColumnarTrace:
         return gathered
 
     def select(
-        self, cls: type[TraceRecord], *names: str
+        self,
+        kinds: type[TraceRecord] | tuple[type[TraceRecord], ...],
+        *names: str,
     ) -> tuple[np.ndarray, ...]:
-        """The stream positions of ``cls``'s records, then one array per
-        named field of those records, all in stream order.
+        """The stream positions of the records of ``kinds`` (one record
+        class or a tuple of them), then one array per named field of
+        those records, all in stream order.  A field that some of the
+        kinds lack reads 0 in their rows; a field none of them has
+        raises ``KeyError``.
 
         A kind's table can hold rows that are not in the stream (``seal``
         drops out-of-window records from the order only), so a kind is
         read through the order's rows, never as whole table columns.
         """
-        index = _KIND_INDEX[cls]
-        positions = np.flatnonzero(self.kind_idx == index)
-        specs = _SPECS[index]
-        table = self.tables[index]
-        columns = [np.empty(0, d) for _, d in specs] if table is None else table.columns
+        classes = kinds if isinstance(kinds, tuple) else (kinds,)
+        codes = [_KIND_INDEX[cls] for cls in classes]
+        dtypes = {}
+        for code in codes:
+            for name, dtype in _SPECS[code]:
+                dtypes.setdefault(name, dtype)
+        positions = np.flatnonzero(np.isin(self.kind_idx, codes))
         rows = self.row_idx[positions]
-        slots = [[name for name, _ in specs].index(name) for name in names]
-        return (positions, *(columns[s][rows] for s in slots))
+        kind_at = self.kind_idx[positions]
+        out = [np.zeros(len(positions), dtype=dtypes[name]) for name in names]
+        for code in codes:
+            table = self.tables[code]
+            if table is None:
+                continue
+            at = kind_at == code
+            kind_rows = rows[at]
+            fields = [name for name, _ in _SPECS[code]]
+            for column, name in zip(out, names):
+                if name in fields:
+                    column[at] = table.columns[fields.index(name)][kind_rows]
+        return (positions, *out)
 
     def subset(self, keep: np.ndarray) -> "ColumnarTrace":
         """The records at the stream positions where ``keep`` is true, in

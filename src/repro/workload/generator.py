@@ -52,12 +52,13 @@ class SyntheticTrace:
     (:class:`~repro.trace.columnar.ColumnarTrace`): generation validates
     it, every cluster replay reads it, and equality compares its column
     arrays.  ``records`` is a read-only view of the same stream as the
-    classic record list Table 2 and the consistency analyses read, built by
+    classic record list, built by
     :meth:`~repro.trace.columnar.ColumnarTrace.materialize` the first
-    time it is read, and at most once per trace object.  The view is
-    derived state: it is left out of equality and of pickling, so a
-    generated, decoded or unpickled trace builds it only when it is
-    read.
+    time it is read, and at most once per trace object.  No table reads
+    it; it is there for code that writes a trace file or indexes a
+    record.  The view is derived state: it is left out of equality and
+    of pickling, so a generated, decoded or unpickled trace builds it
+    only when it is read.
     """
 
     profile: TraceProfile

@@ -1,16 +1,16 @@
 """The record-walking Section 4 analyses, kept as the reference for
 ``repro.analysis``.
 
-These are the record-path implementations of Tables 1 and 1a, Table 3
-and Figures 1-4, and the per-server record split of Table 2a: an
-assembler that walks record objects and builds an ``Access`` with its
-``LogicalRun`` list per open..close episode, a per-access classifier,
-and per-access ``add`` methods on the result classes (here as
-subclasses of the production results, so both paths render through the
-same code).  The production analyses compute the
-same results with array operations over a
-:class:`~repro.trace.columnar.ColumnarTrace`; on any stream both must
-agree exactly (``tests/test_replay_columns.py``).
+These are the record-path implementations of Tables 1 and 1a, Tables 2
+and 2a, Table 3 and Figures 1-4: an assembler that walks record objects
+and builds an ``Access`` with its ``LogicalRun`` list per open..close
+episode, a per-access classifier, per-access ``add`` methods on the
+result classes (here as subclasses of the production results, so both
+paths render through the same code), and Table 2's accumulator, which
+walks every record once per interval width and user class.  The
+production analyses compute the same results with array operations
+over a :class:`~repro.trace.columnar.ColumnarTrace`; on any stream both
+must agree exactly (``tests/test_replay_columns.py``).
 """
 
 from __future__ import annotations
@@ -20,10 +20,11 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.analysis import access_patterns, file_size, lifetime, open_time, run_length
 from repro.analysis.access_patterns import AccessType, Sequentiality
-from repro.analysis.activity import ActivityResult, compute_activity
+from repro.analysis.activity import ActivityResult, IntervalScaleResult
 from repro.analysis.lifetime import _BYTE_SPAN_SAMPLES
 from repro.analysis.table1 import TraceStatistics
-from repro.common.units import HOUR
+from repro.common.stats import RunningStat
+from repro.common.units import HOUR, KB, TEN_MINUTES, TEN_SECONDS
 from repro.fs.sharding import Placement
 from repro.trace.records import (
     CloseRecord,
@@ -398,3 +399,92 @@ def per_server_activity(
             )
         )
     return per_server
+
+
+# --- Table 2 ------------------------------------------------------------------
+
+
+class _ScaleAccumulator:
+    """Pools one interval width + user class across traces."""
+
+    def __init__(self, width: float, migrated_only: bool) -> None:
+        self.width = width
+        self.migrated_only = migrated_only
+        self.active_user_counts = RunningStat()
+        self.user_throughput = RunningStat()
+        self.peak_user = 0.0
+        self.peak_total = 0.0
+        self.max_active = 0
+
+    def consume(self, records: Sequence[TraceRecord], duration: float) -> None:
+        # user activity flags and byte counts, keyed by interval index.
+        active: dict[int, set[int]] = {}
+        user_bytes: dict[int, dict[int, int]] = {}
+        for record in records:
+            if self.migrated_only and not getattr(record, "migrated", False):
+                continue
+            user = getattr(record, "user_id", None)
+            if user is None or user < 0:
+                continue
+            index = int(record.time // self.width)
+            active.setdefault(index, set()).add(user)
+            if isinstance(record, (ReadRunRecord, WriteRunRecord)):
+                bucket = user_bytes.setdefault(index, {})
+                bucket[user] = bucket.get(user, 0) + record.length
+
+        total_intervals = max(1, int(duration // self.width))
+        occupied = 0
+        for index, users in active.items():
+            count = len(users)
+            self.active_user_counts.add(float(count))
+            self.max_active = max(self.max_active, count)
+            occupied += 1
+            interval_bytes = 0
+            per_user = user_bytes.get(index, {})
+            for user in users:
+                nbytes = per_user.get(user, 0)
+                kbs = nbytes / self.width / KB
+                self.user_throughput.add(kbs)
+                self.peak_user = max(self.peak_user, kbs)
+                interval_bytes += nbytes
+            self.peak_total = max(
+                self.peak_total, interval_bytes / self.width / KB
+            )
+        # Intervals with no active user count as zero users.
+        for _ in range(max(0, total_intervals - occupied)):
+            self.active_user_counts.add(0.0)
+
+    def result(self) -> IntervalScaleResult:
+        return IntervalScaleResult(
+            interval_width=self.width,
+            average_active_users=self.active_user_counts.mean,
+            active_users_stddev=self.active_user_counts.stddev,
+            maximum_active_users=self.max_active,
+            average_throughput_kbs=self.user_throughput.mean,
+            throughput_stddev_kbs=self.user_throughput.stddev,
+            peak_user_throughput_kbs=self.peak_user,
+            peak_total_throughput_kbs=self.peak_total,
+        )
+
+
+def compute_activity(
+    traces: Iterable[tuple[Sequence[TraceRecord], float]],
+) -> ActivityResult:
+    """Compute Table 2 over a pool of (records, duration) traces."""
+    accumulators = {
+        ("10m", False): _ScaleAccumulator(TEN_MINUTES, migrated_only=False),
+        ("10m", True): _ScaleAccumulator(TEN_MINUTES, migrated_only=True),
+        ("10s", False): _ScaleAccumulator(TEN_SECONDS, migrated_only=False),
+        ("10s", True): _ScaleAccumulator(TEN_SECONDS, migrated_only=True),
+    }
+    for records, duration in traces:
+        records = list(records)
+        for accumulator in accumulators.values():
+            accumulator.consume(records, duration)
+
+    result = ActivityResult()
+    result.ten_minute_all = accumulators[("10m", False)].result()
+    result.ten_minute_migrated = accumulators[("10m", True)].result()
+    result.ten_second_all = accumulators[("10s", False)].result()
+    result.ten_second_migrated = accumulators[("10s", True)].result()
+    return result

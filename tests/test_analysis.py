@@ -21,7 +21,8 @@ from repro.analysis.access_patterns import (
     render_table3,
 )
 from repro.analysis.table1 import render_table1
-from repro.common.units import TEN_MINUTES
+from repro.common.stats import RunningStat
+from repro.common.units import KB, TEN_MINUTES
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.records import (
     AccessMode,
@@ -31,6 +32,8 @@ from repro.trace.records import (
     ReadRunRecord,
     WriteRunRecord,
 )
+
+import reference_analysis
 
 
 def episode(
@@ -241,7 +244,9 @@ class TestTable1:
 class TestActivity:
     def test_single_user_interval(self):
         records = sorted(episode(duration=5.0), key=lambda r: r.time)
-        result = compute_activity([(records, TEN_MINUTES * 2)])
+        result = compute_activity(
+            [(ColumnarTrace.from_records(records), TEN_MINUTES * 2)]
+        )
         scale = result.ten_minute_all
         assert scale.maximum_active_users == 1
         # One active interval out of two -> average 0.5.
@@ -255,7 +260,7 @@ class TestActivity:
         normal = episode(open_id=1, user_id=1)
         migrated = episode(open_id=2, user_id=2, t0=5.0, migrated=True)
         records = sorted(normal + migrated, key=lambda r: r.time)
-        result = compute_activity([(records, TEN_MINUTES)])
+        result = compute_activity([(ColumnarTrace.from_records(records), TEN_MINUTES)])
         assert result.ten_minute_all.maximum_active_users == 2
         assert result.ten_minute_migrated.maximum_active_users == 1
 
@@ -263,14 +268,32 @@ class TestActivity:
         a = episode(open_id=1, user_id=1)
         b = episode(open_id=2, user_id=2)
         records = sorted(a + b, key=lambda r: r.time)
-        result = compute_activity([(records, TEN_MINUTES)])
+        result = compute_activity([(ColumnarTrace.from_records(records), TEN_MINUTES)])
         assert result.ten_minute_all.peak_total_throughput_kbs == pytest.approx(
             2000 / 600 / 1024
         )
 
     def test_render(self, small_trace):
-        result = compute_activity([(small_trace.records, small_trace.duration)])
+        result = compute_activity([(small_trace.columnar, small_trace.duration)])
         assert "Table 2" in result.render()
+
+    def test_users_fold_in_set_order(self):
+        """An interval's users feed the throughput statistics in the
+        order the record path's set iterates them (8, 1, 2 here), not in
+        sorted order: the two orders round differently."""
+        records = sorted(
+            episode(open_id=1, user_id=1, runs=((False, 0, 1000),))
+            + episode(open_id=2, user_id=8, t0=2.0, runs=((False, 0, 1000),))
+            + episode(open_id=3, user_id=2, t0=4.0, runs=((False, 0, 999),)),
+            key=lambda r: r.time,
+        )
+        result = compute_activity([(ColumnarTrace.from_records(records), TEN_MINUTES)])
+        assert result == reference_analysis.compute_activity([(records, TEN_MINUTES)])
+        assert list({1, 8, 2}) == [8, 1, 2]
+        in_sorted_order = RunningStat()
+        for nbytes in (1000, 999, 1000):  # users 1, 2, 8
+            in_sorted_order.add(nbytes / TEN_MINUTES / KB)
+        assert result.ten_minute_all.throughput_stddev_kbs != in_sorted_order.stddev
 
 
 class TestFigures:

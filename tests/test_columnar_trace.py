@@ -396,10 +396,11 @@ def test_generation_and_replay_build_no_record(monkeypatch):
         trace.records
 
 
-def test_section4_analyses_build_no_record(monkeypatch, tmp_path):
-    """Tables 1 (with Table 1a at four servers) and 3, Figures 1-4 and
-    the figure export read the traces' columns, never a record list."""
-    from repro.experiments import ExperimentContext, run_experiment
+def test_tables_and_rpc_loss_build_no_record(monkeypatch, tmp_path):
+    """Every table and figure (Tables 1a and 2a at four servers), the
+    figure export and Table S read the traces' columns, never a record
+    list."""
+    from repro.experiments import EXPERIMENT_IDS, ExperimentContext, run_experiment
     from repro.experiments.report import export_figure_data
 
     def refuse(self):
@@ -410,8 +411,14 @@ def test_section4_analyses_build_no_record(monkeypatch, tmp_path):
     table1 = run_experiment("table1", ctx)
     assert "Table 1a" in table1.rendered
     assert table1.metrics["total_opens"] > 0
-    for experiment_id in ("table3", "figure1", "figure2", "figure3", "figure4"):
-        assert run_experiment(experiment_id, ctx).rendered
+    assert "Table 2a" in run_experiment("table2", ctx).rendered
+    analyses = [
+        eid for eid in EXPERIMENT_IDS
+        if eid.startswith(("table", "figure")) and eid not in ("table1", "table2")
+    ]
+    assert len(analyses) == 14
+    for experiment_id in (*analyses, "rpc_loss"):
+        assert run_experiment(experiment_id, ctx).rendered, experiment_id
     assert len(export_figure_data(tmp_path, ctx)) == 4
     assert all("records" not in vars(trace) for trace in ctx.traces())
 
@@ -434,3 +441,24 @@ def test_select_reads_only_the_stream_rows():
     positions, lengths = trace.select(ReadRunRecord, "length")
     assert len(positions) == len(lengths) == 0
     assert lengths.dtype == np.int64
+
+
+def test_select_merges_kinds_in_stream_order():
+    """Several kinds are read as one stream; a field a kind lacks reads
+    0, and a field no selected kind has raises."""
+    builder = ColumnarTraceBuilder()
+    builder.append(OpenRecord, (0.0, 0, 1, 9, 0, 0, 2, AccessMode.WRITE, 0, True))
+    builder.append(ReadRunRecord, (1.0, 0, 1, 9, 0, 2, 0, 512, False))
+    builder.append(CloseRecord, (1.0, 0, 1, 9, 0, 2, 0, 512, 0, False))
+    builder.append(ReadRunRecord, (0.5, 0, 1, 9, 0, 2, 0, 64, True))
+    trace = builder.seal()
+    positions, lengths, modes, migrated = trace.select(
+        (ReadRunRecord, OpenRecord), "length", "mode", "migrated"
+    )
+    assert positions.tolist() == [0, 1, 2]
+    assert lengths.tolist() == [0, 64, 512]
+    assert modes.tolist() == [MODE_CODES[AccessMode.WRITE], 0, 0]
+    assert migrated.tolist() == [True, True, False]
+    assert (lengths.dtype, modes.dtype) == (np.int64, np.uint8)
+    with pytest.raises(KeyError):
+        trace.select((ReadRunRecord, OpenRecord), "size_at_close")

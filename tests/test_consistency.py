@@ -10,13 +10,17 @@ from repro.consistency import (
 )
 from repro.consistency.events import OpenInterval, SharedFileActivity, SharedRequest
 from repro.consistency.schemes import _TokenScheme, _WindowedScheme
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.records import (
     AccessMode,
     CloseRecord,
     OpenRecord,
     ReadRunRecord,
+    SharedReadRecord,
     WriteRunRecord,
 )
+
+import reference_consistency
 
 
 def open_close(open_id, file_id, client, t0, t1, write=False, user=None):
@@ -37,7 +41,7 @@ class TestActions:
             + open_close(2, 1, client=0, t0=2.0, t1=3.0),
             key=lambda r: r.time,
         )
-        result = compute_actions(records)
+        result = compute_actions(ColumnarTrace.from_records(records))
         assert result.opens == 2
         assert result.write_sharing_opens == 0
         assert result.recall_opens == 0
@@ -48,7 +52,7 @@ class TestActions:
             + open_close(2, 1, client=1, t0=5.0, t1=8.0),
             key=lambda r: r.time,
         )
-        result = compute_actions(records)
+        result = compute_actions(ColumnarTrace.from_records(records))
         assert result.write_sharing_opens == 1
 
     def test_same_client_not_sharing(self):
@@ -57,7 +61,7 @@ class TestActions:
             + open_close(2, 1, client=0, t0=5.0, t1=8.0),
             key=lambda r: r.time,
         )
-        assert compute_actions(records).write_sharing_opens == 0
+        assert compute_actions(ColumnarTrace.from_records(records)).write_sharing_opens == 0
 
     def test_two_readers_not_sharing(self):
         records = sorted(
@@ -65,7 +69,18 @@ class TestActions:
             + open_close(2, 1, client=1, t0=5.0, t1=8.0),
             key=lambda r: r.time,
         )
-        assert compute_actions(records).write_sharing_opens == 0
+        assert compute_actions(ColumnarTrace.from_records(records)).write_sharing_opens == 0
+
+    def test_closed_writer_no_longer_shares(self):
+        records = sorted(
+            open_close(1, 1, client=0, t0=0.0, t1=1.0, write=True)
+            + open_close(2, 1, client=1, t0=5.0, t1=8.0)
+            + open_close(3, 1, client=0, t0=6.0, t1=7.0),
+            key=lambda r: r.time,
+        )
+        result = compute_actions(ColumnarTrace.from_records(records))
+        assert result.opens == 3
+        assert result.write_sharing_opens == 0
 
     def test_recall_on_quick_cross_client_open(self):
         writer = open_close(1, 1, client=0, t0=0.0, t1=1.0, write=True)
@@ -75,7 +90,7 @@ class TestActions:
         ))
         reader = open_close(2, 1, client=1, t0=5.0, t1=6.0)
         records = sorted(writer + reader, key=lambda r: r.time)
-        assert compute_actions(records).recall_opens == 1
+        assert compute_actions(ColumnarTrace.from_records(records)).recall_opens == 1
 
     def test_no_recall_after_flush_horizon(self):
         writer = open_close(1, 1, client=0, t0=0.0, t1=1.0, write=True)
@@ -85,7 +100,7 @@ class TestActions:
         ))
         reader = open_close(2, 1, client=1, t0=100.0, t1=101.0)
         records = sorted(writer + reader, key=lambda r: r.time)
-        assert compute_actions(records).recall_opens == 0
+        assert compute_actions(ColumnarTrace.from_records(records)).recall_opens == 0
 
     def test_no_recall_for_own_data(self):
         writer = open_close(1, 1, client=0, t0=0.0, t1=1.0, write=True)
@@ -95,10 +110,10 @@ class TestActions:
         ))
         again = open_close(2, 1, client=0, t0=2.0, t1=3.0)
         records = sorted(writer + again, key=lambda r: r.time)
-        assert compute_actions(records).recall_opens == 0
+        assert compute_actions(ColumnarTrace.from_records(records)).recall_opens == 0
 
     def test_trace_level_frequencies(self, small_trace):
-        result = compute_actions(small_trace.records)
+        result = compute_actions(small_trace.columnar)
         assert 0.0 < result.write_sharing_fraction < 0.05
         assert 0.0 < result.recall_fraction < 0.10
 
@@ -120,7 +135,7 @@ class TestPolling:
             self.write(5.0, client=2),  # foreign write
             self.read(10.0, client=1),  # within 60s window: stale!
         ]
-        result = simulate_polling(records, refresh_interval=60.0, duration=3600)
+        result = simulate_polling(ColumnarTrace.from_records(records), refresh_interval=60.0, duration=3600)
         assert result.errors == 1
         assert result.users_affected == {1}
 
@@ -130,7 +145,7 @@ class TestPolling:
             self.write(5.0, client=2),
             self.read(100.0, client=1),  # interval expired: fresh check
         ]
-        result = simulate_polling(records, refresh_interval=60.0, duration=3600)
+        result = simulate_polling(ColumnarTrace.from_records(records), refresh_interval=60.0, duration=3600)
         assert result.errors == 0
 
     def test_short_interval_catches_more(self):
@@ -139,8 +154,8 @@ class TestPolling:
             self.write(5.0, client=2),
             self.read(10.0, client=1),
         ]
-        stale_60 = simulate_polling(records, 60.0, 3600).errors
-        stale_3 = simulate_polling(records, 3.0, 3600).errors
+        stale_60 = simulate_polling(ColumnarTrace.from_records(records), 60.0, 3600).errors
+        stale_3 = simulate_polling(ColumnarTrace.from_records(records), 3.0, 3600).errors
         assert stale_60 == 1
         assert stale_3 == 0
 
@@ -150,14 +165,23 @@ class TestPolling:
             self.write(5.0, client=1),
             self.read(10.0, client=1),
         ]
-        assert simulate_polling(records, 60.0, 3600).errors == 0
+        assert simulate_polling(ColumnarTrace.from_records(records), 60.0, 3600).errors == 0
+
+    def test_write_validates_the_writers_cache(self):
+        records = [
+            self.write(0.0, client=1),  # client 1's cache is current at t=0
+            self.write(5.0, client=2),  # foreign write
+            self.read(10.0, client=1),  # within 60s of its own write: stale
+        ]
+        result = simulate_polling(ColumnarTrace.from_records(records), 60.0, 3600)
+        assert result.errors == 1
 
     def test_cold_cache_no_error(self):
         records = [
             self.write(5.0, client=2),
             self.read(10.0, client=1),  # first read: validates fresh
         ]
-        assert simulate_polling(records, 60.0, 3600).errors == 0
+        assert simulate_polling(ColumnarTrace.from_records(records), 60.0, 3600).errors == 0
 
     def test_errors_per_hour(self):
         records = [
@@ -165,13 +189,13 @@ class TestPolling:
             self.write(5.0, client=2),
             self.read(10.0, client=1),
         ]
-        result = simulate_polling(records, 60.0, duration=7200.0)
+        result = simulate_polling(ColumnarTrace.from_records(records), 60.0, duration=7200.0)
         assert result.errors_per_hour == pytest.approx(0.5)
 
     def test_trace_level_60s_worse_than_3s(self, shared_heavy_trace):
-        r60 = simulate_polling(shared_heavy_trace.records, 60.0,
+        r60 = simulate_polling(shared_heavy_trace.columnar, 60.0,
                                shared_heavy_trace.duration)
-        r3 = simulate_polling(shared_heavy_trace.records, 3.0,
+        r3 = simulate_polling(shared_heavy_trace.columnar, 3.0,
                               shared_heavy_trace.duration)
         assert r60.errors > r3.errors
         assert len(r60.users_affected) >= len(r3.users_affected)
@@ -179,7 +203,7 @@ class TestPolling:
 
 class TestSharedActivityExtraction:
     def test_extracts_shared_files_only(self, small_trace):
-        activities = extract_shared_activity(small_trace.records)
+        activities = extract_shared_activity(small_trace.columnar)
         shared_ids = {
             r.file_id for r in small_trace.records
             if r.kind in ("shared_read", "shared_write")
@@ -187,9 +211,34 @@ class TestSharedActivityExtraction:
         assert {a.file_id for a in activities} == shared_ids
 
     def test_requests_time_ordered(self, small_trace):
-        for activity in extract_shared_activity(small_trace.records):
+        for activity in extract_shared_activity(small_trace.columnar):
             times = [r.time for r in activity.requests]
             assert times == sorted(times)
+
+    def test_equal_times_keep_shared_requests_first(self):
+        """At one timestamp a shared request sorts before a solo run of
+        the same file even when the run comes first in the stream; solo
+        runs keep the order their episodes closed in."""
+        records = sorted(
+            open_close(1, 7, client=0, t0=0.0, t1=6.0)
+            + open_close(2, 7, client=2, t0=1.0, t1=5.5)
+            + [
+                ReadRunRecord(time=5.0, server_id=0, open_id=1, file_id=7,
+                              user_id=0, client_id=0, offset=0, length=10),
+                ReadRunRecord(time=5.0, server_id=0, open_id=2, file_id=7,
+                              user_id=2, client_id=2, offset=0, length=20),
+                SharedReadRecord(time=5.0, server_id=0, file_id=7, user_id=1,
+                                 client_id=1, offset=0, length=30),
+            ],
+            key=lambda r: r.time,
+        )
+        (activity,) = extract_shared_activity(ColumnarTrace.from_records(records))
+        assert [(r.client_id, r.length) for r in activity.requests] == [
+            (1, 30), (2, 20), (0, 10),
+        ]
+        assert activity.requests == (
+            reference_consistency.extract_shared_activity(records)[0].requests
+        )
 
     def test_sharing_windows_basic(self):
         activity = SharedFileActivity(file_id=1)
@@ -278,7 +327,7 @@ class TestSchemes:
 
     def test_simulate_schemes_pools_files(self, shared_heavy_trace):
         comparison = simulate_schemes(
-            extract_shared_activity(shared_heavy_trace.records)
+            extract_shared_activity(shared_heavy_trace.columnar)
         )
         assert comparison.sprite.requests > 0
         assert comparison.sprite.byte_ratio == pytest.approx(1.0, abs=0.1)
@@ -287,7 +336,7 @@ class TestSchemes:
     def test_schemes_comparable_overheads(self, shared_heavy_trace):
         """The paper's conclusion: no scheme is dramatically worse."""
         comparison = simulate_schemes(
-            extract_shared_activity(shared_heavy_trace.records)
+            extract_shared_activity(shared_heavy_trace.columnar)
         )
         assert comparison.token.byte_ratio < 3.0
         assert comparison.modified.byte_ratio < 2.0

@@ -96,7 +96,7 @@ class TestAnalysisSimulatorAgreement:
         """The trace-level recall estimate (Table 10) is an upper bound
         on the recalls the simulator actually issues."""
         trace = generate_trace(STANDARD_PROFILES[0], seed=31, scale=0.05)
-        actions = compute_actions(trace.records)
+        actions = compute_actions(trace.columnar)
         result = run_cluster_on_trace(
             trace.columnar, trace.duration, ClusterConfig(client_count=4),
             seed=5,
@@ -109,7 +109,7 @@ class TestAnalysisSimulatorAgreement:
         assert simulated <= actions.recall_opens * 2
 
     def test_write_sharing_detected_by_both(self, shared_heavy_trace):
-        actions = compute_actions(shared_heavy_trace.records)
+        actions = compute_actions(shared_heavy_trace.columnar)
         result = run_cluster_on_trace(
             shared_heavy_trace.columnar, shared_heavy_trace.duration,
             ClusterConfig(client_count=4), seed=5,

@@ -14,9 +14,10 @@ observation to a plain cluster must not steer the replay; a grouped
 stream replayed as owned-only shards and merged must equal one replay;
 and a raise-mode oracle must stay clean in replicated clusters under
 the strategy's faults plus overlapping server crashes.  The same
-streams, cut by a window, also drive the Section 4 analyses: over the
-columns they must equal the record path kept in
-``tests/reference_analysis.py``.
+streams, cut by a window, also drive the trace analyses: over the
+columns, Tables 1-3, 10-12 and Figures 1-4 must equal the record paths
+kept in ``tests/reference_analysis.py`` and
+``tests/reference_consistency.py``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import pytest
 import repro.fs.cluster as cluster_module
 from repro.analysis import (
     assemble_accesses,
+    compute_activity,
     compute_access_patterns,
     compute_file_sizes,
     compute_lifetimes,
@@ -43,6 +45,15 @@ from repro.analysis.sharded import per_server_activity, per_server_table1
 from repro.analysis.table1 import render_table1
 from repro.common.cdf import Cdf
 from repro.common.errors import SimulationError
+from repro.consistency import (
+    compute_actions,
+    extract_shared_activity,
+    simulate_polling,
+    simulate_schemes,
+)
+from repro.consistency.actions import render_table10
+from repro.consistency.polling import render_table11
+from repro.consistency.schemes import render_table12
 from repro.fs.cluster import Cluster, ClusterResult, merge_cluster_results
 from repro.fs.config import ClusterConfig
 from repro.fs.counters import ServerCounters
@@ -76,6 +87,7 @@ from repro.trace.records import (
 from repro.trace.validate import validate_stream
 
 import reference_analysis
+import reference_consistency
 import reference_ticks
 from checkers import all_snapshots
 from test_rpc_transport import server_values
@@ -1099,9 +1111,6 @@ def assert_section4_matches_the_record_path(traces, placement_seed) -> None:
         theirs = reference_analysis.per_server_table1(traces, placement)
         assert [vars(s) for s in ours] == [vars(s) for s in theirs], num_servers
         assert render_table1(ours) == render_table1(theirs)
-        assert per_server_activity(traces, placement) == (
-            reference_analysis.per_server_activity(traces, placement)
-        )
 
     tables = [assemble_accesses(t.columnar) for t in traces]
     accesses = [list(reference_analysis.assemble_accesses(t.records)) for t in traces]
@@ -1139,10 +1148,67 @@ def test_property_section4_matches_the_record_path(streams, placement_seed):
     """Tables 1, 1a (at 1-4 servers) and 3 and Figures 1-4 read the
     columns of windowed streams exactly as the record path reads their
     materialized records: the same rows, CDF samples in the same order
-    with the same types, and the same rendered text.  Table 2a's column
-    split hands each server the same records as the record split."""
+    with the same types, and the same rendered text."""
     traces = [
         _Windowed(f"t{index}", columnar, columnar.materialize(), duration)
         for index, (columnar, duration) in enumerate(streams)
     ]
     assert_section4_matches_the_record_path(traces, placement_seed)
+
+
+# --------------------------------------------------------------------------
+# Table 2 and Sections 5.5-5.6 over columns: Tables 2, 2a and 10-12
+# --------------------------------------------------------------------------
+
+
+def assert_activity_and_consistency_match_the_record_path(traces, placement_seed):
+    ours = compute_activity((t.columnar, t.duration) for t in traces)
+    theirs = reference_analysis.compute_activity((t.records, t.duration) for t in traces)
+    assert ours == theirs
+    assert ours.render() == theirs.render()
+    for num_servers in range(1, 5):
+        placement = Placement(num_servers, placement_seed)
+        ours = per_server_activity(traces, placement)
+        theirs = reference_analysis.per_server_activity(traces, placement)
+        assert ours == theirs, num_servers
+        assert [r.render() for r in ours] == [r.render() for r in theirs]
+
+    ours = [compute_actions(t.columnar) for t in traces]
+    theirs = [reference_consistency.compute_actions(t.records) for t in traces]
+    assert ours == theirs
+    assert render_table10(ours) == render_table10(theirs)
+
+    ours, theirs = [], []
+    for interval in (60.0, 3.0):
+        ours.append([simulate_polling(t.columnar, interval, t.duration) for t in traces])
+        theirs.append([
+            reference_consistency.simulate_polling(t.records, interval, t.duration)
+            for t in traces
+        ])
+    assert ours == theirs
+    assert render_table11(*ours) == render_table11(*theirs)
+
+    ours = [extract_shared_activity(t.columnar) for t in traces]
+    theirs = [reference_consistency.extract_shared_activity(t.records) for t in traces]
+    assert ours == theirs
+    ours = [simulate_schemes(activities) for activities in ours]
+    theirs = [simulate_schemes(activities) for activities in theirs]
+    assert ours == theirs
+    assert render_table12(ours) == render_table12(theirs)
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@given(st.lists(windowed_streams(), min_size=1, max_size=3), st.integers(0, 99))
+def test_property_activity_and_consistency_match_the_record_path(
+    streams, placement_seed
+):
+    """Tables 2 and 2a (at 1-4 servers), 10, 11 and 12 and the shared
+    request streams read the columns of windowed streams (shared reads
+    and writes, unknown users, migrated rows) exactly as the record path
+    reads their materialized records: equal floats, requests and
+    intervals in the same order, and the same rendered text."""
+    traces = [
+        _Windowed(f"t{index}", columnar, columnar.materialize(), duration)
+        for index, (columnar, duration) in enumerate(streams)
+    ]
+    assert_activity_and_consistency_match_the_record_path(traces, placement_seed)
