@@ -13,9 +13,10 @@ walkthrough of the reopen protocol.
 Run:  python examples/crash_recovery_study.py
 """
 
-from repro.consistency import compute_recovery_study
+from repro.common.units import KB
 from repro.experiments import ExperimentContext, run_experiment
 from repro.fs import (
+    ClientCounters,
     Cluster,
     ClusterConfig,
     FaultEvent,
@@ -57,19 +58,22 @@ def scripted_crash() -> None:
     cluster = Cluster(config, seed=1991, fault_schedule=schedule)
     result = cluster.replay(trace.columnar, trace.duration)
 
-    study = compute_recovery_study([("one crash", result)])
-    cell = study.cells[0]
+    # Pool every client's counters, as Table R does per column.
+    clients = ClientCounters.aggregate(result.final_counters.values())
     server = result.server_counters
     print()
     print(f"  crash at t={crash_at:.0f}s, server down 120 s")
     print(f"  reopen RPCs (clients re-registering opens): {server.reopen_rpcs}")
     print(f"  revalidate RPCs (version-checking caches):  {server.revalidate_rpcs}")
-    print(f"  cache blocks invalidated as stale:          {cell.invalidated_blocks}")
-    print(f"  dirty blocks replayed at recovery:          {cell.replayed_blocks}")
-    print(f"  RPC retries while the server was down:      {cell.rpc_retries}")
-    print(f"  process-seconds stalled:                    {cell.stall_seconds:.1f}")
+    print(f"  cache blocks invalidated as stale:          "
+          f"{clients.blocks_invalidated_on_recovery}")
+    print(f"  dirty blocks replayed at recovery:          "
+          f"{clients.blocks_cleaned_recovery}")
+    print(f"  RPC retries while the server was down:      {clients.rpc_retries}")
+    print(f"  process-seconds stalled:                    {clients.stall_seconds:.1f}")
     print(f"  dirty Kbytes lost (server crash loses no"
-          f" client data):                              {cell.lost_kbytes:.1f}")
+          f" client data):                              "
+          f"{clients.lost_dirty_bytes / KB:.1f}")
 
 
 def main() -> None:

@@ -13,34 +13,20 @@ Three analyses, all trace-driven:
   scheme, a modified scheme that re-enables caching when sharing ends,
   and a token-based scheme) replayed over the accesses to write-shared
   files;
-* :mod:`repro.consistency.recovery` -- Table R, the cost of the
-  30-second delayed-write policy under injected crashes: dirty bytes
-  lost and reopen-protocol traffic as the writeback age is swept;
-* :mod:`repro.consistency.lossy` -- Table S, the three schemes (and the
-  full cluster's at-most-once transport) under a lossy network: stale
-  reads from lost invalidations versus the retransmission/stall cost of
-  reliable delivery.
+* :mod:`repro.consistency.lossy` -- the message-loss model behind
+  Table S: the three schemes under a lossy network, where a lost
+  invalidation serves a stale read.
 """
 
 from repro.consistency.events import SharedFileActivity, extract_shared_activity
 from repro.consistency.actions import ConsistencyActionResult, compute_actions
 from repro.consistency.polling import PollingResult, simulate_polling
-from repro.consistency.recovery import (
-    RecoveryCell,
-    RecoveryStudyResult,
-    compute_recovery_study,
-)
 from repro.consistency.schemes import (
     SchemeOverhead,
     SchemeComparison,
     simulate_schemes,
 )
-from repro.consistency.lossy import (
-    LossRateCell,
-    LossStudyResult,
-    MessageLossModel,
-    loss_models_for,
-)
+from repro.consistency.lossy import MessageLossModel, loss_models_for
 
 __all__ = [
     "SharedFileActivity",
@@ -49,14 +35,9 @@ __all__ = [
     "compute_actions",
     "PollingResult",
     "simulate_polling",
-    "RecoveryCell",
-    "RecoveryStudyResult",
-    "compute_recovery_study",
     "SchemeOverhead",
     "SchemeComparison",
     "simulate_schemes",
-    "LossRateCell",
-    "LossStudyResult",
     "MessageLossModel",
     "loss_models_for",
 ]

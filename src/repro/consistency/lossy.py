@@ -19,17 +19,14 @@ The loss model is untimed at the scheme level: a lost consistency
 message is retransmitted and "lands" at the victim's next touch of the
 affected block, so one read in that window is served stale.  That makes
 the stale-read count a direct measure of each scheme's exposure window
-rather than of any particular retransmission timer.
+rather than of any particular retransmission timer.  This module holds
+the loss model; :mod:`repro.experiments.studies` renders the table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.common.errors import SimulationError
-from repro.common.render import format_number, render_table
 from repro.common.rng import RngStream
-from repro.consistency.schemes import SchemeComparison, SchemeOverhead
 from repro.fs.rpc import MAX_ATTEMPTS
 
 #: The scheme keys of :func:`repro.consistency.schemes.simulate_schemes`.
@@ -76,99 +73,3 @@ def loss_models_for(
         for key in SCHEME_KEYS
     }
 
-
-@dataclass
-class LossRateCell:
-    """One message-loss rate's row of Table S."""
-
-    rate: float
-    #: The scheme leg, pooled over every trace's shared-file activity.
-    comparison: SchemeComparison
-
-    #: The transport leg: one full cluster replay at this loss rate.
-    messages_sent: int = 0
-    retransmissions: int = 0
-    replies_lost: int = 0
-    duplicates_suppressed: int = 0
-    replies_replayed: int = 0
-    stale_rpcs_dropped: int = 0
-    stall_seconds: float = 0.0
-    oracle_checks: int = 0
-    oracle_violations: int = 0
-
-    def scheme(self, key: str) -> SchemeOverhead:
-        return getattr(self.comparison, key)
-
-    def stale_fraction(self, key: str) -> float:
-        return self.scheme(key).stale_read_fraction
-
-    @property
-    def retransmission_rate(self) -> float:
-        """Resends per message offered to the channel."""
-        if self.messages_sent == 0:
-            return 0.0
-        return self.retransmissions / self.messages_sent
-
-
-@dataclass
-class LossStudyResult:
-    """Table S: one cell per swept message-loss rate."""
-
-    cells: list[LossRateCell]
-
-    def render(self) -> str:
-        scheme_rows = []
-        for cell in self.cells:
-            row = [f"{cell.rate * 100:g}%"]
-            for key in SCHEME_KEYS:
-                overhead = cell.scheme(key)
-                row.append(
-                    f"{overhead.stale_reads} "
-                    f"({overhead.stale_read_fraction * 100:.2f}%)"
-                )
-            row.append(str(cell.scheme("token").retransmissions))
-            scheme_rows.append(row)
-        schemes_table = render_table(
-            "Table S. Stale reads under message loss, per consistency scheme",
-            [
-                "Loss rate",
-                "Sprite stale reads",
-                "Mod Sprite stale reads",
-                "Token stale reads",
-                "Token resends",
-            ],
-            scheme_rows,
-            note=(
-                "Reads served from a copy a lost invalidation failed to "
-                "drop (count and fraction of all reads to write-shared "
-                "files).  The cluster transport below pays resends and "
-                "stall instead: with at-most-once RPC the oracle column "
-                "must stay at zero."
-            ),
-        )
-        transport_rows = [
-            [
-                f"{cell.rate * 100:g}%",
-                str(cell.messages_sent),
-                str(cell.retransmissions),
-                str(cell.replies_lost),
-                str(cell.duplicates_suppressed),
-                format_number(cell.stall_seconds, 1),
-                f"{cell.oracle_violations}/{cell.oracle_checks}",
-            ]
-            for cell in self.cells
-        ]
-        transport_table = render_table(
-            "Table S (cont.) At-most-once transport overhead, full replay",
-            [
-                "Loss rate",
-                "Messages",
-                "Resends",
-                "Replies lost",
-                "Dups suppressed",
-                "Stall (s)",
-                "Violations/checks",
-            ],
-            transport_rows,
-        )
-        return f"{schemes_table}\n\n{transport_table}"

@@ -93,8 +93,10 @@ def simulate_polling(
     is_write = np.isin(trace.kind_idx[positions], _WRITE_CODES)
     #: (file, client) -> time the client last validated with the server.
     validated: dict[tuple[int, int], float] = {}
-    #: file -> (time of last write, writing client).
-    last_write: dict[int, tuple[float, int]] = {}
+    #: file -> time of its last write.  The writer's own validation
+    #: time is that write's time, so only another client's cache can
+    #: have validated before it.
+    last_write: dict[int, float] = {}
 
     for time, file_id, client_id, user, migrated, write in zip(
         *(column.tolist() for column in columns), is_write.tolist()
@@ -102,7 +104,7 @@ def simulate_polling(
         if write:
             # Written through (almost) immediately; the writer's own
             # cache is current as of now.
-            last_write[file_id] = (time, client_id)
+            last_write[file_id] = time
             validated[(file_id, client_id)] = time
             continue
         result.reads += 1
@@ -114,11 +116,7 @@ def simulate_polling(
             # server and sees current data.
             validated[key] = time
             continue
-        if (
-            written is not None
-            and written[1] != client_id
-            and written[0] > check_time
-        ):
+        if written is not None and written > check_time:
             # Another client wrote since we validated, and our cache
             # has not expired: stale data.
             result.errors += 1

@@ -51,29 +51,28 @@ from repro.common.errors import ConfigError
 from repro.common.units import KB, MB
 from repro.consistency import (
     compute_actions,
-    compute_recovery_study,
     extract_shared_activity,
     simulate_polling,
     simulate_schemes,
 )
 from repro.consistency.actions import render_table10
-from repro.consistency.lossy import (
-    LossRateCell,
-    LossStudyResult,
-    loss_models_for,
-)
+from repro.consistency.lossy import SCHEME_KEYS, loss_models_for
 from repro.consistency.polling import render_table11
 from repro.consistency.schemes import render_table12
 from repro.experiments.expectations import PAPER_EXPECTATIONS
-from repro.common.rng import RngStream
-from repro.fs import (
-    ClusterConfig,
-    FaultConfig,
-    Placement,
-    ProtocolOracle,
-    compute_integrity_study,
-    compute_replication_study,
+from repro.experiments.studies import (
+    StudyCell,
+    corruption_exposed,
+    disk_faults_injected,
+    pool,
+    render_integrity,
+    render_loss,
+    render_recovery,
+    render_replication,
+    violations,
 )
+from repro.common.rng import RngStream
+from repro.fs import ClusterConfig, FaultConfig, Placement, ProtocolOracle
 from repro.fs.cluster import ClusterResult, run_cluster_on_trace
 from repro.pipeline import (
     ArtifactCache,
@@ -103,6 +102,12 @@ class ExperimentResult:
         )
 
 
+#: Traces replayed through the cluster for Tables 4-9.  The paper's
+#: two-week counter collection reflects normal operation, so these are
+#: the non-simulation-dominated traces.  The studies replay the first.
+CLUSTER_TRACE_INDEXES: tuple[int, ...] = (0, 5, 6)
+
+
 @dataclass
 class ExperimentContext:
     """Shared, lazily built inputs for the experiments.
@@ -124,8 +129,7 @@ class ExperimentContext:
 
     ``num_servers`` shards the replayed cluster across that many file
     servers (the paper's cluster had four); with more than one, Tables
-    1, 2, and 7 gain a per-server breakdown.  Ignored when an explicit
-    ``cluster_config`` is supplied (its own ``num_servers`` wins).
+    1, 2, and 7 gain a per-server breakdown.
     """
 
     scale: float = 0.1
@@ -133,21 +137,13 @@ class ExperimentContext:
     num_servers: int = 1
     #: Copies of every file (see repro.fs.replication).  1 = the
     #: paper's single-copy world; r > 1 places each file on r servers
-    #: and serves reads from any live replica.  Ignored when an
-    #: explicit ``cluster_config`` is supplied.
+    #: and serves reads from any live replica.
     replication_factor: int = 1
-    #: Traces replayed through the cluster for Tables 4-9.  The paper's
-    #: two-week counter collection reflects normal operation, so the
-    #: default picks the non-simulation-dominated traces.
-    cluster_trace_indexes: tuple[int, ...] = (0, 5, 6)
     #: Seeded silent-disk-fault rate (bit rot, events per server-hour;
     #: see repro.fs.integrity).  0 = no disk faults, no integrity layer.
-    #: Ignored when an explicit ``cluster_config`` is supplied.
     disk_corruption_rate: float = 0.0
-    #: Background scrub period in seconds; 0 = scrubbing off.  Ignored
-    #: when an explicit ``cluster_config`` is supplied.
+    #: Background scrub period in seconds; 0 = scrubbing off.
     scrub_interval: float = 0.0
-    cluster_config: ClusterConfig | None = None
     workers: int = 1
     cache: ArtifactCache | bool | str | os.PathLike | None = True
     pipeline_report: PipelineReport = field(
@@ -188,8 +184,6 @@ class ExperimentContext:
 
     def base_cluster_config(self) -> ClusterConfig:
         """The cluster config every Section 5 replay starts from."""
-        if self.cluster_config is not None:
-            return self.cluster_config
         config = ClusterConfig(
             client_count=self.client_count,
             num_servers=self.num_servers,
@@ -241,7 +235,7 @@ class ExperimentContext:
             self._cluster_results = build_cluster_results(
                 self.traces(),
                 self._trace_tasks(),
-                self.cluster_trace_indexes,
+                CLUSTER_TRACE_INDEXES,
                 config,
                 self.seed,
                 workers=self.workers,
@@ -608,7 +602,7 @@ def _faults(ctx: ExperimentContext) -> ExperimentResult:
     paper's Section 5.2 reliability caveat argues against on traffic
     grounds.
     """
-    trace_index = ctx.cluster_trace_indexes[0]
+    trace_index = CLUSTER_TRACE_INDEXES[0]
     trace = ctx.traces()[trace_index]
     trace_fields = ctx._trace_tasks()[trace_index].key_fields()
     base = ctx.base_cluster_config()
@@ -639,25 +633,47 @@ def _faults(ctx: ExperimentContext) -> ExperimentResult:
         cache=ctx._artifact_cache,
         report=ctx.pipeline_report,
     )
-    study = compute_recovery_study(list(zip(labels, results)))
+    cells = [pool(label, result) for label, result in zip(labels, results)]
 
     metrics: dict[str, float] = {}
-    for age, cell in zip(FAULT_SWEEP_AGES, study.cells):
-        metrics[f"lost_kbytes_age_{age:g}"] = cell.lost_kbytes
-    sprite = study.cells[FAULT_SWEEP_AGES.index(30.0)]
-    write_through = study.cells[0]
+    for age, cell in zip(FAULT_SWEEP_AGES, cells):
+        metrics[f"lost_kbytes_age_{age:g}"] = cell.clients.lost_dirty_bytes / KB
+    sprite = cells[FAULT_SWEEP_AGES.index(30.0)].clients
+    write_through = cells[0].clients
     metrics["reopen_rpcs_age_30"] = float(sprite.reopen_rpcs)
     metrics["revalidate_rpcs_age_30"] = float(sprite.revalidate_rpcs)
     metrics["stall_seconds_age_30"] = sprite.stall_seconds
-    metrics["writeback_kbytes_age_0"] = write_through.writeback_kbytes
-    metrics["writeback_kbytes_age_30"] = sprite.writeback_kbytes
+    metrics["writeback_kbytes_age_0"] = write_through.bytes_written_to_server / KB
+    metrics["writeback_kbytes_age_30"] = sprite.bytes_written_to_server / KB
     return ExperimentResult(
         experiment_id="faults",
         title="Table R: crash data loss vs. writeback age",
-        rendered=study.render(),
+        rendered=render_recovery(cells),
         metrics=metrics,
         paper_expectation=PAPER_EXPECTATIONS["faults"],
     )
+
+
+def _oracle_sweep(
+    ctx: ExperimentContext,
+    study_seed: int,
+    sweep: list[tuple[str, ClusterConfig]],
+) -> list[StudyCell]:
+    """Replay the study trace once per ``(label, config)``, each with a
+    fresh protocol oracle in collection mode, and pool each replay."""
+    trace = ctx.traces()[CLUSTER_TRACE_INDEXES[0]]
+    cells = []
+    for label, config in sweep:
+        oracle = ProtocolOracle(seed=study_seed, raise_on_violation=False)
+        result = run_cluster_on_trace(
+            trace.columnar,
+            trace.duration,
+            config,
+            seed=study_seed,
+            oracle=oracle,
+        )
+        cells.append(pool(label, result, oracle))
+    return cells
 
 
 #: Message-loss rates swept by the rpc_loss experiment.
@@ -680,75 +696,55 @@ def _rpc_loss(ctx: ExperimentContext) -> ExperimentResult:
     activities = []
     for trace in ctx.traces():
         activities.extend(extract_shared_activity(trace.columnar))
-    trace_index = ctx.cluster_trace_indexes[0]
-    cluster_trace = ctx.traces()[trace_index]
     base = ctx.base_cluster_config()
     study_seed = ctx.seed + 8191
     rng = RngStream.root(study_seed).fork("rpc-loss")
 
-    cells: list[LossRateCell] = []
-    for rate in LOSS_SWEEP_RATES:
-        models = loss_models_for(rate, rng.fork(f"rate-{rate:g}"))
-        comparison = simulate_schemes(activities, models)
-        config = replace(
-            base,
-            faults=FaultConfig(
-                message_loss_rate=rate,
-                message_duplicate_rate=rate / 2,
-                message_reorder_rate=rate / 2,
-                message_delay_rate=rate,
+    comparisons = [
+        simulate_schemes(
+            activities, loss_models_for(rate, rng.fork(f"rate-{rate:g}"))
+        )
+        for rate in LOSS_SWEEP_RATES
+    ]
+    cells = _oracle_sweep(ctx, study_seed, [
+        (
+            f"{rate * 100:g}%",
+            replace(
+                base,
+                faults=FaultConfig(
+                    message_loss_rate=rate,
+                    message_duplicate_rate=rate / 2,
+                    message_reorder_rate=rate / 2,
+                    message_delay_rate=rate,
+                ),
             ),
         )
-        oracle = ProtocolOracle(seed=study_seed, raise_on_violation=False)
-        result = run_cluster_on_trace(
-            cluster_trace.columnar,
-            cluster_trace.duration,
-            config,
-            seed=study_seed,
-            oracle=oracle,
-        )
-        clients = result.final_counters.values()
-        server = result.server_counters
-        cells.append(
-            LossRateCell(
-                rate=rate,
-                comparison=comparison,
-                messages_sent=sum(c.rpc_messages_sent for c in clients),
-                retransmissions=sum(c.rpc_retransmissions for c in clients),
-                replies_lost=sum(c.rpc_replies_lost for c in clients),
-                duplicates_suppressed=server.duplicate_rpcs_suppressed,
-                replies_replayed=server.rpc_replies_replayed,
-                stale_rpcs_dropped=server.stale_rpcs_dropped,
-                # stall_seconds already contains rpc_delay_seconds;
-                # never add the two (see rpc_delay_seconds in repro.fs.counters).
-                stall_seconds=sum(c.stall_seconds for c in clients),
-                oracle_checks=oracle.checks_run,
-                oracle_violations=len(oracle.violations),
-            )
-        )
-    study = LossStudyResult(cells)
+        for rate in LOSS_SWEEP_RATES
+    ])
 
     metrics: dict[str, float] = {
-        "oracle_violations_total": float(
-            sum(cell.oracle_violations for cell in cells)
-        ),
+        "oracle_violations_total": float(sum(map(violations, cells))),
     }
-    for cell in cells:
-        tag = f"{cell.rate:g}"
-        metrics[f"sprite_stale_fraction_{tag}"] = cell.stale_fraction("sprite")
-        metrics[f"modified_stale_fraction_{tag}"] = cell.stale_fraction(
-            "modified"
-        )
-        metrics[f"token_stale_fraction_{tag}"] = cell.stale_fraction("token")
+    for rate, comparison in zip(LOSS_SWEEP_RATES, comparisons):
+        tag = f"{rate:g}"
+        for key in SCHEME_KEYS:
+            metrics[f"{key}_stale_fraction_{tag}"] = getattr(
+                comparison, key
+            ).stale_read_fraction
     worst = cells[-1]
-    metrics["retransmission_rate_0.1"] = worst.retransmission_rate
-    metrics["replies_lost_0.1"] = float(worst.replies_lost)
-    metrics["duplicates_suppressed_0.1"] = float(worst.duplicates_suppressed)
-    metrics["messages_sent_0"] = float(cells[0].messages_sent)
+    sent = worst.clients.rpc_messages_sent
+    metrics["retransmission_rate_0.1"] = (
+        worst.clients.rpc_retransmissions / sent if sent else 0.0
+    )
+    metrics["replies_lost_0.1"] = float(worst.clients.rpc_replies_lost)
+    metrics["duplicates_suppressed_0.1"] = float(
+        worst.server.duplicate_rpcs_suppressed
+    )
+    metrics["messages_sent_0"] = float(cells[0].clients.rpc_messages_sent)
     return ExperimentResult(
         experiment_id="rpc_loss",
         title="Table S: consistency under a lossy network",
-        rendered=study.render(),
+        rendered=render_loss(comparisons, cells),
         metrics=metrics,
         paper_expectation=PAPER_EXPECTATIONS["rpc_loss"],
     )
@@ -791,53 +787,41 @@ def _replication(ctx: ExperimentContext) -> ExperimentResult:
     correctness for availability, so the violations row has to read 0
     in every column.
     """
-    trace_index = ctx.cluster_trace_indexes[0]
-    trace = ctx.traces()[trace_index]
     base = ctx.base_cluster_config()
-    study_seed = ctx.seed + 16383
-
-    labelled = []
-    for factor in REPLICATION_SWEEP:
-        config = replace(
-            base,
-            num_servers=REPLICATION_STUDY_SERVERS,
-            replication_factor=factor,
-            paging_intensity=0.0,
-            faults=REPLICATION_STUDY_KNOBS,
+    cells = _oracle_sweep(ctx, ctx.seed + 16383, [
+        (
+            "r=1 (no replication)" if factor == 1 else f"r={factor}",
+            replace(
+                base,
+                num_servers=REPLICATION_STUDY_SERVERS,
+                replication_factor=factor,
+                paging_intensity=0.0,
+                faults=REPLICATION_STUDY_KNOBS,
+            ),
         )
-        oracle = ProtocolOracle(seed=study_seed, raise_on_violation=False)
-        result = run_cluster_on_trace(
-            trace.columnar,
-            trace.duration,
-            config,
-            seed=study_seed,
-            oracle=oracle,
-        )
-        label = "r=1 (no replication)" if factor == 1 else f"r={factor}"
-        labelled.append((label, result, oracle))
-    study = compute_replication_study(labelled)
+        for factor in REPLICATION_SWEEP
+    ])
 
     metrics: dict[str, float] = {
-        "oracle_violations_total": float(
-            sum(cell.oracle_violations for cell in study.cells)
-        ),
-        "server_crashes": float(study.cells[0].server_crashes),
-        "server_downtime_seconds": study.cells[0].downtime_seconds,
+        "oracle_violations_total": float(sum(map(violations, cells))),
+        "server_crashes": float(cells[0].server.crashes),
+        "server_downtime_seconds": cells[0].server.downtime_seconds,
     }
-    for factor, cell in zip(REPLICATION_SWEEP, study.cells):
-        metrics[f"stall_seconds_r{factor}"] = cell.stall_seconds
-        metrics[f"lost_kbytes_r{factor}"] = cell.lost_kbytes
-        metrics[f"failover_reads_r{factor}"] = float(cell.failover_reads)
+    for factor, cell in zip(REPLICATION_SWEEP, cells):
+        clients, server = cell.clients, cell.server
+        metrics[f"stall_seconds_r{factor}"] = clients.stall_seconds
+        metrics[f"lost_kbytes_r{factor}"] = clients.lost_dirty_bytes / KB
+        metrics[f"failover_reads_r{factor}"] = float(clients.failover_reads)
         metrics[f"rereplicated_files_r{factor}"] = float(
-            cell.rereplicated_files
+            server.rereplicated_files
         )
         metrics[f"failure_detections_r{factor}"] = float(
-            cell.failure_detections
+            server.failure_detections
         )
     return ExperimentResult(
         experiment_id="replication",
         title="Table A: availability vs. replication factor",
-        rendered=study.render(),
+        rendered=render_replication(cells),
         metrics=metrics,
         paper_expectation=PAPER_EXPECTATIONS["replication"],
     )
@@ -883,48 +867,42 @@ def _integrity(ctx: ExperimentContext) -> ExperimentResult:
     column must not, or the whole table is measuring a fault load too
     gentle to matter.
     """
-    trace_index = ctx.cluster_trace_indexes[0]
-    trace = ctx.traces()[trace_index]
     base = ctx.base_cluster_config()
-    study_seed = ctx.seed + 32749
-
-    labelled = []
-    for factor, scrub in INTEGRITY_SWEEP:
-        config = replace(
-            base,
-            num_servers=INTEGRITY_STUDY_SERVERS,
-            replication_factor=factor,
-            paging_intensity=0.0,
-            scrub_interval=scrub,
-            faults=INTEGRITY_STUDY_KNOBS,
+    cells = _oracle_sweep(ctx, ctx.seed + 32749, [
+        (
+            f"r={factor}, "
+            + ("no scrub" if scrub == 0 else f"scrub {scrub:g}s"),
+            replace(
+                base,
+                num_servers=INTEGRITY_STUDY_SERVERS,
+                replication_factor=factor,
+                paging_intensity=0.0,
+                scrub_interval=scrub,
+                faults=INTEGRITY_STUDY_KNOBS,
+            ),
         )
-        oracle = ProtocolOracle(seed=study_seed, raise_on_violation=False)
-        result = run_cluster_on_trace(
-            trace.columnar,
-            trace.duration,
-            config,
-            seed=study_seed,
-            oracle=oracle,
-        )
-        scrub_label = "no scrub" if scrub == 0 else f"scrub {scrub:g}s"
-        labelled.append((f"r={factor}, {scrub_label}", result, oracle))
-    study = compute_integrity_study(labelled)
+        for factor, scrub in INTEGRITY_SWEEP
+    ])
 
     metrics: dict[str, float] = {
-        "disk_faults_injected": float(study.cells[0].disk_faults_injected),
+        "disk_faults_injected": float(disk_faults_injected(cells[0])),
     }
-    for (factor, scrub), cell in zip(INTEGRITY_SWEEP, study.cells):
+    for (factor, scrub), cell in zip(INTEGRITY_SWEEP, cells):
         tag = f"r{factor}_scrub{scrub:g}"
-        metrics[f"detected_{tag}"] = float(cell.corruption_detected)
-        metrics[f"repaired_{tag}"] = float(cell.blocks_repaired)
-        metrics[f"declared_lost_{tag}"] = float(cell.blocks_declared_lost)
-        metrics[f"exposed_{tag}"] = float(cell.corruption_exposed)
-        metrics[f"oracle_violations_{tag}"] = float(cell.oracle_violations)
+        server = cell.server
+        # Caught by a verified read or by the scrubber.
+        metrics[f"detected_{tag}"] = float(
+            server.checksum_failures + server.scrub_corruptions_found
+        )
+        metrics[f"repaired_{tag}"] = float(server.blocks_repaired)
+        metrics[f"declared_lost_{tag}"] = float(server.blocks_declared_lost)
+        metrics[f"exposed_{tag}"] = float(corruption_exposed(cell))
+        metrics[f"oracle_violations_{tag}"] = float(violations(cell))
     return ExperimentResult(
         experiment_id="integrity",
         title="Table C: silent corruption vs. scrub interval and "
         "replication factor",
-        rendered=study.render(),
+        rendered=render_integrity(cells),
         metrics=metrics,
         paper_expectation=PAPER_EXPECTATIONS["integrity"],
     )
@@ -1167,14 +1145,14 @@ def run_observed_replay(
     cached result would not carry one).
     """
     context = context or ExperimentContext()
-    index = context.cluster_trace_indexes[0] if trace_index is None else trace_index
+    index = CLUSTER_TRACE_INDEXES[0] if trace_index is None else trace_index
     trace = context.traces()[index]
     config = context.base_cluster_config()
     # Match the replay-seed scheme of ``build_cluster_results``
     # (``seed + 101 * offset``) so the observed run's final counters are
     # byte-for-byte those of the corresponding table replay.
     try:
-        offset = context.cluster_trace_indexes.index(index)
+        offset = CLUSTER_TRACE_INDEXES.index(index)
     except ValueError:
         offset = 0
     from repro.obs import Observation, ObsConfig

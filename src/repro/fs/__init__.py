@@ -22,13 +22,10 @@ from repro.fs.faults import (
     SERVER_TARGET,
 )
 from repro.fs.integrity import (
-    IntegrityCell,
     IntegrityManager,
-    IntegrityStudyResult,
     block_checksum,
     block_payload,
     checksum_ok,
-    compute_integrity_study,
 )
 from repro.fs.counters import ClientCounters, CounterSnapshot, ServerCounters
 from repro.fs.cache import BlockCache, CleanReason
@@ -40,13 +37,7 @@ from repro.fs.paging import PagingModel
 from repro.fs.cluster import Cluster, ClusterResult, run_cluster_on_trace
 from repro.fs.latency import PagingLatencyAnalysis, analyze_paging_latency
 from repro.fs.oracle import InvariantViolation, ProtocolOracle, Violation
-from repro.fs.replication import (
-    ReplicaMap,
-    ReplicationCell,
-    ReplicationManager,
-    ReplicationStudyResult,
-    compute_replication_study,
-)
+from repro.fs.replication import ReplicaMap, ReplicationManager
 from repro.fs.rpc import (
     BackoffPolicy,
     Channel,
@@ -93,17 +84,11 @@ __all__ = [
     "ProtocolOracle",
     "Violation",
     "ReplicaMap",
-    "ReplicationCell",
     "ReplicationManager",
-    "ReplicationStudyResult",
-    "compute_replication_study",
     "DiskFaultEvent",
     "DiskFaultKind",
-    "IntegrityCell",
     "IntegrityManager",
-    "IntegrityStudyResult",
     "block_checksum",
     "block_payload",
     "checksum_ok",
-    "compute_integrity_study",
 ]

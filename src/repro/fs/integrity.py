@@ -31,9 +31,11 @@ different bytes -- and the standard defences:
   r >= 2 -- cross-checking generation stamps against live peers, which
   is what catches lost writes.  Its cost follows the faults, not the
   blocks: every fault and write site marks the keys it could have made
-  detectable, and a span counts its clean blocks without visiting them;
-* the **Table C study**: corruption exposed / detected / repaired as a
-  function of scrub interval and replication factor.
+  detectable, and a span counts its clean blocks without visiting them.
+
+Table C (:mod:`repro.experiments.studies`) reports corruption exposed,
+detected and repaired as a function of scrub interval and replication
+factor.
 
 When no disk-fault rate is set and scrubbing is off, none of this is
 constructed: no store, no hashing, no RNG draws -- replays stay
@@ -43,14 +45,10 @@ byte-identical to builds that predate this module.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
 from itertools import filterfalse
 from typing import TYPE_CHECKING, Any
 
-from repro.common.render import format_number, render_table
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.fs.cluster import ClusterResult
     from repro.fs.server import Server
 
 _MASK64 = (1 << 64) - 1
@@ -594,137 +592,3 @@ class IntegrityManager:
                     )
         return details
 
-
-# --- Table C: silent corruption vs. scrub interval x replication factor --------
-
-
-@dataclass
-class IntegrityCell:
-    """Corruption exposure and repair totals for one replay."""
-
-    label: str
-    replication_factor: int
-    scrub_interval: float
-
-    disk_bit_rot_events: int = 0
-    disk_torn_writes: int = 0
-    disk_lost_writes: int = 0
-
-    checksum_failures: int = 0
-    scrub_blocks_checked: int = 0
-    scrub_corruptions_found: int = 0
-    blocks_repaired: int = 0
-    blocks_declared_lost: int = 0
-    client_checksum_failures: int = 0
-
-    corruption_exposed: int = 0
-    oracle_checks: int = 0
-    oracle_violations: int = 0
-
-    @classmethod
-    def from_result(
-        cls, label: str, result: "ClusterResult", oracle: Any = None
-    ) -> "IntegrityCell":
-        servers = result.server_counters
-        cell = cls(
-            label=label,
-            replication_factor=result.config.replication_factor,
-            scrub_interval=result.config.scrub_interval,
-            disk_bit_rot_events=servers.disk_bit_rot_events,
-            disk_torn_writes=servers.disk_torn_writes,
-            disk_lost_writes=servers.disk_lost_writes,
-            checksum_failures=servers.checksum_failures,
-            scrub_blocks_checked=servers.scrub_blocks_checked,
-            scrub_corruptions_found=servers.scrub_corruptions_found,
-            blocks_repaired=servers.blocks_repaired,
-            blocks_declared_lost=servers.blocks_declared_lost,
-        )
-        for counters in result.final_counters.values():
-            cell.client_checksum_failures += counters.checksum_failures
-        if oracle is not None:
-            cell.oracle_checks = oracle.checks_run
-            cell.oracle_violations = len(oracle.violations)
-            cell.corruption_exposed = sum(
-                1 for v in oracle.violations
-                if v.invariant == "silent-corruption"
-            )
-        return cell
-
-    @property
-    def disk_faults_injected(self) -> int:
-        return (
-            self.disk_bit_rot_events
-            + self.disk_torn_writes
-            + self.disk_lost_writes
-        )
-
-    @property
-    def corruption_detected(self) -> int:
-        """Corruption caught by a verified read or by the scrubber."""
-        return self.checksum_failures + self.scrub_corruptions_found
-
-
-@dataclass
-class IntegrityStudyResult:
-    """The sweep: one cell per (replication factor, scrub interval)."""
-
-    cells: list[IntegrityCell] = field(default_factory=list)
-
-    def render(self) -> str:
-        headers = ["Measurement"] + [cell.label for cell in self.cells]
-
-        def row(label: str, getter, precision: int = 0) -> list[str]:
-            return [label] + [
-                format_number(float(getter(cell)), precision)
-                for cell in self.cells
-            ]
-
-        rows = [
-            row("Disk faults injected", lambda c: c.disk_faults_injected),
-            row("  bit-rot events", lambda c: c.disk_bit_rot_events),
-            row("  torn writes", lambda c: c.disk_torn_writes),
-            row("  lost writes", lambda c: c.disk_lost_writes),
-            row("Read-path checksum failures", lambda c: c.checksum_failures),
-            row("Scrub blocks checked", lambda c: c.scrub_blocks_checked),
-            row("Scrub corruptions found", lambda c: c.scrub_corruptions_found),
-            row("Blocks repaired from replicas", lambda c: c.blocks_repaired),
-            row("Blocks declared lost", lambda c: c.blocks_declared_lost),
-            row("Reads hitting unrepairable data",
-                lambda c: c.client_checksum_failures),
-            row("Silent corruption exposed", lambda c: c.corruption_exposed),
-            row("Oracle checks", lambda c: c.oracle_checks),
-            row("Oracle violations", lambda c: c.oracle_violations),
-        ]
-        first = self.cells[0] if self.cells else None
-        note = None
-        if first is not None:
-            note = (
-                "Same trace and seeded disk-fault timeline in every column; "
-                "only the replication factor and scrub interval vary.  "
-                "Detected corruption is repaired from the freshest verified "
-                "live replica, or booked as a declared loss when no valid "
-                "copy remains (always at r=1).  'Silent corruption exposed' "
-                "counts acknowledged blocks still holding wrong bytes at end "
-                "of replay with no loss booked -- the oracle flags each as a "
-                "violation, so with replicas and scrubbing both on, the "
-                "exposed and violation rows must read 0."
-            )
-        return render_table(
-            "Table C. Silent corruption vs. scrub interval and replication "
-            "factor",
-            headers,
-            rows,
-            note=note,
-        )
-
-
-def compute_integrity_study(
-    labelled_results: list[tuple[str, "ClusterResult", Any]],
-) -> IntegrityStudyResult:
-    """Pool each replay of the integrity sweep into one table cell."""
-    return IntegrityStudyResult(
-        cells=[
-            IntegrityCell.from_result(label, result, oracle)
-            for label, result, oracle in labelled_results
-        ]
-    )

@@ -40,15 +40,11 @@ only hands it the per-group replica maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
-from repro.common.render import format_number, render_table
-from repro.common.units import KB
 from repro.fs.sharding import Placement
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.fs.cluster import ClusterResult
     from repro.fs.server import Server
 
 
@@ -341,131 +337,3 @@ class ReplicationManager:
             if obs is not None:
                 obs.on_rereplication(now, dead_id, target_id, file_id, len(blocks))
 
-
-# --- Table A: availability and data loss vs. replication factor ---------------
-
-
-@dataclass
-class ReplicationCell:
-    """Availability and replication-cost totals for one replay."""
-
-    label: str
-    replication_factor: int
-
-    server_crashes: int = 0
-    downtime_seconds: float = 0.0
-    stall_seconds: float = 0.0
-    rpc_retries: int = 0
-    lost_dirty_blocks: int = 0
-    lost_dirty_bytes: int = 0
-
-    failover_reads: int = 0
-    failover_ops: int = 0
-    replica_writeback_blocks: int = 0
-    replica_version_pushes: int = 0
-    rereplicated_files: int = 0
-    rereplication_blocks: int = 0
-    heartbeats_missed: int = 0
-    failure_detections: int = 0
-
-    oracle_checks: int = 0
-    oracle_violations: int = 0
-
-    @classmethod
-    def from_result(
-        cls, label: str, result: "ClusterResult", oracle: Any = None
-    ) -> "ReplicationCell":
-        cell = cls(
-            label=label,
-            replication_factor=result.config.replication_factor,
-            server_crashes=result.server_counters.crashes,
-            downtime_seconds=result.server_counters.downtime_seconds,
-            replica_version_pushes=(
-                result.server_counters.replica_version_pushes
-            ),
-            rereplicated_files=result.server_counters.rereplicated_files,
-            rereplication_blocks=result.server_counters.rereplication_blocks,
-            heartbeats_missed=result.server_counters.heartbeats_missed,
-            failure_detections=result.server_counters.failure_detections,
-        )
-        for counters in result.final_counters.values():
-            cell.stall_seconds += counters.stall_seconds
-            cell.rpc_retries += counters.rpc_retries
-            cell.lost_dirty_blocks += counters.lost_dirty_blocks
-            cell.lost_dirty_bytes += counters.lost_dirty_bytes
-            cell.failover_reads += counters.failover_reads
-            cell.failover_ops += counters.failover_ops
-            cell.replica_writeback_blocks += counters.replica_writeback_blocks
-        if oracle is not None:
-            cell.oracle_checks = oracle.checks_run
-            cell.oracle_violations = len(oracle.violations)
-        return cell
-
-    @property
-    def lost_kbytes(self) -> float:
-        return self.lost_dirty_bytes / KB
-
-
-@dataclass
-class ReplicationStudyResult:
-    """The sweep: one cell per replication factor, same fault timeline."""
-
-    cells: list[ReplicationCell] = field(default_factory=list)
-
-    def render(self) -> str:
-        headers = ["Measurement"] + [cell.label for cell in self.cells]
-
-        def row(label: str, getter, precision: int = 1) -> list[str]:
-            return [label] + [
-                format_number(getter(cell), precision) for cell in self.cells
-            ]
-
-        rows = [
-            row("Process-seconds stalled", lambda c: c.stall_seconds, 1),
-            row("RPC retries (backoff)", lambda c: float(c.rpc_retries), 0),
-            row("Dirty Kbytes lost to crashes", lambda c: c.lost_kbytes, 1),
-            row("Failover reads", lambda c: float(c.failover_reads), 0),
-            row("Ops routed around a down replica",
-                lambda c: float(c.failover_ops), 0),
-            row("Replica writeback fan-out (blocks)",
-                lambda c: float(c.replica_writeback_blocks), 0),
-            row("Replica version pushes",
-                lambda c: float(c.replica_version_pushes), 0),
-            row("Failure detections", lambda c: float(c.failure_detections), 0),
-            row("Files re-replicated", lambda c: float(c.rereplicated_files), 0),
-            row("Blocks copied by re-replication",
-                lambda c: float(c.rereplication_blocks), 0),
-            row("Oracle checks", lambda c: float(c.oracle_checks), 0),
-            row("Oracle violations", lambda c: float(c.oracle_violations), 0),
-        ]
-        first = self.cells[0] if self.cells else None
-        note = None
-        if first is not None:
-            note = (
-                f"Same trace and fault timeline in every column "
-                f"({first.server_crashes} server crashes, "
-                f"{format_number(first.downtime_seconds, 0)} s server "
-                f"downtime); only the replication factor varies.  With one "
-                f"copy a crash blacks out the file's shard; extra replicas "
-                f"turn those stalls into failover reads, and the heartbeat "
-                f"detector re-replicates the dead server's files so the "
-                f"cluster returns to full redundancy before the reboot."
-            )
-        return render_table(
-            "Table A. Availability and data loss vs. replication factor",
-            headers,
-            rows,
-            note=note,
-        )
-
-
-def compute_replication_study(
-    labelled_results: list[tuple[str, "ClusterResult", Any]],
-) -> ReplicationStudyResult:
-    """Pool each replay of the replication sweep into one table cell."""
-    return ReplicationStudyResult(
-        cells=[
-            ReplicationCell.from_result(label, result, oracle)
-            for label, result, oracle in labelled_results
-        ]
-    )

@@ -277,12 +277,13 @@ def test_table_a_r3_replicas_converge_at_study_seed_16384(experiment_context):
     from dataclasses import replace
 
     from repro.experiments.registry import (
+        CLUSTER_TRACE_INDEXES,
         REPLICATION_STUDY_KNOBS,
         REPLICATION_STUDY_SERVERS,
     )
 
     ctx = experiment_context
-    trace = ctx.traces()[ctx.cluster_trace_indexes[0]]
+    trace = ctx.traces()[CLUSTER_TRACE_INDEXES[0]]
     config = replace(
         ctx.base_cluster_config(),
         num_servers=REPLICATION_STUDY_SERVERS,
