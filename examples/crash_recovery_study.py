@@ -50,7 +50,7 @@ def scripted_crash() -> None:
     trace = generate_trace(STANDARD_PROFILES[0], seed=1991, scale=0.05)
     # Crash at the median record's timestamp: the middle of the actual
     # activity, not of the (mostly idle) 24-hour clock.
-    crash_at = trace.records[len(trace.records) // 2].time
+    crash_at = float(trace.columnar.times[len(trace.columnar) // 2])
     schedule = FaultSchedule(
         [FaultEvent(crash_at, FaultKind.SERVER_CRASH, SERVER_TARGET, 120.0)]
     )

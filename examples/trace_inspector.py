@@ -17,6 +17,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from repro.common.units import HOUR
 from repro.trace import (
     drop_self_traffic,
@@ -24,7 +26,7 @@ from repro.trace import (
     validate_stream,
     write_trace,
 )
-from repro.trace.columnar import ColumnarTrace
+from repro.trace.columnar import RECORD_CLASSES, ColumnarTrace
 from repro.trace.tools import split_by_duration, summarize
 from repro.workload import STANDARD_PROFILES, generate_trace
 
@@ -37,40 +39,38 @@ def main() -> int:
 
     print(f"Generating trace1 (scale 0.05) and writing {path} ...")
     trace = generate_trace(STANDARD_PROFILES[0], seed=7, scale=0.05)
-    count = write_trace(path, trace.records)
+    count = write_trace(path, trace.columnar)
     print(f"  wrote {count} records ({path.stat().st_size / 1024:.0f} KB)")
     print()
 
     # Read back, filter, validate, summarize: the standard pipeline.
-    # Validation raises TraceError on the first illegal record.
-    records = list(drop_self_traffic(read_trace(path)))
-    report = validate_stream(ColumnarTrace.from_records(records))
+    # Reading raises TraceError naming the first bad line; validation
+    # raises TraceError on the first illegal record.
+    kept = drop_self_traffic(read_trace(path))
+    report = validate_stream(kept)
     print(f"Validation: {report.opens} opens, {report.closes} closes, "
           f"{len(report.unclosed_open_ids)} cut by the window")
     print()
-    print(summarize(records).render())
+    print(summarize(kept).render())
     print()
 
     # Per-server streams merge back into one ordered stream.
-    by_server: dict[int, list] = {}
-    for record in records:
-        by_server.setdefault(record.server_id, []).append(record)
-    merged = ColumnarTrace.merge(
-        [ColumnarTrace.from_records(stream) for stream in by_server.values()]
-    ).materialize()
-    ordered = [r.time for r in merged] == sorted(r.time for r in merged)
+    _, servers = kept.select(RECORD_CLASSES, "server_id")
+    by_server = [kept.subset(servers == server) for server in np.unique(servers)]
+    merged = ColumnarTrace.merge(by_server)
+    ordered = bool(np.all(merged.times[1:] >= merged.times[:-1]))
     print(f"Merged {len(by_server)} per-server streams back into "
           f"{len(merged)} ordered records (order preserved: {ordered})")
     print()
 
     # The paper's 48h -> 2 x 24h split, here 24h -> 2 x 12h.
-    halves = list(split_by_duration(records, 12 * HOUR))
+    halves = list(split_by_duration(kept, 12 * HOUR))
     for index, piece in halves:
         piece_summary = summarize(piece)
         print(f"half {index}: {piece_summary.records} records, "
               f"{len(piece_summary.users)} users, "
               f"{piece_summary.bytes_read / 2**20:.0f} MB read")
-    return 0 if ordered and len(merged) == len(records) else 1
+    return 0 if ordered and len(merged) == len(kept) else 1
 
 
 if __name__ == "__main__":

@@ -9,12 +9,10 @@ cap the warm-cache speedup well below what the hardware allows.
 This codec stores a trace as its columnar form instead: the
 :class:`~repro.trace.columnar.ColumnarTrace` payload (one flat array
 per field per record kind, plus the time order), serialized with
-:mod:`marshal` (C-speed for primitives).  A decoded trace, like a
-generated one, builds its ``records`` view only when it is read, by
-:meth:`~repro.trace.columnar.ColumnarTrace.materialize` over the same
-columns, so its records are exactly the generated trace's.
-Object-heavy loads run with the cyclic GC paused; the rebuilt graphs
-are trees.
+:mod:`marshal` (C-speed for primitives).  A decoded trace is the
+generated trace's columns, array for array; no record is built.
+Object-heavy loads (replay snapshots, plain pickles) run with the
+cyclic GC paused (:func:`gc_paused`); the rebuilt graphs are trees.
 
 Payloads are tagged by their first byte:
 
@@ -29,14 +27,16 @@ Payloads are tagged by their first byte:
 
 from __future__ import annotations
 
+import gc
 import marshal
 import pickle
-from typing import Any
+from contextlib import contextmanager
+from typing import Any, Iterator
 
 from repro.fs.cluster import ClusterResult
 from repro.fs.counters import ClientCounters, CounterSnapshot, ServerCounters
 from repro.obs.sampler import CounterTimeseries
-from repro.trace.columnar import ColumnarTrace, gc_paused
+from repro.trace.columnar import ColumnarTrace
 from repro.workload.generator import SyntheticTrace
 
 _TAG_PICKLE = b"P"
@@ -46,6 +46,21 @@ _TAG_COLUMNAR_TRACE = b"C"
 
 #: marshal format version (stable, supported by every CPython we target).
 _MARSHAL_VERSION = 2
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause cyclic GC while a decode allocates a large acyclic object
+    graph (the collector would re-traverse it for nothing); the caller's
+    GC state is restored on exit, including on error."""
+    was_enabled = gc.isenabled()
+    if was_enabled:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # --------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 The paper's data came from kernel-call-level traces gathered on the four
 Sprite file servers: opens, closes, repositions, deletes, truncates, and
 -- for files undergoing write-sharing -- individual read/write requests.
-This package defines that record vocabulary, a JSON-lines trace file
-format (:mod:`repro.trace.files`), a columnar form whose merge orders
-per-server streams (:mod:`repro.trace.columnar`), the filter the paper
+This package defines that record vocabulary, the columnar form that
+holds a trace in memory and whose merge orders per-server streams
+(:mod:`repro.trace.columnar`), a JSON-lines trace file format read into
+and written from it (:mod:`repro.trace.files`), the filter the paper
 applied (dropping tracer self-traffic and nightly backups), and a
 validator for the per-file event grammar.
 """

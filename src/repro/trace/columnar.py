@@ -1,40 +1,35 @@
-"""Columnar trace storage: the scale-out representation of a trace.
+"""Columnar trace storage: the one in-memory form of a trace.
 
 A day of trace activity at ``scale >= 10`` is millions of records; a
 Python object per record costs ~150 bytes plus allocator churn, and a
 whole-day list is the single biggest RSS line item in a replay.  This
-module stores the same stream as *columns* -- one flat array per field
-per record kind, plus a global time-sorted order index -- so that:
+module stores the stream as *columns* -- one flat array per field per
+record kind, plus a global time-sorted order index -- so that:
 
 * generation appends plain value rows (no dataclass construction),
 * sorting is an ``argsort`` over one float array instead of an object
   sort,
-* replay, validation and the analyses never build a
-  :class:`~repro.trace.records.TraceRecord`: replay and validation
-  read gathered field columns (:meth:`ColumnarTrace.gather`; the
-  replay chunk by chunk through :meth:`ColumnarTrace.iter_columns`),
-  and every table and figure reads the fields of the kinds it needs
-  (:meth:`ColumnarTrace.select`).  A whole-trace record list
-  (:meth:`ColumnarTrace.materialize`) is built only when a trace's
-  ``records`` view is read, which no table does, and
+* replay, validation, the analyses and the trace-file tools never
+  build a :class:`~repro.trace.records.TraceRecord`: they read gathered
+  field columns (:meth:`ColumnarTrace.gather`, chunk by chunk through
+  :meth:`ColumnarTrace.iter_columns`), or the fields of the kinds they
+  need (:meth:`ColumnarTrace.select`).  A record exists only while
+  :func:`~repro.trace.files.read_trace` feeds one file line through
+  :meth:`ColumnarTrace.from_records`, and
 * shard math (remapping a group's ids into a disjoint global id space,
   merging group streams into one time-ordered stream) is vectorized
   array arithmetic.
 
-Byte-identity contract: materializing a columnar trace yields records
-whose types and field values are exactly what the classic list path
-produced -- columns round-trip ``float``/``int``/``bool`` losslessly
-(float64/int64 carry every value the generator emits) and the sort is
-stable with emission order as the tie-break, matching the classic
-``list.sort(key=time)`` on an emission-ordered list.
+The record classes are the schema: a kind's table has one column per
+dataclass field, in field order, and round-trips ``float``/``int``/
+``bool`` losslessly.  The sort is stable with emission order as the
+tie-break, matching ``list.sort(key=time)`` on an emission-ordered list.
 
 Columns are numpy arrays (a declared dependency).
 """
 
 from __future__ import annotations
 
-import gc
-from contextlib import contextmanager
 from dataclasses import fields as dataclass_fields
 from typing import Iterable, Iterator, Sequence
 
@@ -77,9 +72,8 @@ _KIND_INDEX: dict[type[TraceRecord], int] = {
     cls: index for index, cls in enumerate(RECORD_CLASSES)
 }
 
-_MODES: tuple[AccessMode, ...] = tuple(AccessMode)
 #: Column code of each access mode (its position in ``AccessMode``).
-MODE_CODES: dict[AccessMode, int] = {mode: i for i, mode in enumerate(_MODES)}
+MODE_CODES: dict[AccessMode, int] = {mode: i for i, mode in enumerate(AccessMode)}
 
 #: dtype code per annotated field type ('f8' float64, 'i8' int64,
 #: 'b1' bool, 'u1' enum code).
@@ -131,63 +125,6 @@ _COLUMN_SOURCES: tuple[tuple[tuple[int, int], ...], ...] = tuple(
     )
     for names in ([name for name, _ in specs] for specs in _SPECS)
 )
-
-_new = object.__new__
-_set = object.__setattr__
-
-
-@contextmanager
-def gc_paused() -> Iterator[None]:
-    """Pause cyclic GC while allocating large acyclic object graphs.
-
-    A whole-trace materialization allocates hundreds of thousands of
-    records, none of them cyclic; left running, the collector would
-    traverse the growing live set again and again for nothing.  The
-    caller's GC state is restored on exit, including on error.
-    """
-    was_enabled = gc.isenabled()
-    if was_enabled:
-        gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
-def _make_filler(kind_index: int):
-    """exec-codegen a per-kind object builder.
-
-    ``fill(out, positions, cols)`` materializes ``len(positions)``
-    records from parallel Python-list columns and stores them at the
-    given positions of ``out`` via ``object.__new__`` +
-    ``object.__setattr__`` (no ``__init__``, no default processing,
-    one C call per field).
-    """
-    cls = RECORD_CLASSES[kind_index]
-    specs = _SPECS[kind_index]
-    unpack = ", ".join(f"c{i}" for i in range(len(specs)))
-    lines = [
-        "def fill(out, positions, cols):",
-        f"    {unpack}{',' if len(specs) == 1 else ''} = cols",
-        "    j = 0",
-        "    for pos in positions:",
-        "        r = _new(_cls)",
-    ]
-    for i, (name, dtype) in enumerate(specs):
-        if dtype == "u1":
-            lines.append(f"        _set(r, {name!r}, _MODES[c{i}[j]])")
-        else:
-            lines.append(f"        _set(r, {name!r}, c{i}[j])")
-    lines.append("        out[pos] = r")
-    lines.append("        j += 1")
-    namespace = {"_new": _new, "_set": _set, "_cls": cls, "_MODES": _MODES}
-    exec("\n".join(lines), namespace)
-    return namespace["fill"]
-
-
-_FILLERS = tuple(_make_filler(i) for i in range(len(RECORD_CLASSES)))
-
 
 class _Table:
     """Sealed per-kind columns (parallel arrays, one per field)."""
@@ -316,7 +253,7 @@ class ColumnarTrace:
             and np.array_equal(self.times, other.times)
         )
 
-    # --- materialization ---------------------------------------------------
+    # --- reading ---------------------------------------------------------
 
     def iter_columns(
         self, chunk_size: int = COLUMN_CHUNK
@@ -397,18 +334,6 @@ class ColumnarTrace:
         return ColumnarTrace(
             self.tables, self.kind_idx[keep], self.row_idx[keep], self.times[keep]
         )
-
-    def materialize(self) -> list[TraceRecord]:
-        """The whole trace as a record list (the classic representation),
-        built with the cyclic GC paused."""
-        out: list[TraceRecord] = [None] * len(self)  # type: ignore[list-item]
-        with gc_paused():
-            for index in np.unique(self.kind_idx).tolist():
-                positions = np.nonzero(self.kind_idx == index)[0]
-                rows = self.row_idx[positions]
-                cols = [column[rows].tolist() for column in self.tables[index].columns]
-                _FILLERS[index](out, positions.tolist(), cols)
-        return out
 
     # --- shard math --------------------------------------------------------
 

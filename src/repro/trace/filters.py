@@ -7,9 +7,11 @@ files themselves and all records related to the nightly tape backup".
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from dataclasses import fields
 
-from repro.trace.records import TraceRecord
+import numpy as np
+
+from repro.trace.columnar import RECORD_CLASSES, ColumnarTrace
 
 #: Sentinel user ids the generator assigns to system activity that the
 #: analysis must never see (mirrors the tracer + backup exclusions).
@@ -18,16 +20,15 @@ BACKUP_USER_ID = -2
 
 SELF_TRAFFIC_USER_IDS = frozenset({TRACER_USER_ID, BACKUP_USER_ID})
 
+_USER_KINDS = tuple(
+    cls for cls in RECORD_CLASSES
+    if "user_id" in {item.name for item in fields(cls)}
+)
 
-def _record_user(record: TraceRecord) -> int | None:
-    return getattr(record, "user_id", None)
 
-
-def drop_self_traffic(
-    records: Iterable[TraceRecord],
-) -> Iterator[TraceRecord]:
+def drop_self_traffic(trace: ColumnarTrace) -> ColumnarTrace:
     """Remove tracer self-traffic and nightly-backup records."""
-    for record in records:
-        if _record_user(record) in SELF_TRAFFIC_USER_IDS:
-            continue
-        yield record
+    keep = np.ones(len(trace), dtype=bool)
+    positions, users = trace.select(_USER_KINDS, "user_id")
+    keep[positions] = ~np.isin(users, sorted(SELF_TRAFFIC_USER_IDS))
+    return trace.subset(keep)

@@ -17,7 +17,7 @@ per-byte lifetime assumes the file was written sequentially.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, ClassVar, Type
 
 from repro.common.errors import TraceError
@@ -57,20 +57,11 @@ class TraceRecord:
             raise TraceError(f"duplicate trace record kind {cls.kind!r}")
         TraceRecord._registry[cls.kind] = cls
 
-    def to_dict(self) -> dict[str, Any]:
-        """Serialize to a flat JSON-compatible dict."""
-        data: dict[str, Any] = {"kind": self.kind}
-        for item in fields(self):
-            value = getattr(self, item.name)
-            if isinstance(value, enum.Enum):
-                value = value.value
-            data[item.name] = value
-        return data
-
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "TraceRecord":
-        """Deserialize a dict produced by :meth:`to_dict`; anything else
-        raises :class:`TraceError`."""
+        """Deserialize a trace-file line's dict: the kind, then the
+        fields, the mode as its value string.  Anything else raises
+        :class:`TraceError`."""
         if not isinstance(data, dict):
             raise TraceError(
                 f"trace record must be a JSON object, got {type(data).__name__}"

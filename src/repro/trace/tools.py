@@ -10,15 +10,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
+
+import numpy as np
 
 from repro.common.errors import TraceError
 from repro.common.units import bytes_to_mbytes
-from repro.trace.records import (
-    ReadRunRecord,
-    TraceRecord,
-    WriteRunRecord,
-)
+from repro.trace.columnar import RECORD_CLASSES, ColumnarTrace, _Table
+from repro.trace.records import ReadRunRecord, WriteRunRecord
 
 
 @dataclass
@@ -57,56 +56,55 @@ class TraceSummary:
         return "\n".join(lines)
 
 
-def summarize(records: Iterable[TraceRecord]) -> TraceSummary:
-    """Profile a record stream in one pass."""
-    summary = TraceSummary()
-    for record in records:
-        summary.records += 1
-        summary.by_kind[record.kind] += 1
-        summary.first_time = min(summary.first_time, record.time)
-        summary.last_time = max(summary.last_time, record.time)
-        user = getattr(record, "user_id", None)
-        if user is not None and user >= 0:
-            summary.users.add(user)
-        client = getattr(record, "client_id", None)
-        if client is not None:
-            summary.clients.add(client)
-        file_id = getattr(record, "file_id", None)
-        if file_id is not None and file_id >= 0:
-            summary.files.add(file_id)
-        if isinstance(record, ReadRunRecord):
-            summary.bytes_read += record.length
-        elif isinstance(record, WriteRunRecord):
-            summary.bytes_written += record.length
+def summarize(trace: ColumnarTrace) -> TraceSummary:
+    """Profile a trace from its columns."""
+    summary = TraceSummary(records=len(trace))
+    if not len(trace):
+        return summary
+    counts = np.bincount(trace.kind_idx, minlength=len(RECORD_CLASSES))
+    summary.by_kind.update({
+        cls.kind: count
+        for cls, count in zip(RECORD_CLASSES, counts.tolist()) if count
+    })
+    summary.first_time = float(trace.times[0])
+    summary.last_time = float(trace.times[-1])
+    _, users, clients, files = trace.select(
+        RECORD_CLASSES, "user_id", "client_id", "file_id"
+    )
+    summary.users = set(np.unique(users[users >= 0]).tolist())
+    summary.clients = set(np.unique(clients).tolist())
+    summary.files = set(np.unique(files[files >= 0]).tolist())
+    summary.bytes_read = int(trace.select(ReadRunRecord, "length")[1].sum())
+    summary.bytes_written = int(trace.select(WriteRunRecord, "length")[1].sum())
     return summary
 
 
 def split_by_duration(
-    records: Iterable[TraceRecord],
-    piece_duration: float,
-    rebase_times: bool = True,
-) -> Iterator[tuple[int, list[TraceRecord]]]:
-    """Split a time-ordered stream into consecutive fixed-duration
-    pieces (the paper's 48-hour -> 2 x 24-hour division).
+    trace: ColumnarTrace, piece_duration: float
+) -> Iterator[tuple[int, ColumnarTrace]]:
+    """Split a trace into consecutive fixed-duration pieces (the
+    paper's 48-hour -> 2 x 24-hour division).
 
-    With ``rebase_times`` each piece's clock restarts at zero, so the
-    pieces are standalone traces.  Episodes cut by a boundary simply
-    lose their tail, exactly as the paper's split did; the analyses
-    tolerate unbalanced episodes.
+    Each piece's clock restarts at zero, so the pieces are standalone
+    traces.  Episodes cut by a boundary simply lose their tail, exactly
+    as the paper's split did; the analyses tolerate unbalanced episodes.
     """
     if piece_duration <= 0:
         raise TraceError(f"piece duration must be positive: {piece_duration}")
-    pieces: dict[int, list[TraceRecord]] = {}
-    last_time = float("-inf")
-    for record in records:
-        if record.time < last_time:
-            raise TraceError("split_by_duration needs a time-ordered stream")
-        last_time = record.time
-        index = int(record.time // piece_duration)
-        if rebase_times:
-            data = record.to_dict()
-            data["time"] = record.time - index * piece_duration
-            record = TraceRecord.from_dict(data)
-        pieces.setdefault(index, []).append(record)
-    for index in sorted(pieces):
-        yield index, pieces[index]
+    times = trace.times
+    if np.any(times[1:] < times[:-1]):
+        raise TraceError("split_by_duration needs a time-ordered stream")
+    pieces = np.floor_divide(times, piece_duration)
+    for index in np.unique(pieces).tolist():
+        shift = int(index) * piece_duration
+        keep = pieces == index
+        tables = [
+            None if table is None else _Table(
+                table.kind_index, [table.columns[0] - shift, *table.columns[1:]],
+                table.count,
+            )
+            for table in trace.tables
+        ]
+        yield int(index), ColumnarTrace(
+            tables, trace.kind_idx[keep], trace.row_idx[keep], times[keep] - shift
+        )

@@ -13,13 +13,11 @@ stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.common.ids import ClientId
 from repro.common.rng import RngStream
 from repro.common.units import DEFAULT_CLIENT_COUNT, DEFAULT_SERVER_COUNT, MINUTE
 from repro.trace.columnar import ColumnarTrace
-from repro.trace.records import TraceRecord
 from repro.trace.validate import ValidationReport, validate_stream
 from repro.workload.apps import (
     AppContext,
@@ -50,15 +48,8 @@ class SyntheticTrace:
 
     The stream is stored once, as ``columnar``
     (:class:`~repro.trace.columnar.ColumnarTrace`): generation validates
-    it, every cluster replay reads it, and equality compares its column
-    arrays.  ``records`` is a read-only view of the same stream as the
-    classic record list, built by
-    :meth:`~repro.trace.columnar.ColumnarTrace.materialize` the first
-    time it is read, and at most once per trace object.  No table reads
-    it; it is there for code that writes a trace file or indexes a
-    record.  The view is derived state: it is left out of equality and
-    of pickling, so a generated, decoded or unpickled trace builds it
-    only when it is read.
+    it, every cluster replay and analysis reads it, the trace-file tools
+    write it, and equality compares its column arrays.
     """
 
     profile: TraceProfile
@@ -67,15 +58,6 @@ class SyntheticTrace:
     users: list[UserProfile]
     validation: ValidationReport
     columnar: ColumnarTrace
-
-    @cached_property
-    def records(self) -> list[TraceRecord]:
-        return self.columnar.materialize()
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("records", None)
-        return state
 
     @property
     def name(self) -> str:
@@ -87,7 +69,7 @@ class SyntheticTrace:
 
     @property
     def record_count(self) -> int:
-        """Number of records, read off the columns (builds no view)."""
+        """Number of records, read off the columns."""
         return len(self.columnar)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -15,7 +15,9 @@ check what the package writes:
   which equals ``blocks_dirtied`` in a consistent run;
 * :func:`all_snapshots` -- a replay's counter snapshots as one list;
 * :func:`emitted_records` -- what a record emitter has appended to its
-  columnar sink, as records in emission order.
+  columnar sink, as records in emission order;
+* :func:`refuse_records` -- makes building any trace record fail the
+  test, to pin that a code path reads columns only.
 """
 
 from __future__ import annotations
@@ -200,3 +202,20 @@ def emitted_records(sink: ColumnarTraceBuilder) -> list[TraceRecord]:
         for seq, row in zip(seqs, rows):
             out[seq] = cls(*row)
     return out
+
+
+def refuse_records(monkeypatch) -> None:
+    """Make constructing any trace record fail the test.
+
+    Every record class is refused at ``__init__``, which every
+    construction outside a raw ``object.__new__`` goes through:
+    ``TraceRecord.from_dict`` (the trace-file reader), hand-built
+    records fed to ``ColumnarTrace.from_records`` and
+    ``dataclasses.replace``.
+    """
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} built")
+
+    for cls in RECORD_CLASSES:
+        monkeypatch.setattr(cls, "__init__", refuse)

@@ -40,6 +40,8 @@ from repro.trace.records import (
     WriteRunRecord,
 )
 
+from reference_trace import materialize
+
 
 # --- episodes ----------------------------------------------------------------
 
@@ -358,7 +360,7 @@ def per_server_table1(
     ]
     for trace in traces:
         for server_id, records in enumerate(
-            shard_records(trace.records, placement)
+            shard_records(materialize(trace.columnar), placement)
         ):
             per_server_records[server_id].extend(records)
     return [
@@ -390,7 +392,9 @@ def per_server_activity(
 ) -> list[ActivityResult]:
     """The Table 2 computation run once per server's record stream."""
     per_server: list[ActivityResult] = []
-    shards_by_trace = [shard_records(t.records, placement) for t in traces]
+    shards_by_trace = [
+        shard_records(materialize(t.columnar), placement) for t in traces
+    ]
     for server_id in range(placement.num_servers):
         per_server.append(
             compute_activity(

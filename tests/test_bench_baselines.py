@@ -72,7 +72,7 @@ def test_replay_baseline_fingerprint():
     trace = scale_curve.replay_trace(scale)
     assert (REPLAY["clients"], REPLAY["records"]) == (
         scale_curve.clients_for(scale),
-        len(trace.records),
+        trace.record_count,
     ), (
         "benchmarks/BENCH_replay.json no longer matches current code; "
         "regenerate it with `pytest benchmarks/test_bench_replay.py "

@@ -1,21 +1,22 @@
 """Tests for the columnar trace layer (repro.trace.columnar).
 
 The load-bearing property is byte-identity with the classic record-list
-path: materializing the columnar form must reproduce exactly the
-records (values *and* types) the old emit-sort-filter pipeline built,
-and the replay's column stream must never hold a whole trace in memory.
+path: the columns must encode exactly the records (values *and* types)
+the old emit-sort-filter pipeline built (``reference_trace.materialize``
+rebuilds them), ``src/`` must never build a record outside the
+trace-file reader, and the replay's column stream must never hold a
+whole trace in memory.
 """
 
 import gc
 import tracemalloc
 from contextlib import contextmanager
-from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from repro.common.errors import TraceOrderError
-from repro.pipeline.codec import decode_artifact, encode_artifact
+from repro.pipeline.codec import decode_artifact, encode_artifact, gc_paused
 from repro.fs.cluster import run_cluster_on_trace
 from repro.fs.config import ClusterConfig
 from repro.pipeline.scaleout import (
@@ -24,7 +25,6 @@ from repro.pipeline.scaleout import (
     build_group_traces,
     run_partitioned_replay,
 )
-from repro.trace import columnar as columnar_module
 from repro.trace.columnar import (
     COLUMN_FIELDS,
     MODE_CODES,
@@ -42,7 +42,8 @@ from repro.trace.records import (
 from repro.workload import generate_trace
 from repro.workload.profiles import STANDARD_PROFILES
 
-from checkers import emitted_records
+from checkers import emitted_records, refuse_records
+from reference_trace import materialize
 
 
 @pytest.fixture(scope="module")
@@ -54,12 +55,13 @@ def small_trace():
 
 class TestRoundTrip:
     def test_generated_trace_carries_equivalent_columnar(self, small_trace):
-        assert small_trace.columnar is not None
-        rebuilt = small_trace.columnar.materialize()
-        assert rebuilt == small_trace.records
+        rebuilt = materialize(small_trace.columnar)
+        assert len(rebuilt) == small_trace.record_count > 0
+        assert [r.time for r in rebuilt] == small_trace.columnar.times.tolist()
+        assert materialize(ColumnarTrace.from_records(rebuilt)) == rebuilt
 
     def test_materialized_types_are_exact(self, small_trace):
-        for record in small_trace.columnar.materialize()[:2000]:
+        for record in materialize(small_trace.columnar)[:2000]:
             assert type(record.time) is float
             assert type(record.file_id) is int
             if isinstance(record, OpenRecord):
@@ -67,14 +69,15 @@ class TestRoundTrip:
                 assert type(record.migrated) is bool
 
     def test_from_records_round_trip(self, small_trace):
-        records = small_trace.records[:500]
+        records = materialize(small_trace.columnar)[:500]
         columnar = ColumnarTrace.from_records(records)
-        assert columnar.materialize() == records
+        assert materialize(columnar) == records
 
     def test_payload_round_trip(self, small_trace):
         payload = small_trace.columnar.to_payload()
         back = ColumnarTrace.from_payload(payload)
-        assert back.materialize() == small_trace.records
+        assert back == small_trace.columnar
+        assert materialize(back) == materialize(small_trace.columnar)
 
 
 def _expected_columns(record) -> tuple:
@@ -98,8 +101,10 @@ class TestIterColumns:
         if chunk_size == 1:
             # Chunk size 1 over the whole day is slow; a prefix of a
             # few thousand records covers every kind.
-            columnar = ColumnarTrace.from_records(small_trace.records[:3000])
-        records = columnar.materialize()
+            columnar = ColumnarTrace.from_records(
+                materialize(small_trace.columnar)[:3000]
+            )
+        records = materialize(columnar)
         size = chunk_size or len(columnar)
         rows = []
         for chunk in columnar.iter_columns(size):
@@ -137,7 +142,7 @@ class TestIterColumns:
 
 class TestFromRecords:
     def test_from_records_rejects_a_backwards_stream(self, small_trace):
-        records = list(reversed(small_trace.records[:200]))
+        records = list(reversed(materialize(small_trace.columnar)[:200]))
         with pytest.raises(TraceOrderError):
             ColumnarTrace.from_records(records)
 
@@ -157,7 +162,7 @@ class TestBuilderSeal:
             ReadRunRecord, (5.0, 0, 1, 7, 1, 0, 0, 100, False)
         )
         sealed = builder.seal(duration=50.0)
-        records = sealed.materialize()
+        records = materialize(sealed)
         assert [type(r) for r in records] == [OpenRecord, ReadRunRecord]
         assert records[0].time == records[1].time == 5.0
 
@@ -178,8 +183,8 @@ class TestRemap:
     def test_remap_strides_ids_and_shifts_clients(self, small_trace):
         groups, group, base = 4, 1, 40
         remapped = small_trace.columnar.remap_group(group, groups, base)
-        originals = small_trace.records
-        for before, after in zip(originals, remapped.materialize()):
+        originals = materialize(small_trace.columnar)
+        for before, after in zip(originals, materialize(remapped)):
             assert after.time == before.time
             assert after.client_id == before.client_id + base
             if before.file_id >= 0:
@@ -195,7 +200,7 @@ class TestRemap:
             small_trace.columnar.remap_group(4, 4, 0)
 
     def test_max_file_id(self, small_trace):
-        expected = max(r.file_id for r in small_trace.records)
+        expected = max(r.file_id for r in materialize(small_trace.columnar))
         assert small_trace.columnar.max_file_id() == expected
 
     def test_max_file_id_empty(self):
@@ -215,11 +220,11 @@ class TestMerge:
                     (float(i % 7), 0, -1, rank + 1, rank, 256),
                 )
             parts.append(builder.seal())
-        full = ColumnarTrace.merge(parts).materialize()
+        full = materialize(ColumnarTrace.merge(parts))
         for subset in ([0], [1], [2], [0, 2], [1, 2], [0, 1]):
-            merged = ColumnarTrace.merge(
+            merged = materialize(ColumnarTrace.merge(
                 [parts[i] for i in subset], ranks=subset
-            ).materialize()
+            ))
             restricted = [
                 r for r in full if r.user_id - 1 in subset
             ]
@@ -255,43 +260,22 @@ def _gc_state(enabled):
 
 
 class TestGcPause:
-    """``materialize`` builds records with the cyclic GC paused and
-    hands the caller back the GC state it found."""
+    """``gc_paused`` (the codec's decode guard) runs its block with the
+    cyclic GC off and hands the caller back the GC state it found."""
 
     @pytest.mark.parametrize("enabled", [True, False])
-    def test_restores_caller_state(self, small_trace, monkeypatch, enabled):
-        seen = []
-
-        def spied(filler):
-            def spy(out, positions, cols):
-                seen.append(gc.isenabled())
-                return filler(out, positions, cols)
-            return spy
-
-        expected = small_trace.records
-        monkeypatch.setattr(
-            columnar_module, "_FILLERS",
-            tuple(spied(filler) for filler in columnar_module._FILLERS),
-        )
+    def test_restores_caller_state(self, enabled):
         with _gc_state(enabled):
-            assert small_trace.columnar.materialize() == expected
+            with gc_paused():
+                assert not gc.isenabled()
             assert gc.isenabled() is enabled
-        # One filler call per kind present, every one with the GC off.
-        assert seen == [False] * len(np.unique(small_trace.columnar.kind_idx))
 
     @pytest.mark.parametrize("enabled", [True, False])
-    def test_restores_caller_state_when_a_filler_raises(
-        self, small_trace, enabled
-    ):
-        columnar = ColumnarTrace.from_records(small_trace.records[:500])
-        table = columnar.tables[RECORD_CLASSES.index(OpenRecord)]
-        assert table is not None
-        mode = [f.name for f in fields(OpenRecord)].index("mode")
-        # No AccessMode has code 255: the open-record filler raises.
-        table.columns[mode] = np.full(table.count, 255, dtype="u1")
+    def test_restores_caller_state_when_a_filler_raises(self, enabled):
         with _gc_state(enabled):
             with pytest.raises(IndexError):
-                columnar.materialize()
+                with gc_paused():
+                    [].pop()  # a filler running past its columns
             assert gc.isenabled() is enabled
 
 
@@ -305,7 +289,7 @@ class TestStreamingMemory:
         assert count > 5_000  # the comparison below needs a real trace
 
         tracemalloc.start()
-        full = columnar.materialize()
+        full = materialize(columnar)
         _, full_peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         del full
@@ -324,17 +308,9 @@ class TestStreamingMemory:
         assert stream_peak < full_peak / 2
 
     def test_record_count_without_materialization(self, monkeypatch):
-        """A decoded or a remapped trace counts its records off the
-        columns and builds no record until ``records`` is read; the view
-        is then its own columns' materialization, built once."""
-        built = []
-        original = ColumnarTrace.materialize
-
-        def spy(self):
-            built.append(self)
-            return original(self)
-
-        monkeypatch.setattr(ColumnarTrace, "materialize", spy)
+        """A generated, a decoded and a remapped trace count their
+        records off the columns; none of them builds a record."""
+        refuse_records(monkeypatch)
         generated = generate_trace(
             STANDARD_PROFILES[0], seed=3, scale=0.02, client_count=4
         )
@@ -343,20 +319,11 @@ class TestStreamingMemory:
             STANDARD_PROFILES[0], seed=3, scale=0.02, client_count=4,
             group=1, groups=4, client_base=8,
         ).run()
-        # Generation, the codec and the remap build no record.
-        assert built == []
-        for trace in (decoded, remapped):
+        assert decoded == generated
+        for trace in (generated, decoded, remapped):
             assert trace.record_count == len(trace.columnar) > 0
-            assert built == []
-            records = trace.records
-            assert len(built) == 1 and built[0] is trace.columnar
-            assert trace.records is records
-            assert records == original(trace.columnar)
-            assert len(records) == trace.record_count
-            built.clear()
-        assert max(r.file_id for r in remapped.records) == (
-            remapped.columnar.max_file_id()
-        )
+        _, file_ids = remapped.columnar.select(RECORD_CLASSES, "file_id")
+        assert int(file_ids.max()) == remapped.columnar.max_file_id()
         assert remapped.columnar.max_file_id() > generated.columnar.max_file_id()
 
 
@@ -370,14 +337,10 @@ def test_record_classes_cover_every_registered_kind():
 
 
 def test_generation_and_replay_build_no_record(monkeypatch):
-    """Records exist only where a reader asks for them: generating a
+    """Records exist only at the trace-file boundary: generating a
     trace, building a scale-out population, replaying it in shards and
-    replaying one trace never materialize a record."""
-
-    def refuse(self):
-        raise AssertionError("materialize() called")
-
-    monkeypatch.setattr(ColumnarTrace, "materialize", refuse)
+    replaying one trace never build a record."""
+    refuse_records(monkeypatch)
     trace = generate_trace(
         STANDARD_PROFILES[0], seed=3, scale=0.02, client_count=4
     )
@@ -392,8 +355,8 @@ def test_generation_and_replay_build_no_record(monkeypatch):
         trace.columnar, trace.duration, ClusterConfig(client_count=4), seed=3
     )
     assert single.records_replayed == trace.record_count
-    with pytest.raises(AssertionError, match="materialize"):
-        trace.records
+    with pytest.raises(AssertionError, match="OpenRecord built"):
+        OpenRecord(0.0, 0)
 
 
 def test_tables_and_rpc_loss_build_no_record(monkeypatch, tmp_path):
@@ -403,10 +366,7 @@ def test_tables_and_rpc_loss_build_no_record(monkeypatch, tmp_path):
     from repro.experiments import EXPERIMENT_IDS, ExperimentContext, run_experiment
     from repro.experiments.report import export_figure_data
 
-    def refuse(self):
-        raise AssertionError("materialize() called")
-
-    monkeypatch.setattr(ColumnarTrace, "materialize", refuse)
+    refuse_records(monkeypatch)
     ctx = ExperimentContext(scale=0.02, seed=3, num_servers=4, cache=False)
     table1 = run_experiment("table1", ctx)
     assert "Table 1a" in table1.rendered
@@ -420,7 +380,6 @@ def test_tables_and_rpc_loss_build_no_record(monkeypatch, tmp_path):
     for experiment_id in (*analyses, "rpc_loss"):
         assert run_experiment(experiment_id, ctx).rendered, experiment_id
     assert len(export_figure_data(tmp_path, ctx)) == 4
-    assert all("records" not in vars(trace) for trace in ctx.traces())
 
 
 def test_select_reads_only_the_stream_rows():

@@ -21,6 +21,7 @@ from repro.trace.records import (
 )
 
 import reference_consistency
+from reference_trace import materialize
 
 
 def open_close(open_id, file_id, client, t0, t1, write=False, user=None):
@@ -205,7 +206,7 @@ class TestSharedActivityExtraction:
     def test_extracts_shared_files_only(self, small_trace):
         activities = extract_shared_activity(small_trace.columnar)
         shared_ids = {
-            r.file_id for r in small_trace.records
+            r.file_id for r in materialize(small_trace.columnar)
             if r.kind in ("shared_read", "shared_write")
         }
         assert {a.file_id for a in activities} == shared_ids

@@ -8,6 +8,8 @@ from repro.trace.columnar import RECORD_CLASSES, ColumnarTrace
 from repro.trace.records import OpenRecord
 from repro.workload import STANDARD_PROFILES, generate_trace
 
+from reference_trace import materialize
+
 
 def aggregate(result) -> ClientCounters:
     return ClientCounters.aggregate(result.final_counters.values())
@@ -45,7 +47,7 @@ class TestClientServerAgreement:
     def test_opens_counted_once_per_open_record(
         self, small_trace, cluster_result
     ):
-        opens = sum(1 for r in small_trace.records if r.kind == "open")
+        opens = sum(1 for r in materialize(small_trace.columnar) if r.kind == "open")
         assert cluster_result.server_counters.open_rpcs == opens
         total = aggregate(cluster_result)
         assert total.file_open_ops == opens
@@ -60,7 +62,7 @@ class TestClientServerAgreement:
         from repro.fs.cluster import Cluster
 
         cluster = Cluster(ClusterConfig(client_count=4), seed=11)
-        records = small_trace.records[:20_000]
+        records = materialize(small_trace.columnar)[:20_000]
         checked = 0
 
         def checking(handler):
@@ -121,7 +123,8 @@ class TestAnalysisSimulatorAgreement:
         """Every standard profile produces a legal, analyzable trace."""
         for index, profile in enumerate(STANDARD_PROFILES):
             trace = generate_trace(profile, seed=100 + index, scale=0.03)
-            assert trace.records, profile.name
-            opens = [r for r in trace.records if isinstance(r, OpenRecord)]
+            records = materialize(trace.columnar)
+            assert records, profile.name
+            opens = [r for r in records if isinstance(r, OpenRecord)]
             assert opens, profile.name
-            assert trace.validation.records == len(trace.records)
+            assert trace.validation.records == len(records)

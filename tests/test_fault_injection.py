@@ -494,7 +494,7 @@ class TestPartition:
 
 class TestFaultInjector:
     def test_scripted_server_crash_through_replay(self, small_trace):
-        mid = small_trace.records[len(small_trace.records) // 2].time
+        mid = float(small_trace.columnar.times[small_trace.record_count // 2])
         schedule = FaultSchedule(
             [FaultEvent(mid, FaultKind.SERVER_CRASH, SERVER_TARGET, 120.0)]
         )

@@ -16,6 +16,8 @@ from repro.fs.cluster import Cluster
 from repro.fs.counters import ClientCounters
 from repro.trace.columnar import ColumnarTrace
 
+from reference_trace import materialize
+
 
 def aggregate(result):
     return ClientCounters.aggregate(result.final_counters.values())
@@ -23,7 +25,7 @@ def aggregate(result):
 
 class TestReplay:
     def test_replays_all_records(self, small_trace, cluster_result):
-        assert cluster_result.records_replayed == len(small_trace.records)
+        assert cluster_result.records_replayed == small_trace.record_count
 
     def test_replay_is_deterministic(self, small_trace):
         config = ClusterConfig(client_count=4)
@@ -38,10 +40,9 @@ class TestReplay:
         """Raw file bytes seen by clients equal the trace's run bytes
         plus shared passthrough."""
         total = aggregate(cluster_result)
-        trace_reads = sum(r.length for r in small_trace.records
-                          if r.kind == "read_run")
-        trace_writes = sum(r.length for r in small_trace.records
-                           if r.kind == "write_run")
+        records = materialize(small_trace.columnar)
+        trace_reads = sum(r.length for r in records if r.kind == "read_run")
+        trace_writes = sum(r.length for r in records if r.kind == "write_run")
         assert total.file_bytes_read + total.shared_bytes_read == trace_reads
         assert (total.file_bytes_written + total.shared_bytes_written
                 == trace_writes)
@@ -86,7 +87,7 @@ class TestReplay:
 
         # A columnar trace whose rows run backwards, as a corrupt
         # payload would decode: the replay loop's own check refuses it.
-        head = ColumnarTrace.from_records(small_trace.records[:100])
+        head = ColumnarTrace.from_records(materialize(small_trace.columnar)[:100])
         backwards = ColumnarTrace(
             head.tables, head.kind_idx[::-1], head.row_idx[::-1],
             head.times[::-1],
@@ -103,8 +104,8 @@ class TestReplay:
         every client and server counter identical and lowers only
         ``records_replayed`` -- by exactly the records removed."""
         skipped = {"create", "reposition", "shared_read", "shared_write"}
-        kept = [r for r in small_trace.records if r.kind not in skipped]
-        removed = len(small_trace.records) - len(kept)
+        kept = [r for r in materialize(small_trace.columnar) if r.kind not in skipped]
+        removed = small_trace.record_count - len(kept)
         assert removed > 0
         result = run_cluster_on_trace(
             ColumnarTrace.from_records(kept), small_trace.duration,

@@ -195,7 +195,7 @@ class TestLatencies:
     def test_fault_schedule_shows_up_in_trace(self, small_trace):
         # The trace is bursty at this small scale: anchor the outage at
         # the median record so client ops land inside it and stall.
-        times = sorted(record.time for record in small_trace.records)
+        times = small_trace.columnar.times.tolist()
         crash_at = times[len(times) // 2] - 1.0
         outage = small_trace.duration * 0.02
         schedule = FaultSchedule(events=[

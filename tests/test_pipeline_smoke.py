@@ -27,9 +27,13 @@ from repro.pipeline import (
     trace_tasks,
 )
 from repro.pipeline.codec import decode_artifact, encode_artifact
+from repro.trace.columnar import RECORD_CLASSES
 from repro.trace.records import AccessMode
 from repro.workload import generate_trace
 from repro.workload.profiles import STANDARD_PROFILES
+
+from checkers import refuse_records
+from reference_trace import materialize
 
 SCALE = 0.02
 
@@ -72,13 +76,13 @@ def test_cold_then_warm_round_trip(tmp_path):
         assert (a.duration, a.records_replayed) == (b.duration, b.records_replayed)
 
 
-def test_warm_accesses_build_no_records_view(tmp_path):
-    """Accesses are assembled from the warm traces' columns: no trace
-    builds its record list."""
+def test_warm_accesses_build_no_records_view(tmp_path, monkeypatch):
+    """Accesses are assembled from the warm traces' columns: no record
+    is built."""
     ExperimentContext(scale=SCALE, seed=7, cache=tmp_path).trace_accesses()
+    refuse_records(monkeypatch)
     warm = ExperimentContext(scale=SCALE, seed=7, cache=tmp_path)
     assert sum(len(table) for table in warm.trace_accesses()) > 0
-    assert all("records" not in vars(trace) for trace in warm.traces())
 
 
 def test_corrupt_entries_are_misses_not_fatal(tmp_path):
@@ -129,32 +133,30 @@ def _remapped(trace):
     )
 
 
-@pytest.mark.parametrize("view_built", [True, False])
-def test_trace_codec_round_trip(view_built):
-    """Traces store as columns (tag ``C``), whether or not the encoded
-    trace has built its records view; neither a generated nor a decoded
-    trace has.  Equality compares the column arrays: a trace equals its
-    round trip and a regenerated twin, but not its remapped copy, whose
-    records carry other ids.  The decoded view is the generated record
-    list, field types exact."""
+@pytest.mark.parametrize("source_decoded", [True, False])
+def test_trace_codec_round_trip(source_decoded):
+    """Traces store as columns (tag ``C``), whether the encoded trace was
+    generated or itself decoded (read-only column buffers).  Equality
+    compares the column arrays: a trace equals its round trip and a
+    regenerated twin, but not its remapped copy, whose records carry
+    other ids.  The decoded columns encode the generated records, field
+    types exact."""
     trace = _small_trace()
-    assert "records" not in vars(trace)
     source = _small_trace()
-    if view_built:
-        assert source.records
-    assert ("records" in vars(source)) is view_built
+    if source_decoded:
+        source = decode_artifact(encode_artifact(source))
     payload = encode_artifact(source)
     assert payload[:1] == b"C"
     decoded = decode_artifact(payload)
-    assert "records" not in vars(decoded)
     assert decoded == trace
     assert _small_trace() == trace
     remapped = _remapped(trace)
     assert remapped != trace
     assert remapped.columnar.max_file_id() > trace.columnar.max_file_id()
     assert decoded.record_count == trace.record_count > 0
-    assert decoded.records == trace.records
-    for record in decoded.records:
+    records = materialize(decoded.columnar)
+    assert records == materialize(trace.columnar)
+    for record in records:
         for item in dataclasses.fields(record):
             expected = _FIELD_TYPES[item.type]
             value = getattr(record, item.name)
@@ -162,19 +164,18 @@ def test_trace_codec_round_trip(view_built):
 
 
 def test_records_view_is_not_pickled():
-    """The view is derived state: reading it does not grow a pickled
-    trace, and a generated trace whose view is built pickles to the
-    same bytes as a decoded one whose view is not."""
+    """A pickled trace carries its columns and no record: a generated
+    trace pickles to the same bytes as its decoded copy, and no record
+    class is named in a generated, decoded or remapped trace's pickle."""
     trace = _small_trace()
-    assert trace.records
-    for candidate in (decode_artifact(encode_artifact(trace)), _remapped(trace)):
-        before = pickle.dumps(candidate)
-        assert candidate.records
-        assert pickle.dumps(candidate) == before
-        assert pickle.loads(before) == candidate
-    assert pickle.dumps(trace) == pickle.dumps(
-        decode_artifact(encode_artifact(trace))
-    )
+    decoded = decode_artifact(encode_artifact(trace))
+    for candidate in (trace, decoded, _remapped(trace)):
+        payload = pickle.dumps(candidate)
+        assert pickle.loads(payload) == candidate
+        assert not [
+            cls for cls in RECORD_CLASSES if cls.__name__.encode() in payload
+        ]
+    assert pickle.dumps(trace) == pickle.dumps(decoded)
 
 
 def test_accesses_without_trace_context_round_trip_through_pickle():
@@ -241,7 +242,9 @@ def test_pooled_accesses_match_per_trace_order(tmp_path):
     tables = ctx.trace_accesses()
     assert_same_tables(tables, [assemble_accesses(t.columnar) for t in traces])
     assert ctx.trace_accesses() is tables
-    pooled = [a for t in traces for a in reference.assemble_accesses(t.records)]
+    pooled = [
+        a for t in traces for a in reference.assemble_accesses(materialize(t.columnar))
+    ]
     for compute, curves in (
         (compute_run_lengths, ("by_runs", "by_bytes")),
         (compute_file_sizes, ("by_accesses", "by_bytes")),

@@ -89,6 +89,7 @@ from repro.trace.validate import validate_stream
 import reference_analysis
 import reference_consistency
 import reference_ticks
+from reference_trace import materialize
 from checkers import all_snapshots
 from test_rpc_transport import server_values
 
@@ -1150,7 +1151,7 @@ def test_property_section4_matches_the_record_path(streams, placement_seed):
     materialized records: the same rows, CDF samples in the same order
     with the same types, and the same rendered text."""
     traces = [
-        _Windowed(f"t{index}", columnar, columnar.materialize(), duration)
+        _Windowed(f"t{index}", columnar, materialize(columnar), duration)
         for index, (columnar, duration) in enumerate(streams)
     ]
     assert_section4_matches_the_record_path(traces, placement_seed)
@@ -1208,7 +1209,7 @@ def test_property_activity_and_consistency_match_the_record_path(
     reads their materialized records: equal floats, requests and
     intervals in the same order, and the same rendered text."""
     traces = [
-        _Windowed(f"t{index}", columnar, columnar.materialize(), duration)
+        _Windowed(f"t{index}", columnar, materialize(columnar), duration)
         for index, (columnar, duration) in enumerate(streams)
     ]
     assert_activity_and_consistency_match_the_record_path(traces, placement_seed)

@@ -413,12 +413,13 @@ class TestPerServerRendering:
         """Table 2a splits records by their file's server through the
         columns; each server sees what the record split handed it."""
         import reference_analysis as reference
+        from reference_trace import materialize
 
         from repro.analysis.sharded import per_server_activity
 
         placement = Placement(4, seed=3)
         ours = per_server_activity([small_trace], placement)
         assert ours == reference.per_server_activity([small_trace], placement)
-        shards = reference.shard_records(small_trace.records, placement)
-        assert sum(map(len, shards)) == len(small_trace.records)
+        shards = reference.shard_records(materialize(small_trace.columnar), placement)
+        assert sum(map(len, shards)) == small_trace.record_count
         assert all(shards)

@@ -1,8 +1,10 @@
-"""Tests for trace files, merge, filters, and validation."""
+"""Tests for trace files, merge, filters, the trace tools and validation."""
 
 import gzip
 import re
-from dataclasses import replace
+import tempfile
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,16 +18,19 @@ from repro.trace import (
     ReadRunRecord,
     drop_self_traffic,
     read_trace,
+    split_by_duration,
+    summarize,
     validate_stream,
     write_trace,
 )
-from repro.trace.columnar import ColumnarTrace
+from repro.trace.columnar import RECORD_CLASSES, ColumnarTrace
 from repro.trace.filters import BACKUP_USER_ID, TRACER_USER_ID
 from repro.trace.records import DeleteRecord, RepositionRecord, WriteRunRecord
 from repro.trace.validate import ValidationReport
 
 import reference_trace
-from test_replay_columns import record_streams
+from reference_trace import materialize
+from test_replay_columns import record_streams, windowed_streams
 
 
 def make_episode(open_id=1, file_id=7, t0=0.0, user_id=1):
@@ -43,22 +48,22 @@ class TestWriterReader:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         records = make_episode()
-        assert write_trace(path, records) == 3
-        assert list(read_trace(path)) == records
+        assert write_trace(path, columns(records)) == 3
+        assert materialize(read_trace(path)) == records
 
     def test_gzip_roundtrip(self, tmp_path):
         path = tmp_path / "trace.jsonl.gz"
         records = make_episode()
-        write_trace(path, records)
+        write_trace(path, columns(records))
         with gzip.open(path, "rt", encoding="utf-8") as handle:
             assert len(handle.readlines()) == 3
-        assert list(read_trace(path)) == records
+        assert materialize(read_trace(path)) == records
 
     def test_reader_rejects_bad_json(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("{not json}\n")
         with pytest.raises(TraceError, match=r"bad\.jsonl:1: invalid JSON"):
-            list(read_trace(path))
+            read_trace(path)
 
     @pytest.mark.parametrize("line,rule", [
         ('{"kind": "open", "time": 0.0, "server_id": 0, "mode": "rw"}',
@@ -71,37 +76,56 @@ class TestWriterReader:
         self, tmp_path, line, rule
     ):
         path = tmp_path / "bad.jsonl"
-        write_trace(path, make_episode())
+        write_trace(path, columns(make_episode()))
         path.write_text(path.read_text() + line + "\n")
-        stream = read_trace(path)
-        assert len([next(stream) for _ in range(3)]) == 3
         with pytest.raises(TraceError, match=rf"bad\.jsonl:4: .*{re.escape(rule)}"):
-            next(stream)
+            read_trace(path)
+
+    def test_reader_names_the_line_of_an_out_of_order_record(self, tmp_path):
+        path = tmp_path / "late.jsonl"
+        write_trace(path, columns(make_episode(t0=5.0)))
+        lines = path.read_text().splitlines(keepends=True)
+        write_trace(path, columns(make_episode(open_id=2, t0=1.0)))
+        path.write_text("".join(lines) + "\n" + path.read_text())
+        with pytest.raises(
+            TraceOrderError, match=r"late\.jsonl:5: .*1\.0 after 6\.0"
+        ):
+            read_trace(path)
 
     def test_reader_skips_blank_lines(self, tmp_path):
         path = tmp_path / "blank.jsonl"
-        write_trace(path, make_episode())
+        write_trace(path, columns(make_episode()))
         path.write_text(path.read_text() + "\n\n")
-        assert len(list(read_trace(path))) == 3
+        assert len(read_trace(path)) == 3
 
     def test_records_written_counter(self, tmp_path):
         path = tmp_path / "x.jsonl"
-        assert write_trace(path, iter(make_episode())) == 3
-        assert write_trace(path, []) == 0
+        assert write_trace(path, columns(make_episode())) == 3
+        assert write_trace(path, columns([])) == 0
         assert path.read_text() == ""
 
-    def test_reader_opens_the_file_only_when_iterated(self, tmp_path):
-        stream = read_trace(tmp_path / "missing.jsonl")
+    def test_reader_raises_on_a_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            next(stream)
+            read_trace(tmp_path / "missing.jsonl")
+
+    def test_generated_trace_matches_the_record_writer(self, small_trace, tmp_path):
+        """A day spans many write chunks; the lines are the record
+        writer's, byte for byte, and read back to the same records."""
+        records = materialize(small_trace.columnar)
+        assert len(records) > 2 * ColumnarTrace.COLUMN_CHUNK
+        ours, theirs = tmp_path / "ours.jsonl", tmp_path / "theirs.jsonl"
+        assert write_trace(ours, small_trace.columnar) == len(records)
+        assert reference_trace.write_trace(theirs, records) == len(records)
+        assert ours.read_bytes() == theirs.read_bytes()
+        assert materialize(read_trace(ours)) == records
 
 
 def merge_columnar(streams):
     """Merge per-server record streams the way the replay merges groups:
     columnar views ranked by stream index."""
-    return ColumnarTrace.merge(
+    return materialize(ColumnarTrace.merge(
         [ColumnarTrace.from_records(stream) for stream in streams]
-    ).materialize()
+    ))
 
 
 class TestMerge:
@@ -161,14 +185,79 @@ class TestMerge:
 class TestFilters:
     def test_drop_self_traffic(self):
         records = make_episode(user_id=TRACER_USER_ID) + make_episode(
-            open_id=2, user_id=5
+            open_id=2, t0=2.0, user_id=5
         )
-        kept = list(drop_self_traffic(records))
-        assert all(r.user_id == 5 for r in kept)
+        kept = materialize(drop_self_traffic(columns(records)))
+        assert [r.user_id for r in kept] == [5, 5, 5]
 
     def test_drop_backup_traffic(self):
         records = make_episode(user_id=BACKUP_USER_ID)
-        assert list(drop_self_traffic(records)) == []
+        assert len(drop_self_traffic(columns(records))) == 0
+
+
+# --------------------------------------------------------------------------
+# trace files, the filter and the tools against their record references
+# --------------------------------------------------------------------------
+
+#: User ids drawn into the differential property: both self-traffic
+#: sentinels and real users.
+USERS = (BACKUP_USER_ID, TRACER_USER_ID, 0, 1, 2, 3)
+
+
+@st.composite
+def file_traces(draw):
+    """A ``record_streams`` stream, or a ``windowed_streams`` one whose
+    kind tables hold rows outside the window, as columns, with every
+    record's user drawn from :data:`USERS`."""
+    if draw(st.booleans()):
+        trace, _ = draw(windowed_streams())
+    else:
+        trace = columns(draw(record_streams())[0])
+    for code, table in enumerate(trace.tables):
+        if table is not None:
+            names = [item.name for item in fields(RECORD_CLASSES[code])]
+            table.columns[names.index("user_id")] = np.asarray(draw(st.lists(
+                st.sampled_from(USERS), min_size=table.count, max_size=table.count,
+            )), dtype="i8")
+    return trace
+
+
+def _lines(path: Path) -> bytes:
+    if path.suffix == ".gz":
+        return gzip.decompress(path.read_bytes())
+    return path.read_bytes()
+
+
+def assert_tools_match(trace, records, piece):
+    assert summarize(trace) == reference_trace.summarize(records)
+    pieces = list(split_by_duration(trace, piece))
+    expected = list(reference_trace.split_by_duration(records, piece))
+    assert [index for index, _ in pieces] == [index for index, _ in expected]
+    for (_, ours), (_, theirs) in zip(pieces, expected):
+        assert materialize(ours) == theirs
+        assert summarize(ours) == reference_trace.summarize(theirs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(file_traces(), st.sampled_from((0.5, 5.0, 40.0, 300.0)))
+def test_property_files_and_tools_match_the_record_references(trace, piece):
+    """Writing, reading, the self-traffic filter, ``summarize`` and
+    ``split_by_duration`` over columns give what their record-list
+    references give over the materialized records, on plain and gzip
+    files, with rows outside the window never written."""
+    records = materialize(trace)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in ("t.jsonl", "t.jsonl.gz"):
+            ours, theirs = Path(tmp, "ours-" + name), Path(tmp, "theirs-" + name)
+            assert write_trace(ours, trace) == len(records)
+            reference_trace.write_trace(theirs, records)
+            assert _lines(ours) == _lines(theirs)
+            assert materialize(read_trace(ours)) == records
+    kept = drop_self_traffic(trace)
+    kept_records = list(reference_trace.drop_self_traffic(records))
+    assert materialize(kept) == kept_records
+    assert_tools_match(trace, records, piece)
+    assert_tools_match(kept, kept_records, piece)
 
 
 def columns(records):
@@ -373,12 +462,12 @@ def mutated_streams(draw):
 @settings(max_examples=400, deadline=None)
 @given(mutated_streams(), st.booleans())
 def test_property_columns_match_the_record_loop(trace, allow_open_at_end):
-    expected = reference_outcome(trace.materialize(), allow_open_at_end)
+    expected = reference_outcome(materialize(trace), allow_open_at_end)
     assert column_outcome(trace, allow_open_at_end) == expected
 
 
 def test_generated_trace_matches_the_record_loop(small_trace):
     for allow_open_at_end in (True, False):
         assert column_outcome(small_trace.columnar, allow_open_at_end) == (
-            reference_outcome(small_trace.records, allow_open_at_end)
+            reference_outcome(materialize(small_trace.columnar), allow_open_at_end)
         )

@@ -1,8 +1,13 @@
 """Unit tests for the trace record vocabulary and serialization."""
 
+import json
+from dataclasses import fields
+
 import pytest
 
 from repro.common.errors import TraceError
+from repro.trace.columnar import ColumnarTrace
+from repro.trace.files import write_trace
 from repro.trace.records import (
     AccessMode,
     CloseRecord,
@@ -63,19 +68,28 @@ ALL_RECORDS = [
 ]
 
 
+def written_line(record, tmp_path) -> dict:
+    """The one line ``write_trace`` writes for ``record``, parsed."""
+    path = tmp_path / "one.jsonl"
+    write_trace(path, ColumnarTrace.from_records([record]))
+    (line,) = path.read_text().splitlines()
+    return json.loads(line)
+
+
 class TestSerialization:
     @pytest.mark.parametrize("record", ALL_RECORDS, ids=lambda r: r.kind)
-    def test_roundtrip(self, record):
-        data = record.to_dict()
-        rebuilt = TraceRecord.from_dict(data)
+    def test_roundtrip(self, record, tmp_path):
+        rebuilt = TraceRecord.from_dict(written_line(record, tmp_path))
         assert rebuilt == record
 
     @pytest.mark.parametrize("record", ALL_RECORDS, ids=lambda r: r.kind)
-    def test_dict_has_kind(self, record):
-        assert record.to_dict()["kind"] == record.kind
+    def test_dict_has_kind(self, record, tmp_path):
+        data = written_line(record, tmp_path)
+        assert list(data) == ["kind", *(f.name for f in fields(record))]
+        assert data["kind"] == record.kind
 
-    def test_mode_serializes_as_string(self):
-        data = ALL_RECORDS[0].to_dict()
+    def test_mode_serializes_as_string(self, tmp_path):
+        data = written_line(ALL_RECORDS[0], tmp_path)
         assert data["mode"] == "read_write"
 
     def test_missing_kind_raises(self):

@@ -11,13 +11,22 @@ from repro.analysis.bsd_comparison import (
 )
 from repro.common.errors import TraceError
 from repro.fs.latency import analyze_paging_latency
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.records import OpenRecord, ReadRunRecord, WriteRunRecord
 from repro.trace.tools import split_by_duration, summarize
+
+import reference_trace
+from reference_trace import materialize
+from test_trace_io import swapped
+
+
+def columns(records):
+    return ColumnarTrace.from_records(records)
 
 
 class TestSummarize:
     def test_empty_stream(self):
-        summary = summarize([])
+        summary = summarize(columns([]))
         assert summary.records == 0
         assert summary.span_seconds == 0.0
 
@@ -30,7 +39,7 @@ class TestSummarize:
             WriteRunRecord(time=2.0, server_id=0, open_id=1, file_id=1,
                            user_id=3, client_id=2, offset=0, length=50),
         ]
-        summary = summarize(records)
+        summary = summarize(columns(records))
         assert summary.records == 3
         assert summary.bytes_read == 100
         assert summary.bytes_written == 50
@@ -43,17 +52,20 @@ class TestSummarize:
             OpenRecord(time=0.0, server_id=0, open_id=1, file_id=1,
                        user_id=-1),
         ]
-        assert summarize(records).users == set()
+        assert summarize(columns(records)).users == set()
 
     def test_render(self, small_trace):
-        text = summarize(small_trace.records).render()
+        text = summarize(small_trace.columnar).render()
         assert "records" in text and "Mbytes read" in text
 
     def test_matches_trace(self, small_trace):
-        summary = summarize(small_trace.records)
-        assert summary.records == len(small_trace.records)
+        summary = summarize(small_trace.columnar)
+        assert summary.records == small_trace.record_count
         assert summary.by_kind["open"] == summary.by_kind["close"] + len(
             small_trace.validation.unclosed_open_ids
+        )
+        assert summary == reference_trace.summarize(
+            materialize(small_trace.columnar)
         )
 
 
@@ -63,35 +75,31 @@ class TestSplit:
             OpenRecord(time=float(t), server_id=0, open_id=t, file_id=1)
             for t in range(10)
         ]
-        pieces = list(split_by_duration(records, 5.0))
+        pieces = list(split_by_duration(columns(records), 5.0))
         assert [index for index, _ in pieces] == [0, 1]
         assert len(pieces[0][1]) == 5
 
     def test_rebase_times(self):
         records = [OpenRecord(time=7.0, server_id=0, open_id=1, file_id=1)]
-        (_, piece), = split_by_duration(records, 5.0)
-        assert piece[0].time == 2.0
-
-    def test_no_rebase(self):
-        records = [OpenRecord(time=7.0, server_id=0, open_id=1, file_id=1)]
-        (_, piece), = split_by_duration(records, 5.0, rebase_times=False)
-        assert piece[0].time == 7.0
+        (_, piece), = split_by_duration(columns(records), 5.0)
+        assert piece.times.tolist() == [2.0]
+        assert [r.time for r in materialize(piece)] == [2.0]
 
     def test_unsorted_raises(self):
         records = [
-            OpenRecord(time=9.0, server_id=0, open_id=1, file_id=1),
-            OpenRecord(time=1.0, server_id=0, open_id=2, file_id=1),
+            OpenRecord(time=1.0, server_id=0, open_id=1, file_id=1),
+            OpenRecord(time=9.0, server_id=0, open_id=2, file_id=1),
         ]
         with pytest.raises(TraceError):
-            list(split_by_duration(records, 5.0))
+            list(split_by_duration(swapped(columns(records), 0), 5.0))
 
     def test_bad_duration_raises(self):
         with pytest.raises(TraceError):
-            list(split_by_duration([], 0.0))
+            list(split_by_duration(columns([]), 0.0))
 
     def test_split_conserves_records(self, small_trace):
-        pieces = list(split_by_duration(small_trace.records, 6 * 3600.0))
-        assert sum(len(p) for _, p in pieces) == len(small_trace.records)
+        pieces = list(split_by_duration(small_trace.columnar, 6 * 3600.0))
+        assert sum(len(p) for _, p in pieces) == small_trace.record_count
 
 
 class TestBsdComparison:

@@ -30,6 +30,7 @@ from repro.workload.profiles import scaled_profile
 from repro.workload.users import UserGroup, UserProfile
 
 from checkers import emitted_records
+from reference_trace import materialize
 
 
 def make_context(seed=5, migration_hosts=4):
@@ -206,39 +207,40 @@ class TestProfiles:
 
 class TestGenerator:
     def test_trace_is_sorted_and_valid(self, small_trace):
-        times = [r.time for r in small_trace.records]
+        times = [r.time for r in materialize(small_trace.columnar)]
         assert times == sorted(times)
-        assert small_trace.validation.records == len(small_trace.records)
+        assert small_trace.validation.records == len(times)
 
     def test_trace_within_duration(self, small_trace):
         assert all(0 <= r.time < small_trace.duration
-                   for r in small_trace.records)
+                   for r in materialize(small_trace.columnar))
 
     def test_trace_determinism(self):
         a = generate_trace(STANDARD_PROFILES[0], seed=77, scale=0.03)
         b = generate_trace(STANDARD_PROFILES[0], seed=77, scale=0.03)
-        assert a.records == b.records
+        assert materialize(a.columnar) == materialize(b.columnar)
 
     def test_different_seeds_differ(self):
         a = generate_trace(STANDARD_PROFILES[0], seed=77, scale=0.03)
         b = generate_trace(STANDARD_PROFILES[0], seed=78, scale=0.03)
-        assert a.records != b.records
+        assert materialize(a.columnar) != materialize(b.columnar)
 
     def test_trace_has_core_event_kinds(self, small_trace):
-        kinds = {r.kind for r in small_trace.records}
+        kinds = {r.kind for r in materialize(small_trace.columnar)}
         assert {"open", "close", "read_run", "write_run", "delete",
                 "dir_read"} <= kinds
 
     def test_migration_users_present(self, small_trace):
         migrated_users = {
-            r.user_id for r in small_trace.records
+            r.user_id for r in materialize(small_trace.columnar)
             if getattr(r, "migrated", False)
         }
         assert migrated_users
 
     def test_client_ids_in_range(self, small_trace):
         clients = {
-            r.client_id for r in small_trace.records if hasattr(r, "client_id")
+            r.client_id for r in materialize(small_trace.columnar)
+            if hasattr(r, "client_id")
         }
         assert all(0 <= c < 40 for c in clients)
 
@@ -246,7 +248,7 @@ class TestGenerator:
         self, small_trace, shared_heavy_trace
     ):
         def shared_count(trace):
-            return sum(1 for r in trace.records
+            return sum(1 for r in materialize(trace.columnar)
                        if r.kind in ("shared_read", "shared_write"))
 
         # trace8's shared intensity is 20x trace1's.
@@ -254,7 +256,7 @@ class TestGenerator:
 
     def test_sim_trace_reads_more_bytes(self, small_trace, sim_trace):
         def read_bytes(trace):
-            return sum(r.length for r in trace.records
+            return sum(r.length for r in materialize(trace.columnar)
                        if r.kind == "read_run")
 
         assert read_bytes(sim_trace) > 2 * read_bytes(small_trace)
