@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from repro.pipeline.scaleout import ScaleOutPlan
 from repro.workload import STANDARD_PROFILES, SyntheticTrace, generate_trace
+from repro.workload.profiles import scaled_client_count
 
 #: The population scales the curve measures, in increasing order.
 SCALES = (0.05, 0.5, 2.0, 10.0)
@@ -23,24 +24,19 @@ SCALES = (0.05, 0.5, 2.0, 10.0)
 MAX_SHARDS = 4
 
 
-def clients_for(scale: float) -> int:
-    """Mirror ``ExperimentContext.client_count``."""
-    return max(4, round(40 * scale))
-
-
 def replay_trace(scale: float) -> SyntheticTrace:
     """The single-worker replay bench's input: trace0 at ``scale``."""
     return generate_trace(
         STANDARD_PROFILES[0], seed=1991, scale=scale,
-        client_count=clients_for(scale),
+        client_count=scaled_client_count(scale),
     )
 
 
 def scale_out_plan(scale: float) -> ScaleOutPlan:
     """The scale-out population rule mirrors the registry: the plan
-    sizes the population at the *total* scale (``max(4, round(40 *
-    scale))``) and splits it across ``round(scale / 0.05)`` groups, so
-    ``scale=10`` means 200 groups and 400 clients."""
+    sizes the population at the *total* scale (``scaled_client_count``)
+    and splits it across ``round(scale / 0.05)`` groups, so ``scale=10``
+    means 200 groups and 400 clients."""
     return ScaleOutPlan(
         profile=STANDARD_PROFILES[0],
         seed=1991,

@@ -34,9 +34,8 @@ from repro.fs import ClusterConfig, run_cluster_on_trace
 from repro.pipeline.scaleout import build_group_traces, run_partitioned_replay
 
 from conftest import calibration_seconds, load_bench_json, write_bench_json
-from scale_curve import (
-    SCALES, clients_for, replay_trace, scale_out_plan, shard_count,
-)
+from repro.workload.profiles import scaled_client_count
+from scale_curve import SCALES, replay_trace, scale_out_plan, shard_count
 
 #: Pre-optimization baseline: commit f33387b (before the hot-path
 #: rewrite), same trace0 replay at scale=1.  Median of four runs
@@ -60,7 +59,7 @@ MIN_SPEEDUP = 5.0
 
 def _replay_once(scale: float) -> dict:
     """Generate trace0 at ``scale`` and time one single-worker replay."""
-    clients = clients_for(scale)
+    clients = scaled_client_count(scale)
     trace = replay_trace(scale)
     config = ClusterConfig(client_count=clients)
     gc.collect()

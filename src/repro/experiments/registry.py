@@ -84,6 +84,7 @@ from repro.pipeline import (
 from repro.pipeline.runner import run_stage, trace_tasks
 from repro.pipeline.tasks import ReplayTask
 from repro.workload import STANDARD_PROFILES, SyntheticTrace
+from repro.workload.profiles import scaled_client_count
 
 
 @dataclass
@@ -179,8 +180,8 @@ class ExperimentContext:
 
     @property
     def client_count(self) -> int:
-        """Clients shrink with scale so per-client load stays realistic."""
-        return max(4, round(40 * self.scale))
+        """Clients shrink with scale (:func:`scaled_client_count`)."""
+        return scaled_client_count(self.scale)
 
     def base_cluster_config(self) -> ClusterConfig:
         """The cluster config every Section 5 replay starts from."""
@@ -620,7 +621,7 @@ def _faults(ctx: ExperimentContext) -> ExperimentResult:
         tasks.append(
             ReplayTask(
                 trace_fields=trace_fields,
-                columnar=trace.columnar,
+                group_traces=[(0, trace.columnar)],
                 duration=trace.duration,
                 config=config,
                 seed=ctx.seed + 4099,

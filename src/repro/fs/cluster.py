@@ -160,13 +160,10 @@ class Cluster:
                 )
         self._owned_groups = owned
         partial = len(owned) < groups
-        spg = self._servers_per_group = config.num_servers // groups
         self.servers: Sequence[Server]
         if partial:
             owned_server_ids = [
-                sid
-                for group in owned
-                for sid in range(group * spg, (group + 1) * spg)
+                sid for group in owned for sid in config.server_slice(group)
             ]
             self.servers = MachineRoster(
                 "server",
@@ -192,7 +189,8 @@ class Cluster:
         self._client_group: dict[int, int] = {}
         for server in self.servers:
             server.on_cacheability_change = (
-                lambda file_id, cacheable, _group=server.server_id // spg:
+                lambda file_id, cacheable,
+                _group=config.group_of_server(server.server_id):
                     self._group_cacheability(_group, file_id, cacheable)
             )
 
@@ -208,15 +206,16 @@ class Cluster:
                 self.engine,
                 self.servers,
                 self.placement,
-                config.replication_factor,
-                config.heartbeat_miss_threshold,
+                config,
                 ticker=self.shared_ticker(config.heartbeat_interval),
-                groups=groups,
                 owned_groups=owned,
             )
             if oracle is not None:
-                oracle.group_maps = self.replication.group_maps
-                oracle.servers_per_group = spg
+                oracle.replica_groups = [
+                    (self.replication.group_maps[group],
+                     config.server_slice(group))
+                    for group in owned
+                ]
 
         #: Integrity layer (repro.fs.integrity): per-block checksums,
         #: verified reads with repair-from-replica, and the background
@@ -234,12 +233,12 @@ class Cluster:
 
             self.integrity = IntegrityManager(
                 self.servers,
+                config,
                 group_maps=(
                     self.replication.group_maps
                     if self.replication is not None
                     else None
                 ),
-                servers_per_group=spg,
             )
             for server in self.servers:
                 server.integrity = self.integrity
@@ -267,27 +266,27 @@ class Cluster:
         # foreign forks change nothing), which is what makes a shard's
         # client byte-identical to the same client in the unpartitioned
         # replay.
-        offsets = config.group_client_offsets
         client_items: list[ClientKernel] = []
         paging_items: list[PagingModel] = []
         client_ids: list[int] = []
         for group in owned:
-            slice_ids = list(range(group * spg, (group + 1) * spg))
+            slice_ids = config.server_slice(group)
             slice_servers = [self.servers[sid] for sid in slice_ids]
             server_roster = (
-                self.servers if spg == config.num_servers
+                self.servers if len(slice_ids) == config.num_servers
                 else MachineRoster(
                     "server", config.num_servers, slice_servers, slice_ids
                 )
             )
-            group_placement = self.placement.group_view(group, groups)
+            group_placement = self.placement.group_view(slice_ids)
             replica_map = (
                 self.replication.group_maps[group]
                 if self.replication is not None
                 else None
             )
             members: list[ClientKernel] = []
-            for client_id in range(offsets[group], offsets[group + 1]):
+            group_client_ids = config.client_slice(group)
+            for client_id in group_client_ids:
                 client_rng = self.rng.fork(f"client-{client_id}")
                 base_pages = int(
                     client_rng.uniform(6.0, 9.0) * MB / config.block_size
@@ -313,7 +312,7 @@ class Cluster:
                     # Pin paging inside the group's server slice (the
                     # classic ``client_id % num_servers`` would leak
                     # paging traffic onto other groups' servers).
-                    paging_shard=group * spg + client_id % spg,
+                    paging_shard=slice_ids[client_id % len(slice_ids)],
                     oracle=oracle,
                     replication=self.replication,
                     replica_map=replica_map,
@@ -334,7 +333,7 @@ class Cluster:
                 self._client_group[client_id] = group
             self._group_clients[group] = members
             client_items.extend(members)
-            client_ids.extend(range(offsets[group], offsets[group + 1]))
+            client_ids.extend(group_client_ids)
         if partial:
             roster = MachineRoster(
                 "client", config.client_count, client_items, client_ids
@@ -432,7 +431,7 @@ class Cluster:
         # Only the server's own group's clients can hold its files; a
         # foreign client's sweep would be a no-op (and a partial shard
         # has no foreign clients to run it on).
-        group = server_id // self._servers_per_group
+        group = self.config.group_of_server(server_id)
         for client in self._group_clients[group]:
             client.on_server_recovered(now, server_id)
 
@@ -442,9 +441,8 @@ class Cluster:
         registrations (its group's server slice -- it never registered
         anywhere else)."""
         client.crash(self.engine.now)
-        spg = self._servers_per_group
-        first = self._client_group[client.client_id] * spg
-        for sid in range(first, first + spg):
+        group = self._client_group[client.client_id]
+        for sid in self.config.server_slice(group):
             self.servers[sid].client_crashed(client.client_id)
 
     def reboot_client(self, client: ClientKernel) -> None:
@@ -564,12 +562,9 @@ class Cluster:
             # its owned groups gets exactly the events the unpartitioned
             # schedule holds for them.
             schedule = FaultSchedule.generate(
-                self.config.faults,
-                self.config.client_count,
+                self.config,
                 duration,
                 self.rng.fork("faults"),
-                num_servers=self.config.num_servers,
-                group_sizes=self.config.group_sizes,
                 owned_groups=self._owned_groups,
             )
         if schedule is not None and len(schedule):
@@ -708,20 +703,16 @@ def merge_cluster_results(
                 f"rows but {len(ids)} server ids"
             )
         row_maps.append(dict(zip(ids, result.per_server_counters)))
-    offsets = config.group_client_offsets
-    servers_per_group = config.num_servers // groups
     snapshots: dict[int, list[CounterSnapshot]] = {}
     final_counters: dict[int, ClientCounters] = {}
     per_server: list[ServerCounters] = []
     for group in range(groups):
         result = results[owner[group]]
-        for client_id in range(offsets[group], offsets[group + 1]):
+        for client_id in config.client_slice(group):
             snapshots[client_id] = result.snapshots[client_id]
             final_counters[client_id] = result.final_counters[client_id]
         rows = row_maps[owner[group]]
-        for sid in range(
-            group * servers_per_group, (group + 1) * servers_per_group
-        ):
+        for sid in config.server_slice(group):
             try:
                 per_server.append(rows[sid])
             except KeyError:

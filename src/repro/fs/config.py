@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from repro.common.errors import ConfigError
 from repro.fs.faults import FaultConfig
@@ -207,13 +208,13 @@ class ClusterConfig:
             # confined to a group's own server slice and RNG fork, so
             # they compose with grouping; the one per-group bound is
             # that a file's replica chain must fit its group's slice.
-            if self.replication_factor > self.num_servers // self.client_groups:
+            if self.replication_factor > self.servers_per_group:
                 raise ConfigError(
                     f"replication_factor={self.replication_factor} does not "
                     f"fit a group's server slice (num_servers="
                     f"{self.num_servers} // client_groups="
                     f"{self.client_groups} = "
-                    f"{self.num_servers // self.client_groups} servers per "
+                    f"{self.servers_per_group} servers per "
                     "group)"
                 )
 
@@ -237,7 +238,28 @@ class ClusterConfig:
     def group_client_offsets(self) -> tuple[int, ...]:
         """Prefix sums of :attr:`group_sizes`, length ``groups + 1``:
         group ``g`` owns the client-id block ``[off[g], off[g+1])``."""
-        offsets = [0]
-        for size in self.group_sizes:
-            offsets.append(offsets[-1] + size)
-        return tuple(offsets)
+        return tuple(accumulate(self.group_sizes, initial=0))
+
+    # The group layout: every module that needs to know which clients
+    # and servers a group owns asks these, so the arithmetic lives here
+    # alone.  The classic cluster is the one-group case: group 0 owns
+    # every client and every server.
+
+    @property
+    def servers_per_group(self) -> int:
+        """Width of each group's contiguous server slice."""
+        return self.num_servers // self.client_groups
+
+    def server_slice(self, group: int) -> range:
+        """The server ids group ``group`` owns."""
+        width = self.servers_per_group
+        return range(group * width, (group + 1) * width)
+
+    def client_slice(self, group: int) -> range:
+        """The client ids group ``group`` owns."""
+        offsets = self.group_client_offsets
+        return range(offsets[group], offsets[group + 1])
+
+    def group_of_server(self, server_id: int) -> int:
+        """The group whose server slice holds ``server_id``."""
+        return server_id // self.servers_per_group

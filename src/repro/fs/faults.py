@@ -44,6 +44,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.common.errors import ConfigError
@@ -51,6 +52,7 @@ from repro.common.rng import RngStream
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.fs.cluster import Cluster
+    from repro.fs.config import ClusterConfig
 
 #: ``FaultEvent.target`` value meaning server 0 -- *the* server of a
 #: single-server cluster.  In a sharded cluster a server crash may also
@@ -291,15 +293,12 @@ class FaultSchedule:
     @classmethod
     def generate(
         cls,
-        config: FaultConfig,
-        client_count: int,
+        config: "ClusterConfig",
         duration: float,
         rng: RngStream,
-        num_servers: int = 1,
-        group_sizes: tuple[int, ...] | None = None,
         owned_groups: tuple[int, ...] | None = None,
     ) -> "FaultSchedule":
-        """Draw a schedule over ``[0, duration)``.
+        """Draw a schedule over ``[0, duration)`` from ``config.faults``.
 
         Each failure process (every server's crashes and disk faults,
         each client's crashes, each client's partitions) draws from its
@@ -308,10 +307,9 @@ class FaultSchedule:
         target.  Each server is an independent crash process at the
         full ``server_crash_rate``.
 
-        ``group_sizes`` splits the clients into groups, each owning an
-        equal contiguous slice of the servers (default: one group of
-        ``client_count``).  With several groups every stream hangs off
-        its group's fork (``rng.fork(f"group-{g}")``), and ``fork`` is a
+        Each of the config's client groups owns its client block and
+        server slice.  With several groups every stream hangs off its
+        group's fork (``rng.fork(f"group-{g}")``), and ``fork`` is a
         pure function of the parent key and name -- so group ``g``'s
         timeline is a pure function of ``(config, duration, seed, g)``,
         and a shard passing only its ``owned_groups`` gets exactly the
@@ -321,10 +319,8 @@ class FaultSchedule:
         historical ``"server"`` stream and ``SERVER_TARGET`` target, so
         single-server schedules are unchanged.
         """
-        if group_sizes is None:
-            group_sizes = (client_count,)
-        groups = len(group_sizes)
-        servers_per_group = num_servers // groups
+        faults = config.faults
+        groups = config.client_groups
         events: list[FaultEvent] = []
         disk_events: list[DiskFaultEvent] = []
 
@@ -367,15 +363,11 @@ class FaultSchedule:
                     DiskFaultEvent(t, kind, server_id, stream.random())
                 )
 
-        offsets = [0]
-        for size in group_sizes:
-            offsets.append(offsets[-1] + size)
         for group in owned_groups if owned_groups is not None else range(groups):
             if not 0 <= group < groups:
                 raise ConfigError(f"group {group} out of range for {groups}")
             grng = rng if groups == 1 else rng.fork(f"group-{group}")
-            first_server = group * servers_per_group
-            for server_id in range(first_server, first_server + servers_per_group):
+            for server_id in config.server_slice(group):
                 if groups == 1 and server_id == 0:
                     crash_stream, target = grng.fork("server"), SERVER_TARGET
                 else:
@@ -383,41 +375,41 @@ class FaultSchedule:
                     target = server_id
                 draw(
                     crash_stream,
-                    config.server_crash_rate,
-                    config.server_downtime,
+                    faults.server_crash_rate,
+                    faults.server_downtime,
                     FaultKind.SERVER_CRASH,
                     target,
                 )
                 draw_disk(
                     grng.fork(f"disk-bitrot-{server_id}"),
-                    config.disk_corruption_rate,
+                    faults.disk_corruption_rate,
                     DiskFaultKind.BIT_ROT,
                     server_id,
                 )
                 draw_disk(
                     grng.fork(f"disk-torn-{server_id}"),
-                    config.disk_torn_write_rate,
+                    faults.disk_torn_write_rate,
                     DiskFaultKind.TORN_WRITE,
                     server_id,
                 )
                 draw_disk(
                     grng.fork(f"disk-lost-{server_id}"),
-                    config.disk_lost_write_rate,
+                    faults.disk_lost_write_rate,
                     DiskFaultKind.LOST_WRITE,
                     server_id,
                 )
-            for client_id in range(offsets[group], offsets[group + 1]):
+            for client_id in config.client_slice(group):
                 draw(
                     grng.fork(f"client-crash-{client_id}"),
-                    config.client_crash_rate,
-                    config.client_downtime,
+                    faults.client_crash_rate,
+                    faults.client_downtime,
                     FaultKind.CLIENT_CRASH,
                     client_id,
                 )
                 draw(
                     grng.fork(f"partition-{client_id}"),
-                    config.partition_rate,
-                    config.partition_duration,
+                    faults.partition_rate,
+                    faults.partition_duration,
                     FaultKind.PARTITION,
                     client_id,
                 )
@@ -444,11 +436,13 @@ class FaultInjector:
         engine = self._cluster.engine
         obs = self._cluster.obs
         for event in self.schedule.events:
-            engine.schedule_at(event.time, _Apply(self, event))
+            engine.schedule_at(event.time, partial(self.apply, event))
             if obs is not None:
                 obs.on_fault_armed(event)
         for disk_event in self.schedule.disk_events:
-            engine.schedule_at(disk_event.time, _ApplyDisk(self, disk_event))
+            engine.schedule_at(
+                disk_event.time, partial(self.apply_disk, disk_event)
+            )
 
     def apply(self, event: FaultEvent) -> None:
         cluster = self._cluster
@@ -461,19 +455,19 @@ class FaultInjector:
             server_id %= len(cluster.servers)
             cluster.crash_server(event.end_time, server_id)
             cluster.engine.schedule_at(
-                event.end_time, _RecoverServer(cluster, server_id)
+                event.end_time, partial(cluster.recover_server, server_id)
             )
         elif event.kind is FaultKind.CLIENT_CRASH:
             client = cluster.clients[event.target % len(cluster.clients)]
             cluster.crash_client(client)
             cluster.engine.schedule_at(
-                event.end_time, _Reboot(cluster, client)
+                event.end_time, partial(cluster.reboot_client, client)
             )
         else:
             client = cluster.clients[event.target % len(cluster.clients)]
             cluster.partition_client(client, event.end_time)
             cluster.engine.schedule_at(
-                event.end_time, _Heal(cluster, client)
+                event.end_time, partial(cluster.heal_client, client)
             )
 
     def apply_disk(self, event: DiskFaultEvent) -> None:
@@ -499,70 +493,3 @@ class FaultInjector:
             integrity.arm_torn(server_id)
         else:
             integrity.arm_lost(server_id)
-
-
-class _Apply:
-    """Picklable-free callback shims (plain closures would also work;
-    classes keep reprs useful when debugging the event heap)."""
-
-    __slots__ = ("_injector", "_event")
-
-    def __init__(self, injector: FaultInjector, event: FaultEvent) -> None:
-        self._injector = injector
-        self._event = event
-
-    def __call__(self) -> None:
-        self._injector.apply(self._event)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"_Apply({self._event!r})"
-
-
-class _ApplyDisk:
-    __slots__ = ("_injector", "_event")
-
-    def __init__(self, injector: FaultInjector, event: DiskFaultEvent) -> None:
-        self._injector = injector
-        self._event = event
-
-    def __call__(self) -> None:
-        self._injector.apply_disk(self._event)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"_ApplyDisk({self._event!r})"
-
-
-class _RecoverServer:
-    __slots__ = ("_cluster", "_server_id")
-
-    def __init__(self, cluster: "Cluster", server_id: int) -> None:
-        self._cluster = cluster
-        self._server_id = server_id
-
-    def __call__(self) -> None:
-        self._cluster.recover_server(self._server_id)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"_RecoverServer(server_id={self._server_id})"
-
-
-class _Reboot:
-    __slots__ = ("_cluster", "_client")
-
-    def __init__(self, cluster: "Cluster", client) -> None:
-        self._cluster = cluster
-        self._client = client
-
-    def __call__(self) -> None:
-        self._cluster.reboot_client(self._client)
-
-
-class _Heal:
-    __slots__ = ("_cluster", "_client")
-
-    def __init__(self, cluster: "Cluster", client) -> None:
-        self._cluster = cluster
-        self._client = client
-
-    def __call__(self) -> None:
-        self._cluster.heal_client(self._client)

@@ -49,6 +49,7 @@ from itertools import filterfalse
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.fs.config import ClusterConfig
     from repro.fs.server import Server
 
 _MASK64 = (1 << 64) - 1
@@ -114,8 +115,8 @@ class IntegrityManager:
 
     def __init__(
         self, servers: "list[Server]",
+        config: "ClusterConfig",
         group_maps: "dict[int, Any] | None",
-        servers_per_group: int,
     ) -> None:
         self.servers = servers
         #: The replication manager's per-group replica maps (group ->
@@ -125,7 +126,7 @@ class IntegrityManager:
         #: different slice per group).  None = r=1: every unrepairable
         #: corruption becomes a declared loss.
         self._group_maps = group_maps
-        self._servers_per_group = servers_per_group
+        self._config = config
         self._replicated = group_maps is not None
         #: Optional observability hook (repro.obs); every use is guarded.
         self.obs = None
@@ -170,13 +171,14 @@ class IntegrityManager:
 
     def _peer_replicas(self, server_id: int, file_id: int) -> tuple[int, ...]:
         """The replica set ``server_id`` belongs to for ``file_id``."""
-        return self._group_maps[server_id // self._servers_per_group].replicas(file_id)
+        group = self._config.group_of_server(server_id)
+        return self._group_maps[group].replicas(file_id)
 
     def _slice(self, server_id: int) -> range:
         """Every server of ``server_id``'s group slice (its replica
         chains never leave it)."""
-        first = server_id - server_id % self._servers_per_group
-        return range(first, first + self._servers_per_group)
+        config = self._config
+        return config.server_slice(config.group_of_server(server_id))
 
     def _acknowledge(
         self, server_id: int, key: tuple[int, int], payload: int, gen: int

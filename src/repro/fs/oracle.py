@@ -88,13 +88,13 @@ class ProtocolOracle:
         self._executed: set[tuple[int, int, int]] = set()
         #: file_id -> highest version stamp ever observed.
         self._versions: dict[int, int] = {}
-        #: The replication manager's per-group replica maps (group ->
-        #: :class:`~repro.fs.replication.ReplicaMap`) and the slice
-        #: width, set by the cluster when replication is configured;
+        #: One ``(replica map, server slice)`` pair per owned group, in
+        #: group order: the replication manager's
+        #: :class:`~repro.fs.replication.ReplicaMap` and the servers it
+        #: spans.  Set by the cluster when replication is configured;
         #: they enable the per-group replica-divergence final check and
         #: switch the writeback ledger to the fan-out counter.
-        self.group_maps: "dict[int, Any] | None" = None
-        self.servers_per_group: int = 0
+        self.replica_groups: "list[tuple[Any, range]] | None" = None
         #: The cluster's :class:`~repro.fs.integrity.IntegrityManager`,
         #: set by the cluster when the integrity layer is built; enables
         #: the end-state silent-corruption sweep.
@@ -195,7 +195,7 @@ class ProtocolOracle:
                     now, "final", -1, "cross-shard-writeback-ledger"
                 )
             received = sum(s.counters.block_writes for s in servers)
-            if self.group_maps is not None:
+            if self.replica_groups is not None:
                 # Replicated writebacks fan out: every clean crosses the
                 # wire once per live replica, and the clients count each
                 # transfer in replica_writeback_blocks.
@@ -216,12 +216,10 @@ class ProtocolOracle:
                     f"clients cleaned {cleaned} dirty blocks but servers "
                     f"received {received} ({per_server})",
                 )
-        if self.group_maps is not None and servers is not None:
-            spg = self.servers_per_group
-            for group in sorted(self.group_maps):
+        if self.replica_groups is not None and servers is not None:
+            for replica_map, server_ids in self.replica_groups:
                 self._check_replica_divergence(
-                    now, servers, self.group_maps[group],
-                    range(group * spg, (group + 1) * spg),
+                    now, servers, replica_map, server_ids
                 )
         if self.integrity is not None:
             # **No silent corruption at end of replay** -- every durable

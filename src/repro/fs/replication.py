@@ -45,6 +45,7 @@ from typing import TYPE_CHECKING
 from repro.fs.sharding import Placement
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.fs.config import ClusterConfig
     from repro.fs.server import Server
 
 
@@ -128,8 +129,9 @@ class ReplicationManager:
     server), because shared file ids -- the negative sentinels and the
     read-only binaries -- resolve to a different server slice per group.
     Every lookup resolves the map through the server id it concerns
-    (``sid // servers_per_group`` names the group); each client is
-    handed its own group's map.
+    (``config.group_of_server``); each client is handed its own group's
+    map.  The replication factor and the detector's miss threshold come
+    from ``config`` too.
     """
 
     def __init__(
@@ -137,25 +139,25 @@ class ReplicationManager:
         engine,
         servers: "list[Server]",
         placement: Placement,
-        replication_factor: int,
-        miss_threshold: int,
+        config: "ClusterConfig",
         ticker,
-        groups: int = 1,
         owned_groups: "tuple[int, ...] | None" = None,
     ) -> None:
         self.engine = engine
         self.servers = servers
-        owned = tuple(range(groups)) if owned_groups is None else owned_groups
+        self._config = config
+        if owned_groups is None:
+            owned_groups = tuple(range(config.client_groups))
         #: Owned group -> its :class:`ReplicaMap`; the integrity layer
         #: and the oracle resolve replica sets through these too.
         self.group_maps = {
             group: ReplicaMap(
-                placement.group_view(group, groups), replication_factor
+                placement.group_view(config.server_slice(group)),
+                config.replication_factor,
             )
-            for group in owned
+            for group in owned_groups
         }
-        self._servers_per_group = placement.num_servers // groups
-        self.miss_threshold = miss_threshold
+        self.miss_threshold = config.heartbeat_miss_threshold
         self._missed = [0] * len(servers)
         #: Servers currently declared dead by the detector (a superset
         #: snapshot lag is fine: declaration needs k missed beats, so a
@@ -186,7 +188,7 @@ class ReplicationManager:
         )
 
     def _map_for_server(self, server_id: int) -> ReplicaMap:
-        return self.group_maps[server_id // self._servers_per_group]
+        return self.group_maps[self._config.group_of_server(server_id)]
 
     # --- the failure detector ----------------------------------------------------
 
@@ -294,9 +296,8 @@ class ReplicationManager:
         candidates: set[int] = set()
         # Only the dead server's own group slice can hold (or receive)
         # copies of its files.
-        spg = self._servers_per_group
-        first = (dead_id // spg) * spg
-        for sid in range(first, first + spg):
+        config = self._config
+        for sid in config.server_slice(config.group_of_server(dead_id)):
             if servers[sid].up:
                 candidates.update(servers[sid]._files.keys())
         for file_id in sorted(candidates):

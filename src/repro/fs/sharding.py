@@ -157,28 +157,30 @@ class Placement:
             chosen.append(remaining.pop(h % len(remaining)))
         return tuple(chosen)
 
-    def group_view(self, group: int, groups: int) -> "Placement":
-        """The placement confined to one client group's server slice.
+    def group_view(self, servers: range) -> "Placement":
+        """The placement confined to one client group's server slice
+        (:meth:`~repro.fs.config.ClusterConfig.server_slice`).
 
-        Partitioned replay divides ``num_servers`` into ``groups``
-        contiguous equal slices; a group's clients route *every* file
-        -- group files, shared binaries, directory sentinels -- into
-        their own slice, so no server ever sees traffic from two
-        groups.  That per-group confinement is what makes shard replays
-        byte-identical to the unpartitioned replay: a server's state
-        evolves from exactly one group's operations either way.  The
-        view keeps the salt, so ``group_view(0, 1)`` is this placement.
+        A group's clients route *every* file -- group files, shared
+        binaries, directory sentinels -- into their own slice, so no
+        server ever sees traffic from two groups.  That per-group
+        confinement is what makes shard replays byte-identical to the
+        unpartitioned replay: a server's state evolves from exactly one
+        group's operations either way.  The view keeps the salt, so the
+        view over every server is this placement.
         """
-        if groups < 1 or self.num_servers % groups != 0:
+        if (
+            servers.step != 1
+            or not servers
+            or servers.start < 0
+            or servers.stop > self.num_servers
+        ):
             raise ConfigError(
-                f"{groups} groups must evenly divide "
-                f"{self.num_servers} servers"
+                f"server slice {servers} is not a non-empty contiguous "
+                f"slice of the {self.num_servers} servers"
             )
-        if not 0 <= group < groups:
-            raise ConfigError(f"group {group} out of range for {groups}")
         view = Placement(self.num_servers, self.seed)
-        view._size = self.num_servers // groups
-        view._start = group * view._size
+        view._start, view._size = servers.start, len(servers)
         return view
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -8,8 +8,8 @@ Change any input and the key changes; nothing is ever invalidated in
 place.
 
 Entries are serialized by :mod:`repro.pipeline.codec` (traces in
-columnar form, replays as packed counter rows, plain pickle otherwise)
-and prefixed with a magic string and a payload checksum.  Writes go to
+columnar form, replays as packed counter rows) and prefixed with a
+magic string and a payload checksum.  Writes go to
 a temporary file in the destination directory followed by an atomic
 :func:`os.replace`, so a crashed or concurrent writer can never leave a
 half-written entry under a valid name.  Reads treat *any* problem --
@@ -85,7 +85,7 @@ class CacheStats:
 
 
 class ArtifactCache:
-    """A content-addressed pickle store with atomic writes."""
+    """A content-addressed artifact store with atomic writes."""
 
     def __init__(self, root: str | os.PathLike | None = None) -> None:
         self.root = Path(root).expanduser() if root is not None else default_cache_dir()

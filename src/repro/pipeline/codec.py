@@ -11,7 +11,7 @@ This codec stores a trace as its columnar form instead: the
 per field per record kind, plus the time order), serialized with
 :mod:`marshal` (C-speed for primitives).  A decoded trace is the
 generated trace's columns, array for array; no record is built.
-Object-heavy loads (replay snapshots, plain pickles) run with the
+Replay snapshots, the one object-heavy load, are rebuilt with the
 cyclic GC paused (:func:`gc_paused`); the rebuilt graphs are trees.
 
 Payloads are tagged by their first byte:
@@ -22,7 +22,10 @@ Payloads are tagged by their first byte:
   counter snapshots, pickled config).
 * ``O`` -- a :class:`~repro.obs.sampler.CounterTimeseries` (per-machine
   sample tables, pure marshal -- no pickle at all).
-* ``P`` -- anything else, plain pickle.
+
+Nothing else is an artifact: :func:`encode_artifact` refuses any other
+type with a :class:`TypeError`, which the cache's ``store`` reports as
+not stored.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from repro.obs.sampler import CounterTimeseries
 from repro.trace.columnar import ColumnarTrace
 from repro.workload.generator import SyntheticTrace
 
-_TAG_PICKLE = b"P"
 _TAG_REPLAY = b"R"
 _TAG_OBS = b"O"
 _TAG_COLUMNAR_TRACE = b"C"
@@ -202,9 +204,7 @@ def encode_artifact(artifact: Any) -> bytes:
         return _encode_replay(artifact)
     if isinstance(artifact, CounterTimeseries):
         return _encode_timeseries(artifact)
-    return _TAG_PICKLE + pickle.dumps(
-        artifact, protocol=pickle.HIGHEST_PROTOCOL
-    )
+    raise TypeError(f"no artifact encoding for {type(artifact).__name__}")
 
 
 def decode_artifact(payload: bytes) -> Any:
@@ -216,7 +216,4 @@ def decode_artifact(payload: bytes) -> Any:
         return _decode_replay(body)
     if tag == _TAG_OBS:
         return _decode_timeseries(body)
-    if tag == _TAG_PICKLE:
-        with gc_paused():
-            return pickle.loads(body)
     raise ValueError(f"unknown artifact tag {tag!r}")

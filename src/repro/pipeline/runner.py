@@ -205,7 +205,7 @@ def build_cluster_results(
     replay_tasks = [
         ReplayTask(
             trace_fields=tasks[index].key_fields(),
-            columnar=traces[index].columnar,
+            group_traces=[(0, traces[index].columnar)],
             duration=traces[index].duration,
             config=config,
             seed=seed + 101 * offset,

@@ -1,9 +1,15 @@
 """Scale-out replay: partitioned trace generation and sharded replay.
 
-The classic pipeline generates one trace and replays it in one process;
-at ``scale >= 10`` (hundreds of clients, tens of millions of records)
-that is hours of wall clock and many gigabytes of records.  This module
-makes big scales practical by making the *population* partitionable:
+The paper's cluster was one Sprite installation; here it is the
+one-group case of a grouped cluster.  At ``scale >= 10`` (hundreds of
+clients, tens of millions of records) one process replaying one trace
+is hours of wall clock and many gigabytes of records, so this module
+makes the *population* partitionable.  It only plans: each group's
+trace is a :class:`~repro.pipeline.tasks.TraceTask` and each shard a
+:class:`~repro.pipeline.tasks.ReplayTask`, the same two tasks the
+registry's experiments run, and the group layout (which clients and
+servers each group owns) is the :class:`~repro.fs.config.ClusterConfig`
+the plan builds.
 
 * the user population is built as ``groups`` independent blocks, each
   generated at ``scale / groups`` from its own seed -- generation
@@ -17,10 +23,10 @@ makes big scales practical by making the *population* partitionable:
 * the replay cluster is built with ``ClusterConfig.client_groups``, so
   every client routes into its group's private server slice and the
   per-close fsync decision is a pure hash -- groups share *nothing*;
-* replay then shards by group: each shard task replays only its groups'
-  records against an *owned-only* cluster -- only the owned groups'
-  machines are constructed; roster stubs refuse foreign traffic loudly
-  -- and :func:`repro.fs.cluster.merge_cluster_results` selects every
+* replay then shards by group: each shard's replay task replays only
+  its groups' records against an *owned-only* cluster -- only the owned
+  groups' machines are constructed; roster stubs refuse foreign traffic
+  loudly -- and :func:`repro.fs.cluster.merge_cluster_results` selects every
   machine's state from the shard that owns it.  The merged result is
   byte-identical to replaying the whole merged trace in one process
   (``tests/test_partitioned_replay.py`` pins this), including under
@@ -39,22 +45,17 @@ group's records, which every shard computes identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from repro.common.errors import ConfigError
-from repro.fs.cluster import (
-    ClusterResult,
-    merge_cluster_results,
-    run_cluster_on_trace,
-)
+from repro.fs.cluster import ClusterResult, merge_cluster_results
 from repro.fs.config import ClusterConfig
 from repro.fs.faults import FaultConfig
-from repro.fs.paging import EXECUTABLE_FILE_ID_BASE
 from repro.pipeline.runner import PipelineReport, run_stage
-from repro.trace.columnar import ColumnarTrace
-from repro.workload.generator import SyntheticTrace, generate_trace
-from repro.workload.profiles import TraceProfile
+from repro.pipeline.tasks import ReplayTask, TraceTask, replay_groups
+from repro.workload.generator import SyntheticTrace
+from repro.workload.profiles import TraceProfile, scaled_client_count
 
 #: Seed stride between groups.  Any constant works (each group is an
 #: independent population); a prime keeps group seeds from colliding
@@ -110,10 +111,10 @@ class ScaleOutPlan:
 
     @property
     def client_count(self) -> int:
-        """The registry's ``max(4, round(40 * scale))`` client scaling,
+        """The registry's client scaling (:func:`scaled_client_count`),
         applied to the *total* scale -- a scale-100 plan fields exactly
         the clients a scale-100 unpartitioned experiment would."""
-        return max(4, round(40 * self.scale))
+        return scaled_client_count(self.scale)
 
     @property
     def group_client_counts(self) -> tuple[int, ...]:
@@ -124,16 +125,6 @@ class ScaleOutPlan:
             base + 1 if group < extra else base
             for group in range(self.groups)
         )
-
-    @property
-    def group_client_offsets(self) -> tuple[int, ...]:
-        """Prefix sums of :attr:`group_client_counts` (length
-        ``groups + 1``): group ``g`` owns client ids
-        ``[offsets[g], offsets[g + 1])``."""
-        offsets = [0]
-        for count in self.group_client_counts:
-            offsets.append(offsets[-1] + count)
-        return tuple(offsets)
 
     @property
     def num_servers(self) -> int:
@@ -187,101 +178,6 @@ def shard_partition(groups: int, shards: int) -> list[list[int]]:
     return out
 
 
-def check_id_space(columnar: ColumnarTrace, group: int) -> None:
-    """Refuse remapped traces whose strided file ids reach the paging
-    binaries' reserved range (they share the servers' block space)."""
-    largest = columnar.max_file_id()
-    if largest >= EXECUTABLE_FILE_ID_BASE:
-        raise ConfigError(
-            f"group {group}: remapped file id {largest} collides with "
-            f"the executable id space (>= {EXECUTABLE_FILE_ID_BASE}); "
-            f"lower scale or groups"
-        )
-
-
-# --------------------------------------------------------------------------
-# pipeline tasks
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class GroupTraceTask:
-    """Generate one group's trace and relabel it into the merged
-    cluster's id space (the remapped copy's ``records`` view starts
-    unbuilt, so it can never hold the group-local ids)."""
-
-    profile: TraceProfile
-    seed: int
-    scale: float
-    client_count: int
-    group: int
-    groups: int
-    #: First merged-cluster client id of this group's block.  With the
-    #: registry-derived unequal split the blocks are no longer uniform,
-    #: so the base is planned (``ScaleOutPlan.group_client_offsets``),
-    #: not derived from ``group * client_count``.
-    client_base: int = 0
-
-    def key_fields(self) -> dict[str, Any]:
-        return {
-            "kind": "group-trace",
-            "profile": self.profile,
-            "seed": self.seed,
-            "scale": self.scale,
-            "client_count": self.client_count,
-            "group": self.group,
-            "groups": self.groups,
-            "client_base": self.client_base,
-        }
-
-    def run(self) -> SyntheticTrace:
-        trace = generate_trace(
-            self.profile,
-            seed=self.seed,
-            scale=self.scale,
-            client_count=self.client_count,
-        )
-        remapped = trace.columnar.remap_group(
-            self.group, self.groups, client_base=self.client_base
-        )
-        check_id_space(remapped, self.group)
-        return replace(trace, columnar=remapped)
-
-
-@dataclass
-class ShardReplayTask:
-    """Replay one shard's groups against an owned-only cluster.
-
-    The cluster constructs only the shard's groups' clients and servers
-    (:class:`~repro.fs.sharding.MachineRoster` stubs refuse foreign
-    traffic loudly), so per-shard memory and construction time scale
-    with the owned slice, not the whole cluster -- and the result
-    already carries exactly the owned machines' counters, no slimming
-    pass needed.
-    """
-
-    plan_fields: dict[str, Any]
-    group_traces: list[tuple[int, ColumnarTrace]]
-    config: ClusterConfig
-    duration: float
-    seed: int
-
-    def key_fields(self) -> dict[str, Any]:
-        return {
-            "kind": "shard-replay",
-            "plan": self.plan_fields,
-            "groups": tuple(group for group, _ in self.group_traces),
-            "config": self.config,
-            "duration": self.duration,
-            "seed": self.seed,
-        }
-
-    def run(self) -> ClusterResult:
-        return _replay_groups(
-            self.group_traces, self.config, self.duration, self.seed
-        )
-
-
 # --------------------------------------------------------------------------
 # the scale-out stages
 # --------------------------------------------------------------------------
@@ -295,49 +191,23 @@ def build_group_traces(
     report: PipelineReport | None = None,
 ) -> list[SyntheticTrace]:
     """Generate (or load) every group's remapped columnar trace."""
-    counts = plan.group_client_counts
-    offsets = plan.group_client_offsets
-    tasks = [
-        GroupTraceTask(
-            profile=plan.profile,
-            seed=plan.group_seed(group),
-            scale=plan.group_scale,
-            client_count=counts[group],
-            group=group,
-            groups=plan.groups,
-            client_base=offsets[group],
+    config = plan.cluster_config()
+    tasks = []
+    for group in range(plan.groups):
+        clients = config.client_slice(group)
+        tasks.append(
+            TraceTask(
+                profile=plan.profile,
+                seed=plan.group_seed(group),
+                scale=plan.group_scale,
+                client_count=len(clients),
+                group=group,
+                groups=plan.groups,
+                client_base=clients.start,
+            )
         )
-        for group in range(plan.groups)
-    ]
     return run_stage(
         "group-traces", tasks, workers=workers, cache=cache, report=report
-    )
-
-
-def _replay_groups(
-    group_traces: Sequence[tuple[int, ColumnarTrace]],
-    config: ClusterConfig,
-    duration: float,
-    seed: int,
-    *,
-    oracle=None,
-    obs=None,
-) -> ClusterResult:
-    """Replay the merged ``(group, trace)`` streams against a cluster
-    owning exactly those groups -- a shard, or with every group the
-    unpartitioned reference.  The merge ranks by group, so a shard's
-    dispatch order is the full order restricted to its groups, and the
-    replay reads the merged columns directly
-    (:meth:`ColumnarTrace.iter_columns`): peak memory is the columns
-    plus one gathered chunk, and no record object is ever built."""
-    merged = ColumnarTrace.merge(
-        [trace for _, trace in group_traces],
-        ranks=[group for group, _ in group_traces],
-    )
-    return run_cluster_on_trace(
-        merged, duration, config, seed=seed,
-        oracle=oracle, obs=obs,
-        owned_groups=[group for group, _ in group_traces],
     )
 
 
@@ -366,11 +236,11 @@ def run_partitioned_replay(
     duration = traces[0].duration
     plan_fields = plan.key_fields()
     tasks = [
-        ShardReplayTask(
-            plan_fields=plan_fields,
+        ReplayTask(
+            trace_fields=plan_fields,
             group_traces=[(group, traces[group].columnar) for group in groups],
-            config=config,
             duration=duration,
+            config=config,
             seed=plan.replay_seed,
         )
         for groups in owned
@@ -393,7 +263,7 @@ def run_unpartitioned_replay(
     identity tests and the ``scale_out`` experiment run)."""
     if traces is None:
         traces = build_group_traces(plan)
-    return _replay_groups(
+    return replay_groups(
         [(group, trace.columnar) for group, trace in enumerate(traces)],
         plan.cluster_config(), traces[0].duration, plan.replay_seed,
         oracle=oracle, obs=obs,

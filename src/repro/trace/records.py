@@ -17,7 +17,8 @@ per-byte lifetime assumes the file was written sequentially.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, fields
 from typing import Any, ClassVar, Type
 
 from repro.common.errors import TraceError
@@ -60,8 +61,11 @@ class TraceRecord:
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "TraceRecord":
         """Deserialize a trace-file line's dict: the kind, then the
-        fields, the mode as its value string.  Anything else raises
-        :class:`TraceError`."""
+        fields, the mode as its value string.  Each field's JSON type
+        must match its annotation: an ``int`` field takes an integer
+        (not a bool, a float or a string), a ``float`` field an integer
+        or a float (not a bool), a ``bool`` field only a bool.  Anything
+        else raises :class:`TraceError`."""
         if not isinstance(data, dict):
             raise TraceError(
                 f"trace record must be a JSON object, got {type(data).__name__}"
@@ -81,10 +85,34 @@ class TraceRecord:
                 raise TraceError(
                     f"unknown access mode {kwargs['mode']!r} in {kind!r} record"
                 ) from None
+        annotations = _annotations(cls)
+        for name, value in kwargs.items():
+            annotation = annotations.get(name)
+            if annotation is not None and type(value) not in _JSON_TYPES[annotation]:
+                raise TraceError(
+                    f"field {name!r} of {kind!r} record must be {annotation}, "
+                    f"got {type(value).__name__} {value!r}"
+                )
         try:
             return cls(**kwargs)
         except TypeError as exc:
             raise TraceError(f"bad fields for {kind!r} record: {exc}") from exc
+
+
+#: The exact value types each field annotation accepts from a JSON line
+#: (exact, so a bool never passes for a number).
+_JSON_TYPES: dict[str, tuple[type, ...]] = {
+    "int": (int,),
+    "float": (int, float),
+    "bool": (bool,),
+    "AccessMode": (AccessMode,),
+}
+
+
+@functools.cache
+def _annotations(cls: Type[TraceRecord]) -> dict[str, str]:
+    """``cls``'s field name -> annotation."""
+    return {f.name: f.type for f in fields(cls)}
 
 
 @dataclass(frozen=True, slots=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigError
-from repro.common.units import DAY, HOUR
+from repro.common.units import DAY, DEFAULT_CLIENT_COUNT, HOUR
 
 
 @dataclass(frozen=True)
@@ -110,6 +110,13 @@ STANDARD_PROFILES: tuple[TraceProfile, ...] = (
         intensity=1.8, shared_intensity=6.0,
     ),
 )
+
+
+def scaled_client_count(scale: float) -> int:
+    """The workstations a scale-``scale`` cluster fields: the paper's
+    40 at scale 1, shrinking with scale so per-client load stays
+    realistic, and never fewer than 4."""
+    return max(4, round(DEFAULT_CLIENT_COUNT * scale))
 
 
 def scaled_profile(profile: TraceProfile, scale: float) -> TraceProfile:

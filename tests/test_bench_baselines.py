@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.pipeline.scaleout import build_group_traces
+from repro.workload.profiles import scaled_client_count
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -71,7 +72,7 @@ def test_replay_baseline_fingerprint():
     scale = REPLAY["scale"]
     trace = scale_curve.replay_trace(scale)
     assert (REPLAY["clients"], REPLAY["records"]) == (
-        scale_curve.clients_for(scale),
+        scaled_client_count(scale),
         trace.record_count,
     ), (
         "benchmarks/BENCH_replay.json no longer matches current code; "

@@ -9,6 +9,7 @@ whole trace in memory.
 """
 
 import gc
+import marshal
 import tracemalloc
 from contextlib import contextmanager
 
@@ -20,11 +21,11 @@ from repro.pipeline.codec import decode_artifact, encode_artifact, gc_paused
 from repro.fs.cluster import run_cluster_on_trace
 from repro.fs.config import ClusterConfig
 from repro.pipeline.scaleout import (
-    GroupTraceTask,
     ScaleOutPlan,
     build_group_traces,
     run_partitioned_replay,
 )
+from repro.pipeline.tasks import TraceTask
 from repro.trace.columnar import (
     COLUMN_FIELDS,
     MODE_CODES,
@@ -315,7 +316,7 @@ class TestStreamingMemory:
             STANDARD_PROFILES[0], seed=3, scale=0.02, client_count=4
         )
         decoded = decode_artifact(encode_artifact(generated))
-        remapped = GroupTraceTask(
+        remapped = TraceTask(
             STANDARD_PROFILES[0], seed=3, scale=0.02, client_count=4,
             group=1, groups=4, client_base=8,
         ).run()
@@ -325,6 +326,18 @@ class TestStreamingMemory:
         _, file_ids = remapped.columnar.select(RECORD_CLASSES, "file_id")
         assert int(file_ids.max()) == remapped.columnar.max_file_id()
         assert remapped.columnar.max_file_id() > generated.columnar.max_file_id()
+
+
+def test_one_group_trace_task_keeps_the_generated_ids():
+    """The study's traces are group 0 of one: the trace task's remap
+    leaves every column as generated, byte for byte."""
+    generated = generate_trace(
+        STANDARD_PROFILES[1], seed=7, scale=0.05, client_count=4
+    )
+    task = TraceTask(STANDARD_PROFILES[1], seed=7, scale=0.05, client_count=4)
+    assert marshal.dumps(task.run().columnar.to_payload()) == marshal.dumps(
+        generated.columnar.to_payload()
+    )
 
 
 def test_record_classes_cover_every_registered_kind():

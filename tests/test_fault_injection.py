@@ -126,29 +126,33 @@ class TestBackoff:
 
 
 class TestFaultSchedule:
-    CONFIG = FaultConfig(
-        server_crash_rate=1.0, client_crash_rate=0.5, partition_rate=2.0
+    CLUSTER = ClusterConfig(
+        client_count=4,
+        faults=FaultConfig(
+            server_crash_rate=1.0, client_crash_rate=0.5, partition_rate=2.0
+        ),
     )
 
     def test_zero_rates_yield_empty_schedule(self):
         schedule = FaultSchedule.generate(
-            FaultConfig(), 8, 86400.0, RngStream.root(1).fork("faults")
+            ClusterConfig(client_count=8), 86400.0,
+            RngStream.root(1).fork("faults"),
         )
         assert len(schedule) == 0
 
     def test_deterministic_for_same_stream(self):
         a = FaultSchedule.generate(
-            self.CONFIG, 4, 86400.0, RngStream.root(9).fork("faults")
+            self.CLUSTER, 86400.0, RngStream.root(9).fork("faults")
         )
         b = FaultSchedule.generate(
-            self.CONFIG, 4, 86400.0, RngStream.root(9).fork("faults")
+            self.CLUSTER, 86400.0, RngStream.root(9).fork("faults")
         )
         assert a.events == b.events
         assert len(a) > 0
 
     def test_events_inside_horizon_and_sorted(self):
         schedule = FaultSchedule.generate(
-            self.CONFIG, 4, 3600.0, RngStream.root(3).fork("faults")
+            self.CLUSTER, 3600.0, RngStream.root(3).fork("faults")
         )
         times = [e.time for e in schedule.events]
         assert times == sorted(times)
@@ -156,7 +160,7 @@ class TestFaultSchedule:
 
     def test_no_overlap_per_failure_process(self):
         schedule = FaultSchedule.generate(
-            self.CONFIG, 4, 86400.0, RngStream.root(5).fork("faults")
+            self.CLUSTER, 86400.0, RngStream.root(5).fork("faults")
         )
         by_process: dict[tuple, float] = {}
         for event in schedule.events:
@@ -173,10 +177,15 @@ class TestFaultSchedule:
     )
     GROUP_SIZES = (3, 2, 2, 1)
 
-    def _all_rates(self, **kwargs) -> FaultSchedule:
+    def _all_rates(self, group_sizes=(), owned_groups=None) -> FaultSchedule:
+        config = ClusterConfig(
+            client_count=8, num_servers=4,
+            client_groups=max(1, len(group_sizes)),
+            client_group_sizes=group_sizes, faults=self.ALL_RATES,
+        )
         return FaultSchedule.generate(
-            self.ALL_RATES, 8, 86400.0, RngStream.root(1991).fork("faults"),
-            num_servers=4, **kwargs,
+            config, 86400.0, RngStream.root(1991).fork("faults"),
+            owned_groups=owned_groups,
         )
 
     @staticmethod

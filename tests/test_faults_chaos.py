@@ -141,7 +141,7 @@ def test_worker_count_does_not_change_results(small_trace):
     tasks = [
         ReplayTask(
             trace_fields={"kind": "chaos", "seed": seed},
-            columnar=small_trace.columnar,
+            group_traces=[(0, small_trace.columnar)],
             duration=small_trace.duration,
             config=CHAOS_CONFIG,
             seed=seed,

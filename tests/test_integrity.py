@@ -64,7 +64,7 @@ def _integrity_cluster(num_servers: int, replication_factor: int = 1):
         else None
     )
     manager = IntegrityManager(
-        servers, group_maps=group_maps, servers_per_group=num_servers
+        servers, ClusterConfig(num_servers=num_servers), group_maps=group_maps
     )
     for server in servers:
         server.integrity = manager
@@ -212,17 +212,15 @@ def test_disk_fault_schedule_is_deterministic_and_inert_at_rate_zero():
         disk_torn_write_rate=1.0,
         disk_lost_write_rate=1.0,
     )
-    one = FaultSchedule.generate(
-        config, 4, 3600.0, RngStream.root(7), num_servers=2
-    )
-    two = FaultSchedule.generate(
-        config, 4, 3600.0, RngStream.root(7), num_servers=2
-    )
+    cluster = ClusterConfig(client_count=4, num_servers=2, faults=config)
+    one = FaultSchedule.generate(cluster, 3600.0, RngStream.root(7))
+    two = FaultSchedule.generate(cluster, 3600.0, RngStream.root(7))
     assert one.disk_events == two.disk_events
     assert len(one.disk_events) > 0
     assert {e.server_id for e in one.disk_events} <= {0, 1}
     quiet = FaultSchedule.generate(
-        FaultConfig(), 4, 3600.0, RngStream.root(7), num_servers=2
+        ClusterConfig(client_count=4, num_servers=2), 3600.0,
+        RngStream.root(7),
     )
     assert quiet.disk_events == []
 
@@ -337,8 +335,12 @@ def _replication_manager(num_servers=2):
     servers = [
         Server(1 * MB, BLOCK, server_id=i) for i in range(num_servers)
     ]
+    config = ClusterConfig(
+        num_servers=num_servers, replication_factor=2,
+        heartbeat_miss_threshold=3,
+    )
     manager = ReplicationManager(
-        engine, servers, Placement(num_servers), 2, 3,
+        engine, servers, Placement(num_servers), config,
         ticker=SharedTicker(engine, 30.0),
     )
     return servers, manager
@@ -581,7 +583,12 @@ class _ScrubPair:
         n = spg * groups
         self.spg = spg
         placement = Placement(n)
-        self.views = [placement.group_view(g, groups) for g in range(groups)]
+        config = ClusterConfig(
+            client_count=groups, num_servers=n, client_groups=groups
+        )
+        self.views = [
+            placement.group_view(config.server_slice(g)) for g in range(groups)
+        ]
         self.maps = (
             {g: ReplicaMap(view, r) for g, view in enumerate(self.views)}
             if r > 1
@@ -590,7 +597,7 @@ class _ScrubPair:
         self.managers = []
         for cls in (FullScanIntegrity, IntegrityManager):
             servers = [Server(1 * MB, BLOCK, server_id=i) for i in range(n)]
-            manager = cls(servers, group_maps=self.maps, servers_per_group=spg)
+            manager = cls(servers, config, group_maps=self.maps)
             manager.SCRUB_CHUNK = chunk
             manager.obs = _IntegrityCalls()
             for server in servers:
@@ -821,15 +828,13 @@ def test_chaos_no_silent_corruption_with_replicas_and_scrubbing(small_trace):
     ]
     from repro.common.rng import RngStream
 
-    schedule = FaultSchedule.generate(
-        DISK_KNOBS, 4, duration, RngStream.root(31), num_servers=4
-    )
-    schedule = FaultSchedule(crashes, disk_events=schedule.disk_events)
-    oracle = ProtocolOracle(seed=31, raise_on_violation=False)
     config = ClusterConfig(
         client_count=4, num_servers=4, replication_factor=2,
         paging_intensity=0.0, scrub_interval=30.0, faults=DISK_KNOBS,
     )
+    schedule = FaultSchedule.generate(config, duration, RngStream.root(31))
+    schedule = FaultSchedule(crashes, disk_events=schedule.disk_events)
+    oracle = ProtocolOracle(seed=31, raise_on_violation=False)
     result = run_cluster_on_trace(
         small_trace.columnar, duration, config, seed=31,
         fault_schedule=schedule, oracle=oracle,

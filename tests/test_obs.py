@@ -247,11 +247,12 @@ class TestCodecRoundTrip:
             loaded, result.final_counters, result.server_counters
         ) == []
 
-    def test_load_rejects_other_artifacts(self, tmp_path):
+    def test_load_rejects_other_artifacts(self, observed, tmp_path):
         from repro.pipeline.codec import encode_artifact
 
-        path = tmp_path / "other.bin"
-        path.write_bytes(encode_artifact([1, 2, 3]))
+        _, result = observed
+        path = tmp_path / "replay.bin"
+        path.write_bytes(encode_artifact(result))
         with pytest.raises(SimulationError, match="not a counter timeseries"):
             CounterTimeseries.load(path)
 

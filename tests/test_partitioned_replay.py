@@ -24,11 +24,11 @@ from repro.pipeline.scaleout import (
     GROUP_SEED_STRIDE,
     ScaleOutPlan,
     build_group_traces,
-    check_id_space,
     run_partitioned_replay,
     run_unpartitioned_replay,
     shard_partition,
 )
+from repro.pipeline.tasks import check_id_space
 from repro.trace.columnar import ColumnarTrace, ColumnarTraceBuilder
 from repro.trace.records import OpenRecord, AccessMode
 from repro.workload.profiles import STANDARD_PROFILES
@@ -282,10 +282,10 @@ class TestPlanAndPartition:
         assert plan.group_scale == SCALE / GROUPS
         assert plan.client_count == max(4, round(40 * SCALE))
         assert plan.group_client_counts == (2, 2, 1, 1)
-        assert plan.group_client_offsets == (0, 2, 4, 5, 6)
+        config = plan.cluster_config()
+        assert config.group_client_offsets == (0, 2, 4, 5, 6)
         assert plan.num_servers == GROUPS
         assert plan.group_seed(3) == plan.seed + 3 * GROUP_SEED_STRIDE
-        config = plan.cluster_config()
         assert config.client_groups == GROUPS
         assert config.client_count == plan.client_count
         assert config.group_sizes == plan.group_client_counts
@@ -306,7 +306,7 @@ class TestPlanAndPartition:
         counts = plan.group_client_counts
         assert sum(counts) == expected
         assert max(counts) - min(counts) <= 1
-        assert plan.group_client_offsets[-1] == expected
+        assert plan.cluster_config().group_client_offsets[-1] == expected
         assert plan.cluster_config().client_count == expected
 
     def test_plan_validation(self):
@@ -450,21 +450,25 @@ class TestGroupedConfig:
 class TestGroupPlacement:
     def test_group_placement_confines_to_slice(self):
         base = Placement(8, seed=3)
+        config = ClusterConfig(client_count=8, num_servers=8, client_groups=4)
         for group in range(4):
-            view = base.group_view(group, 4)
+            view = base.group_view(config.server_slice(group))
             lo, hi = group * 2, group * 2 + 2
             for file_id in range(200):
                 assert lo <= view.shard_of(file_id) < hi
             assert view.shard_of(-1) == lo
         with pytest.raises(ConfigError):
-            base.group_view(0, 3)  # 3 does not divide 8
+            base.group_view(range(6, 10))  # past the 8 servers
         with pytest.raises(ConfigError):
-            base.group_view(4, 4)
+            base.group_view(range(4, 4))  # empty
+        with pytest.raises(ConfigError):
+            base.group_view(range(0, 8, 2))  # not contiguous
 
     def test_group_replicas_confined_to_slice(self):
         base = Placement(8, seed=3)
+        config = ClusterConfig(client_count=8, num_servers=8, client_groups=4)
         for group in range(4):
-            view = base.group_view(group, 4)
+            view = base.group_view(config.server_slice(group))
             assert view.chain_width == 2
             lo, hi = group * 2, group * 2 + 2
             for file_id in range(50):
@@ -474,7 +478,7 @@ class TestGroupPlacement:
                 assert all(lo <= server < hi for server in chain)
             assert view.replicas_of(-1, 2) == (lo, lo + 1)
         with pytest.raises(ConfigError, match="server slice"):
-            base.group_view(0, 4).replicas_of(1, 3)  # slice holds only 2
+            base.group_view(range(2)).replicas_of(1, 3)  # slice holds only 2
 
 
 class TestMergeValidation:

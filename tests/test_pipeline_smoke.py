@@ -26,6 +26,7 @@ from repro.pipeline import (
     resolve_workers,
     trace_tasks,
 )
+from repro.obs.sampler import CounterTimeseries
 from repro.pipeline.codec import decode_artifact, encode_artifact
 from repro.trace.columnar import RECORD_CLASSES
 from repro.trace.records import AccessMode
@@ -178,16 +179,15 @@ def test_records_view_is_not_pickled():
     assert pickle.dumps(trace) == pickle.dumps(decoded)
 
 
-def test_accesses_without_trace_context_round_trip_through_pickle():
-    """An access table has no codec tag of its own: it pickles."""
-    from repro.analysis.episodes import assemble_accesses
-
-    trace = _small_trace()
-    table = assemble_accesses(trace.columnar)
-    assert len(table)
-    payload = encode_artifact(table)
-    assert payload[:1] == b"P"
-    assert_same_tables([decode_artifact(payload)], [table])
+def test_only_traces_replays_and_timeseries_are_artifacts(tmp_path):
+    """Any other type has no encoding: the codec refuses it and the
+    cache reports it as not stored."""
+    with pytest.raises(TypeError, match="no artifact encoding for list"):
+        encode_artifact([1, 2, 3])
+    cache = ArtifactCache(tmp_path)
+    key = cache.key_for({"kind": "not-an-artifact"})
+    assert cache.store(key, {"square": 9}) is False
+    assert cache.load(key) is None
 
 
 def test_keys_stable_and_parameter_sensitive(tmp_path):
@@ -293,7 +293,9 @@ def test_build_traces_matches_generate_standard_traces(tmp_path):
     assert built == reference
 
 
-# Module-level so the pool branch of run_stage can pickle it.
+# Module-level so the pool branch of run_stage can pickle it.  Its
+# artifact is a counter timeseries, the smallest type the codec stores,
+# carrying the square as its sample interval.
 @dataclass
 class _SquareTask:
     value: int
@@ -302,7 +304,11 @@ class _SquareTask:
         return {"kind": "square-test", "value": self.value}
 
     def run(self):
-        return {"square": self.value * self.value}
+        return CounterTimeseries(float(self.value * self.value))
+
+
+def _squares(results) -> list[float]:
+    return [result.sample_interval for result in results]
 
 
 class TestStageTimingWorkers:
@@ -330,7 +336,7 @@ class TestStageTimingWorkers:
         results = run_stage(
             "all-hit", tasks, workers=8, cache=cache, report=report
         )
-        assert results == [{"square": 9}, {"square": 16}]
+        assert _squares(results) == [9.0, 16.0]
         timing = report.stages[-1]
         assert timing.workers == 8
         assert timing.workers_effective == 0  # nothing actually ran
@@ -344,7 +350,7 @@ class TestStageTimingWorkers:
             workers=8,
             report=report,
         )
-        assert results == [{"square": 4}, {"square": 25}]
+        assert _squares(results) == [4.0, 25.0]
         timing = report.stages[-1]
         assert timing.workers == 8
         assert timing.workers_effective == 2  # pool capped at the misses

@@ -210,12 +210,9 @@ class RecordLoopCluster(Cluster):
             self.config.faults.any_faults or self.config.faults.any_disk_faults
         ):
             schedule = FaultSchedule.generate(
-                self.config.faults,
-                self.config.client_count,
+                self.config,
                 duration,
                 self.rng.fork("faults"),
-                num_servers=self.config.num_servers,
-                group_sizes=self.config.group_sizes,
                 owned_groups=self._owned_groups,
             )
         if schedule is not None and len(schedule):
@@ -1198,8 +1195,27 @@ def assert_activity_and_consistency_match_the_record_path(traces, placement_seed
     assert render_table12(ours) == render_table12(theirs)
 
 
+def _shared_request_beside_a_solo_run() -> list[tuple[ColumnarTrace, float]]:
+    """One stream in which a read open's run of file 7 and another
+    client's shared read of file 7 land at the same time, the run first.
+    No writer opened the file, so the run is solo (outside every sharing
+    window) and must sort after the shared request: a tie generated
+    streams draw too rarely to pin on their own."""
+    records = [
+        OpenRecord(time=0.0, server_id=0, open_id=1, file_id=7, client_id=0),
+        ReadRunRecord(time=5.0, server_id=0, open_id=1, file_id=7,
+                      client_id=0, offset=0, length=10),
+        SharedReadRecord(time=5.0, server_id=0, file_id=7, user_id=1,
+                         client_id=1, offset=0, length=30),
+        CloseRecord(time=6.0, server_id=0, open_id=1, file_id=7,
+                    client_id=0, bytes_read=10),
+    ]
+    return [(ColumnarTrace.from_records(records), 60.0)]
+
+
 @hypothesis.settings(max_examples=200, deadline=None)
 @given(st.lists(windowed_streams(), min_size=1, max_size=3), st.integers(0, 99))
+@hypothesis.example(_shared_request_beside_a_solo_run(), 0)
 def test_property_activity_and_consistency_match_the_record_path(
     streams, placement_seed
 ):

@@ -125,7 +125,7 @@ def test_worker_count_does_not_change_replicated_results(small_trace):
     tasks = [
         ReplayTask(
             trace_fields={"kind": "replication-chaos", "seed": seed},
-            columnar=small_trace.columnar,
+            group_traces=[(0, small_trace.columnar)],
             duration=small_trace.duration,
             config=REPLICATED_CONFIG,
             seed=seed,
@@ -320,9 +320,8 @@ class ChainRecomputingManager(ReplicationManager):
         rmap = self._map_for_server(dead_id)
         placement = rmap.placement
         candidates: set[int] = set()
-        spg = self._servers_per_group
-        first = (dead_id // spg) * spg
-        for sid in range(first, first + spg):
+        config = self._config
+        for sid in config.server_slice(config.group_of_server(dead_id)):
             if servers[sid].up:
                 candidates.update(servers[sid]._files.keys())
         for file_id in sorted(candidates):
@@ -415,10 +414,11 @@ class _RereplicationPair:
                 Server(_CACHE_BLOCKS * BLOCK_SIZE, BLOCK_SIZE, server_id=i)
                 for i in range(n)
             ]
-            manager = cls(
-                self.clock, servers, Placement(n), r, threshold,
-                _NoTicker(), groups=groups,
+            config = ClusterConfig(
+                client_count=groups, num_servers=n, client_groups=groups,
+                replication_factor=r, heartbeat_miss_threshold=threshold,
             )
+            manager = cls(self.clock, servers, Placement(n), config, _NoTicker())
             manager.obs = _ReplicationCalls()
             self.managers.append(manager)
 

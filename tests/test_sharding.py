@@ -173,7 +173,9 @@ class TestGroupView:
         num_servers, groups, group, seed, file_id, r = case
         size = num_servers // groups
         first = group * size
-        view = Placement(num_servers, seed=seed).group_view(group, groups)
+        view = Placement(num_servers, seed=seed).group_view(
+            range(first, first + size)
+        )
         local = Placement(size, seed=seed)
         assert view.chain_width == size
         assert view.shard_of(file_id) == first + local.shard_of(file_id)
@@ -186,7 +188,7 @@ class TestGroupView:
     def test_one_group_view_is_the_placement(self, case):
         num_servers, _, _, seed, file_id, r = case
         placement = Placement(num_servers, seed=seed)
-        view = placement.group_view(0, 1)
+        view = placement.group_view(range(num_servers))
         assert view.chain_width == placement.chain_width == num_servers
         assert view.shard_of(file_id) == placement.shard_of(file_id)
         assert view.replicas_of(file_id, r) == placement.replicas_of(file_id, r)

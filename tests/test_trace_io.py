@@ -71,6 +71,23 @@ class TestWriterReader:
         ("[1, 2]", "must be a JSON object, got list"),
         ('{"kind": ["open"], "time": 0.0, "server_id": 0}',
          "unknown trace record kind"),
+        # Each field's JSON type must match its annotation: the columns
+        # are typed, so a mistyped value would otherwise be truncated or
+        # fail without a location when the builder seals.
+        ('{"kind": "open", "time": 9.0, "server_id": 0, "file_id": 1.5}',
+         "field 'file_id' of 'open' record must be int, got float 1.5"),
+        ('{"kind": "open", "time": 9.0, "server_id": 0, "file_id": true}',
+         "field 'file_id' of 'open' record must be int, got bool True"),
+        ('{"kind": "open", "time": 9.0, "server_id": 0, "file_id": "x"}',
+         "field 'file_id' of 'open' record must be int, got str 'x'"),
+        ('{"kind": "open", "time": true, "server_id": 0}',
+         "field 'time' of 'open' record must be float, got bool True"),
+        ('{"kind": "open", "time": "9", "server_id": 0}',
+         "field 'time' of 'open' record must be float, got str '9'"),
+        ('{"kind": "open", "time": 9.0, "server_id": 0, "migrated": 1}',
+         "field 'migrated' of 'open' record must be bool, got int 1"),
+        ('{"kind": "open", "time": 9.0, "server_id": 0, "mode": 1}',
+         "field 'mode' of 'open' record must be AccessMode, got int 1"),
     ])
     def test_reader_names_the_line_of_a_malformed_record(
         self, tmp_path, line, rule
@@ -80,6 +97,15 @@ class TestWriterReader:
         path.write_text(path.read_text() + line + "\n")
         with pytest.raises(TraceError, match=rf"bad\.jsonl:4: .*{re.escape(rule)}"):
             read_trace(path)
+
+    def test_reader_takes_an_integer_time(self, tmp_path):
+        """A ``float`` field takes a JSON integer: it reads back as the
+        same float."""
+        path = tmp_path / "int_time.jsonl"
+        path.write_text('{"kind": "open", "time": 3, "server_id": 0}\n')
+        trace = read_trace(path)
+        assert trace.times.tolist() == [3.0]
+        assert materialize(trace)[0] == OpenRecord(time=3.0, server_id=0)
 
     def test_reader_names_the_line_of_an_out_of_order_record(self, tmp_path):
         path = tmp_path / "late.jsonl"
